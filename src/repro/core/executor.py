@@ -4,13 +4,17 @@ MRCP-RM is plan-based: tasks start exactly at their assigned start times on
 their assigned slots (the cluster does not opportunistically pull work
 forward -- an earlier start would violate the CP schedule other jobs were
 planned around).  The executor turns an installed plan into simulation
-events and maintains the runtime state of Table 2:
+events and maintains the runtime state of Table 2.  Every task it knows is
+in exactly one of three states, and each event moves it to the next:
 
-* a task whose start event has fired is *started* (``isPrevScheduled``);
-* a task whose completion event has fired is *completed* and its job may
-  complete with it;
-* re-planning replaces the pending (unstarted) part of the plan and leaves
-  running tasks untouched.
+* *pending* -- planned, start event queued; re-planning replaces exactly
+  this part of the plan;
+* *running* -- start event fired (``isPrevScheduled``), slot held; frozen
+  input to every re-plan until it ends;
+* *completed* -- completion event fired; its job may complete with it.
+
+Only pending and running tasks are held as assignments, so an invocation
+costs O(unfinished tasks), not O(run history).
 
 Fault injection adds the missing transitions: a running task can *fail*
 mid-execution (slot freed, attempt counter bumped, ``on_task_failed``
@@ -78,9 +82,12 @@ class ScheduledExecutor:
         self.on_task_perturbed = on_task_perturbed
 
         self._jobs: Dict[int, Job] = {}
-        self._plan: Dict[str, TaskAssignment] = {}
+        #: planned, start event queued (same keys as ``_start_handles``)
+        self._pending: Dict[str, TaskAssignment] = {}
         self._start_handles: Dict[str, EventHandle] = {}
-        self._started: Dict[str, TaskAssignment] = {}
+        #: started, not completed
+        self._running: Dict[str, TaskAssignment] = {}
+        #: append-only; a task is in at most one of the three
         self._completed: Set[str] = set()
         #: slot -> task id currently occupying it
         self._slot_busy: Dict[Tuple[int, SlotKind, int], str] = {}
@@ -127,15 +134,11 @@ class ScheduledExecutor:
 
     def snapshot_running(self) -> List[TaskAssignment]:
         """Tasks that have started but not completed (the frozen set)."""
-        return [
-            a
-            for tid, a in self._started.items()
-            if tid not in self._completed
-        ]
+        return list(self._running.values())
 
     def is_started(self, task_id: str) -> bool:
         """Whether the task's start event has fired."""
-        return task_id in self._started
+        return task_id in self._running or task_id in self._completed
 
     def is_completed(self, task_id: str) -> bool:
         """Whether the task's completion event has fired."""
@@ -143,11 +146,7 @@ class ScheduledExecutor:
 
     def planned_unstarted(self) -> List[TaskAssignment]:
         """Pending plan entries (used by the schedule-once ablation)."""
-        return [
-            a
-            for tid, a in self._plan.items()
-            if tid not in self._started and tid not in self._completed
-        ]
+        return list(self._pending.values())
 
     # ------------------------------------------------------------ the plan
     def install(
@@ -166,22 +165,18 @@ class ScheduledExecutor:
             for handle in self._start_handles.values():
                 handle.cancel()
             self._start_handles.clear()
-            self._plan = {
-                tid: a
-                for tid, a in self._plan.items()
-                if tid in self._started or tid in self._completed
-            }
+            self._pending.clear()
         for a in assignments:
             tid = a.task.id
-            if tid in self._started or tid in self._completed:
+            if tid in self._running or tid in self._completed:
                 continue  # frozen pass-through
             if a.start < now:
                 raise SchedulingError(
                     f"task {tid}: planned start {a.start} is in the past "
                     f"(now={now})"
                 )
-            if not replace and tid in self._plan:
-                prev = self._plan[tid]
+            if not replace and tid in self._pending:
+                prev = self._pending[tid]
                 if (
                     prev.start == a.start
                     and prev.resource_id == a.resource_id
@@ -191,7 +186,7 @@ class ScheduledExecutor:
                 raise SchedulingError(
                     f"task {tid}: conflicting plan entries (replace=False)"
                 )
-            self._plan[tid] = a
+            self._pending[tid] = a
             self._start_handles[tid] = self.sim.schedule_at(
                 a.start, lambda a=a: self._start_task(a), PRIORITY_ACQUIRE
             )
@@ -199,9 +194,7 @@ class ScheduledExecutor:
     # --------------------------------------------------------- transitions
     def _start_task(self, a: TaskAssignment) -> None:
         tid = a.task.id
-        self._start_handles.pop(tid, None)
-        current = self._plan.get(tid)
-        if current is not a or tid in self._started:
+        if self._pending.get(tid) is not a:
             raise SchedulingError(f"stale start event for task {tid}")
         if a.resource_id in self._offline:
             raise SchedulingError(
@@ -227,7 +220,8 @@ class ScheduledExecutor:
                 f"resource {a.resource_id}"
             )
         self._slot_busy[key] = tid
-        self._started[tid] = a
+        del self._start_handles[tid]
+        self._running[tid] = self._pending.pop(tid)
         a.task.is_prev_scheduled = True
         self._m_started.inc()
 
@@ -268,13 +262,14 @@ class ScheduledExecutor:
         self._end_handles.pop(tid, None)
         if tid in self._completed:
             raise SchedulingError(f"task {tid} completed twice")
-        self._completed.add(tid)
-        a.task.is_completed = True
-        a.task.completed_at = int(self.sim.now)
         key = a.slot_key()
         if self._slot_busy.get(key) != tid:
             raise SchedulingError(f"slot {key} not held by completing task {tid}")
         del self._slot_busy[key]
+        del self._running[tid]
+        self._completed.add(tid)
+        a.task.is_completed = True
+        a.task.completed_at = int(self.sim.now)
         self._m_completed.inc()
         tracer = self.tracer
         if tracer.enabled:
@@ -317,19 +312,19 @@ class ScheduledExecutor:
 
         ``reason`` is ``"failure"`` (injected task fault) or ``"outage"``
         (the attempt's resource went down).  The task is *not* completed:
-        it leaves the plan and the started set, its attempt counter is
-        bumped, and ``on_task_failed`` lets the recovery policy re-queue it.
+        it leaves the running map and enters no other (the next
+        :meth:`install` re-plans it), its attempt counter is bumped, and
+        ``on_task_failed`` lets the recovery policy re-queue it.
         """
         tid = a.task.id
         self._end_handles.pop(tid, None)
-        if tid in self._completed or tid not in self._started:
+        if self._running.get(tid) is not a:
             raise SchedulingError(f"stale failure event for task {tid}")
         key = a.slot_key()
         if self._slot_busy.get(key) != tid:
             raise SchedulingError(f"slot {key} not held by failing task {tid}")
         del self._slot_busy[key]
-        del self._started[tid]
-        self._plan.pop(tid, None)
+        del self._running[tid]
         a.task.is_prev_scheduled = False
         a.task.attempts += 1
         self._m_failed.inc()
@@ -369,24 +364,14 @@ class ScheduledExecutor:
             raise SchedulingError(f"unknown resource {resource_id}")
         self._offline.add(resource_id)
         victims = [
-            a
-            for tid, a in list(self._started.items())
-            if tid not in self._completed and a.resource_id == resource_id
+            a for a in self._running.values() if a.resource_id == resource_id
         ]
         for a in victims:
             handle = self._end_handles.pop(a.task.id, None)
             if handle is not None:
                 handle.cancel()
             self._fail_task(a, "outage")
-        for tid, a in list(self._plan.items()):
-            if tid in self._started or tid in self._completed:
-                continue
-            if a.resource_id != resource_id:
-                continue
-            handle = self._start_handles.pop(tid, None)
-            if handle is not None:
-                handle.cancel()
-            del self._plan[tid]
+        self._drop_pending(lambda a: a.resource_id == resource_id)
         return victims
 
     def restore_resource(self, resource_id: int) -> None:
@@ -406,15 +391,13 @@ class ScheduledExecutor:
         Running tasks of the job are left to finish (they hold real slots);
         they simply no longer lead to a job completion.
         """
-        for tid, a in list(self._plan.items()):
-            if a.task.job_id != job_id:
-                continue
-            if tid in self._started or tid in self._completed:
-                continue
-            handle = self._start_handles.pop(tid, None)
-            if handle is not None:
-                handle.cancel()
-            del self._plan[tid]
+        self._drop_pending(lambda a: a.task.job_id == job_id)
+
+    def _drop_pending(self, doomed: Callable[[TaskAssignment], bool]) -> None:
+        """Un-plan the pending entries ``doomed`` selects (start cancelled)."""
+        for tid in [tid for tid, a in self._pending.items() if doomed(a)]:
+            del self._pending[tid]
+            self._start_handles.pop(tid).cancel()
 
     # ---------------------------------------------------------- checkpoint
     def resilience_state(self) -> Dict[str, object]:
@@ -425,15 +408,16 @@ class ScheduledExecutor:
         the per-task attempt counters behind the retry budget.  Captured
         into checkpoints and strictly compared after a restore's replay.
         """
-        def entry(a: TaskAssignment) -> List[int]:
-            return [a.resource_id, a.slot_index, a.start]
+        def entries(held: Dict[str, TaskAssignment]) -> Dict[str, List[int]]:
+            return {
+                tid: [a.resource_id, a.slot_index, a.start]
+                for tid, a in sorted(held.items())
+            }
 
         return {
             "jobs": sorted(self._jobs),
-            "plan": {
-                tid: entry(a) for tid, a in sorted(self._plan.items())
-            },
-            "started": sorted(self._started),
+            "pending": entries(self._pending),
+            "running": entries(self._running),
             "completed": sorted(self._completed),
             "slot_busy": {
                 f"{rid}/{kind.value}/{slot}": tid

@@ -51,7 +51,9 @@ from repro.resilience.breaker import InjectedSolverFailures
 _LOG = get_logger("resilience.checkpoint")
 
 #: Checkpoint schema identifier; bump on incompatible layout changes.
-SCHEMA = "repro-ckpt/1"
+#: ``/2``: the executor proof is ``pending``/``running``/``completed``
+#: (one state per task), not ``/1``'s history-long ``plan``/``started``.
+SCHEMA = "repro-ckpt/2"
 
 #: Top-level keys every valid snapshot must carry.
 _REQUIRED_KEYS = ("schema", "fingerprint", "replication", "position", "state")

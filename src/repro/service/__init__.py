@@ -21,9 +21,6 @@ of the simulator and serves it against wall-clock traffic:
 * :mod:`repro.service.loadgen` -- the deterministic in-process load
   harness and the open-loop HTTP load generator behind
   ``mrcp-rm loadtest``.
-* :mod:`repro.service.fastapi_adapter` -- optional FastAPI application
-  factory (install the ``[service]`` extra); the stdlib server above is
-  the zero-dependency default.
 
 Everything here runs on injectable clocks (:mod:`repro.obs.clocks`): a
 manual service clock plus a pinned wall clock make admission verdicts --

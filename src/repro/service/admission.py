@@ -189,7 +189,7 @@ class AdmissionController:
                 t0,
             )
             self._jobs[spec.job_id] = _CommittedJob(spec, quote, mine)
-            self._m_committed.set(float(len(self._jobs)))
+            self._m_committed.set(float(self.committed_count))
             return quote
         return self._finish(
             spec,
@@ -278,17 +278,12 @@ class AdmissionController:
 
     def _evict_completed(self, now: int) -> None:
         """Release assignments whose tasks finished before ``now``."""
-        done: List[str] = []
-        for job_id, job in self._jobs.items():
+        # Fully-elapsed jobs stay queryable as COMPLETED but stop
+        # occupying slots (they drop out of the frozen set).
+        for job in self._jobs.values():
             job.assignments = [
                 a for a in job.assignments if a.start + a.task.duration > now
             ]
-            if not job.assignments:
-                done.append(job_id)
-        # Fully-elapsed jobs stay queryable as COMPLETED but stop
-        # occupying slots (they are dropped from the frozen set).
-        for job_id in done:
-            self._jobs[job_id].assignments = []
 
     # ------------------------------------------------------------ lifecycle
     def cancel(self, job_id: str, now: float) -> bool:
@@ -303,9 +298,7 @@ class AdmissionController:
             return False  # already completed: nothing left to cancel
         job.cancelled = True
         job.assignments = []
-        self._m_committed.set(
-            float(sum(1 for j in self._jobs.values() if not j.cancelled))
-        )
+        self._m_committed.set(float(self.committed_count))
         return True
 
     def status(self, job_id: str, now: float) -> Optional[JobStatus]:

@@ -13,8 +13,7 @@
   shutdown drains the queue so no submitter is left hanging;
 * a **stdlib HTTP/1.1 endpoint** (``serve``) exposing the API as JSON
   over ``asyncio.start_server`` -- no third-party web framework, so the
-  core install stays dependency-free (a FastAPI adapter lives behind the
-  ``[service]`` extra in :mod:`repro.service.fastapi_adapter`).
+  core install stays dependency-free.
 
 Routes: ``POST /submit``, ``GET /status/<job>``, ``POST /cancel/<job>``,
 ``GET /metrics`` (OpenMetrics, reusing the PR 6 exporter), ``GET

@@ -15,9 +15,6 @@ This module provides that generalisation:
   two-pool resource model;
 * :func:`generate_workflow_workload` draws random layered DAGs with the
   Table 3 distribution style, for open-system experiments.
-
-DAG hygiene (acyclicity, connectivity of stage names) is checked with
-``networkx``.
 """
 
 from __future__ import annotations
@@ -25,8 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
-
-import networkx as nx
 
 from repro.sim.rng import RandomStreams
 from repro.workload.entities import Job, Task, TaskKind, _phase_makespan
@@ -73,13 +68,38 @@ class WorkflowJob:
         self.validate()
 
     # ------------------------------------------------------------ structure
-    def graph(self) -> "nx.DiGraph":
-        """The stage DAG as a networkx DiGraph."""
-        g = nx.DiGraph()
-        for stage in self.stages:
-            g.add_node(stage.name)
-        g.add_edges_from(self.edges)
-        return g
+    def _topological_order(self) -> List[str]:
+        """Stage names by Kahn generations; a cycle is a ``ValueError``.
+
+        Roots in stage order, then generation by generation, each stage
+        where it reached in-degree zero while its parents' children were
+        visited in first-occurrence edge order (duplicate edges collapse).
+        Model variable order follows this order, so it is pinned.
+        """
+        children: Dict[str, Dict[str, None]] = {s.name: {} for s in self.stages}
+        for a, b in self.edges:
+            children[a][b] = None
+        indegree = dict.fromkeys(children, 0)
+        for succs in children.values():
+            for b in succs:
+                indegree[b] += 1
+        order: List[str] = []
+        generation = [name for name, d in indegree.items() if d == 0]
+        while generation:
+            order += generation
+            released = []
+            for name in generation:
+                for child in children[name]:
+                    indegree[child] -= 1
+                    if indegree[child] == 0:
+                        released.append(child)
+            generation = released
+        if len(order) < len(children):
+            stuck = [name for name, d in indegree.items() if d > 0]
+            raise ValueError(
+                f"workflow {self.id}: precedence cycle among stages {stuck}"
+            )
+        return order
 
     def validate(self) -> None:
         """Structural hygiene: unique stages, known edges, acyclic, non-empty stages, delay sanity."""
@@ -97,10 +117,7 @@ class WorkflowJob:
                 )
             if a == b:
                 raise ValueError(f"workflow {self.id}: self-edge on {a}")
-        g = self.graph()
-        if not nx.is_directed_acyclic_graph(g):
-            cycle = nx.find_cycle(g)
-            raise ValueError(f"workflow {self.id}: precedence cycle {cycle}")
+        self._topological_order()
         for stage in self.stages:
             if not stage.tasks:
                 raise ValueError(
@@ -132,7 +149,7 @@ class WorkflowJob:
         """(stages in topological order, predecessor indices, transfer
         delays aligned with the predecessor lists)."""
         by_name = {s.name: s for s in self.stages}
-        order = list(nx.topological_sort(self.graph()))
+        order = self._topological_order()
         index = {name: i for i, name in enumerate(order)}
         preds: List[List[int]] = [[] for _ in order]
         delays: List[List[int]] = [[] for _ in order]
@@ -148,8 +165,8 @@ class WorkflowJob:
 
     def terminal_stage_names(self) -> List[str]:
         """Stages with no successors -- they define job completion."""
-        g = self.graph()
-        return [n for n in g.nodes if g.out_degree(n) == 0]
+        has_successor = {a for a, _ in self.edges}
+        return [s.name for s in self.stages if s.name not in has_successor]
 
     # ------------------------------------------------- Job-compatible API
     @property

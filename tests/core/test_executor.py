@@ -102,6 +102,40 @@ def test_snapshot_running():
     assert [a.task.id for a in ex.planned_unstarted()] == [job.reduce_tasks[0].id]
 
 
+def test_each_task_is_in_exactly_one_state():
+    sim, metrics, ex = _setup([Resource(0, 2, 1), Resource(1, 2, 1)])
+    j1 = make_job(0, (4, 6), (3,), deadline=100)
+    j2 = make_job(1, (5, 5), (2,), deadline=100)
+    plan = []
+    for rid, job in enumerate((j1, j2)):
+        metrics.job_arrived(job)
+        ex.register_job(job)
+        plan += [
+            _assign(job.map_tasks[0], rid, 0, start=0),
+            _assign(job.map_tasks[1], rid, 1, start=2),
+            _assign(job.reduce_tasks[0], rid, 0, start=9),
+        ]
+    ex.install(plan)
+    planned = {a.task.id for a in plan}
+    seen = []
+    for until in (1, 3, 5, 8, 10, None):
+        sim.run(until=until)
+        state = ex.resilience_state()
+        pending, running = set(state["pending"]), set(state["running"])
+        completed = set(state["completed"])
+        assert not (pending & running or pending & completed
+                    or running & completed)
+        assert pending | running == planned - completed
+        assert pending == {a.task.id for a in ex.planned_unstarted()}
+        assert running == {a.task.id for a in ex.snapshot_running()}
+        seen.append((len(pending), len(running), len(completed)))
+    # the pauses caught tasks in every state, and drain empties both maps
+    assert seen == [
+        (4, 2, 0), (2, 4, 0), (2, 2, 2), (2, 0, 4), (0, 2, 4), (0, 0, 6)
+    ]
+    ex.assert_quiescent()
+
+
 def test_past_start_rejected():
     sim, metrics, ex = _setup()
     job = make_job(0, (5,))
@@ -192,3 +226,22 @@ def test_conflicting_duplicate_plan_rejected():
         ex.install(
             [_assign(job.map_tasks[0], 0, 0, start=4)], replace=False
         )
+
+
+def test_stale_start_event_rejected():
+    sim, metrics, ex = _setup()
+    job = make_job(0, (5,))
+    ex.register_job(job)
+    old = _assign(job.map_tasks[0], 0, 0, start=0)
+    ex.install([old])
+    ex.install([_assign(job.map_tasks[0], 0, 1, start=3)])  # supersedes it
+    with pytest.raises(SchedulingError, match="stale start"):
+        ex._start_task(old)
+
+
+def test_completion_without_the_slot_rejected():
+    sim, metrics, ex = _setup()
+    job = make_job(0, (5,))
+    ex.register_job(job)
+    with pytest.raises(SchedulingError, match="not held"):
+        ex._complete_task(_assign(job.map_tasks[0], 0, 0, start=0))

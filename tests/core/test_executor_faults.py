@@ -67,11 +67,22 @@ def test_mid_execution_failure_frees_slot_and_bumps_attempts():
     assert not ex.is_started("t0_m0")  # re-queued as unstarted
     assert ex.is_completed("t0_m1")
     assert metrics.failures_injected == 1
+    # The failed task is in no map until the next install re-plans it.
+    state = ex.resilience_state()
+    assert state["pending"] == {} and state["running"] == {}
+    assert state["completed"] == ["t0_m1"]
     # The freed slot is reusable: re-plan the failed task and finish.
-    ex.install([_assign(job.map_tasks[0], 0, 0, start=sim.now)])
+    retry = _assign(job.map_tasks[0], 0, 0, start=sim.now)
+    ex.install([retry])
+    assert list(ex.resilience_state()["pending"]) == ["t0_m0"]
     sim.run()
     assert ex.is_completed("t0_m0")
     ex.assert_quiescent()
+    # Late events for a finished task are bugs, not no-ops.
+    with pytest.raises(SchedulingError, match="completed twice"):
+        ex._complete_task(retry)
+    with pytest.raises(SchedulingError, match="stale failure"):
+        ex._fail_task(retry, "failure")
 
 
 def test_straggler_mutates_duration_and_fires_hook():

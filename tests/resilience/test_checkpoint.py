@@ -41,7 +41,7 @@ def test_capture_snapshot_shape_and_fingerprint():
         assert run.sim.step()
     snap = capture_snapshot(run)
     validate_snapshot(snap)  # must not raise
-    assert snap["schema"] == "repro-ckpt/1"
+    assert snap["schema"] == "repro-ckpt/2"
     assert snap["fingerprint"] == config_fingerprint(config, 0)
     assert snap["position"]["events_dispatched"] == 10
     assert snap["deterministic"] is True
@@ -75,6 +75,21 @@ def test_validate_rejects_wrong_schema_and_missing_keys():
     missing = {k: v for k, v in snap.items() if k != "position"}
     with pytest.raises(CheckpointError, match="position"):
         validate_snapshot(missing)
+
+
+def test_previous_schema_is_refused_before_any_replay():
+    config = _config()
+    run = build_live_run(fresh_run_config(config), 0)
+    run.sim.step()
+    old = dict(capture_snapshot(run), schema="repro-ckpt/1")
+    # /1 stored the executor as history-long plan/started maps; a clean
+    # refusal naming both schemas, not a replay CheckpointMismatch.
+    for refuse in (validate_snapshot, lambda s: restore_run(config, s)):
+        with pytest.raises(
+            CheckpointError, match="repro-ckpt/1.*repro-ckpt/2"
+        ) as exc:
+            refuse(old)
+        assert not isinstance(exc.value, CheckpointMismatch)
 
 
 def test_restore_refuses_a_foreign_config():

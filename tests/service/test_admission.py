@@ -161,3 +161,19 @@ class TestMetrics:
         assert counters["service.committed_jobs"] == 1.0
         hist = counters["service.admission_latency_ms"]
         assert hist["count"] == 3
+
+    def test_committed_gauge_excludes_cancelled_jobs(self):
+        registry = MetricsRegistry()
+        c = controller(num_resources=2, registry=registry)
+
+        def gauge():
+            return registry.as_dict()["service.committed_jobs"]
+
+        assert c.quote(spec("a", maps=(50,)), 0.0).admitted
+        assert c.quote(spec("b", maps=(50,)), 0.0).admitted
+        assert gauge() == 2.0
+        assert c.cancel("a", 1.0)
+        assert gauge() == 1.0
+        # The next admission must not count the cancelled job back in.
+        assert c.quote(spec("c", maps=(50,)), 1.0).admitted
+        assert gauge() == 2.0 == c.committed_count

@@ -1,13 +1,18 @@
 """API hygiene meta-tests.
 
 Documentation is a deliverable: every public module, class and function in
-``repro`` must carry a docstring, and every name exported through a package
-``__all__`` must actually resolve.
+``repro`` must carry a docstring, every name exported through a package
+``__all__`` must actually resolve, and the package imports no third-party
+distribution that ``pyproject.toml`` does not declare.
 """
 
 import importlib
 import inspect
+import os
 import pkgutil
+import re
+import subprocess
+import sys
 
 import repro
 
@@ -70,3 +75,37 @@ def test_all_exports_resolve():
             continue
         for name in exported:
             assert hasattr(module, name), f"{module.__name__}.__all__ lists missing {name}"
+
+
+def test_imports_stay_within_declared_dependencies():
+    """A fresh interpreter importing the package, CLI, service and experiment
+    layers loads no top-level third-party module beyond
+    ``[project].dependencies`` (an import nobody declared breaks a clean
+    install; one nobody needs is paid for in every set-up)."""
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    with open(os.path.join(os.path.dirname(src), "pyproject.toml")) as fh:
+        listed = re.search(
+            r"^dependencies\s*=\s*\[(.*?)\]", fh.read(), re.M | re.S
+        ).group(1)
+    declared = {
+        re.match(r"[A-Za-z0-9_.]+", spec.replace("-", "_")).group(0).lower()
+        for spec in re.findall(r'"([^"]+)"', listed)
+    }
+    probe = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import repro, repro.cli, repro.service, repro.experiments\n"
+        "new = {m.partition('.')[0] for m in set(sys.modules) - before}\n"
+        # __mp_main__ is multiprocessing's alias for __main__, not a package
+        "ours = set(sys.stdlib_module_names) | {'repro', '__mp_main__'}\n"
+        "print(*sorted(new - ours))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    undeclared = set(out.stdout.split()) - declared
+    assert undeclared == set(), (
+        f"imported but not in [project].dependencies: {sorted(undeclared)}"
+    )

@@ -1,6 +1,7 @@
 """DAG workflow entities and generator (the Section VII generalisation)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.workload.entities import Task, TaskKind
 from repro.workload.workflows import (
@@ -54,6 +55,51 @@ def test_cycle_rejected():
             stages=[Stage("A", [_task("a", 1)]), Stage("B", [_task("b", 1)])],
             edges=[("A", "B"), ("B", "A")],
         )
+
+
+def test_three_cycle_rejected_naming_the_stuck_stages():
+    stages = [Stage(n, [_task(n.lower(), 1)]) for n in "RABCD"]
+    with pytest.raises(ValueError, match="precedence cycle") as exc:
+        WorkflowJob(
+            id=1, arrival_time=0, earliest_start=0, deadline=10, stages=stages,
+            edges=[("R", "A"), ("A", "B"), ("B", "C"), ("C", "A"), ("C", "D")],
+        )
+    # R is a clean root; the cycle and what hangs off it never reach zero.
+    assert "['A', 'B', 'C', 'D']" in str(exc.value)
+
+
+@st.composite
+def layered_dag_edges(draw):
+    """(stage count, edges) with every edge low -> high index, in shuffled
+    order and with repeats, so insertion order and duplicates both matter."""
+    n = draw(st.integers(1, 9))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    if not pairs:
+        return n, []
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=3 * n))
+    return n, [(f"s{a}", f"s{b}") for a, b in edges]
+
+
+@given(layered_dag_edges(), st.randoms(use_true_random=False))
+@settings(max_examples=200, deadline=None)
+def test_topological_order_equals_networkx(dag, rnd):
+    nx = pytest.importorskip("networkx")
+    n, edges = dag
+    names = [f"s{i}" for i in range(n)]
+    rnd.shuffle(names)  # stage order need not be a topological one
+    wf = WorkflowJob(
+        id=0, arrival_time=0, earliest_start=0, deadline=10,
+        stages=[Stage(name, [_task(f"t{name}")]) for name in names],
+        edges=edges,
+    )
+    g = nx.DiGraph()
+    g.add_nodes_from(names)
+    g.add_edges_from(edges)
+    order = [s.name for s in wf.topological_stages()[0]]
+    assert order == list(nx.topological_sort(g))
+    assert wf.terminal_stage_names() == [
+        name for name in names if g.out_degree(name) == 0
+    ]
 
 
 def test_unknown_stage_edge_rejected():
