@@ -76,7 +76,7 @@ class MinEdfWcPolicy(SlotPolicy):
             ]
             n_m, n_r = min_slots_for_deadline(map_rem, red_rem, budget)
             running_m, running_r = _running_counts(job)
-            if SlotKind.for_task(eligible[0]) is SlotKind.MAP:
+            if eligible[0].kind is SlotKind.MAP:
                 want = max(0, n_m - running_m)
             else:
                 want = max(0, n_r - running_r)

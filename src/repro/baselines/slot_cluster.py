@@ -62,7 +62,7 @@ class SlotCluster:
     # ------------------------------------------------------------ execution
     def start_task(self, task: Task, resource_id: int) -> None:
         """Occupy a slot and run ``task`` to completion."""
-        kind = SlotKind.for_task(task)
+        kind = task.kind
         key = (resource_id, kind)
         if key not in self._free:
             raise SchedulingError(f"unknown resource {resource_id}")
@@ -87,7 +87,7 @@ class SlotCluster:
         del self._running[task.id]
         task.is_completed = True
         task.completed_at = int(self.sim.now)
-        self._free[(resource_id, SlotKind.for_task(task))] += 1
+        self._free[(resource_id, task.kind)] += 1
         if self.on_task_complete is not None:
             self.on_task_complete(task, resource_id)
 
@@ -187,7 +187,7 @@ class SlotPolicy:
         for task in tasks:
             if len(placements) >= limit:
                 break
-            kind = SlotKind.for_task(task)
+            kind = task.kind
             # Least-loaded resource first: spread tasks out.
             candidates = [
                 (count, r)

@@ -227,15 +227,15 @@ def _orphan_frozen_intervals(
     model: CpModel,
     result: FormulationResult,
     running_by_id: Dict[str, TaskAssignment],
-) -> Tuple[List[IntervalVar], List[IntervalVar]]:
+) -> List[Tuple[IntervalVar, TaskAssignment]]:
     """Fixed intervals for frozen tasks whose jobs are not being re-planned.
 
     In the schedule-once ablation (and any partial re-plan) tasks of other
     jobs still occupy capacity; they enter the model as immovable intervals
-    so the cumulative constraints see them.  Returns (maps, reduces).
+    so the cumulative constraints see them.  Returns (interval, assignment)
+    pairs for the caller to route into its capacity pools.
     """
-    maps: List[IntervalVar] = []
-    reduces: List[IntervalVar] = []
+    out: List[Tuple[IntervalVar, TaskAssignment]] = []
     for task_id, assignment in running_by_id.items():
         if task_id in result.interval_of:
             continue  # covered by a job under (re-)planning
@@ -249,8 +249,8 @@ def _orphan_frozen_intervals(
         )
         result.interval_of[task.id] = iv
         result.task_of[iv] = task
-        (maps if task.kind is TaskKind.MAP else reduces).append(iv)
-    return maps, reduces
+        out.append((iv, assignment))
+    return out
 
 
 def _build_combined(
@@ -278,11 +278,10 @@ def _build_combined(
             for iv in ivs:
                 task = result.task_of[iv]
                 (all_maps if task.kind is TaskKind.MAP else all_reduces).append(iv)
-    orphan_maps, orphan_reduces = _orphan_frozen_intervals(
-        model, result, running_by_id
-    )
-    all_maps.extend(orphan_maps)
-    all_reduces.extend(orphan_reduces)
+    for iv, assignment in _orphan_frozen_intervals(model, result, running_by_id):
+        (
+            all_maps if assignment.task.kind is TaskKind.MAP else all_reduces
+        ).append(iv)
     if all_maps:
         if total_map <= 0:
             raise SchedulingError("map tasks present but no map slots")
@@ -364,19 +363,8 @@ def _build_joint(
 
     # Frozen tasks of jobs outside the re-planned set: immovable intervals
     # placed directly into their resource's capacity pool.
-    for task_id, assignment in running_by_id.items():
-        if task_id in result.interval_of:
-            continue
+    for iv, assignment in _orphan_frozen_intervals(model, result, running_by_id):
         task = assignment.task
-        iv = model.fixed_interval(
-            start=assignment.start,
-            length=task.duration,
-            name=task.id,
-            demand=task.demand,
-            payload=task,
-        )
-        result.interval_of[task.id] = iv
-        result.task_of[iv] = task
         pool = map_options if task.kind is TaskKind.MAP else reduce_options
         if assignment.resource_id not in pool:
             raise SchedulingError(

@@ -41,28 +41,26 @@ class UnitSlot:
     #: Sorted, non-overlapping busy windows (start, end).
     busy: List[Tuple[int, int]] = field(default_factory=list)
 
-    def free_for(self, start: int, end: int) -> bool:
-        """True when ``[start, end)`` overlaps no existing booking."""
-        i = bisect.bisect_right(self.busy, (start, float("inf")))
-        if i > 0 and self.busy[i - 1][1] > start:
-            return False
-        if i < len(self.busy) and self.busy[i][0] < end:
-            return False
-        return True
+    def gap_if_free(self, start: int, end: int) -> Optional[int]:
+        """Idle time before ``start`` if ``[start, end)`` is free, else None.
 
-    def gap_before(self, start: int) -> int:
-        """Idle time between the previous occupant's end and ``start``.
-
-        An empty prefix counts from time 0, matching the paper's example
-        arithmetic (gap = start - previous end).
+        The gap runs from the previous occupant's end to ``start``; an empty
+        prefix counts from time 0, matching the paper's example arithmetic.
         """
-        i = bisect.bisect_right(self.busy, (start, float("inf")))
-        prev_end = self.busy[i - 1][1] if i > 0 else 0
+        busy = self.busy
+        i = bisect.bisect_right(busy, (start, float("inf")))
+        prev_end = 0
+        if i > 0:
+            prev_end = busy[i - 1][1]
+            if prev_end > start:
+                return None
+        if i < len(busy) and busy[i][0] < end:
+            return None
         return start - prev_end
 
     def occupy(self, start: int, end: int) -> None:
         """Book ``[start, end)``; raises SchedulingError on overlap."""
-        if not self.free_for(start, end):
+        if self.gap_if_free(start, end) is None:
             raise SchedulingError(
                 f"slot r{self.resource_id}/{self.slot_index}: "
                 f"[{start},{end}) overlaps existing booking"
@@ -70,24 +68,31 @@ class UnitSlot:
         bisect.insort(self.busy, (start, end))
 
 
-def _slots_for_kind(
-    resources: Sequence[Resource], kind: SlotKind
-) -> Dict[int, List[UnitSlot]]:
-    """Unit slots per resource id, for one slot kind."""
-    out: Dict[int, List[UnitSlot]] = {}
+def _place(
+    movable: Iterable[Tuple[Task, int, Optional[int]]],
+    frozen: Sequence[TaskAssignment],
+    resources: Sequence[Resource],
+) -> List[TaskAssignment]:
+    """Best-gap slot placement of (task, start, resource id or None).
+
+    Frozen assignments are booked on their recorded slots first; movable
+    tasks follow in (start, id) order.  A task bound to a resource picks
+    among that resource's slots of its kind, an unbound one among every
+    resource's (resources in input order, slots by index); the first slot
+    with the strictly smallest gap wins.
+    """
+    pools: Dict[Tuple[int, SlotKind], List[UnitSlot]] = {}
+    flat: Dict[SlotKind, List[UnitSlot]] = {SlotKind.MAP: [], SlotKind.REDUCE: []}
     for r in resources:
-        cap = r.map_capacity if kind is SlotKind.MAP else r.reduce_capacity
-        out[r.id] = [UnitSlot(r.id, k) for k in range(cap)]
-    return out
+        for kind, cap in (
+            (SlotKind.MAP, r.map_capacity),
+            (SlotKind.REDUCE, r.reduce_capacity),
+        ):
+            pool = pools[r.id, kind] = [UnitSlot(r.id, k) for k in range(cap)]
+            flat[kind].extend(pool)
 
-
-def _place_frozen(
-    frozen: Iterable[TaskAssignment],
-    slot_map: Dict[SlotKind, Dict[int, List[UnitSlot]]],
-) -> None:
-    """Pin running tasks to their recorded (resource, slot)."""
     for a in frozen:
-        pool = slot_map[a.slot_kind].get(a.resource_id)
+        pool = pools.get((a.resource_id, a.slot_kind))
         if pool is None or a.slot_index >= len(pool):
             raise SchedulingError(
                 f"frozen task {a.task.id}: slot "
@@ -95,19 +100,40 @@ def _place_frozen(
             )
         pool[a.slot_index].occupy(a.start, a.end)
 
-
-def _best_gap_slot(
-    candidates: Iterable[UnitSlot], start: int, end: int
-) -> Optional[UnitSlot]:
-    best: Optional[UnitSlot] = None
-    best_gap: Optional[int] = None
-    for slot in candidates:
-        if not slot.free_for(start, end):
-            continue
-        gap = slot.gap_before(start)
-        if best_gap is None or gap < best_gap:
-            best, best_gap = slot, gap
-    return best
+    out: List[TaskAssignment] = list(frozen)
+    for task, start, resource_id in sorted(
+        movable, key=lambda p: (p[1], p[0].id)
+    ):
+        kind = task.kind
+        end = start + task.duration
+        if resource_id is None:
+            candidates, scope = flat[kind], "combined"
+        else:
+            candidates = pools.get((resource_id, kind))
+            if candidates is None:
+                raise SchedulingError(f"unknown resource {resource_id}")
+            scope = f"per-resource (r{resource_id})"
+        best: Optional[UnitSlot] = None
+        best_gap: Optional[int] = None
+        for slot in candidates:
+            gap = slot.gap_if_free(start, end)
+            if gap is not None and (best_gap is None or gap < best_gap):
+                best, best_gap = slot, gap
+        if best is None:
+            raise SchedulingError(
+                f"no free {kind.value} slot for task {task.id} at "
+                f"[{start},{end}) -- {scope} capacity invariant violated"
+            )
+        best.occupy(start, end)
+        out.append(
+            TaskAssignment(
+                task=task,
+                resource_id=best.resource_id,
+                slot_index=best.slot_index,
+                start=start,
+            )
+        )
+    return out
 
 
 def decompose_combined_schedule(
@@ -121,36 +147,7 @@ def decompose_combined_schedule(
     ``frozen`` are the running tasks already pinned to slots.  Returns the
     complete assignment list -- frozen assignments pass through unchanged.
     """
-    slot_map = {
-        SlotKind.MAP: _slots_for_kind(resources, SlotKind.MAP),
-        SlotKind.REDUCE: _slots_for_kind(resources, SlotKind.REDUCE),
-    }
-    _place_frozen(frozen, slot_map)
-
-    out: List[TaskAssignment] = list(frozen)
-    ordered = sorted(movable, key=lambda p: (p[1], p[0].id))
-    for task, start in ordered:
-        kind = SlotKind.for_task(task)
-        end = start + task.duration
-        all_slots = [
-            slot for pool in slot_map[kind].values() for slot in pool
-        ]
-        slot = _best_gap_slot(all_slots, start, end)
-        if slot is None:
-            raise SchedulingError(
-                f"no free {kind.value} slot for task {task.id} at "
-                f"[{start},{end}) -- combined capacity invariant violated"
-            )
-        slot.occupy(start, end)
-        out.append(
-            TaskAssignment(
-                task=task,
-                resource_id=slot.resource_id,
-                slot_index=slot.slot_index,
-                start=start,
-            )
-        )
-    return out
+    return _place(((t, s, None) for t, s in movable), frozen, resources)
 
 
 def assign_slots_within_resources(
@@ -160,37 +157,7 @@ def assign_slots_within_resources(
 ) -> List[TaskAssignment]:
     """JOINT mode helper: the solver chose (task, start, resource); pick the
     slot index within each resource with the same best-gap rule."""
-    slot_map = {
-        SlotKind.MAP: _slots_for_kind(resources, SlotKind.MAP),
-        SlotKind.REDUCE: _slots_for_kind(resources, SlotKind.REDUCE),
-    }
-    _place_frozen(frozen, slot_map)
-
-    out: List[TaskAssignment] = list(frozen)
-    ordered = sorted(movable, key=lambda p: (p[1], p[0].id))
-    for task, start, resource_id in ordered:
-        kind = SlotKind.for_task(task)
-        end = start + task.duration
-        pool = slot_map[kind].get(resource_id)
-        if pool is None:
-            raise SchedulingError(f"unknown resource {resource_id}")
-        slot = _best_gap_slot(pool, start, end)
-        if slot is None:
-            raise SchedulingError(
-                f"no free {kind.value} slot on resource {resource_id} for "
-                f"{task.id} at [{start},{end}) -- per-resource capacity "
-                f"invariant violated"
-            )
-        slot.occupy(start, end)
-        out.append(
-            TaskAssignment(
-                task=task,
-                resource_id=slot.resource_id,
-                slot_index=slot.slot_index,
-                start=start,
-            )
-        )
-    return out
+    return _place(movable, frozen, resources)
 
 
 def regroup_unit_resources(

@@ -117,9 +117,6 @@ class MrcpRmConfig:
     use_hints: bool = True
     #: CP solver budget per invocation.
     solver: SolverParams = field(default_factory=_default_solver_params)
-    #: Re-validate every installed schedule against the declarative checker
-    #: (cheap at experiment scale; disable for large benchmark sweeps).
-    validate: bool = True
     #: Fault scenario to inject (None / inert model = the happy path).
     faults: Optional[FaultModel] = None
     #: Recovery policy: how many failed attempts of one task are retried
@@ -401,33 +398,32 @@ class MrcpRm:
 
         assignments = self._solve(jobs, running, now, resources)
 
-        if self.config.validate:
-            schedule = Schedule()
-            for a in assignments:
-                schedule.add(a)
-            frozen_ids = {a.task.id for a in running}
-            problems = validate_schedule(
-                schedule,
-                jobs,
-                resources,
-                now=None,  # frozen starts legitimately precede now
-                frozen_task_ids=frozen_ids,
-            )
-            # Effective ESTs may exceed the SLA field; re-check movable
-            # starts against them.
-            for a in assignments:
-                if a.task.id in frozen_ids:
-                    continue
-                est = self._effective_est.get(a.task.job_id)
-                if est is not None and a.start < est:
-                    problems.append(
-                        f"task {a.task.id}: start {a.start} before effective "
-                        f"EST {est}"
-                    )
-            if problems:
-                raise SchedulingError(
-                    "invalid schedule produced:\n  " + "\n  ".join(problems)
+        schedule = Schedule()
+        for a in assignments:
+            schedule.add(a)
+        frozen_ids = {a.task.id for a in running}
+        problems = validate_schedule(
+            schedule,
+            jobs,
+            resources,
+            now=None,  # frozen starts legitimately precede now
+            frozen_task_ids=frozen_ids,
+        )
+        # Effective ESTs may exceed the SLA field; re-check movable
+        # starts against them.
+        for a in assignments:
+            if a.task.id in frozen_ids:
+                continue
+            est = self._effective_est.get(a.task.job_id)
+            if est is not None and a.start < est:
+                problems.append(
+                    f"task {a.task.id}: start {a.start} before effective "
+                    f"EST {est}"
                 )
+        if problems:
+            raise SchedulingError(
+                "invalid schedule produced:\n  " + "\n  ".join(problems)
+            )
 
         self.executor.install(assignments, replace=self.config.replan)
         return "installed"

@@ -11,7 +11,6 @@ earliest-start-time constraints are all re-verified from first principles.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -28,14 +27,9 @@ class SchedulingError(RuntimeError):
     """
 
 
-class SlotKind(enum.Enum):
-    """Which slot pool a task occupies: map or reduce."""
-    MAP = "map"
-    REDUCE = "reduce"
-
-    @staticmethod
-    def for_task(task: Task) -> "SlotKind":
-        return SlotKind.MAP if task.kind is TaskKind.MAP else SlotKind.REDUCE
+#: Which slot pool a task occupies -- the task's own kind, under the name
+#: the scheduling side uses for it.
+SlotKind = TaskKind
 
 
 @dataclass(frozen=True)
@@ -53,7 +47,7 @@ class TaskAssignment:
 
     @property
     def slot_kind(self) -> SlotKind:
-        return SlotKind.for_task(self.task)
+        return self.task.kind
 
     def slot_key(self) -> Tuple[int, SlotKind, int]:
         """Hashable identity of the occupied slot: (resource, kind, index)."""

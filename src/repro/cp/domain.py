@@ -128,15 +128,6 @@ class IntDomain:
                 self.on_fix = []
             self.on_fix.append(entry)
 
-    def watcher_entries(self) -> List[Tuple["Propagator", object]]:
-        """All subscriptions across the three event lists (for tests/debug)."""
-        seen: List[Tuple["Propagator", object]] = []
-        for lst in (self.on_min, self.on_max, self.on_fix):
-            for entry in lst or ():
-                if entry not in seen:
-                    seen.append(entry)
-        return seen
-
     # ----------------------------------------------------------------- write
     def _save(self, engine: "Engine") -> None:
         trail = engine.trail
@@ -159,9 +150,9 @@ class IntDomain:
         self._save(engine)
         self._min = v
         if self.on_min:
-            engine.wake(self.on_min, MIN_EVENT)
+            engine.wake(self.on_min)
         if v == self._max and self.on_fix:
-            engine.wake(self.on_fix, FIX_EVENT)
+            engine.wake(self.on_fix)
         return True
 
     def set_max(self, v: int, engine: "Engine") -> bool:
@@ -175,9 +166,9 @@ class IntDomain:
         self._save(engine)
         self._max = v
         if self.on_max:
-            engine.wake(self.on_max, MAX_EVENT)
+            engine.wake(self.on_max)
         if v == self._min and self.on_fix:
-            engine.wake(self.on_fix, FIX_EVENT)
+            engine.wake(self.on_fix)
         return True
 
     def fix(self, v: int, engine: "Engine") -> bool:

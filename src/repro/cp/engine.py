@@ -28,7 +28,6 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING, Iterable, List, Optional, Tuple
 
-from repro.cp.domain import ANY_EVENT
 from repro.cp.errors import Infeasible
 from repro.cp.trail import Trail
 
@@ -131,7 +130,6 @@ class Engine:
     def wake(
         self,
         entries: Iterable[Tuple["Propagator", object]],
-        event: int = ANY_EVENT,
         cause: Optional["Propagator"] = None,
     ) -> None:
         """Enqueue subscribers of a changed domain.
@@ -144,9 +142,6 @@ class Engine:
         """
         if cause is None:
             cause = self.active
-        profile = self.profile
-        if profile is not None:
-            profile.count_event(event)
         for prop, token in entries:
             if token is not None:
                 prop._dirty.add(token)

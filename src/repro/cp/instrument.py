@@ -9,10 +9,8 @@ EngineProfile()``), the fixpoint loop records, per propagator *class*:
 * ``fails``  -- executions that ended in a wipe-out (``Infeasible``),
 
 plus the accumulated wall time and call count of ``Engine.propagate``
-itself, and per-event wake counters (how many MIN/MAX/FIX wake-ups the
-engine dispatched -- the denominator for event-based incrementality).
-Detached (``engine.profile is None``, the default) the engine runs its
-original unconditional loop -- profiling costs nothing when off.
+itself.  Detached (``engine.profile is None``, the default) the engine runs
+its original unconditional loop -- profiling costs nothing when off.
 """
 
 from __future__ import annotations
@@ -20,8 +18,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from typing import Callable, Dict
-
-from repro.cp.domain import FIX_EVENT, MAX_EVENT, MIN_EVENT
 
 
 @dataclass
@@ -36,16 +32,7 @@ class PropagatorCounters:
 class EngineProfile:
     """Mutable profiling sink attached to one engine for one solve."""
 
-    __slots__ = (
-        "by_class",
-        "propagate_calls",
-        "propagate_time",
-        "clock",
-        "wake_min",
-        "wake_max",
-        "wake_fix",
-        "wake_other",
-    )
+    __slots__ = ("by_class", "propagate_calls", "propagate_time", "clock")
 
     def __init__(self, clock: Callable[[], float] = time.perf_counter) -> None:
         #: propagator class name -> counters
@@ -55,12 +42,6 @@ class EngineProfile:
         #: wall seconds spent inside ``Engine.propagate`` (via ``clock``)
         self.propagate_time = 0.0
         self.clock = clock
-        #: wake dispatches per event kind (one dispatch may enqueue many
-        #: propagators; this counts domain-change events, not enqueues)
-        self.wake_min = 0
-        self.wake_max = 0
-        self.wake_fix = 0
-        self.wake_other = 0
 
     def counters(self, class_name: str) -> PropagatorCounters:
         """The counters for ``class_name``, created on first use."""
@@ -69,26 +50,6 @@ class EngineProfile:
             c = PropagatorCounters()
             self.by_class[class_name] = c
         return c
-
-    def count_event(self, event: int) -> None:
-        """Record one wake dispatch of the given event kind."""
-        if event == MIN_EVENT:
-            self.wake_min += 1
-        elif event == MAX_EVENT:
-            self.wake_max += 1
-        elif event == FIX_EVENT:
-            self.wake_fix += 1
-        else:
-            self.wake_other += 1
-
-    def events_dict(self) -> Dict[str, int]:
-        """Plain-dict snapshot of the per-event wake counters."""
-        return {
-            "min": self.wake_min,
-            "max": self.wake_max,
-            "fix": self.wake_fix,
-            "other": self.wake_other,
-        }
 
     def as_dict(self) -> Dict[str, Dict[str, int]]:
         """Plain-dict snapshot: class name -> {runs, prunes, fails}."""
@@ -106,7 +67,3 @@ class EngineProfile:
             mine.fails += c.fails
         self.propagate_calls += other.propagate_calls
         self.propagate_time += other.propagate_time
-        self.wake_min += other.wake_min
-        self.wake_max += other.wake_max
-        self.wake_fix += other.wake_fix
-        self.wake_other += other.wake_other

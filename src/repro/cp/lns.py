@@ -36,6 +36,8 @@ class LnsParams:
     initial_neighbourhood: int = 3
     max_neighbourhood: int = 12
     stall_before_grow: int = 4
+    #: Neighbourhood RNG seed.  ``CpSolver.solve`` overwrites it with
+    #: ``SolverParams.seed``; it only has effect on direct ``lns_improve`` calls.
     seed: int = 0
 
 

@@ -153,15 +153,10 @@ class Group:
 class CpModel:
     """Builder for cumulative scheduling models with SLA indicators."""
 
-    def __init__(
-        self, horizon: int = DEFAULT_HORIZON, energetic_reasoning: bool = False
-    ) -> None:
+    def __init__(self, horizon: int = DEFAULT_HORIZON) -> None:
         if horizon <= 0:
             raise ModelError(f"horizon must be positive, got {horizon}")
         self.horizon = int(horizon)
-        #: Register the O(n^3) energetic overload check alongside each
-        #: cumulative (stronger pruning for contended instances).
-        self.energetic_reasoning = bool(energetic_reasoning)
         self.intervals: List[IntervalVar] = []
         self.optionals: List[IntervalVar] = []
         self.cumulatives: List[CumulativeSpec] = []
@@ -418,19 +413,6 @@ class CpModel:
             eng.register(
                 CumulativePropagator(c.intervals, c.demands, c.capacity, c.name)
             )
-            if self.energetic_reasoning:
-                from repro.cp.propagators.energetic import (
-                    EnergeticReasoningPropagator,
-                )
-
-                eng.register(
-                    EnergeticReasoningPropagator(
-                        c.intervals,
-                        c.demands,
-                        c.capacity,
-                        name=f"energy({c.name})",
-                    )
-                )
         eng.seal()
         self._engine = eng
         return eng

@@ -6,38 +6,38 @@ resource's capacity is consumed at each instant, plus an *earliest fit* query
 ("from time ``est`` on, where is the first slot of ``length`` units where an
 extra ``demand`` still fits under ``capacity``?").
 
-The profile is kept as a sorted list of breakpoints; segments between
+The profile is kept as a sorted list of breakpoints; pieces between
 consecutive breakpoints have constant height.  Fit queries bisect to the
 piece containing the candidate start and sweep only the pieces overlapping
-the placement window, against a lazily rebuilt prefix-sum ``heights`` array
-(one C-speed :func:`itertools.accumulate` per mutation batch) -- the
-dominant cost of list scheduling before this was rebuilding segment tuples
-and sweeping every segment from time zero on every query.
+the placement window, against a prefix-sum ``_heights`` array that the first
+query materialises (one C-speed :func:`itertools.accumulate`) and that
+:meth:`~TimetableProfile.add` / :meth:`~TimetableProfile.remove` then patch
+in place, touching only the pieces under the changed interval.
+
+The whole surface is ``add`` / ``remove`` (mutation), ``height_at`` /
+``max_height`` (reading) and ``earliest_fit`` / ``fit_bounds`` /
+``place_earliest`` (placement).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from itertools import accumulate
-from typing import Iterable, List, Optional, Tuple
-
-#: A maximal constant-height piece of the profile: (start, end, height).
-Segment = Tuple[int, int, int]
+from typing import List, Optional, Tuple
 
 
 class TimetableProfile:
     """A mutable step function built from half-open usage intervals."""
 
-    __slots__ = ("_times", "_deltas", "_heights", "_segments_cache")
+    __slots__ = ("_times", "_deltas", "_heights")
 
     def __init__(self) -> None:
         self._times: List[int] = []
         self._deltas: List[int] = []
         #: Prefix sums of ``_deltas`` (``_heights[i]`` = height over
-        #: ``[_times[i], _times[i+1])``); rebuilt lazily after mutations.
+        #: ``[_times[i], _times[i+1])``); built by the first query, patched
+        #: in place by :meth:`add` from then on.
         self._heights: Optional[List[int]] = None
-        #: Memoised segments(); rebuilt lazily after mutations.
-        self._segments_cache: Optional[List[Segment]] = None
 
     def add(self, start: int, end: int, demand: int) -> None:
         """Consume ``demand`` units over ``[start, end)``.
@@ -49,7 +49,6 @@ class TimetableProfile:
         """
         if end <= start or demand == 0:
             return
-        self._segments_cache = None
         times = self._times
         deltas = self._deltas
         h = self._heights
@@ -110,21 +109,6 @@ class TimetableProfile:
         if heights is None:
             heights = self._heights = list(accumulate(self._deltas))
         return heights
-
-    def segments(self) -> List[Segment]:
-        """Non-zero-height maximal segments, sorted by time (cached)."""
-        if self._segments_cache is not None:
-            return self._segments_cache
-        segs: List[Segment] = []
-        height = 0
-        prev: Optional[int] = None
-        for t, d in zip(self._times, self._deltas):
-            if prev is not None and height != 0 and t > prev:
-                segs.append((prev, t, height))
-            height += d
-            prev = t
-        self._segments_cache = segs
-        return segs
 
     def height_at(self, t: int) -> int:
         """Profile height at instant ``t``."""
@@ -188,13 +172,13 @@ class TimetableProfile:
         demand: int,
         capacity: int,
     ) -> Optional[Tuple[int, int]]:
-        """``(earliest_fit, latest_fit)`` in one sweep setup, or None.
+        """``(earliest, latest)`` feasible start in ``[est, lst]``, or None.
 
-        Exactly equivalent to calling :meth:`earliest_fit` then
-        :meth:`latest_fit`, but the propagator hot loop pays the call and
-        bisect setup once.  Returns None when no placement fits (both
-        queries fail together: a feasible placement exists iff either
-        sweep finds one).
+        ``earliest`` is exactly :meth:`earliest_fit`; ``latest`` is its
+        mirror image swept right-to-left, sharing the bisect setup (this is
+        the cumulative propagator's hot loop).  Returns None when no
+        placement fits (both sweeps fail together: a feasible placement
+        exists iff either finds one).
         """
         if length == 0 or demand == 0:
             return est, lst
@@ -261,86 +245,3 @@ class TimetableProfile:
         if s is not None:
             self.add(s, s + length, demand)
         return s
-
-    def latest_fit(
-        self,
-        est: int,
-        lst: int,
-        length: int,
-        demand: int,
-        capacity: int,
-    ) -> Optional[int]:
-        """Last start ``s`` in ``[est, lst]`` where the task fits, else None."""
-        if length == 0 or demand == 0:
-            return lst
-        times = self._times
-        n = len(times)
-        s = lst
-        if n:
-            heights = self._height_array()
-            limit = capacity - demand
-            # Sweep right-to-left from the last piece starting before the
-            # placement window's end.
-            i = bisect_left(times, s + length) - 1
-            if i > n - 2:
-                i = n - 2
-            while i >= 0:
-                if times[i] >= s + length:
-                    i -= 1
-                    continue
-                if times[i + 1] <= s:
-                    break
-                h = heights[i]
-                if h != 0 and h > limit:
-                    s = times[i] - length
-                    if s < est:
-                        return None
-                i -= 1
-        return s if s >= est else None
-
-
-def earliest_fit_in_segments(
-    segments: Iterable[Segment],
-    est: int,
-    lst: int,
-    length: int,
-    demand: int,
-    capacity: int,
-) -> Optional[int]:
-    """Sweep ``segments`` (sorted) for the earliest conflict-free placement.
-
-    The candidate start only ever moves right, so one pass suffices.
-    """
-    s = est
-    for a, b, h in segments:
-        if b <= s:
-            continue
-        if a >= s + length:
-            break
-        if h + demand > capacity:
-            s = b
-            if s > lst:
-                return None
-    return s if s <= lst else None
-
-
-def latest_fit_in_segments(
-    segments: List[Segment],
-    est: int,
-    lst: int,
-    length: int,
-    demand: int,
-    capacity: int,
-) -> Optional[int]:
-    """Mirror of :func:`earliest_fit_in_segments`, sweeping right-to-left."""
-    s = lst
-    for a, b, h in reversed(segments):
-        if a >= s + length:
-            continue
-        if b <= s:
-            break
-        if h + demand > capacity:
-            s = a - length
-            if s < est:
-                return None
-    return s if s >= est else None

@@ -26,7 +26,6 @@ from repro.cp.propagators.cumulative import CumulativePropagator
 from repro.cp.propagators.alternative import AlternativePropagator
 from repro.cp.propagators.lateness import DeadlineIndicatorPropagator
 from repro.cp.propagators.objective import SumBoolBoundPropagator
-from repro.cp.propagators.energetic import EnergeticReasoningPropagator
 
 __all__ = [
     "Propagator",
@@ -36,5 +35,4 @@ __all__ = [
     "AlternativePropagator",
     "DeadlineIndicatorPropagator",
     "SumBoolBoundPropagator",
-    "EnergeticReasoningPropagator",
 ]

@@ -263,29 +263,3 @@ class CumulativePropagator(Propagator):
                     # The interval gained a compulsory part: re-run so the
                     # profile (and other tasks) see it.
                     engine.schedule(self)
-
-    # ------------------------------------------------------------- checking
-    def check_assignment(
-        self,
-        starts: dict,
-        present: Optional[dict] = None,
-    ) -> Optional[str]:
-        """Validate a complete assignment; returns a violation message or None.
-
-        ``starts`` maps interval -> start time; ``present`` maps optional
-        intervals -> bool (mandatory intervals are always counted).
-        """
-        profile = TimetableProfile()
-        for idx, iv in enumerate(self.intervals):
-            if present is not None and iv.is_optional and not present.get(iv, False):
-                continue
-            if iv.is_optional and present is None:
-                continue
-            if iv not in starts:
-                return f"{self.name}: missing start for {iv.name}"
-            s = starts[iv]
-            profile.add(s, s + iv.length, self.demands[idx])
-        peak = profile.max_height()
-        if peak > self.capacity:
-            return f"{self.name}: peak usage {peak} exceeds capacity {self.capacity}"
-        return None

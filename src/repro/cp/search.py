@@ -36,54 +36,29 @@ from repro.cp.variables import IntervalVar
 Decision = Tuple[Callable[[Engine], None], Callable[[Engine], None]]
 
 
-def luby(i: int) -> int:
-    """The Luby restart sequence 1,1,2,1,1,2,4,... (1-indexed).
-
-    The universal strategy for randomised/restarted search: within a
-    constant factor of the optimal restart schedule without knowing the
-    runtime distribution.
-    """
-    if i < 1:
-        raise ValueError("luby sequence is 1-indexed")
-    k = 1
-    while (1 << k) - 1 < i:
-        k += 1
-    if (1 << k) - 1 == i:
-        return 1 << (k - 1)
-    return luby(i - (1 << (k - 1)) + 1)
-
-
 @dataclass
 class SearchLimits:
     """Budget for one tree-search run."""
 
     deadline: Optional[float] = None  # absolute perf_counter() time
     fail_limit: Optional[int] = None
-    branch_limit: Optional[int] = None
 
     @staticmethod
     def from_budget(
         time_budget: Optional[float] = None,
         fail_limit: Optional[int] = None,
-        branch_limit: Optional[int] = None,
     ) -> "SearchLimits":
         deadline = None if time_budget is None else time.perf_counter() + time_budget
-        return SearchLimits(deadline, fail_limit, branch_limit)
+        return SearchLimits(deadline, fail_limit)
 
     def exceeded(self, stats: SearchStats) -> bool:
-        """Whether any budget (fails, branches, wall time) is spent."""
+        """Whether either budget (fails, wall time) is spent."""
         if self.fail_limit is not None and stats.fails >= self.fail_limit:
-            return True
-        if self.branch_limit is not None and stats.branches >= self.branch_limit:
             return True
         if self.deadline is not None and (stats.branches & 0x3F) == 0:
             if time.perf_counter() >= self.deadline:
                 return True
         return False
-
-    def hard_time_exceeded(self) -> bool:
-        """Whether the wall-clock deadline specifically has passed."""
-        return self.deadline is not None and time.perf_counter() >= self.deadline
 
 
 class SetTimesBrancher:
@@ -342,46 +317,3 @@ def tree_search(
     stats.wall_time = time.perf_counter() - t0
     stats.propagations = engine.propagation_count - prop0
     return TreeSearchResult(best, exhausted=exhausted, stats=stats)
-
-
-def restarted_tree_search(
-    model: CpModel,
-    engine: Engine,
-    brancher: SetTimesBrancher,
-    time_budget: float,
-    base_fail_limit: int = 100,
-    incumbent: Optional[Solution] = None,
-) -> TreeSearchResult:
-    """Luby-restarted branch-and-bound (CP Optimizer's default discipline).
-
-    Episode *i* runs a fresh dive with fail limit ``luby(i) *
-    base_fail_limit``; the incumbent (and hence the objective bound)
-    carries across episodes.  Stops on tree exhaustion achieved *within*
-    an episode's fail budget (a genuine completeness signal), on reaching
-    objective 0, or when the time budget is spent.
-    """
-    deadline = time.perf_counter() + time_budget
-    total = SearchStats()
-    best = incumbent
-    exhausted = False
-    episode = 0
-    while time.perf_counter() < deadline:
-        episode += 1
-        fail_limit = luby(episode) * base_fail_limit
-        remaining = deadline - time.perf_counter()
-        limits = SearchLimits.from_budget(
-            time_budget=remaining, fail_limit=fail_limit
-        )
-        engine.reset()
-        result = tree_search(model, engine, brancher, limits, incumbent=best)
-        total.merge(result.stats)
-        if result.best is not None:
-            best = result.best
-        if result.exhausted and result.stats.fails < fail_limit:
-            exhausted = True  # exhausted the tree, not the fail budget
-            break
-        if best is not None and (
-            best.objective == 0 or model.objective_bools is None
-        ):
-            break  # optimal, or pure feasibility: any solution suffices
-    return TreeSearchResult(best, exhausted=exhausted, stats=total)

@@ -6,14 +6,20 @@ variables, and treat "no solution" as an exceptional condition.  The phases:
 
 1. **Root propagation.**  An immediate wipe-out means the frozen-task
    constraints are inconsistent with the windows -> ``INFEASIBLE``.
-2. **Warm start.**  EDF / least-laxity / input-order list schedules; the best
-   becomes the incumbent.  Zero late jobs is provably optimal (the objective
-   is bounded below by 0), so the solver returns straight away -- this is the
-   common case in the paper's experiments, where P stays under a few percent.
-3. **Tree search.**  Fail-limited schedule-or-postpone branch-and-bound
-   pushing the incumbent down.
+2. **Warm start.**  The caller's hint (the previous plan), then EDF /
+   least-laxity / input-order list schedules; the best becomes the incumbent
+   once :func:`~repro.cp.checker.check_solution` accepts it.  Zero late jobs
+   is provably optimal (the objective is bounded below by 0), so the solver
+   returns straight away -- this is the common case in the paper's
+   experiments, where P stays under a few percent.
+3. **Tree search.**  One fail-limited schedule-or-postpone branch-and-bound
+   dive pushing the incumbent down, on :data:`TREE_TIME_SHARE` of what is
+   left of the budget.
 4. **LNS.**  Remaining time is spent relaxing late jobs plus their temporal
    neighbours and re-solving.
+
+Whatever phase produced it, the solution returned has passed
+``check_solution``; there is no switch to turn that off.
 
 Observability: each phase is timed into :class:`SearchStats`
 (``propagate_time`` / ``warm_start_time`` / ``tree_time`` / ``lns_time``)
@@ -38,12 +44,7 @@ from repro.cp.heuristics import ORDERINGS, best_warm_start, list_schedule
 from repro.cp.instrument import EngineProfile
 from repro.cp.lns import LnsParams, lns_improve
 from repro.cp.model import CpModel
-from repro.cp.search import (
-    SearchLimits,
-    SetTimesBrancher,
-    restarted_tree_search,
-    tree_search,
-)
+from repro.cp.search import SearchLimits, SetTimesBrancher, tree_search
 from repro.cp.solution import (
     SearchStats,
     SolveProfile,
@@ -55,6 +56,10 @@ from repro.obs.trace import NULL_TRACER, Tracer
 #: Phase span names emitted per solve (skipped phases become zero spans).
 PHASE_SPANS = ("cp.propagate", "cp.warm_start", "cp.search", "cp.lns")
 
+#: Fraction of the budget left after the warm start that the tree-search
+#: phase may use; the rest is LNS's.
+TREE_TIME_SHARE = 0.4
+
 
 @dataclass
 class SolverParams:
@@ -64,11 +69,6 @@ class SolverParams:
     time_limit: float = 5.0
     #: Fail limit for the dedicated tree-search phase (None = unlimited).
     tree_fail_limit: Optional[int] = 2000
-    #: Fraction of the remaining budget given to the tree-search phase.
-    tree_time_share: float = 0.4
-    #: When set, the tree phase runs Luby-restarted episodes with this base
-    #: fail limit instead of one fail-limited dive (CP Optimizer style).
-    restart_base_fail_limit: Optional[int] = None
     #: Warm-start orderings to try, in order.
     warm_start_orders: Sequence[str] = ORDERINGS
     #: Right-branch policy: True = jump to the next interesting time
@@ -76,11 +76,8 @@ class SolverParams:
     jump_branching: bool = True
     #: Enable the LNS improvement phase.
     use_lns: bool = True
+    #: LNS knobs; ``lns.seed`` is overwritten by :attr:`seed` on every solve.
     lns: LnsParams = field(default_factory=LnsParams)
-    #: Validate every candidate solution against the declarative checker.
-    validate: bool = True
-    #: Print a one-line trace per solve phase (warm start, tree, LNS).
-    log: bool = False
     #: Collect per-propagator-class counters and a :class:`SolveProfile`
     #: even without a tracer attached (a tracer implies profiling).
     profile: bool = False
@@ -114,20 +111,6 @@ class CpSolver:
         profiling = params.profile or tracer.enabled
         profile = SolveProfile() if profiling else None
         phases_traced = set()
-
-        def trace(phase: str, detail: str) -> None:
-            if params.log:
-                elapsed = time.perf_counter() - t_start
-                print(f"[cp {elapsed:7.3f}s] {phase:<10} {detail}")
-
-        sizes = model.stats()
-        trace(
-            "model",
-            f"{sizes['intervals']} intervals, "
-            f"{sizes['optional_intervals']} options, "
-            f"{sizes['cumulatives']} cumulatives, "
-            f"{sizes['indicators']} indicators",
-        )
 
         engine = model.engine()
         engine.profile = EngineProfile() if profiling else None
@@ -178,7 +161,6 @@ class CpSolver:
             # Budget exhausted before the search could even warm-start
             # (e.g. a forced time_limit=0): report UNKNOWN and let the
             # caller degrade gracefully instead of pretending to search.
-            trace("budget", "exhausted before warm start")
             return finish(SolveResult(SolveStatus.UNKNOWN, None, stats))
 
         has_objective = model.objective_bools is not None
@@ -204,7 +186,6 @@ class CpSolver:
                 if hinted is not None and not check_solution(model, hinted):
                     best = hinted
                     solved_by = "hint"
-                    trace("hint", f"objective={hinted.objective}")
             if best is None or (
                 has_objective and best.objective not in (None, 0)
             ):
@@ -220,16 +201,15 @@ class CpSolver:
                     best = from_orders
                     solved_by = "warm_start"
         stats.warm_start_time = time.perf_counter() - t_phase
-        trace(
-            "warm",
-            f"objective={None if best is None else best.objective} "
-            f"(root lb {root_lb})",
-        )
-        if best is not None and params.validate:
-            violations = check_solution(model, best)
-            if violations:  # defensive: heuristic bug -> discard, keep going
-                best = None
-                solved_by = "none"
+        # An accepted hint was checked on the way in; anything else is
+        # checked here.  Defensive: heuristic bug -> discard, keep going.
+        if (
+            best is not None
+            and solved_by != "hint"
+            and check_solution(model, best)
+        ):
+            best = None
+            solved_by = "none"
         if profile is not None:
             profile.warm_start_objective = (
                 None if best is None else best.objective
@@ -255,37 +235,20 @@ class CpSolver:
             t_phase = time.perf_counter()
             incumbent_before = best
             with tracer.span("cp.search", "cp.phase"):
-                tree_budget = remaining * params.tree_time_share
-                if params.restart_base_fail_limit is not None and has_objective:
-                    result = restarted_tree_search(
-                        model,
-                        engine,
-                        brancher,
-                        time_budget=tree_budget,
-                        base_fail_limit=params.restart_base_fail_limit,
-                        incumbent=best,
-                    )
-                else:
-                    limits = SearchLimits.from_budget(
-                        time_budget=tree_budget,
-                        fail_limit=params.tree_fail_limit,
-                    )
-                    result = tree_search(
-                        model,
-                        engine,
-                        brancher,
-                        limits,
-                        incumbent=best,
-                        first_solution_only=not has_objective,
-                    )
+                limits = SearchLimits.from_budget(
+                    time_budget=remaining * TREE_TIME_SHARE,
+                    fail_limit=params.tree_fail_limit,
+                )
+                result = tree_search(
+                    model,
+                    engine,
+                    brancher,
+                    limits,
+                    incumbent=best,
+                    first_solution_only=not has_objective,
+                )
             stats.merge(result.stats)
             stats.tree_time = time.perf_counter() - t_phase
-            trace(
-                "tree",
-                f"objective={None if result.best is None else result.best.objective} "
-                f"branches={result.stats.branches} fails={result.stats.fails} "
-                f"exhausted={result.exhausted}",
-            )
             if result.best is not None:
                 if result.best is not incumbent_before and profile is not None:
                     profile.improved_by_tree = True
@@ -334,11 +297,6 @@ class CpSolver:
             if best is not incumbent_before and profile is not None:
                 profile.improved_by_lns = True
                 profile.solved_by = "lns"
-            trace(
-                "lns",
-                f"objective={best.objective} "
-                f"iterations={lns_stats.lns_iterations}",
-            )
 
         if best is None:
             # No heuristic solution and the budgeted search found nothing.
@@ -346,13 +304,12 @@ class CpSolver:
             if exhausted_empty and brancher.complete:
                 return finish(SolveResult(SolveStatus.INFEASIBLE, None, stats))
             return finish(SolveResult(SolveStatus.UNKNOWN, None, stats))
-        if params.validate:
-            violations = check_solution(model, best)
-            if violations:
-                raise AssertionError(
-                    "solver produced an invalid solution:\n  "
-                    + "\n  ".join(violations)
-                )
+        violations = check_solution(model, best)
+        if violations:
+            raise AssertionError(
+                "solver produced an invalid solution:\n  "
+                + "\n  ".join(violations)
+            )
         if has_objective and (proven or best.objective == 0):
             return finish(SolveResult(SolveStatus.OPTIMAL, best, stats))
         return finish(SolveResult(SolveStatus.FEASIBLE, best, stats))

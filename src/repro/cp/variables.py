@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
-from repro.cp.domain import ANY_EVENT, FIX_EVENT, IntDomain
+from repro.cp.domain import FIX_EVENT, IntDomain
 from repro.cp.errors import ModelError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -206,26 +206,6 @@ class IntervalVar:
     def fix_start(self, v: int, engine: "Engine") -> bool:
         """Assign the start time outright."""
         return self.start.fix(v, engine)
-
-    # ----------------------------------------------------------- subscription
-    def watch_start(
-        self,
-        prop: "Propagator",
-        events: int = ANY_EVENT,
-        token: object = None,
-    ) -> None:
-        """Subscribe ``prop`` to start-bound events of this interval."""
-        self.start.watch(prop, events, token)
-
-    def watch_presence(
-        self,
-        prop: "Propagator",
-        events: int = FIX_EVENT,
-        token: object = None,
-    ) -> None:
-        """Subscribe ``prop`` to presence decisions (no-op when mandatory)."""
-        if self.presence is not None:
-            self.presence.domain.watch(prop, events, token)
 
     def __repr__(self) -> str:
         pres = ""

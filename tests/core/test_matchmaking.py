@@ -23,12 +23,14 @@ from tests.conftest import make_job
 def test_unit_slot_bookkeeping():
     slot = UnitSlot(0, 0)
     slot.occupy(2, 10)
-    assert not slot.free_for(5, 8)
-    assert slot.free_for(10, 12)
-    assert slot.free_for(0, 2)
-    assert slot.gap_before(11) == 1
-    with pytest.raises(SchedulingError):
+    assert slot.gap_if_free(5, 8) is None  # inside the booking
+    assert slot.gap_if_free(1, 3) is None  # runs into it
+    assert slot.gap_if_free(10, 12) == 0  # back to back
+    assert slot.gap_if_free(0, 2) == 0  # an empty prefix counts from 0
+    assert slot.gap_if_free(11, 13) == 1
+    with pytest.raises(SchedulingError, match="overlaps"):
         slot.occupy(9, 11)
+    assert slot.busy == [(2, 10)]
 
 
 def test_paper_best_gap_example():
@@ -65,7 +67,7 @@ def test_decompose_overload_raises():
     job = make_job(0, (5, 5, 5))
     resources = [Resource(0, 2, 0)]  # only two map slots
     movable = [(t, 0) for t in job.map_tasks]
-    with pytest.raises(SchedulingError):
+    with pytest.raises(SchedulingError, match="combined"):
         decompose_combined_schedule(movable, [], resources)
 
 
@@ -99,10 +101,34 @@ def test_assign_slots_within_resources():
     assert slots[job.map_tasks[0].id] != slots[job.map_tasks[1].id]
 
 
+def test_assign_slots_reproduces_the_combined_choice():
+    """Both entry points are one placement routine: bind every task to the
+    resource the combined pass picked and the slots come out identical."""
+    jobs = [
+        make_job(0, (5, 3, 4), (2, 6), deadline=1000),
+        make_job(1, (2, 7), (3,), deadline=1000),
+    ]
+    running = make_job(9, (8,), (4,))
+    frozen = [
+        TaskAssignment(running.map_tasks[0], resource_id=1, slot_index=1, start=0),
+        TaskAssignment(running.reduce_tasks[0], resource_id=0, slot_index=0, start=1),
+    ]
+    resources = [Resource(0, 1, 1), Resource(1, 2, 1), Resource(2, 1, 2)]
+    movable = []
+    for k, job in enumerate(jobs):
+        movable += [(t, 3 * i + k) for i, t in enumerate(job.map_tasks)]
+        movable += [(t, 12 + 4 * i + k) for i, t in enumerate(job.reduce_tasks)]
+    combined = decompose_combined_schedule(movable, frozen, resources)
+    chosen = {a.task.id: a.resource_id for a in combined}
+    bound = [(t, s, chosen[t.id]) for t, s in movable]
+    assert assign_slots_within_resources(bound, frozen, resources) == combined
+    assert len({a.resource_id for a in combined}) == 3  # not a one-box case
+
+
 def test_assign_slots_per_resource_overload_raises():
     job = make_job(0, (5, 5))
     movable = [(job.map_tasks[0], 0, 0), (job.map_tasks[1], 0, 0)]
-    with pytest.raises(SchedulingError):
+    with pytest.raises(SchedulingError, match="per-resource"):
         assign_slots_within_resources(movable, [], [Resource(0, 1, 0)])
 
 

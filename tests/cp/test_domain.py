@@ -11,11 +11,9 @@ class _Engine:
     def __init__(self):
         self.trail = Trail()
         self.woken = []
-        self.events = []
 
-    def wake(self, entries, event, cause=None):
+    def wake(self, entries, cause=None):
         self.woken.extend(prop for prop, _token in entries)
-        self.events.append(event)
 
 
 def test_initial_bounds():

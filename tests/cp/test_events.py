@@ -5,8 +5,7 @@ The event system's contract (ISSUE 9 tentpole):
 * a propagator subscribed to one event kind is woken only by that kind,
 * FIX fires *in addition to* the bound event that caused it,
 * dirty tokens are recorded on every wake -- including self-inflicted ones,
-  whose re-enqueue is suppressed,
-* ``EngineProfile`` counts wake dispatches per event kind, and
+  whose re-enqueue is suppressed, and
 * ``IntDomain._restore`` resets ``_stamp`` so a domain restored by
   backtracking can never skip a needed trail save (property-tested below).
 """
@@ -21,7 +20,6 @@ from repro.cp.domain import (
     IntDomain,
 )
 from repro.cp.engine import Engine
-from repro.cp.instrument import EngineProfile
 from repro.cp.propagators.base import Propagator
 
 
@@ -136,31 +134,8 @@ def test_explicit_cause_overrides_active():
     d.watch(p, MIN_EVENT)
     d._save(eng)
     d._min = 3
-    eng.wake(d.on_min, MIN_EVENT, cause=p)
+    eng.wake(d.on_min, cause=p)
     assert not p.queued
-
-
-# --------------------------------------------------- per-event counters
-def test_engine_profile_counts_events_per_kind():
-    eng = _engine()
-    eng.profile = profile = EngineProfile()
-    d = IntDomain(0, 10, "d")
-    p = _Recorder("p")
-    d.watch(p, ANY_EVENT)
-    d.set_min(2, eng)  # MIN
-    d.set_max(7, eng)  # MAX
-    p.queued = False
-    d.set_max(2, eng)  # MAX, then FIX (singleton reached from above)
-    assert profile.events_dict() == {"min": 1, "max": 2, "fix": 1, "other": 0}
-
-
-def test_engine_profile_event_counters_merge():
-    a, b = EngineProfile(), EngineProfile()
-    a.count_event(MIN_EVENT)
-    b.count_event(FIX_EVENT)
-    b.count_event(0)  # unknown kind lands in "other"
-    a.merge(b)
-    assert a.events_dict() == {"min": 1, "max": 0, "fix": 1, "other": 1}
 
 
 # ------------------------------------------- trail/stamp save invariant

@@ -1,15 +1,26 @@
 """TimetableProfile: step-function bookkeeping and fit queries."""
 
-from repro.cp.profile import (
-    TimetableProfile,
-    earliest_fit_in_segments,
-    latest_fit_in_segments,
-)
+from repro.cp.profile import TimetableProfile
+
+
+def _pieces(p, horizon=30):
+    """Maximal non-zero constant-height pieces ``(start, end, height)`` over
+    ``[0, horizon)``, read instant by instant through ``height_at``."""
+    out = []
+    for t in range(horizon):
+        h = p.height_at(t)
+        if h == 0:
+            continue
+        if out and out[-1][1] == t and out[-1][2] == h:
+            out[-1] = (out[-1][0], t + 1, h)
+        else:
+            out.append((t, t + 1, h))
+    return out
 
 
 def test_empty_profile():
     p = TimetableProfile()
-    assert p.segments() == []
+    assert _pieces(p) == []
     assert p.max_height() == 0
     assert p.height_at(5) == 0
 
@@ -17,7 +28,7 @@ def test_empty_profile():
 def test_single_interval():
     p = TimetableProfile()
     p.add(2, 7, 3)
-    assert p.segments() == [(2, 7, 3)]
+    assert _pieces(p) == [(2, 7, 3)]
     assert p.height_at(2) == 3
     assert p.height_at(6) == 3
     assert p.height_at(7) == 0
@@ -28,7 +39,7 @@ def test_overlapping_intervals_stack():
     p = TimetableProfile()
     p.add(0, 10, 1)
     p.add(5, 15, 2)
-    assert p.segments() == [(0, 5, 1), (5, 10, 3), (10, 15, 2)]
+    assert _pieces(p) == [(0, 5, 1), (5, 10, 3), (10, 15, 2)]
     assert p.max_height() == 3
 
 
@@ -37,7 +48,7 @@ def test_adjacent_intervals_merge_heights():
     p.add(0, 5, 2)
     p.add(5, 10, 2)
     # equal-height adjacent pieces coalesce (cancelling deltas at t=5)
-    assert p.segments() == [(0, 10, 2)]
+    assert _pieces(p) == [(0, 10, 2)]
     assert p.height_at(5) == 2
 
 
@@ -45,7 +56,7 @@ def test_zero_demand_and_zero_length_ignored():
     p = TimetableProfile()
     p.add(0, 5, 0)
     p.add(3, 3, 4)
-    assert p.segments() == []
+    assert _pieces(p) == []
 
 
 def test_cancelling_deltas_cleanup():
@@ -83,28 +94,30 @@ def test_earliest_fit_none_when_window_too_tight():
     assert p.earliest_fit(0, 4, 5, 1, 1) is None
 
 
-def test_latest_fit_mirrors_earliest():
+def test_fit_bounds_latest_mirrors_earliest():
     p = TimetableProfile()
     p.add(5, 10, 1)
-    # window allows up to start 20; [20, 25) is free
-    assert p.latest_fit(0, 20, 5, 1, 1) == 20
+    # window allows up to start 20; [0, 5) and [20, 25) are both free
+    assert p.fit_bounds(0, 20, 5, 1, 1) == (0, 20)
     # window capped at 8 -> must end by 13; block [5,10) forces start 0
-    assert p.latest_fit(0, 8, 5, 1, 1) == 0
+    assert p.fit_bounds(0, 8, 5, 1, 1) == (0, 0)
     # impossible window
-    assert p.latest_fit(3, 8, 5, 1, 1) is None
+    assert p.fit_bounds(3, 8, 5, 1, 1) is None
 
 
 def test_fit_zero_length_always_fits():
     p = TimetableProfile()
     p.add(0, 10, 5)
     assert p.earliest_fit(2, 8, 0, 1, 1) == 2
-    assert p.latest_fit(2, 8, 0, 1, 1) == 8
+    assert p.fit_bounds(2, 8, 0, 1, 1) == (2, 8)
 
 
-def test_fit_in_segments_start_inside_block():
-    segs = [(0, 10, 1)]
-    assert earliest_fit_in_segments(segs, 5, 20, 3, 1, 1) == 10
-    assert latest_fit_in_segments(segs, 0, 5, 3, 1, 1) is None
+def test_fit_start_inside_block():
+    p = TimetableProfile()
+    p.add(0, 10, 1)
+    assert p.earliest_fit(5, 20, 3, 1, 1) == 10
+    assert p.fit_bounds(5, 20, 3, 1, 1) == (10, 20)
+    assert p.fit_bounds(0, 5, 3, 1, 1) is None
 
 
 def test_multi_level_fit():

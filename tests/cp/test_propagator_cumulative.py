@@ -119,14 +119,6 @@ def test_self_notification_when_compulsory_part_appears():
     assert c.est == 18
 
 
-def test_check_assignment_helper():
-    a = IntervalVar(0, 100, 10, "a")
-    b = IntervalVar(0, 100, 10, "b")
-    _, prop = _setup([a, b], [1, 1], 1)
-    assert prop.check_assignment({a: 0, b: 10}) is None
-    assert prop.check_assignment({a: 0, b: 5}) is not None
-
-
 def test_capacity_zero_with_tasks_fails():
     a = IntervalVar(0, 0, 5, "a")
     eng, _ = _setup([a], [1], 0)

@@ -51,6 +51,25 @@ def test_hint_used_by_solver():
     assert result.solution.starts[b] == 40
 
 
+def test_accepted_hint_checked_exactly_once(monkeypatch):
+    """The hint is checked on the way in; the warm-start gate does not
+    check the very same solution a second time."""
+    import repro.cp.solver as S
+
+    checked = []
+    real = S.check_solution
+
+    def counting(model, solution):
+        checked.append(solution)
+        return real(model, solution)
+
+    monkeypatch.setattr(S, "check_solution", counting)
+    m, a, b = _simple_model()
+    result = CpSolver().solve(m, hint={a: 20, b: 40}, time_limit=1.0)
+    assert result.objective == 0
+    assert checked == [result.solution]
+
+
 def test_infeasible_hint_silently_dropped():
     m, a, b = _simple_model()
     result = CpSolver().solve(m, hint={a: 0, b: 0}, time_limit=1.0)

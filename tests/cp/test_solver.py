@@ -1,9 +1,13 @@
 """CpSolver facade: statuses, budgets, fast paths."""
 
+import inspect
+from dataclasses import fields
+
 import pytest
 
 from repro.cp import CpModel, CpSolver, SolveStatus
 from repro.cp.checker import check_solution
+from repro.cp.search import SearchLimits
 from repro.cp.solver import SolverParams
 
 from tests.conftest import two_job_single_machine_model
@@ -119,3 +123,26 @@ def test_solver_reusable_across_solves():
         m = two_job_single_machine_model()
         result = solver.solve(m)
         assert result.objective == 1
+
+
+def test_solver_stack_has_no_off_switches():
+    """The surface is pinned: the checks cannot be switched off, nothing
+    prints, and a keyword outside these lists is a TypeError."""
+    assert [f.name for f in fields(SolverParams)] == [
+        "time_limit",
+        "tree_fail_limit",
+        "warm_start_orders",
+        "jump_branching",
+        "use_lns",
+        "lns",
+        "profile",
+        "seed",
+    ]
+    assert [f.name for f in fields(SearchLimits)] == ["deadline", "fail_limit"]
+    assert list(inspect.signature(CpModel).parameters) == ["horizon"]
+    with pytest.raises(TypeError):
+        SolverParams(validate=False)
+    with pytest.raises(TypeError):
+        SolverParams(log=True)
+    with pytest.raises(TypeError):
+        CpSolver().solve(CpModel(horizon=10), validate=False)

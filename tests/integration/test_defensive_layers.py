@@ -60,6 +60,11 @@ def test_corrupted_matchmaking_caught_by_validator():
         M.decompose_combined_schedule = original
 
 
+def test_schedule_validation_has_no_off_switch():
+    with pytest.raises(TypeError):
+        MrcpRmConfig(validate=False)
+
+
 @pytest.mark.slow
 def test_corrupted_solver_solution_caught_by_cp_checker():
     """A solver whose 'solution' overlaps tasks trips the CP-level
@@ -82,9 +87,11 @@ def test_corrupted_solver_solution_caught_by_cp_checker():
     orig_best = S.best_warm_start
     S.best_warm_start = lambda model, orders: overlapping_schedule(model)
     try:
-        # validate=True (default) discards the corrupt warm start and the
-        # search still produces a correct answer
-        result = CpSolver().solve(m, time_limit=2.0)
+        # the checker discards the corrupt warm start (there is no switch
+        # to stop it) and the search still produces a correct answer
+        result = CpSolver().solve(m, time_limit=2.0, profile=True)
+        assert result.profile.warm_start_objective is None
+        assert result.profile.solved_by != "warm_start"
         assert result.objective == 1
         from repro.cp.checker import check_solution
 
