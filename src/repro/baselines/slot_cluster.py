@@ -47,14 +47,6 @@ class SlotCluster:
             count for (rid, k), count in self._free.items() if k is kind
         )
 
-    def free_resources(self, kind: SlotKind) -> List[int]:
-        """Resource ids with at least one free slot of ``kind``."""
-        return [
-            rid
-            for (rid, k), count in self._free.items()
-            if k is kind and count > 0
-        ]
-
     def running_count(self) -> int:
         """Number of tasks currently executing."""
         return len(self._running)

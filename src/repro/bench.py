@@ -1,28 +1,22 @@
-"""Benchmark regression tracking: pinned suite, baseline, comparison.
+"""Behaviour pins: a small fixed suite, a committed baseline, exact comparison.
 
-``repro bench`` (and the thin ``benchmarks/regress.py`` wrapper) runs a
-small pinned suite -- solver micro-benchmarks, two figure experiments at
-smoke scale, and a parallel-sweep fan-out smoke -- and emits a
-schema-versioned JSON result
-(``BENCH_<suite>.json``) that is compared against a committed baseline:
+``mrcp-rm bench`` (``python -m repro.bench``) runs seven pinned cases --
+two solver micro-cases, two figure experiments at smoke scale, a
+parallel-sweep fan-out, the telemetry-on/off equality and an admission
+service load run -- and emits a schema-versioned JSON result that is
+compared *exactly* against the committed ``BENCH_core.json``.  The suite
+pins seeds and runs the solver fail-limited with LNS off, so task counts,
+objectives, fails/branches, N/T/P and the digests are machine-independent
+and any drift is a behaviour change, not noise.  Each case runs twice; two
+runs that disagree are nondeterminism in a pinned case and raise.
 
-* **deterministic metrics** (task counts, objectives, N/T/P) are compared
-  *exactly*; any drift is a behaviour regression, not noise.  The suite
-  pins seeds and runs the solver fail-limited with LNS off, so results are
-  machine-independent.  The overhead metric O is wall-clock and therefore
-  excluded.
-* **wall times** are compared through a *calibration workload*: each
-  case's ``normalized_time`` is its wall time divided by the time of a
-  fixed CPU-bound calibration run on the same machine, which cancels
-  machine speed.  A case regresses when its normalized time exceeds the
-  baseline by more than ``wall_tolerance`` (default 1.6x -- comfortably
-  flagging a 2x slowdown while riding out scheduler jitter).
+Nothing here measures time: the overhead metric O is wall-clock and is
+excluded from the pins, and speed is judged by the repo benchmark
+(``perf/run.py`` + ``perf/compare.py``) alone.
 
-``compare`` returns human-readable failure strings; the CLI exits nonzero
-on any.  ``--inflate`` multiplies current normalized times before the
-comparison (a synthetic slowdown, used by CI to prove the harness trips),
-and ``--replay`` re-compares a previously written result file without
-re-running the suite.
+``compare`` returns human-readable failure strings naming case, metric,
+baseline and current value; the CLI exits nonzero on any.  ``--replay``
+re-compares a previously written result file without re-running the suite.
 """
 
 from __future__ import annotations
@@ -32,28 +26,20 @@ import json
 import os
 import platform
 import sys
-import time
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.ioutil import atomic_write_json
 
-SCHEMA = "repro-bench/1"
-DEFAULT_SUITE = "core"
+SCHEMA = "repro-bench/2"
 DEFAULT_BASELINE = "BENCH_core.json"
-#: Current-vs-baseline normalized-time ratio above which a case regresses.
-WALL_TOLERANCE = 1.6
-#: Cases whose wall time is dominated by OS process-spawn cost rather than
-#: simulator/solver work; their normalized time is recorded as 0.0 so the
-#: wall gate skips them while their deterministic metrics stay pinned.
-WALL_EXEMPT = frozenset({"sweep_pool"})
 
 # --------------------------------------------------------------------------
 # Suite definition
 # --------------------------------------------------------------------------
 
 
-def _micro_batch(num_jobs: int, deadline_multiplier_max: float = 3.0, seed: int = 5):
-    """The solver micro-benchmark batch (mirrors benchmarks/bench_solver_micro).
+def _micro_batch(deadline_multiplier_max: float = 3.0):
+    """The 30-job closed batch of the two solver micro-cases.
 
     Tight deadline multipliers make the warm start suboptimal so the tree
     phase has genuine work (its fail limit binds -- nonzero, pinned effort
@@ -66,7 +52,7 @@ def _micro_batch(num_jobs: int, deadline_multiplier_max: float = 3.0, seed: int 
     )
 
     params = SyntheticWorkloadParams(
-        num_jobs=num_jobs,
+        num_jobs=30,
         map_tasks_range=(1, 10),
         reduce_tasks_range=(1, 5),
         e_max=20,
@@ -76,7 +62,7 @@ def _micro_batch(num_jobs: int, deadline_multiplier_max: float = 3.0, seed: int 
         total_map_slots=20,
         total_reduce_slots=20,
     )
-    jobs = generate_synthetic_workload(params, seed=seed)
+    jobs = generate_synthetic_workload(params, seed=5)
     resources = make_uniform_cluster(10, 2, 2)
     return jobs, resources
 
@@ -92,74 +78,31 @@ def _deterministic_solver_params():
     return SolverParams(time_limit=30.0, tree_fail_limit=200, use_lns=False)
 
 
-#: Iteration count of the calibration spin loop.  Sized so the pre-existing
-#: pinned baseline norms stay on their historical scale (the spin wall is
-#: close to what the old solver-shaped calibration measured on the baseline
-#: machine), but the value itself is arbitrary: only its *fixity* matters.
-_CALIBRATION_SPIN = 100_000
-
-
-def _case_calibration() -> Tuple[float, Dict[str, Any]]:
-    """Fixed CPU-bound workload used only to normalise wall times.
-
-    Measured once per suite round, immediately before the cases of that
-    round, so that a box-wide slowdown inflates calibration and case
-    walls together and cancels out of the normalized ratio.
-
-    The workload is a pure interpreter spin (an LCG loop), deliberately
-    *not* built from solver code.  An earlier version ran model build +
-    list scheduling here, which had two defects as a measuring stick:
-
-    * it was self-referential -- optimising the solver shrank the yardstick
-      together with the cases, understating (or hiding) real speedups; and
-    * it did not transfer across machines -- the solver cases and the
-      calibration workload stress allocation and compute in different
-      proportions, so a box with a different memory/compute balance saw
-      normalized times drift by 2x with zero code changes, tripping the
-      replay tolerance on untouched code.
-
-    A fixed arithmetic spin has neither problem: it is immutable under
-    solver changes, and it scales with interpreter speed the same way the
-    (equally interpreter-bound) solver hot loops do.
-    """
-    t0 = time.perf_counter()
-    acc = 0
-    for i in range(_CALIBRATION_SPIN):
-        acc = (acc * 1103515245 + 12345 + i) % 2147483647
-    wall = time.perf_counter() - t0
-    return wall, {"acc": acc % 9973}
-
-
-def _case_solver_micro_warm() -> Tuple[float, Dict[str, Any]]:
-    """Model build + warm-start list scheduling on the 15-job batch."""
+def _case_solver_micro_warm() -> Dict[str, Any]:
+    """Model build + warm-start list scheduling on the 30-job batch."""
     from repro.core.formulation import build_model
     from repro.cp.heuristics import list_schedule
 
-    jobs, resources = _micro_batch(30)
-    t0 = time.perf_counter()
-    for _ in range(20):  # amplify the ~5ms op well above timer noise
-        formulation = build_model(jobs, resources, now=0)
-        formulation.model.engine().reset()
-        solution = list_schedule(formulation.model, "edf")
-    wall = time.perf_counter() - t0
-    return wall, {
+    jobs, resources = _micro_batch()
+    formulation = build_model(jobs, resources, now=0)
+    formulation.model.engine().reset()
+    solution = list_schedule(formulation.model, "edf")
+    return {
         "tasks": len(formulation.interval_of),
         "warm_late": solution.objective,
     }
 
 
-def _case_solver_micro_solve() -> Tuple[float, Dict[str, Any]]:
-    """Full deterministic (fail-limited, LNS-off) solve of the 15-job batch."""
+def _case_solver_micro_solve() -> Dict[str, Any]:
+    """Full deterministic (fail-limited, LNS-off) solve of the 30-job batch."""
     from repro.core.formulation import build_model
     from repro.cp.solver import CpSolver
 
-    jobs, resources = _micro_batch(30, deadline_multiplier_max=1.2)
+    jobs, resources = _micro_batch(deadline_multiplier_max=1.2)
     solver = CpSolver(_deterministic_solver_params())
-    t0 = time.perf_counter()
     formulation = build_model(jobs, resources, now=0)
     result = solver.solve(formulation.model)
-    wall = time.perf_counter() - t0
-    return wall, {
+    return {
         "objective": result.objective,
         "has_solution": bool(result.status.has_solution),
         "fails": result.stats.fails,
@@ -167,21 +110,17 @@ def _case_solver_micro_solve() -> Tuple[float, Dict[str, Any]]:
     }
 
 
-def _run_once_case(config, repeats: int = 3) -> Tuple[float, Dict[str, Any]]:
-    """Run one experiment config; report wall + the deterministic metrics.
+def _run_once_case(config) -> Dict[str, Any]:
+    """Run one experiment config; report its deterministic metrics.
 
-    Repeated back-to-back to lift the ~20ms smoke runs well above timer
-    noise.  O (scheduling overhead) is wall-clock and excluded; N/T/P
-    depend only on the seeded workload and the deterministic solver.
+    O (scheduling overhead) is wall-clock and excluded; N/T/P depend only
+    on the seeded workload and the deterministic solver.
     """
     from repro.experiments.runner import run_once
 
-    t0 = time.perf_counter()
-    for _ in range(repeats):
-        metrics = run_once(config)
-    wall = time.perf_counter() - t0
+    metrics = run_once(config)
     summary = metrics.as_dict()
-    return wall, {
+    return {
         "N": summary["N"],
         "T": summary["T"],
         "P": summary["P"],
@@ -190,7 +129,7 @@ def _run_once_case(config, repeats: int = 3) -> Tuple[float, Dict[str, Any]]:
     }
 
 
-def _case_fig2_small() -> Tuple[float, Dict[str, Any]]:
+def _case_fig2_small() -> Dict[str, Any]:
     """Figure 2 shape at smoke scale: Facebook workload through MRCP-RM."""
     from repro.core import MrcpRmConfig
     from repro.experiments.runner import RunConfig, SystemConfig
@@ -212,13 +151,13 @@ def _case_fig2_small() -> Tuple[float, Dict[str, Any]]:
     return _run_once_case(config)
 
 
-def _case_fig7_small() -> Tuple[float, Dict[str, Any]]:
-    """Figure 7 shape at smoke scale: tight-deadline synthetic workload."""
+def _fig7_small_config():
+    """Figure 7 at smoke scale: a tight-deadline synthetic workload."""
     from repro.core import MrcpRmConfig
     from repro.experiments.runner import RunConfig, SystemConfig
     from repro.workload import SyntheticWorkloadParams
 
-    config = RunConfig(
+    return RunConfig(
         scheduler="mrcp-rm",
         workload="synthetic",
         synthetic=SyntheticWorkloadParams(
@@ -235,16 +174,19 @@ def _case_fig7_small() -> Tuple[float, Dict[str, Any]]:
         mrcp=MrcpRmConfig(solver=_deterministic_solver_params()),
         seed=7,
     )
-    return _run_once_case(config)
 
 
-def _case_sweep_pool() -> Tuple[float, Dict[str, Any]]:
+def _case_fig7_small() -> Dict[str, Any]:
+    """Figure 7 shape at smoke scale through MRCP-RM."""
+    return _run_once_case(_fig7_small_config())
+
+
+def _case_sweep_pool() -> Dict[str, Any]:
     """Parallel fan-out smoke: 2 workers over a 4-cell deterministic sweep.
 
     The metric pins a digest of the merged CSV, so any drift in cell
     seeding, order-independent merging, or the pinned-clock determinism
-    shows up as an exact mismatch; the wall time tracks fan-out overhead
-    (pool startup, pickling, per-cell dispatch) for the regression gate.
+    shows up as an exact mismatch.
     """
     import hashlib
 
@@ -284,70 +226,42 @@ def _case_sweep_pool() -> Tuple[float, Dict[str, Any]]:
         replications=2,
         root_seed=3,
     )
-    t0 = time.perf_counter()
     result = run_sweep(spec, workers=2, retries=0)
-    wall = time.perf_counter() - t0
     csv_digest = hashlib.sha256(result.to_csv().encode("utf-8")).hexdigest()
-    return wall, {
+    return {
         "cells": len(result.outcomes),
         "ok": len(result.ok_cells),
         "csv_sha256": csv_digest[:16],
     }
 
 
-def _case_telemetry_overhead() -> Tuple[float, Dict[str, Any]]:
+def _case_telemetry_overhead() -> Dict[str, Any]:
     """Zero-overhead contract: telemetry on vs off, identical O/N/T/P.
 
     Both runs pin the overhead clock (O counts clock samples, so any
     sampler call leaking into the measured path would shift it); the
     metrics pin the equality flag, the sample count, and the fired-alert
-    count.  The wall time is the telemetry-on run only, so the regression
-    gate tracks the sampler's real cost.
+    count.
     """
     from dataclasses import replace as _replace
 
-    from repro.core import MrcpRmConfig
     from repro.experiments.pool import PinnedClock
-    from repro.experiments.runner import (
-        RunConfig,
-        SystemConfig,
-        build_live_run,
-    )
+    from repro.experiments.runner import build_live_run
     from repro.obs import ObsConfig
     from repro.obs.timeseries import TelemetryConfig
-    from repro.workload import SyntheticWorkloadParams
 
-    base = RunConfig(
-        scheduler="mrcp-rm",
-        workload="synthetic",
-        synthetic=SyntheticWorkloadParams(
-            num_jobs=12,
-            map_tasks_range=(1, 8),
-            reduce_tasks_range=(1, 4),
-            e_max=20,
-            ar_probability=0.5,
-            s_max=500,
-            deadline_multiplier_max=1.3,
-            arrival_rate=0.05,
-        ),
-        system=SystemConfig(num_resources=3, map_slots=2, reduce_slots=2),
-        mrcp=MrcpRmConfig(solver=_deterministic_solver_params()),
-        seed=7,
-    )
-
-    def with_obs(telemetry) -> RunConfig:
+    def with_obs(telemetry):
         return _replace(
-            base, obs=ObsConfig(wall_clock=PinnedClock(), telemetry=telemetry)
+            _fig7_small_config(),
+            obs=ObsConfig(wall_clock=PinnedClock(), telemetry=telemetry),
         )
 
     off = build_live_run(with_obs(None)).finish()
-    t0 = time.perf_counter()
     run = build_live_run(
         with_obs(TelemetryConfig(enabled=True, interval=5.0))
     )
     on = run.finish()
-    wall = time.perf_counter() - t0
-    return wall, {
+    return {
         "ontp_equal": on.as_dict() == off.as_dict(),
         "samples": len(run.sampler.store),
         "alerts_fired": len(run.slo_monitor.fired),
@@ -356,17 +270,14 @@ def _case_telemetry_overhead() -> Tuple[float, Dict[str, Any]]:
     }
 
 
-def _case_service_admission_latency() -> Tuple[float, Dict[str, Any]]:
-    """Admission-service load run: pinned verdicts, gated quoting wall.
+def _case_service_admission_latency() -> Dict[str, Any]:
+    """Admission-service load run: pinned verdicts and service-time latency.
 
     The in-process harness drives the service's sync core under a manual
-    service clock, so everything in ``metrics`` -- counts, the verdict
-    digest (canonical verdicts exclude solve wall time), and the
-    *service-time* latency percentiles (dominated by the batching hold
-    bound) -- is exactly reproducible; ``mrcp-rm bench --replay`` replays
-    it byte-for-byte.  The measured wall time is the whole run (all
-    quoting solves), which is what the calibration-normalised latency
-    budget in CI actually gates.
+    service clock, so every metric -- counts, the verdict digest (canonical
+    verdicts exclude solve wall time), and the *service-time* latency
+    percentiles (dominated by the batching hold bound) -- is exactly
+    reproducible; ``mrcp-rm bench --replay`` replays it byte-for-byte.
     """
     from repro.obs.metrics import MetricsRegistry
     from repro.service.batching import BatchingConfig
@@ -377,12 +288,10 @@ def _case_service_admission_latency() -> Tuple[float, Dict[str, Any]]:
     config = ServiceConfig(
         batching=BatchingConfig(max_batch_size=8, max_hold_seconds=0.05)
     )
-    t0 = time.perf_counter()
     report = run_inprocess(
         profile, config=config, num_resources=4, registry=MetricsRegistry()
     )
-    wall = time.perf_counter() - t0
-    return wall, {
+    return {
         "requests": report.requests,
         "admitted": report.admitted,
         "rejected": report.rejected,
@@ -393,8 +302,8 @@ def _case_service_admission_latency() -> Tuple[float, Dict[str, Any]]:
     }
 
 
-#: The pinned suite: name -> case callable returning (wall, metrics).
-CASES: Dict[str, Callable[[], Tuple[float, Dict[str, Any]]]] = {
+#: The pinned suite: name -> case callable returning its metrics.
+CASES: Dict[str, Callable[[], Dict[str, Any]]] = {
     "solver_micro_warm": _case_solver_micro_warm,
     "solver_micro_solve": _case_solver_micro_solve,
     "fig2_small": _case_fig2_small,
@@ -421,53 +330,24 @@ def env_fingerprint() -> Dict[str, Any]:
     }
 
 
-def run_suite(smoke: bool = False, suite: str = DEFAULT_SUITE) -> Dict[str, Any]:
-    """Run every case ``rounds`` times; keep min wall + last metrics.
+def run_suite() -> Dict[str, Any]:
+    """Run every case twice and return the result document.
 
-    ``smoke`` runs three rounds per case (CI-friendly); the full suite
-    runs five for a cleaner baseline.  Each round re-measures the calibration workload immediately
-    before its cases and normalizes that round's walls against it, so a
-    box-wide slowdown cancels out of the ratio; the minimum normalized
-    time across rounds is kept (the standard low-noise estimator).
-    Metrics must be identical across rounds -- a mismatch means
-    nondeterminism crept into a pinned case, and is itself an error.
+    The second run exists only to catch nondeterminism: metrics that
+    differ between the two runs of a pinned case are an error, not a
+    result.
     """
-    rounds = 3 if smoke else 5
-    best_cal: Optional[float] = None
-    best_wall: Dict[str, float] = {}
-    best_norm: Dict[str, float] = {}
-    metrics_of: Dict[str, Dict[str, Any]] = {}
-    for _ in range(rounds):
-        cal_wall, _ = _case_calibration()
-        best_cal = cal_wall if best_cal is None else min(best_cal, cal_wall)
-        for name, fn in CASES.items():
-            wall, m = fn()
-            if name in metrics_of and m != metrics_of[name]:
-                raise RuntimeError(
-                    f"bench case {name!r} is nondeterministic: "
-                    f"{metrics_of[name]} != {m}"
-                )
-            metrics_of[name] = m
-            best_wall[name] = min(best_wall.get(name, wall), wall)
-            best_norm[name] = min(
-                best_norm.get(name, wall / cal_wall), wall / cal_wall
+    cases: Dict[str, Any] = {}
+    for name, fn in CASES.items():
+        first, second = fn(), fn()
+        if first != second:
+            raise RuntimeError(
+                f"bench case {name!r} is nondeterministic: {first} != {second}"
             )
-    cases: Dict[str, Any] = {
-        name: {
-            "wall": round(best_wall[name], 6),
-            "normalized_time": (
-                0.0 if name in WALL_EXEMPT else round(best_norm[name], 6)
-            ),
-            "metrics": metrics_of[name],
-        }
-        for name in CASES
-    }
+        cases[name] = {"metrics": first}
     return {
         "schema": SCHEMA,
-        "suite": suite,
-        "smoke": smoke,
-        "rounds": rounds,
-        "calibration_time": round(best_cal, 6),
+        "suite": "core",
         "env": env_fingerprint(),
         "cases": cases,
     }
@@ -478,17 +358,10 @@ def run_suite(smoke: bool = False, suite: str = DEFAULT_SUITE) -> Dict[str, Any]
 # --------------------------------------------------------------------------
 
 
-def compare(
-    current: Dict[str, Any],
-    baseline: Dict[str, Any],
-    wall_tolerance: float = WALL_TOLERANCE,
-    inflate: float = 1.0,
-) -> List[str]:
+def compare(current: Dict[str, Any], baseline: Dict[str, Any]) -> List[str]:
     """Compare a result against the baseline; return failure descriptions.
 
-    Deterministic metrics must match exactly; normalized times may grow by
-    at most ``wall_tolerance``x.  ``inflate`` synthetically multiplies the
-    current normalized times first (harness self-test).  An empty list
+    Every metric the baseline pins must match exactly.  An empty list
     means no regression.
     """
     failures: List[str] = []
@@ -497,9 +370,8 @@ def compare(
             f"schema mismatch: current={current.get('schema')!r} "
             f"baseline={baseline.get('schema')!r} expected={SCHEMA!r}"
         ]
-    base_cases = baseline.get("cases", {})
     cur_cases = current.get("cases", {})
-    for name, base in base_cases.items():
+    for name, base in baseline.get("cases", {}).items():
         cur = cur_cases.get(name)
         if cur is None:
             failures.append(f"{name}: case missing from current result")
@@ -511,72 +383,7 @@ def compare(
                     f"{name}: metric {key!r} changed: "
                     f"baseline={expected!r} current={got!r}"
                 )
-        base_norm = base["normalized_time"]
-        cur_norm = cur["normalized_time"] * inflate
-        if base_norm > 0 and cur_norm > base_norm * wall_tolerance:
-            failures.append(
-                f"{name}: normalized time {cur_norm:.3f} exceeds baseline "
-                f"{base_norm:.3f} x tolerance {wall_tolerance:g} "
-                f"(ratio {cur_norm / base_norm:.2f})"
-            )
     return failures
-
-
-def bench_diff_stub(
-    current: Dict[str, Any], baseline: Dict[str, Any]
-) -> Dict[str, Any]:
-    """A ``repro-diff/1`` document of per-case pinned-metric deltas.
-
-    The bench gate's failure strings name the offending case; this stub is
-    the machine-readable companion (baseline = side "a", current run =
-    side "b"), shaped like the run-diff engine's output so one consumer
-    reads both.  Cases whose pinned metrics match exactly are listed with
-    an empty ``changed`` list; wall times are reported as context, never
-    as divergence.
-    """
-    from repro.obs.structdiff import structural_diff
-
-    base_cases = baseline.get("cases", {})
-    cur_cases = current.get("cases", {})
-    rows: Dict[str, Any] = {}
-    divergent = 0
-    for name in sorted(set(base_cases) | set(cur_cases)):
-        base = base_cases.get(name, {})
-        cur = cur_cases.get(name, {})
-        changed = [
-            e.as_dict()
-            for e in structural_diff(
-                base.get("metrics", {}), cur.get("metrics", {})
-            )
-        ]
-        if name not in base_cases:
-            changed.insert(
-                0, {"path": "", "kind": "extra", "a": None, "b": "case"}
-            )
-        elif name not in cur_cases:
-            changed.insert(
-                0, {"path": "", "kind": "missing", "a": "case", "b": None}
-            )
-        if changed:
-            divergent += 1
-        rows[name] = {
-            "verdict": "divergent" if changed else "identical",
-            "changed": changed,
-            "normalized_time": {
-                "a": base.get("normalized_time"),
-                "b": cur.get("normalized_time"),
-            },
-        }
-    return {
-        "schema": "repro-diff/1",
-        "kind": "bench",
-        "verdict": "divergent" if divergent else "identical",
-        "a": {"label": "baseline", "suite": baseline.get("suite")},
-        "b": {"label": "current", "suite": current.get("suite")},
-        "cases_total": len(rows),
-        "cases_divergent": divergent,
-        "cases": rows,
-    }
 
 
 def load_result(path: str) -> Dict[str, Any]:
@@ -611,35 +418,10 @@ def add_bench_arguments(parser: argparse.ArgumentParser) -> None:
         help="(re)write the baseline from this run instead of comparing",
     )
     parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="one round per case instead of three (CI)",
-    )
-    parser.add_argument(
-        "--inflate",
-        type=float,
-        default=1.0,
-        help="multiply current normalized times before comparing "
-        "(harness self-test; 2.0 must fail)",
-    )
-    parser.add_argument(
-        "--tolerance",
-        type=float,
-        default=WALL_TOLERANCE,
-        help=f"normalized-time growth tolerance (default {WALL_TOLERANCE})",
-    )
-    parser.add_argument(
         "--replay",
         default=None,
         metavar="RESULT_JSON",
         help="compare this previously written result instead of re-running",
-    )
-    parser.add_argument(
-        "--diff-out",
-        default=None,
-        metavar="DIFF_JSON",
-        help="on regression, also write a repro-diff/1 stub of the "
-        "per-case pinned-metric deltas here",
     )
 
 
@@ -653,13 +435,9 @@ def run_bench_command(args: argparse.Namespace) -> int:
         current = load_result(args.replay)
         print(f"replaying result from {args.replay}")
     else:
-        current = run_suite(smoke=args.smoke)
+        current = run_suite()
         for name, case in current["cases"].items():
-            print(
-                f"  {name:24s} wall={case['wall']:.3f}s "
-                f"norm={case['normalized_time']:.3f} "
-                f"metrics={case['metrics']}"
-            )
+            print(f"  {name:26s} metrics={case['metrics']}")
     if args.out is not None and args.replay is None:
         write_result(args.out, current)
         print(f"wrote result to {args.out}")
@@ -675,20 +453,15 @@ def run_bench_command(args: argparse.Namespace) -> int:
         )
         return 2
     baseline = load_result(args.baseline)
-    failures = compare(
-        current, baseline, wall_tolerance=args.tolerance, inflate=args.inflate
-    )
+    failures = compare(current, baseline)
     if failures:
         print(f"REGRESSION: {len(failures)} failure(s)", file=sys.stderr)
         for f in failures:
             print(f"  - {f}", file=sys.stderr)
         offending = sorted({f.split(":", 1)[0] for f in failures})
         print(f"offending case(s): {', '.join(offending)}", file=sys.stderr)
-        if args.diff_out is not None:
-            atomic_write_json(args.diff_out, bench_diff_stub(current, baseline))
-            print(f"diff stub written: {args.diff_out}", file=sys.stderr)
         return 1
-    print(f"ok: {len(baseline.get('cases', {}))} cases within tolerance")
+    print(f"ok: {len(baseline.get('cases', {}))} cases match the baseline")
     return 0
 
 

@@ -18,8 +18,9 @@ Subcommands
 
       mrcp-rm sweep fig7 --workers 4 --replications 3 --out-dir out/
 
-* ``bench``  -- run the pinned benchmark suite and compare against the
-  committed ``BENCH_core.json`` baseline (nonzero exit on regression).
+* ``bench``  -- run the pinned behaviour suite and compare its metrics
+  exactly against the committed ``BENCH_core.json`` (nonzero exit on drift;
+  speed is ``perf/run.py``'s job).
 * ``checkpoint`` -- run a seeded scenario with crash-safe checkpoints,
   optionally killing it at a boundary, or restore from a snapshot file::
 
@@ -142,6 +143,14 @@ def _parse_outage(spec: str):
         return OutageWindow(int(parts[0]), float(parts[1]), float(parts[2]))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad outage spec {spec!r}: {exc}")
+
+
+def _positive_int(text: str) -> int:
+    """An argparse ``type``: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _cmd_faults(args: argparse.Namespace) -> int:
@@ -726,7 +735,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--profile", choices=(SCALED, PAPER), default=SCALED,
         help="scaled = laptop-sized (default); paper = original Table 3/4",
     )
-    run_p.add_argument("--replications", type=int, default=3)
+    run_p.add_argument("--replications", type=_positive_int, default=3)
     run_p.add_argument("--quiet", action="store_true")
     run_p.set_defaults(func=_cmd_run)
 
@@ -803,7 +812,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--profile", choices=(SCALED, PAPER), default=SCALED,
         help="scaled = laptop-sized (default); paper = original Table 3/4",
     )
-    sweep_p.add_argument("--replications", type=int, default=3)
+    sweep_p.add_argument("--replications", type=_positive_int, default=3)
     sweep_p.add_argument(
         "--workers", type=int, default=1,
         help="worker processes (1 = sequential reference run)",
@@ -846,7 +855,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench_p = sub.add_parser(
         "bench",
-        help="run the pinned benchmark suite against the committed baseline",
+        help="run the behaviour pins against the committed baseline",
     )
     add_bench_arguments(bench_p)
     bench_p.set_defaults(func=_cmd_bench)

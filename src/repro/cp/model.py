@@ -416,16 +416,3 @@ class CpModel:
         eng.seal()
         self._engine = eng
         return eng
-
-    # ------------------------------------------------------------ reporting
-    def stats(self) -> Dict[str, int]:
-        """Model size summary (useful for logging solver overhead studies)."""
-        return {
-            "intervals": len(self.intervals),
-            "optional_intervals": len(self.optionals),
-            "cumulatives": len(self.cumulatives),
-            "barriers": len(self.barriers),
-            "alternatives": len(self.alternatives),
-            "indicators": len(self.indicators),
-            "groups": len(self.groups),
-        }

@@ -64,30 +64,6 @@ def series_rows(
     return rows
 
 
-def ascii_chart(
-    series: FigureSeries,
-    results: Dict[str, ReplicationResult],
-    metric: str = "P",
-    width: int = 50,
-) -> str:
-    """A terminal bar chart of one metric across the figure's points.
-
-    One bar per (factor value, scheduler), scaled to the series maximum --
-    the quick visual counterpart of :func:`format_series`'s table.
-    """
-    title, scale = _METRIC_FORMAT.get(metric, (metric, 1.0))
-    rows = []
-    for labeled in series.configs:
-        mean = results[labeled.label].mean(metric) * scale
-        rows.append((labeled.label, mean))
-    top = max((v for _, v in rows), default=0.0)
-    lines = [f"{series.figure}: {title}"]
-    for label, value in rows:
-        bar = "#" * (int(round(value / top * width)) if top > 0 else 0)
-        lines.append(f"{label:>24} |{bar:<{width}}| {value:.3g}")
-    return "\n".join(lines)
-
-
 def format_series(
     series: FigureSeries,
     results: Dict[str, ReplicationResult],

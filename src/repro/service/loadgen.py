@@ -18,8 +18,8 @@ Latency accounting is split on purpose: *solve* latency (inside the
 controller, wall clock, pinnable) versus *admission* latency as observed
 by the client (includes batching hold time).  The in-process report
 carries both; the bench baseline pins only the deterministic verdict
-digest and counts, while the measured wall percentile feeds the
-calibration-normalised wall gate.
+digest, counts and service-time percentiles -- wall latency is measured
+by ``perf/``'s ``svc_quote_stream`` workload.
 """
 
 from __future__ import annotations

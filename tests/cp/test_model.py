@@ -104,14 +104,3 @@ def test_group_without_deadline_has_infinite_laxity():
     a = m.interval_var(length=5)
     g = m.add_group("j", [a])
     assert g.laxity() == float("inf")
-
-
-def test_stats_summary():
-    m = CpModel(horizon=100)
-    a = m.interval_var(length=5)
-    b = m.interval_var(length=5, optional=True)
-    m.add_cumulative([a], capacity=1)
-    s = m.stats()
-    assert s["intervals"] == 1
-    assert s["optional_intervals"] == 1
-    assert s["cumulatives"] == 1

@@ -31,29 +31,6 @@ def test_run_series_and_rows():
         assert row["T"] > 0
 
 
-def test_ascii_chart_renders_bars():
-    from repro.experiments.reporting import ascii_chart
-
-    series = _small_series()
-    results = run_series(series, replications=2)
-    chart = ascii_chart(series, results, metric="T", width=30)
-    lines = chart.splitlines()
-    assert len(lines) == 1 + len(series.configs)
-    assert "T (s)" in lines[0]
-    assert any("#" in line for line in lines[1:])  # some non-zero bar
-    # the largest bar reaches full width
-    assert any(line.count("#") == 30 for line in lines[1:])
-
-
-def test_ascii_chart_all_zero_metric():
-    from repro.experiments.reporting import ascii_chart
-
-    series = _small_series()
-    results = run_series(series, replications=1)
-    chart = ascii_chart(series, results, metric="N", width=20)
-    assert chart  # renders without dividing by zero
-
-
 def test_format_series_renders_table():
     series = _small_series()
     results = run_series(series, replications=2)

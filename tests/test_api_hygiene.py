@@ -3,9 +3,11 @@
 Documentation is a deliverable: every public module, class and function in
 ``repro`` must carry a docstring, every name exported through a package
 ``__all__`` must actually resolve, and the package imports no third-party
-distribution that ``pyproject.toml`` does not declare.
+distribution that ``pyproject.toml`` does not declare.  Timing has one
+harness (``perf/``), so no source, test or example imports a second one.
 """
 
+import ast
 import importlib
 import inspect
 import os
@@ -13,6 +15,7 @@ import pkgutil
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import repro
 
@@ -109,3 +112,25 @@ def test_imports_stay_within_declared_dependencies():
     assert undeclared == set(), (
         f"imported but not in [project].dependencies: {sorted(undeclared)}"
     )
+
+
+def test_no_second_timing_harness_is_imported():
+    """Speed is judged by ``perf/`` alone: nothing under ``src/``, ``tests/``
+    or ``examples/`` imports the pytest timing plugin ``benchmarks/`` used."""
+    banned = "_".join(("pytest", "benchmark"))
+    root = Path(repro.__file__).parents[2]
+    offenders = []
+    for top in ("src", "tests", "examples"):
+        for path in sorted((root / top).rglob("*.py")):
+            nodes = list(ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+            imported = {
+                alias.name
+                for node in nodes if isinstance(node, ast.Import)
+                for alias in node.names
+            } | {
+                node.module or ""
+                for node in nodes if isinstance(node, ast.ImportFrom)
+            }
+            if any(name.partition(".")[0] == banned for name in imported):
+                offenders.append(str(path.relative_to(root)))
+    assert offenders == [], f"{banned} imported by: {offenders}"

@@ -1,7 +1,8 @@
-"""Benchmark regression harness: schema, determinism, comparison, CLI."""
+"""Behaviour-pin harness: schema, determinism, exact comparison, CLI."""
 
 import copy
 import json
+import re
 
 import pytest
 
@@ -9,7 +10,6 @@ from repro.bench import (
     CASES,
     DEFAULT_BASELINE,
     SCHEMA,
-    WALL_EXEMPT,
     compare,
     load_result,
     main,
@@ -20,21 +20,14 @@ from repro.bench import (
 
 @pytest.fixture(scope="module")
 def suite_result():
-    """One smoke-mode suite run shared across the module's tests."""
-    return run_suite(smoke=True)
+    """One suite run shared across the module's tests."""
+    return run_suite()
 
 
 def test_result_schema(suite_result):
     assert suite_result["schema"] == SCHEMA
-    assert suite_result["smoke"] is True
-    assert suite_result["calibration_time"] > 0
     assert set(suite_result["cases"]) == set(CASES)
-    for name, case in suite_result["cases"].items():
-        assert case["wall"] > 0
-        if name in WALL_EXEMPT:
-            assert case["normalized_time"] == 0.0  # wall gate skips these
-        else:
-            assert case["normalized_time"] > 0
+    for case in suite_result["cases"].values():
         assert isinstance(case["metrics"], dict) and case["metrics"]
     env = suite_result["env"]
     assert "python" in env and "platform" in env
@@ -49,12 +42,6 @@ def test_cases_track_real_effort(suite_result):
 
 def test_self_compare_passes(suite_result):
     assert compare(suite_result, suite_result) == []
-
-
-def test_inflate_two_x_fails(suite_result):
-    failures = compare(suite_result, suite_result, inflate=2.0)
-    assert len(failures) == len(CASES) - len(WALL_EXEMPT)
-    assert all("normalized time" in f for f in failures)
 
 
 def test_metric_drift_detected(suite_result):
@@ -77,18 +64,45 @@ def test_schema_mismatch_detected(suite_result):
     assert failures and "schema mismatch" in failures[0]
 
 
-def test_committed_baseline_matches_current_behaviour(suite_result):
-    """Deterministic metrics must equal the committed BENCH_core.json.
+def test_schema_one_document_refused(suite_result):
+    """A pre-PR-23 baseline (timings inside) is refused, not half-read."""
+    old = dict(suite_result, schema="repro-bench/1")
+    for doc_pair in ((suite_result, old), (old, suite_result)):
+        [failure] = compare(*doc_pair)
+        assert "schema mismatch" in failure and "repro-bench/1" in failure
 
-    Wall-time failures are excluded here (a loaded CI box can be slow);
-    the metric comparison is the behaviour contract and must hold anywhere.
-    """
+
+def test_committed_baseline_matches_current_behaviour(suite_result):
+    """The pinned metrics must equal the committed BENCH_core.json."""
+    assert compare(suite_result, load_result(DEFAULT_BASELINE)) == []
+
+
+def _all_keys(node):
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield key
+            yield from _all_keys(value)
+    elif isinstance(node, list):
+        for value in node:
+            yield from _all_keys(value)
+
+
+def test_committed_baseline_holds_no_timing():
+    """Speed is perf/'s question: the baseline carries pins only."""
     baseline = load_result(DEFAULT_BASELINE)
-    assert baseline["schema"] == SCHEMA
-    failures = [
-        f for f in compare(suite_result, baseline) if "normalized time" not in f
-    ]
-    assert failures == []
+    assert baseline["schema"] == SCHEMA == "repro-bench/2"
+    assert set(baseline) == {"schema", "suite", "env", "cases"}
+    assert all(set(case) == {"metrics"} for case in baseline["cases"].values())
+    timing = re.compile("wall|time|calibration|rounds|smoke")
+    assert [key for key in _all_keys(baseline) if timing.search(key)] == []
+
+
+def test_nondeterministic_case_raises(monkeypatch):
+    """A case whose second run disagrees with its first is an error."""
+    runs = iter(({"n": 1}, {"n": 2}))
+    monkeypatch.setattr("repro.bench.CASES", {"flaky": lambda: next(runs)})
+    with pytest.raises(RuntimeError, match="'flaky' is nondeterministic"):
+        run_suite()
 
 
 def test_cli_replay_roundtrip(tmp_path, capsys):
@@ -100,15 +114,6 @@ def test_cli_replay_roundtrip(tmp_path, capsys):
     write_result(str(replay), result)
     assert main(["--replay", str(replay), "--baseline", str(baseline)]) == 0
     assert "ok:" in capsys.readouterr().out
-    # synthetic 2x slowdown must trip the harness
-    assert (
-        main(
-            ["--replay", str(replay), "--baseline", str(baseline),
-             "--inflate", "2.0"]
-        )
-        == 1
-    )
-    assert "REGRESSION" in capsys.readouterr().err
 
 
 def test_cli_missing_baseline(tmp_path, capsys):
@@ -128,36 +133,7 @@ def test_cli_update_writes_valid_json(tmp_path, suite_result, monkeypatch):
     assert compare(loaded, suite_result) == []
 
 
-def test_bench_diff_stub_reports_pinned_metric_deltas(suite_result):
-    from repro.bench import bench_diff_stub
-
-    drifted = copy.deepcopy(suite_result)
-    case = next(iter(CASES))
-    metric = next(iter(drifted["cases"][case]["metrics"]))
-    drifted["cases"][case]["metrics"][metric] += 1
-    doc = bench_diff_stub(drifted, suite_result)
-    assert doc["schema"] == "repro-diff/1" and doc["kind"] == "bench"
-    assert doc["verdict"] == "divergent"
-    assert doc["cases"][case]["verdict"] == "divergent"
-    [entry] = doc["cases"][case]["changed"]
-    assert entry["path"] == metric and entry["kind"] == "changed"
-    # all other cases are listed, explicitly identical
-    others = [c for n, c in doc["cases"].items() if n != case]
-    assert others and all(c["verdict"] == "identical" for c in others)
-    json.dumps(doc)
-
-
-def test_bench_diff_stub_flags_missing_case(suite_result):
-    from repro.bench import bench_diff_stub
-
-    partial = copy.deepcopy(suite_result)
-    case = next(iter(CASES))
-    del partial["cases"][case]
-    doc = bench_diff_stub(partial, suite_result)
-    assert doc["cases"][case]["changed"][0]["kind"] == "missing"
-
-
-def test_cli_failure_names_case_and_writes_diff_stub(tmp_path, capsys):
+def test_cli_failure_names_case(tmp_path, capsys):
     baseline = tmp_path / "baseline.json"
     result = load_result(DEFAULT_BASELINE)
     write_result(str(baseline), result)
@@ -167,14 +143,7 @@ def test_cli_failure_names_case_and_writes_diff_stub(tmp_path, capsys):
     drifted["cases"][case]["metrics"][metric] += 5
     replay = tmp_path / "current.json"
     write_result(str(replay), drifted)
-    stub = tmp_path / "diff.json"
-    assert main(
-        ["--replay", str(replay), "--baseline", str(baseline),
-         "--diff-out", str(stub)]
-    ) == 1
+    assert main(["--replay", str(replay), "--baseline", str(baseline)]) == 1
     err = capsys.readouterr().err
+    assert "REGRESSION" in err and repr(metric) in err
     assert f"offending case(s): {case}" in err
-    assert "diff stub written" in err
-    doc = json.loads(stub.read_text())
-    assert doc["verdict"] == "divergent"
-    assert doc["cases"][case]["changed"][0]["path"] == metric

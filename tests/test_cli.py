@@ -71,6 +71,16 @@ def test_run_rejects_unknown_figure():
         build_parser().parse_args(["run", "fig99"])
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_non_positive_replications_rejected_by_parser(command, value, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "fig7", "--replications", value])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "--replications" in err and "must be >= 1" in err
+
+
 def test_parser_requires_command():
     with pytest.raises(SystemExit):
         build_parser().parse_args([])
@@ -107,7 +117,10 @@ def test_bench_command_replay(tmp_path, capsys):
     write_result(str(replay), result)
     assert main(["bench", "--replay", str(replay)]) == 0
     assert "ok:" in capsys.readouterr().out
-    assert main(["bench", "--replay", str(replay), "--inflate", "2.0"]) == 1
+    result["cases"]["solver_micro_solve"]["metrics"]["objective"] += 1
+    write_result(str(replay), result)
+    assert main(["bench", "--replay", str(replay)]) == 1
+    assert "solver_micro_solve" in capsys.readouterr().err
 
 
 def _shrink_synthetic(monkeypatch):
