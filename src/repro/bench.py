@@ -1,11 +1,12 @@
 """Behaviour pins: a small fixed suite, a committed baseline, exact comparison.
 
-``mrcp-rm bench`` (``python -m repro.bench``) runs seven pinned cases --
-two solver micro-cases, two figure experiments at smoke scale, a
+``mrcp-rm bench`` (``python -m repro.bench``) runs eight pinned cases --
+three solver micro-cases, two figure experiments at smoke scale, a
 parallel-sweep fan-out, the telemetry-on/off equality and an admission
 service load run -- and emits a schema-versioned JSON result that is
 compared *exactly* against the committed ``BENCH_core.json``.  The suite
-pins seeds and runs the solver fail-limited with LNS off, so task counts,
+pins seeds and runs the solver fail-limited with LNS off (or, in the one
+LNS case, to a fixed target under a cap that never binds), so task counts,
 objectives, fails/branches, N/T/P and the digests are machine-independent
 and any drift is a behaviour change, not noise.  Each case runs twice; two
 runs that disagree are nondeterminism in a pinned case and raise.
@@ -39,7 +40,7 @@ DEFAULT_BASELINE = "BENCH_core.json"
 
 
 def _micro_batch(deadline_multiplier_max: float = 3.0):
-    """The 30-job closed batch of the two solver micro-cases.
+    """The 30-job closed batch of the solver micro-cases.
 
     Tight deadline multipliers make the warm start suboptimal so the tree
     phase has genuine work (its fail limit binds -- nonzero, pinned effort
@@ -107,6 +108,43 @@ def _case_solver_micro_solve() -> Dict[str, Any]:
         "has_solution": bool(result.status.has_solution),
         "fails": result.stats.fails,
         "branches": result.stats.branches,
+    }
+
+
+def _case_solver_micro_lns() -> Dict[str, Any]:
+    """LNS on the 30-job batch to a fifth below its warm start: fixed work.
+
+    Root propagation, ``best_warm_start``, then ``lns_improve`` until the
+    target; the cap is generous and never binds, so iterations, fails and
+    branches are exact and pin the search LNS runs, dive for dive.
+    """
+    import time
+
+    from repro.core.formulation import build_model
+    from repro.cp.heuristics import best_warm_start
+    from repro.cp.lns import LnsParams, lns_improve
+
+    jobs, resources = _micro_batch(deadline_multiplier_max=1.2)
+    model = build_model(jobs, resources, now=0).model
+    engine = model.engine()
+    engine.reset()
+    engine.propagate()
+    warm = best_warm_start(model)
+    target = warm.objective - max(1, round(0.2 * warm.objective))
+    best, stats = lns_improve(
+        model,
+        engine,
+        warm,
+        time.perf_counter() + 120.0,
+        LnsParams(seed=0),
+        target=target,
+    )
+    return {
+        "warm_objective": warm.objective,
+        "objective": best.objective,
+        "iterations": stats.lns_iterations,
+        "fails": stats.fails,
+        "branches": stats.branches,
     }
 
 
@@ -306,6 +344,7 @@ def _case_service_admission_latency() -> Dict[str, Any]:
 CASES: Dict[str, Callable[[], Dict[str, Any]]] = {
     "solver_micro_warm": _case_solver_micro_warm,
     "solver_micro_solve": _case_solver_micro_solve,
+    "solver_micro_lns": _case_solver_micro_lns,
     "fig2_small": _case_fig2_small,
     "fig7_small": _case_fig7_small,
     "sweep_pool": _case_sweep_pool,

@@ -5,12 +5,17 @@ reason almost exclusively about variable *bounds*, so domains are represented
 by a ``[min, max]`` interval rather than a bit-set.  This is the same design
 choice CP Optimizer makes for its temporal network.
 
-Every mutation goes through :meth:`IntDomain.set_min` / :meth:`set_max` /
+Every tightening goes through :meth:`IntDomain.set_min` / :meth:`set_max` /
 :meth:`fix`, which
 
 1. check for wipe-out and raise :class:`~repro.cp.errors.Infeasible`,
 2. save the previous bounds on the engine's trail (once per search node), and
 3. wake the propagators subscribed to the *kind* of change that happened.
+
+The one write that goes the other way is :meth:`IntDomain.widen`, for a
+caller that lifts a decision it made in a trail level it still holds (LNS
+relaxing a neighbourhood): trailed the same way, it wakes the subscribers of
+every event kind at once.
 
 Change events
 -------------
@@ -176,6 +181,25 @@ class IntDomain:
         moved = self.set_min(v, engine)
         moved |= self.set_max(v, engine)
         return moved
+
+    def widen(self, lo: int, hi: int, engine: "Engine") -> None:
+        """Put the bounds back to ``[lo, hi]``, a superset of the current ones.
+
+        The one mutation that *relaxes*: LNS uses it to take a neighbourhood
+        out of a pinned level back to its root bounds.  Trailed like any
+        other write, and it wakes the subscribers of every event kind --
+        a propagator that only listens for the bound it reads must still
+        re-tighten the bound it writes (and an incremental one needs its
+        dirty token) once either may have moved outwards.
+        """
+        if lo == self._min and hi == self._max:
+            return
+        self._save(engine)
+        self._min = lo
+        self._max = hi
+        for entries in (self.on_min, self.on_max, self.on_fix):
+            if entries:
+                engine.wake(entries)
 
     def __repr__(self) -> str:
         tag = self.name or "dom"

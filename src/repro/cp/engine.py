@@ -2,8 +2,10 @@
 
 The engine owns the trail, the propagation queue and the registered
 propagators.  It is built once per :class:`~repro.cp.model.CpModel` and reused
-across solver phases (warm start, tree search, LNS re-solves): calling
-:meth:`Engine.reset` rewinds every domain to its pristine state.
+across solver phases (warm start, tree search, LNS): calling
+:meth:`Engine.reset` rewinds every domain to its pristine state.  Between
+resets the trail is a plain stack of levels -- a tree search, or LNS's pinned
+incumbent, holds the levels it pushed and pops back to where it started.
 
 Design notes
 ------------
@@ -94,9 +96,16 @@ class Engine:
     def reset(self) -> None:
         """Rewind all domains to the state captured by :meth:`seal`.
 
-        Also clears the branch-and-bound objective bound: a bound belongs to
-        one solve; callers resuming an improvement (LNS) re-install it via
-        the ``incumbent`` they pass to the search.
+        Every trail level is popped, whoever pushed it, and every propagator
+        is re-primed and queued: the next :meth:`propagate` is a root
+        propagation from nothing.  That is the price of a *new* root (a new
+        solve, a new LNS incumbent); work below one root -- a dive, an LNS
+        iteration -- pushes and pops levels instead.
+
+        Also clears the branch-and-bound objective bound, the one piece of
+        state that is not trailed: a bound belongs to one solve, and callers
+        resuming an improvement (LNS) re-install it via the ``incumbent``
+        they pass to the search.
         """
         if not self._root_ready:
             raise RuntimeError("seal() must be called before reset()")

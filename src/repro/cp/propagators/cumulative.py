@@ -33,11 +33,18 @@ bounds are still at their fixpoint, so only the dirty intervals are swept
 and the overload check is skipped; any profile delta triggers the full
 overload check plus a sweep of every candidate, exactly what the
 from-scratch propagator did on every run.
+
+The candidates of that sweep are the tasks with *no* compulsory part (one
+with a part is never bounds-filtered, see above).  They are kept as a set,
+``_free``, written at the two places the cached parts are -- the sync and
+the trail undo -- so a sweep visits them in index order without walking the
+tasks that are pinned, frozen or already decided, which in an LNS dive or a
+mostly-frozen planner model is nearly all of them.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.cp.domain import FIX_EVENT, MAX_EVENT, MIN_EVENT
 from repro.cp.errors import Infeasible
@@ -67,6 +74,7 @@ class CumulativePropagator(Propagator):
         "capacity",
         "_tasks",
         "_parts",
+        "_free",
         "_profile",
         "_version",
         "_filtered_version",
@@ -105,6 +113,9 @@ class CumulativePropagator(Propagator):
         ]
         #: Compulsory part currently inside :attr:`_profile`, per task.
         self._parts: List[_Part] = [None] * len(self._tasks)
+        #: Tasks with no compulsory part in the profile -- the only ones the
+        #: sweep can filter.  Written wherever :attr:`_parts` is.
+        self._free: Set[int] = set(range(len(self._tasks)))
         self._profile = TimetableProfile()
         #: Bumped on every profile mutation (sync *and* backtrack undo).
         self._version = 0
@@ -151,6 +162,10 @@ class CumulativePropagator(Propagator):
         if old is not None:
             profile.add(old[0], old[1], d)
         self._parts[k] = old
+        if old is None:
+            self._free.add(k)
+        else:
+            self._free.discard(k)
         self._version += 1
         self._widen(old)
         self._widen(new)
@@ -160,6 +175,7 @@ class CumulativePropagator(Propagator):
         cap = self.capacity
         tasks = self._tasks
         parts = self._parts
+        free = self._free
         profile = self._profile
         dirty = self._dirty
 
@@ -186,6 +202,10 @@ class CumulativePropagator(Propagator):
                     if new is not None:
                         profile.add(new[0], new[1], d)
                     parts[k] = new
+                    if new is None:
+                        free.add(k)
+                    else:
+                        free.discard(k)
                     trail.record(self, (k, old, new))
                     self._version += 1
                     self._widen(old)
@@ -206,7 +226,7 @@ class CumulativePropagator(Propagator):
                     f"{self.name}: compulsory demand "
                     f"{profile.max_height()} exceeds capacity {cap}"
                 )
-            candidates: Iterable[int] = range(len(tasks))
+            candidates: Iterable[int] = sorted(free)
             if not self._chg_all:
                 env_lo = self._chg_lo
                 env_hi = self._chg_hi

@@ -22,6 +22,7 @@ claims proven optimality from a dominance-pruned tree.
 from __future__ import annotations
 
 import time
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
@@ -67,12 +68,15 @@ class SetTimesBrancher:
     def __init__(self, model: CpModel, jump: bool = True) -> None:
         self.model = model
         self.jump = jump
-        #: Cached per-interval scan tuples (the interval set is frozen once
-        #: the model compiles; re-deriving domains/lengths through property
-        #: chains on every decision dominated ``choose`` time).
-        self._scan: Optional[
+        #: Scan entries ``(start domain, length, presence domain, interval)``
+        #: that a decision can still concern, in model order (ties between
+        #: equal selection keys break by it); set by :meth:`partition`.
+        self._open: Optional[
             List[Tuple[object, int, Optional[object], IntervalVar]]
         ] = None
+        #: Sorted completion times of the intervals :meth:`partition` found
+        #: decided (start fixed, present): constants for the whole search.
+        self._decided_ends: List[int] = []
 
     @property
     def complete(self) -> bool:
@@ -112,24 +116,32 @@ class SetTimesBrancher:
 
         return left, right
 
-    def _scan_tuples(
-        self,
-    ) -> List[Tuple[object, int, Optional[object], IntervalVar]]:
-        scan = self._scan
-        if scan is None:
-            scan = self._scan = [
-                (
-                    iv.start,
-                    iv.length,
-                    iv.presence.domain if iv.presence is not None else None,
-                    iv,
-                )
-                for iv in self.model.intervals
-            ]
-        return scan
+    def partition(self) -> None:
+        """Split the scan at a search's propagated root.
+
+        Below the root domains only shrink, so an interval whose start is
+        fixed (and whose presence is decided) there stays out of every
+        decision of that search: :func:`tree_search` calls this once per
+        search, and a decision then pays for the undecided entries only.
+        """
+        self._open = []
+        ends = []
+        for iv in self.model.intervals:
+            start = iv.start
+            pres = iv.presence.domain if iv.presence is not None else None
+            if start._min != start._max or (
+                pres is not None and pres._min != pres._max
+            ):
+                self._open.append((start, iv.length, pres, iv))
+            elif pres is None or pres._min == 1:
+                ends.append(start._min + iv.length)
+        ends.sort()
+        self._decided_ends = ends
 
     def _choose_start(self, engine: Engine) -> Optional[Decision]:
-        scan = self._scan_tuples()
+        if self._open is None:
+            self.partition()  # bare use, outside tree_search
+        scan = self._open
         chosen: Optional[IntervalVar] = None
         # Selection key is (min, window span, max+length), smallest wins,
         # first-seen kept on ties; compared field-by-field to avoid a tuple
@@ -156,9 +168,13 @@ class SetTimesBrancher:
         if chosen is None:
             return None
         est = c_mn
+        nxt = est + 1
         if self.jump:
-            nxt = est + 1
-            best_jump = None
+            # Smallest completion time beyond est among the other present
+            # intervals: the decided ones by bisection, the rest by scan.
+            ends = self._decided_ends
+            i = bisect_right(ends, est)
+            best_jump = ends[i] if i < len(ends) else None
             for start, length, pres, other in scan:
                 if other is chosen:
                     continue
@@ -171,8 +187,6 @@ class SetTimesBrancher:
                     best_jump = ect
             if best_jump is not None:
                 nxt = max(nxt, best_jump)
-        else:
-            nxt = est + 1
 
         def left(eng: Engine, iv: IntervalVar = chosen, s: int = est) -> None:
             iv.fix_start(s, eng)
@@ -215,15 +229,30 @@ def tree_search(
 ) -> TreeSearchResult:
     """Run DFS branch-and-bound from the engine's *current* state.
 
-    The caller must have reset the engine and applied any pins; this function
-    performs the root propagation itself.  ``incumbent`` (if given) seeds the
-    objective bound; strictly better solutions are searched for.
+    Whatever the caller holds on the trail -- a bare reset, or levels of its
+    own with pins applied -- is the root of this search and is still there
+    when it returns: the search opens its own trail level, performs the root
+    propagation inside it, and on both exits (normal and root-infeasible)
+    unwinds to the level it was entered at with the queue empty.
+    ``incumbent`` (if given) seeds the objective bound; strictly better
+    solutions are searched for.
     """
     stats = SearchStats()
     t0 = time.perf_counter()
     prop0 = engine.propagation_count
     best = incumbent
     has_objective = model.objective_bools is not None
+    trail = engine.trail
+    entry_level = trail.level
+    trail.push_level()
+
+    def finish(best: Optional[Solution], exhausted: bool) -> TreeSearchResult:
+        while trail.level > entry_level:
+            trail.pop_level()
+        engine.clear_queue()
+        stats.wall_time = time.perf_counter() - t0
+        stats.propagations = engine.propagation_count - prop0
+        return TreeSearchResult(best, exhausted=exhausted, stats=stats)
 
     if best is not None and best.objective is not None:
         engine.on_bound_tightened(best.objective - 1)
@@ -232,15 +261,8 @@ def tree_search(
         engine.propagate()
     except Infeasible:
         stats.fails += 1
-        # Same sane root state as the normal exit below: a subsequent solve
-        # on the shared engine must not observe half-propagated infeasible
-        # domains.
-        engine.trail.pop_all()
-        engine.trail.push_level()
-        engine.clear_queue()
-        stats.wall_time = time.perf_counter() - t0
-        stats.propagations = engine.propagation_count - prop0
-        return TreeSearchResult(best, exhausted=True, stats=stats)
+        return finish(best, exhausted=True)
+    brancher.partition()
 
     # Each stack entry is the pending right branch for the open level
     # (None once the right branch has been taken).
@@ -309,11 +331,4 @@ def tree_search(
                 exhausted = True
                 break
 
-    # Leave the engine in a sane (root) state for the caller.
-    engine.trail.pop_all()
-    engine.trail.push_level()
-    engine.clear_queue()
-
-    stats.wall_time = time.perf_counter() - t0
-    stats.propagations = engine.propagation_count - prop0
-    return TreeSearchResult(best, exhausted=exhausted, stats=stats)
+    return finish(best, exhausted)

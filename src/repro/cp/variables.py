@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional
 
 from repro.cp.domain import FIX_EVENT, IntDomain
-from repro.cp.errors import ModelError
+from repro.cp.errors import Infeasible, ModelError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cp.engine import Engine
@@ -147,8 +147,6 @@ class IntervalVar:
     def set_absent(self, engine: "Engine") -> bool:
         """Remove the optional interval from the schedule."""
         if self.presence is None:
-            from repro.cp.errors import Infeasible
-
             raise Infeasible(f"cannot make mandatory interval {self.name!r} absent")
         return self.presence.set_false(engine)
 

@@ -102,6 +102,31 @@ def test_subscription_lists_created_lazily():
     assert d.on_max is None and d.on_fix is None  # untouched masks stay lazy
 
 
+def test_widen_wakes_every_event_kind_and_is_trailed():
+    """Relaxing a bound invalidates watchers of *either* bound.
+
+    A barrier listens on a task's MIN only, yet it also writes the task's
+    max: after a widen that write has to be redone, so the wake cannot be
+    typed by which bound moved.
+    """
+    eng = _engine()
+    eng.trail.push_level()
+    d = IntDomain(0, 10, "d")
+    d.fix(4, eng)
+    masks = (MIN_EVENT, MAX_EVENT, FIX_EVENT)
+    watchers = [_Recorder(f"p{mask}") for mask in masks]
+    for p, mask in zip(watchers, masks):
+        d.watch(p, mask, token=mask)
+    eng.trail.push_level()
+    d.widen(4, 4, eng)  # same bounds: nothing to save, nobody to wake
+    assert len(eng.trail) == 1 and not any(p.queued for p in watchers)
+    d.widen(2, 9, eng)
+    assert (d.min, d.max) == (2, 9)
+    assert all(p.queued and p._dirty == {mask} for p, mask in zip(watchers, masks))
+    eng.trail.pop_level()
+    assert (d.min, d.max) == (4, 4)
+
+
 # --------------------------------------------------------- dirty tokens
 def test_dirty_token_recorded_on_wake():
     eng = _engine()

@@ -119,6 +119,51 @@ def test_self_notification_when_compulsory_part_appears():
     assert c.est == 18
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_free_set_tracks_parts_through_push_pop_and_reset(seed):
+    """``_free`` is exactly the tasks with no compulsory part in the profile.
+
+    The sweep iterates it in place of every task, so it must follow
+    ``_parts`` through sync, trail undo, a failed node and a reset.
+    """
+    import random
+
+    rng = random.Random(seed)
+    ivs = [
+        IntervalVar(0, rng.randint(0, 30), rng.randint(1, 8), f"t{i}")
+        for i in range(10)
+    ]
+    ivs.append(IntervalVar(0, 40, 3, "opt", optional=True))
+    eng, prop = _setup(ivs, [1] * len(ivs), 4)
+
+    def check():
+        assert prop._free == {k for k, p in enumerate(prop._parts) if p is None}
+
+    check()
+    sizes = set()
+    for _ in range(60):
+        op = rng.choice(["fix", "fix", "propagate", "push", "pop", "reset"])
+        try:
+            if op == "fix":
+                iv = rng.choice(ivs)
+                iv.fix_start(rng.randint(iv.est, iv.lst), eng)
+                eng.propagate()
+            elif op == "propagate":
+                eng.propagate()
+            elif op == "push":
+                eng.trail.push_level()
+            elif op == "pop" and eng.trail.level > 1:
+                eng.trail.pop_level()
+                eng.clear_queue()
+            elif op == "reset":
+                eng.reset()
+        except Infeasible:
+            pass  # a failed node keeps whatever was synced before the failure
+        check()
+        sizes.add(len(prop._free))
+    assert len(sizes) > 2  # the set did shrink and grow back
+
+
 def test_capacity_zero_with_tasks_fails():
     a = IntervalVar(0, 0, 5, "a")
     eng, _ = _setup([a], [1], 0)

@@ -178,3 +178,47 @@ def test_jump_matches_complete_with_absent_alternative_options():
         assert result.best.chosen_option(t1) is a1
         results[jump] = result.best.objective
     assert results[True] == results[False] == 1
+
+
+def test_search_unwinds_to_the_level_it_was_entered_at():
+    """A level the caller holds, and what it fixed there, outlive the search.
+
+    Regression: both exits used to ``pop_all()``, wiping every level above
+    the root -- so LNS could not keep its pinned level across a dive.
+    """
+    # Normal exit.
+    m = two_job_single_machine_model()
+    engine = m.engine()
+    engine.reset()
+    engine.propagate()
+    pinned, other = m.intervals[0], m.intervals[1]
+    engine.trail.push_level()
+    pinned.fix_start(pinned.est + 3, engine)
+    level, value = engine.trail.level, pinned.est
+    brancher = SetTimesBrancher(m, jump=True)
+    result = tree_search(m, engine, brancher, SearchLimits.from_budget(fail_limit=50))
+    assert result.best is not None and result.best.starts[pinned] == value
+    assert engine.trail.level == level
+    assert pinned.start_fixed and pinned.est == value
+    assert not other.start_fixed  # the search's own fixes are undone
+    assert not engine._queue_high and not engine._queue_low
+    engine.trail.pop_level()
+    assert not pinned.start_fixed
+
+    # Root-infeasible exit: the caller's pin overlaps a frozen task.
+    m = CpModel(horizon=30)
+    frozen = m.fixed_interval(start=0, length=10, name="frozen")
+    a = m.interval_var(length=5, name="a")
+    m.add_cumulative([frozen, a], capacity=1)
+    engine = m.engine()
+    engine.reset()
+    engine.trail.push_level()
+    a.fix_start(5, engine)
+    level = engine.trail.level
+    result = tree_search(
+        m, engine, SetTimesBrancher(m), SearchLimits.from_budget(fail_limit=50)
+    )
+    assert result.best is None and result.exhausted and result.stats.fails == 1
+    assert engine.trail.level == level
+    assert a.start_fixed and a.est == 5
+    assert not engine._queue_high and not engine._queue_low

@@ -37,6 +37,16 @@ def test_cases_track_real_effort(suite_result):
     """The pinned cases must exercise the solver, not trivially pass."""
     solve = suite_result["cases"]["solver_micro_solve"]["metrics"]
     assert solve["fails"] > 0 and solve["branches"] > 0
+    lns = suite_result["cases"]["solver_micro_lns"]["metrics"]
+    assert set(lns) == {
+        "warm_objective",
+        "objective",
+        "iterations",
+        "fails",
+        "branches",
+    }
+    assert lns["objective"] < lns["warm_objective"]
+    assert lns["iterations"] > 1 and lns["fails"] > 0 and lns["branches"] > 0
     assert suite_result["cases"]["fig7_small"]["metrics"]["N"] > 0
 
 
@@ -92,6 +102,7 @@ def test_committed_baseline_holds_no_timing():
     baseline = load_result(DEFAULT_BASELINE)
     assert baseline["schema"] == SCHEMA == "repro-bench/2"
     assert set(baseline) == {"schema", "suite", "env", "cases"}
+    assert set(baseline["cases"]) == set(CASES)
     assert all(set(case) == {"metrics"} for case in baseline["cases"].values())
     timing = re.compile("wall|time|calibration|rounds|smoke")
     assert [key for key in _all_keys(baseline) if timing.search(key)] == []
