@@ -16,18 +16,15 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.core.formulation import FormulationMode, build_model
 from repro.core.gantt import render_gantt
-from repro.core.matchmaking import (
-    assign_slots_within_resources,
-    decompose_combined_schedule,
-)
+from repro.core.invocation import extract_assignments
 from repro.core.schedule import Schedule, SchedulingError, validate_schedule
 from repro.cp.solution import SearchStats, SolveStatus
 from repro.cp.solver import CpSolver, SolverParams
-from repro.workload.entities import Resource, Task
+from repro.workload.entities import Resource
 
 
 @dataclass
@@ -83,29 +80,8 @@ def schedule_batch(
     solution = result.solution
     assert solution is not None
 
-    if mode is FormulationMode.COMBINED:
-        movable: List[Tuple[Task, int]] = [
-            (formulation.task_of[iv], solution.start_of(iv))
-            for tid, iv in formulation.interval_of.items()
-        ]
-        assignments = decompose_combined_schedule(movable, [], resources)
-    else:
-        movable_joint = []
-        for tid, iv in formulation.interval_of.items():
-            option = solution.chosen_option(iv)
-            if option is None:
-                raise SchedulingError(f"no resource choice for task {tid}")
-            movable_joint.append(
-                (
-                    formulation.task_of[iv],
-                    solution.start_of(iv),
-                    formulation.resource_of_option[option],
-                )
-            )
-        assignments = assign_slots_within_resources(movable_joint, [], resources)
-
     schedule = Schedule()
-    for a in assignments:
+    for a in extract_assignments(formulation, solution, (), resources):
         schedule.add(a)
     problems = validate_schedule(schedule, jobs, resources, now=start_time)
     if problems:

@@ -12,19 +12,23 @@ Two formulation modes (Section V.D):
   per-resource ``cumulative``.  Exact matchmaking, much larger model.
 
 Frozen tasks -- those that have started but not completed (Table 2, line
-11) -- enter the model as fixed intervals: they consume capacity in the
-profiles but cannot move, and constraint (2) (earliest start times) is not
-applied to them (``isPrevScheduled`` handling, Section V.B).
+11) -- of planned jobs enter the model as fixed intervals: they consume
+capacity in the profiles but cannot move, and constraint (2) (earliest start
+times) is not applied to them (``isPrevScheduled``, Section V.B).  Frozen
+work of other jobs is no decision at all: a
+:class:`~repro.core.matchmaking.FrozenBase` the cumulatives sit on.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cp.model import CpModel
+from repro.cp.profile import TimetableProfile
 from repro.cp.variables import BoolVar, IntervalVar
+from repro.core.matchmaking import FrozenBase
 from repro.core.schedule import SchedulingError, TaskAssignment
 from repro.workload.entities import Job, Resource, Task, TaskKind
 from repro.workload.workflows import WorkflowJob
@@ -79,27 +83,34 @@ def build_model(
     now: int,
     running: Sequence[TaskAssignment] = (),
     mode: FormulationMode = FormulationMode.COMBINED,
+    base: Optional[FrozenBase] = None,
 ) -> FormulationResult:
     """Build the CP model for one MRCP-RM invocation.
 
     ``jobs`` are the eligible jobs with at least one unfinished task; their
     ``earliest_start`` values must already be clamped to ``now`` (Table 2,
     lines 1-4).  ``running`` lists the frozen (started, uncompleted) task
-    assignments.
+    assignments; those of jobs outside ``jobs`` go on a fresh base.
+    ``base`` is a standing one instead (pools per resource iff JOINT), read
+    only: the model holds the movable tasks, the horizon covers its end.
     """
     if not resources:
         raise SchedulingError("no resources")
+    if base is not None and base.per_resource != (mode is FormulationMode.JOINT):
+        raise SchedulingError(f"base pools do not match the {mode.value} mode")
     running_by_id = {a.task.id: a for a in running}
-    horizon = _compute_horizon(jobs, list(running), now)
+    horizon = _compute_horizon(
+        jobs, running, now if base is None else max(now, base.end())
+    )
     model = CpModel(horizon=horizon)
     result = FormulationResult(
         model=model, mode=mode, frozen=dict(running_by_id), horizon=horizon
     )
 
     if mode is FormulationMode.COMBINED:
-        _build_combined(model, result, jobs, resources, now, running_by_id)
+        _build_combined(model, result, jobs, resources, now, running_by_id, base)
     else:
-        _build_joint(model, result, jobs, resources, now, running_by_id)
+        _build_joint(model, result, jobs, resources, now, running_by_id, base)
 
     indicators = [result.indicator_of[j.id] for j in jobs if j.id in result.indicator_of]
     if indicators:
@@ -223,34 +234,24 @@ def _add_job_structure(
     )
 
 
-def _orphan_frozen_intervals(
-    model: CpModel,
+def _base_profiles(
     result: FormulationResult,
+    resources: Sequence[Resource],
     running_by_id: Dict[str, TaskAssignment],
-) -> List[Tuple[IntervalVar, TaskAssignment]]:
-    """Fixed intervals for frozen tasks whose jobs are not being re-planned.
-
-    In the schedule-once ablation (and any partial re-plan) tasks of other
-    jobs still occupy capacity; they enter the model as immovable intervals
-    so the cumulative constraints see them.  Returns (interval, assignment)
-    pairs for the caller to route into its capacity pools.
-    """
-    out: List[Tuple[IntervalVar, TaskAssignment]] = []
-    for task_id, assignment in running_by_id.items():
-        if task_id in result.interval_of:
-            continue  # covered by a job under (re-)planning
-        task = assignment.task
-        iv = model.fixed_interval(
-            start=assignment.start,
-            length=task.duration,
-            name=task.id,
-            demand=task.demand,
-            payload=task,
-        )
-        result.interval_of[task.id] = iv
-        result.task_of[iv] = task
-        out.append((iv, assignment))
-    return out
+    base: Optional[FrozenBase],
+) -> Dict[object, TimetableProfile]:
+    """Per-pool load of ``base``, or of the frozen tasks of jobs not being
+    planned (the schedule-once ablation); the model gets the base's ends."""
+    orphans = [a for t, a in running_by_id.items() if t not in result.interval_of]
+    if orphans:
+        if base is not None:
+            raise SchedulingError("frozen tasks of unplanned jobs belong in the base")
+        base = FrozenBase(resources, result.mode is FormulationMode.JOINT)
+        base.add(orphans)
+    if base is None:
+        return {}
+    result.model.base_ends = base.ends
+    return base.profiles
 
 
 def _build_combined(
@@ -260,6 +261,7 @@ def _build_combined(
     resources: Sequence[Resource],
     now: int,
     running_by_id: Dict[str, TaskAssignment],
+    base: Optional[FrozenBase],
 ) -> None:
     total_map = sum(r.map_capacity for r in resources)
     total_reduce = sum(r.reduce_capacity for r in resources)
@@ -278,20 +280,19 @@ def _build_combined(
             for iv in ivs:
                 task = result.task_of[iv]
                 (all_maps if task.kind is TaskKind.MAP else all_reduces).append(iv)
-    for iv, assignment in _orphan_frozen_intervals(model, result, running_by_id):
-        (
-            all_maps if assignment.task.kind is TaskKind.MAP else all_reduces
-        ).append(iv)
-    if all_maps:
-        if total_map <= 0:
-            raise SchedulingError("map tasks present but no map slots")
-        model.add_cumulative(all_maps, capacity=total_map, name="combined-map")
-    if all_reduces:
-        if total_reduce <= 0:
-            raise SchedulingError("reduce tasks present but no reduce slots")
-        model.add_cumulative(
-            all_reduces, capacity=total_reduce, name="combined-reduce"
-        )
+    load = _base_profiles(result, resources, running_by_id, base)
+    for kind, ivs, total in (
+        (TaskKind.MAP, all_maps, total_map),
+        (TaskKind.REDUCE, all_reduces, total_reduce),
+    ):
+        if ivs:
+            if total <= 0:
+                raise SchedulingError(
+                    f"{kind.value} tasks present but no {kind.value} slots"
+                )
+            model.add_cumulative(
+                ivs, total, name=f"combined-{kind.value}", base=load.get(kind)
+            )
 
 
 def _build_joint(
@@ -301,6 +302,7 @@ def _build_joint(
     resources: Sequence[Resource],
     now: int,
     running_by_id: Dict[str, TaskAssignment],
+    base: Optional[FrozenBase],
 ) -> None:
     # Per-resource option pools, filled as alternatives are created.
     map_options: Dict[int, List[IntervalVar]] = {r.id: [] for r in resources}
@@ -361,26 +363,19 @@ def _build_joint(
                 pool[r.id].append(opt)
             model.add_alternative(iv, options, name=f"alt({task.id})")
 
-    # Frozen tasks of jobs outside the re-planned set: immovable intervals
-    # placed directly into their resource's capacity pool.
-    for iv, assignment in _orphan_frozen_intervals(model, result, running_by_id):
-        task = assignment.task
-        pool = map_options if task.kind is TaskKind.MAP else reduce_options
-        if assignment.resource_id not in pool:
-            raise SchedulingError(
-                f"frozen task {task.id} on unknown resource "
-                f"{assignment.resource_id}"
-            )
-        pool[assignment.resource_id].append(iv)
-
+    load = _base_profiles(result, resources, running_by_id, base)
     for r in resources:
         if map_options[r.id]:
             model.add_cumulative(
-                map_options[r.id], capacity=r.map_capacity, name=f"map(r{r.id})"
+                map_options[r.id],
+                capacity=r.map_capacity,
+                name=f"map(r{r.id})",
+                base=load.get((r.id, TaskKind.MAP)),
             )
         if reduce_options[r.id]:
             model.add_cumulative(
                 reduce_options[r.id],
                 capacity=r.reduce_capacity,
                 name=f"reduce(r{r.id})",
+                base=load.get((r.id, TaskKind.REDUCE)),
             )

@@ -26,6 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.formulation import FormulationMode, FormulationResult, build_model
 from repro.core.matchmaking import (
+    FrozenBase,
     assign_slots_within_resources,
     decompose_combined_schedule,
 )
@@ -33,7 +34,7 @@ from repro.core.schedule import SchedulingError, TaskAssignment
 from repro.cp.heuristics import list_schedule
 from repro.cp.solution import Solution, SolveResult
 from repro.cp.solver import CpSolver
-from repro.workload.entities import Job, Resource, Task
+from repro.workload.entities import Job, Resource
 
 
 @dataclass
@@ -124,38 +125,32 @@ def extract_assignments(
     solution: Solution,
     running: Sequence[TaskAssignment],
     resources: Sequence[Resource],
+    base: Optional[FrozenBase] = None,
 ) -> List[TaskAssignment]:
     """Map a solution onto physical resources (both formulation modes).
 
     Returns the complete assignment list: frozen ``running`` entries pass
-    through unchanged, movable tasks get fresh slot placements.
+    through unchanged, movable tasks get fresh slot placements -- or, with
+    the standing ``base`` the model was built on, are booked on it.
     """
     frozen_ids = {a.task.id for a in running}
-    if formulation.mode is FormulationMode.COMBINED:
-        movable: List[Tuple[Task, int]] = []
-        for task_id, iv in formulation.interval_of.items():
-            if task_id in frozen_ids:
-                continue
-            movable.append((formulation.task_of[iv], solution.start_of(iv)))
-        return decompose_combined_schedule(movable, running, resources)
-
-    movable_joint: List[Tuple[Task, int, int]] = []
+    combined = formulation.mode is FormulationMode.COMBINED
+    movable: List[tuple] = []
     for task_id, iv in formulation.interval_of.items():
         if task_id in frozen_ids:
             continue
-        option = solution.chosen_option(iv)
-        if option is None:
-            raise SchedulingError(
-                f"joint solution lacks a resource choice for {task_id}"
-            )
-        movable_joint.append(
-            (
-                formulation.task_of[iv],
-                solution.start_of(iv),
-                formulation.resource_of_option[option],
-            )
-        )
-    return assign_slots_within_resources(movable_joint, running, resources)
+        placed = (formulation.task_of[iv], solution.start_of(iv))
+        if not combined:
+            option = solution.chosen_option(iv)
+            if option is None:
+                raise SchedulingError(
+                    f"joint solution lacks a resource choice for {task_id}"
+                )
+            placed += (formulation.resource_of_option[option],)
+        movable.append(placed)
+    if combined:
+        return decompose_combined_schedule(movable, running, resources, base)
+    return assign_slots_within_resources(movable, running, resources, base)
 
 
 def solve_invocation(
@@ -165,6 +160,7 @@ def solve_invocation(
     *,
     running: Sequence[TaskAssignment] = (),
     mode: FormulationMode = FormulationMode.COMBINED,
+    base: Optional[FrozenBase] = None,
     solver: CpSolver,
     ladder=None,
     hint_starts: Optional[Dict[str, int]] = None,
@@ -173,12 +169,13 @@ def solve_invocation(
 ) -> Tuple[InvocationOutcome, FormulationResult]:
     """Build + solve one invocation (the service admission entry point).
 
+    ``running`` and ``base`` are :func:`~repro.core.formulation.build_model`'s.
     ``hint_starts`` maps task ids (not interval variables -- those are
     per-model objects) to previous-plan start times; entries for tasks
     absent from the fresh model or starting in the past are dropped.
     """
     formulation = build_model(
-        jobs, resources, now=now, running=running, mode=mode
+        jobs, resources, now=now, running=running, mode=mode, base=base
     )
     hint = None
     if hint_starts:

@@ -13,23 +13,29 @@ maps that schedule onto physical resources:
    :func:`regroup_unit_resources` reproduces the paper's redistribution of
    slot totals over user-specified resource counts (nm/nr example).
 
-Feasibility is guaranteed: the combined cumulative constraint bounds the
-number of simultaneously active tasks by the slot total, and -- because
-every movable task starts at or after "now" while frozen tasks started in
-the past -- greedy placement in start order never runs out of free slots
-(interval-graph colouring).  A failure therefore raises
-:class:`~repro.core.schedule.SchedulingError` as a genuine invariant
-violation.
+Placement books onto a :class:`FrozenBase` of committed work: fresh per
+simulator invocation, one for the admission service's lifetime.  Greedy
+placement in start order is sure to find free slots *only when every frozen
+start is at or before every movable start* (the simulator: frozen tasks
+started in the past): the combined cumulative bounds the active tasks by
+the slot total and start-order interval-graph colouring succeeds.  The
+service's committed work mostly starts in the future, where a
+capacity-feasible combined schedule can have no best-gap mapping: placement
+then raises :class:`~repro.core.schedule.SchedulingError`.
 """
 
 from __future__ import annotations
 
 import bisect
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.schedule import SchedulingError, SlotKind, TaskAssignment
+from repro.cp.profile import TimetableProfile
 from repro.workload.entities import Resource, Task
+
+_KINDS = (SlotKind.MAP, SlotKind.REDUCE)
 
 
 @dataclass
@@ -68,96 +74,167 @@ class UnitSlot:
         bisect.insort(self.busy, (start, end))
 
 
-def _place(
-    movable: Iterable[Tuple[Task, int, Optional[int]]],
-    frozen: Sequence[TaskAssignment],
-    resources: Sequence[Resource],
-) -> List[TaskAssignment]:
-    """Best-gap slot placement of (task, start, resource id or None).
+class FrozenBase:
+    """Committed work: load profile per pool (slot kind, or (resource id,
+    kind) with ``per_resource``), unit-slot book, and the live assignments."""
 
-    Frozen assignments are booked on their recorded slots first; movable
-    tasks follow in (start, id) order.  A task bound to a resource picks
-    among that resource's slots of its kind, an unbound one among every
-    resource's (resources in input order, slots by index); the first slot
-    with the strictly smallest gap wins.
-    """
-    pools: Dict[Tuple[int, SlotKind], List[UnitSlot]] = {}
-    flat: Dict[SlotKind, List[UnitSlot]] = {SlotKind.MAP: [], SlotKind.REDUCE: []}
-    for r in resources:
-        for kind, cap in (
-            (SlotKind.MAP, r.map_capacity),
-            (SlotKind.REDUCE, r.reduce_capacity),
-        ):
-            pool = pools[r.id, kind] = [UnitSlot(r.id, k) for k in range(cap)]
-            flat[kind].extend(pool)
+    def __init__(self, resources: Sequence[Resource], per_resource: bool = False):
+        self.per_resource = per_resource
+        self.slots: Dict[Tuple[int, SlotKind], List[UnitSlot]] = {}
+        self._flat: Dict[SlotKind, List[UnitSlot]] = {k: [] for k in _KINDS}
+        for r in resources:
+            for kind, cap in zip(_KINDS, (r.map_capacity, r.reduce_capacity)):
+                pool = self.slots[r.id, kind] = [UnitSlot(r.id, k) for k in range(cap)]
+                self._flat[kind].extend(pool)
+        #: task id -> assignment of every booked task.
+        self.live: Dict[str, TaskAssignment] = {}
+        #: Built on first use, kept current after: load profile per pool, the
+        #: live work's (end, task id) sorted, and its ends alone in that order.
+        self._profiles: Optional[Dict[object, TimetableProfile]] = None
+        self._by_end: List[Tuple[int, str]] = []
+        self._ends: List[int] = []
 
-    for a in frozen:
-        pool = pools.get((a.resource_id, a.slot_kind))
-        if pool is None or a.slot_index >= len(pool):
-            raise SchedulingError(
-                f"frozen task {a.task.id}: slot "
-                f"r{a.resource_id}/{a.slot_index} does not exist"
-            )
-        pool[a.slot_index].occupy(a.start, a.end)
+    def _indexes(self) -> Dict[object, TimetableProfile]:
+        if self._profiles is None:
+            self._profiles = defaultdict(TimetableProfile)
+            for a in self.live.values():
+                self._index(a, 1)
+        return self._profiles
 
-    out: List[TaskAssignment] = list(frozen)
-    for task, start, resource_id in sorted(
-        movable, key=lambda p: (p[1], p[0].id)
-    ):
-        kind = task.kind
-        end = start + task.duration
-        if resource_id is None:
-            candidates, scope = flat[kind], "combined"
+    @property
+    def profiles(self) -> Dict[object, TimetableProfile]:
+        """Load profile per pool (a pool without an entry carries no load)."""
+        return self._indexes()
+
+    @property
+    def ends(self) -> List[int]:
+        """End times of the live work, sorted."""
+        self._indexes()
+        return self._ends
+
+    def _index(self, a: TaskAssignment, sign: int) -> None:
+        pool = (a.resource_id, a.slot_kind) if self.per_resource else a.slot_kind
+        self._profiles[pool].add(a.start, a.end, sign * a.task.demand)
+        i = bisect.bisect_left(self._by_end, (a.end, a.task.id))
+        if sign > 0:
+            self._by_end.insert(i, (a.end, a.task.id))
+            self._ends.insert(i, a.end)
         else:
-            candidates = pools.get((resource_id, kind))
-            if candidates is None:
-                raise SchedulingError(f"unknown resource {resource_id}")
-            scope = f"per-resource (r{resource_id})"
-        best: Optional[UnitSlot] = None
-        best_gap: Optional[int] = None
-        for slot in candidates:
-            gap = slot.gap_if_free(start, end)
-            if gap is not None and (best_gap is None or gap < best_gap):
-                best, best_gap = slot, gap
-        if best is None:
-            raise SchedulingError(
-                f"no free {kind.value} slot for task {task.id} at "
-                f"[{start},{end}) -- {scope} capacity invariant violated"
-            )
-        best.occupy(start, end)
-        out.append(
-            TaskAssignment(
-                task=task,
-                resource_id=best.resource_id,
-                slot_index=best.slot_index,
-                start=start,
-            )
-        )
-    return out
+            del self._by_end[i], self._ends[i]
+
+    def _book(self, a: TaskAssignment) -> None:
+        self.live[a.task.id] = a
+        if self._profiles is not None:
+            self._index(a, 1)
+
+    def add(self, assignments: Iterable[TaskAssignment]) -> None:
+        """Book work that is already placed, on its recorded slot."""
+        for a in assignments:
+            pool = self.slots.get((a.resource_id, a.slot_kind))
+            if pool is None or a.slot_index >= len(pool):
+                raise SchedulingError(
+                    f"frozen task {a.task.id}: slot "
+                    f"r{a.resource_id}/{a.slot_index} does not exist"
+                )
+            pool[a.slot_index].occupy(a.start, a.end)
+            self._book(a)
+
+    def remove(self, assignments: Iterable[TaskAssignment]) -> None:
+        """Release booked work: its slot time, its load, its live entry."""
+        for a in assignments:
+            del self.live[a.task.id]
+            busy = self.slots[a.resource_id, a.slot_kind][a.slot_index].busy
+            del busy[bisect.bisect_left(busy, (a.start, a.end))]
+            if self._profiles is not None:
+                self._index(a, -1)
+
+    def retire(self, now: int) -> None:
+        """Release the work that ended at or before ``now``."""
+        self._indexes()
+        done = self._by_end[: bisect.bisect_left(self._by_end, (now + 1,))]
+        self.remove([self.live[task_id] for _end, task_id in done])
+
+    def end(self) -> int:
+        """The largest end of the live work (0 when there is none)."""
+        return self.ends[-1] if self.live else 0
+
+    def place(
+        self, movable: Iterable[Tuple[Task, int, Optional[int]]]
+    ) -> List[TaskAssignment]:
+        """Best-gap placement of (task, start, resource id or None), booked.
+
+        In (start, id) order, a task bound to a resource picks among its slots
+        of the task's kind, an unbound one among every resource's (input
+        order, slots by index); the first strictly smallest gap wins.  On a
+        :class:`SchedulingError` the tasks placed before are released.
+        """
+        placed: List[TaskAssignment] = []
+        try:
+            for task, start, resource_id in sorted(
+                movable, key=lambda p: (p[1], p[0].id)
+            ):
+                kind = task.kind
+                end = start + task.duration
+                if resource_id is None:
+                    candidates, scope = self._flat[kind], "combined"
+                else:
+                    candidates = self.slots.get((resource_id, kind))
+                    if candidates is None:
+                        raise SchedulingError(f"unknown resource {resource_id}")
+                    scope = f"per-resource (r{resource_id})"
+                best: Optional[UnitSlot] = None
+                best_gap: Optional[int] = None
+                for slot in candidates:
+                    gap = slot.gap_if_free(start, end)
+                    if gap is not None and (best_gap is None or gap < best_gap):
+                        best, best_gap = slot, gap
+                if best is None:
+                    raise SchedulingError(
+                        f"no free {kind.value} slot for task {task.id} at "
+                        f"[{start},{end}) -- {scope} capacity invariant violated"
+                    )
+                best.occupy(start, end)
+                a = TaskAssignment(task, best.resource_id, best.slot_index, start)
+                self._book(a)
+                placed.append(a)
+        except BaseException:
+            self.remove(placed)
+            raise
+        return placed
+
+
+def _placed(movable, frozen, resources, base) -> List[TaskAssignment]:
+    if base is None:
+        base = FrozenBase(resources)
+        base.add(frozen)
+    return list(frozen) + base.place(movable)
 
 
 def decompose_combined_schedule(
     movable: Sequence[Tuple[Task, int]],
     frozen: Sequence[TaskAssignment],
     resources: Sequence[Resource],
+    base: Optional[FrozenBase] = None,
 ) -> List[TaskAssignment]:
     """Map a combined-resource schedule onto physical resources.
 
     ``movable`` is (task, assigned start) for every task the solver placed;
-    ``frozen`` are the running tasks already pinned to slots.  Returns the
-    complete assignment list -- frozen assignments pass through unchanged.
+    ``frozen`` are the running tasks already pinned to slots -- booked on a
+    fresh base, or already on the standing ``base``, which then keeps the new
+    placements.  Returns the complete assignment list (frozen ones first).
     """
-    return _place(((t, s, None) for t, s in movable), frozen, resources)
+    return _placed(((t, s, None) for t, s in movable), frozen, resources, base)
 
 
 def assign_slots_within_resources(
     movable: Sequence[Tuple[Task, int, int]],
     frozen: Sequence[TaskAssignment],
     resources: Sequence[Resource],
+    base: Optional[FrozenBase] = None,
 ) -> List[TaskAssignment]:
     """JOINT mode helper: the solver chose (task, start, resource); pick the
     slot index within each resource with the same best-gap rule."""
-    return _place(movable, frozen, resources)
+    return _placed(movable, frozen, resources, base)
 
 
 def regroup_unit_resources(

@@ -4,8 +4,8 @@ Every solution the solver surfaces -- from the warm-start heuristic, the tree
 search or LNS -- can be validated against the *declarative* model: start
 windows, barriers, precedences, alternatives, cumulative capacities and the
 reported objective.  The checker shares no propagation code with the solver
-(it rebuilds profiles from scratch), so it doubles as the oracle for
-property-based tests.
+(it rebuilds each profile from the spec's fixed base plus the solution's
+starts), so it doubles as the oracle for property-based tests.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ def check_solution(model: CpModel, sol: Solution) -> List[str]:
 
     # --- cumulative capacities
     for spec in model.cumulatives:
-        profile = TimetableProfile()
+        profile = spec.base.copy() if spec.base is not None else TimetableProfile()
         for iv, demand in zip(spec.intervals, spec.demands):
             if iv.is_optional:
                 master = option_to_master.get(iv)

@@ -42,7 +42,8 @@ class _PlacementState:
     def __init__(self, model: CpModel) -> None:
         self.model = model
         self.profiles: Dict[int, TimetableProfile] = {
-            id(spec): TimetableProfile() for spec in model.cumulatives
+            id(spec): spec.base.copy() if spec.base is not None else TimetableProfile()
+            for spec in model.cumulatives
         }
         # Load per cumulative (total committed length) for tie-breaking.
         self.load: Dict[int, int] = {id(spec): 0 for spec in model.cumulatives}

@@ -17,6 +17,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.cp.engine import Engine
 from repro.cp.errors import ModelError
+from repro.cp.profile import TimetableProfile
 from repro.cp.propagators import (
     AlternativePropagator,
     BarrierPropagator,
@@ -38,6 +39,8 @@ class CumulativeSpec:
     demands: List[int]
     capacity: int
     name: str = ""
+    #: Fixed load the intervals sit on; each consumer profiles a copy.
+    base: Optional[TimetableProfile] = None
 
 
 @dataclass
@@ -166,6 +169,9 @@ class CpModel:
         self.indicators: List[IndicatorSpec] = []
         self.groups: List[Group] = []
         self.objective_bools: Optional[List[BoolVar]] = None
+        #: End times of the fixed work in the cumulatives' bases: the search
+        #: jumps to them as to a decided interval's end.
+        self.base_ends: Sequence[int] = ()
         #: Pristine start windows, captured at compile time; the checker
         #: validates solutions against these (domains mutate during search).
         self.original_windows: Dict[IntervalVar, tuple] = {}
@@ -247,8 +253,13 @@ class CpModel:
         capacity: int,
         demands: Optional[Sequence[int]] = None,
         name: str = "",
+        base: Optional[TimetableProfile] = None,
     ) -> CumulativeSpec:
-        """Capacity constraint (Table 1, constraints 5/6): the summed demand of overlapping intervals never exceeds ``capacity``."""
+        """Capacity constraint (Table 1, constraints 5/6): the summed demand of overlapping intervals never exceeds ``capacity``.
+
+        ``base`` is load already on the resource (work that cannot move);
+        compiling and every check copy it, so it must not change meanwhile.
+        """
         self._check_sealed()
         ivs = list(intervals)
         if demands is None:
@@ -265,7 +276,7 @@ class CpModel:
                         f"interval {iv.name}: demand {d} can never fit "
                         f"capacity {capacity}"
                     )
-        spec = CumulativeSpec(ivs, demands, int(capacity), name or f"cum{len(self.cumulatives)}")
+        spec = CumulativeSpec(ivs, demands, int(capacity), name or f"cum{len(self.cumulatives)}", base)
         self.cumulatives.append(spec)
         return spec
 
@@ -411,7 +422,7 @@ class CpModel:
             eng.objective_propagator = obj
         for c in self.cumulatives:
             eng.register(
-                CumulativePropagator(c.intervals, c.demands, c.capacity, c.name)
+                CumulativePropagator(c.intervals, c.demands, c.capacity, c.name, c.base)
             )
         eng.seal()
         self._engine = eng

@@ -14,9 +14,9 @@ query materialises (one C-speed :func:`itertools.accumulate`) and that
 :meth:`~TimetableProfile.add` / :meth:`~TimetableProfile.remove` then patch
 in place, touching only the pieces under the changed interval.
 
-The whole surface is ``add`` / ``remove`` (mutation), ``height_at`` /
-``max_height`` (reading) and ``earliest_fit`` / ``fit_bounds`` /
-``place_earliest`` (placement).
+The whole surface is ``add`` / ``remove`` (mutation), ``copy``,
+``height_at`` / ``max_height`` (reading) and ``earliest_fit`` /
+``fit_bounds`` / ``place_earliest`` (placement).
 """
 
 from __future__ import annotations
@@ -38,6 +38,13 @@ class TimetableProfile:
         #: ``[_times[i], _times[i+1])``); built by the first query, patched
         #: in place by :meth:`add` from then on.
         self._heights: Optional[List[int]] = None
+
+    def copy(self) -> "TimetableProfile":
+        """An independent profile with the same step function."""
+        twin = TimetableProfile()
+        twin._times = self._times[:]
+        twin._deltas = self._deltas[:]
+        return twin
 
     def add(self, start: int, end: int, demand: int) -> None:
         """Consume ``demand`` units over ``[start, end)``.

@@ -22,11 +22,11 @@ inference level makes.
 
 Incrementality
 --------------
-The profile is *trailed*, not rebuilt: each interval's cached compulsory
-part is re-derived only when its start bounds or presence changed since the
-last run (the dirty tokens delivered by :meth:`IntDomain.watch`), and every
-profile delta pushes an undo record so backtracking restores the profile in
-lock-step with the domains.  A version counter -- bumped on every profile
+The profile starts as a copy of the fixed ``base`` load and is *trailed*,
+not rebuilt: each interval's cached compulsory part is re-derived only when
+its start bounds or presence changed since the last run (the dirty tokens
+of :meth:`IntDomain.watch`), and every profile delta pushes an undo record
+so backtracking restores the profile in lock-step with the domains.  A version counter -- bumped on every profile
 mutation, including undo -- decides how much filtering a run owes: when the
 profile is untouched since the last completed run, previously filtered
 bounds are still at their fixpoint, so only the dirty intervals are swept
@@ -89,6 +89,7 @@ class CumulativePropagator(Propagator):
         demands: Sequence[int],
         capacity: int,
         name: str = "",
+        base: Optional[TimetableProfile] = None,
     ) -> None:
         super().__init__(name or "cumulative")
         if len(intervals) != len(demands):
@@ -116,7 +117,7 @@ class CumulativePropagator(Propagator):
         #: Tasks with no compulsory part in the profile -- the only ones the
         #: sweep can filter.  Written wherever :attr:`_parts` is.
         self._free: Set[int] = set(range(len(self._tasks)))
-        self._profile = TimetableProfile()
+        self._profile = base.copy() if base is not None else TimetableProfile()
         #: Bumped on every profile mutation (sync *and* backtrack undo).
         self._version = 0
         #: :attr:`_version` as of the last completed filtering pass.

@@ -75,7 +75,8 @@ class SetTimesBrancher:
             List[Tuple[object, int, Optional[object], IntervalVar]]
         ] = None
         #: Sorted completion times of the intervals :meth:`partition` found
-        #: decided (start fixed, present): constants for the whole search.
+        #: decided (start fixed, present) and of the model's fixed base work:
+        #: constants for the whole search.
         self._decided_ends: List[int] = []
 
     @property
@@ -125,7 +126,7 @@ class SetTimesBrancher:
         search, and a decision then pays for the undecided entries only.
         """
         self._open = []
-        ends = []
+        ends = list(self.model.base_ends)
         for iv in self.model.intervals:
             start = iv.start
             pres = iv.presence.domain if iv.presence is not None else None

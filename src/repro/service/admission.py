@@ -4,13 +4,16 @@ Where the simulator's :class:`~repro.core.mrcp_rm.MrcpRm` re-plans every
 open job on each arrival (Table 2), the service quotes each candidate
 *once* against the already-committed plan:
 
-1. evict committed assignments that finished before the candidate's
+1. retire committed assignments that ended at or before the candidate's
    arrival tick (their slots are free again);
-2. solve the Table 1 model with **only the candidate's tasks movable**
-   and every committed assignment frozen -- a small, fast model solved
-   through the degradation ladder with a tight fail limit;
-3. admit iff the predicted completion meets the deadline, and if so
-   commit the candidate's assignments so later quotes plan around them.
+2. solve the Table 1 model of **the candidate alone** on top of the
+   committed plan (a :class:`~repro.core.matchmaking.FrozenBase` kept for
+   the controller's lifetime) through the degradation ladder with a tight
+   fail limit, and place it on the base's slots.  Committed work mostly
+   starts in the *future*, where best-gap placement can fail on a
+   capacity-feasible schedule: the quote is then ``infeasible``;
+3. admit iff the predicted completion meets the deadline: the placement
+   stays booked, so later quotes plan around it; otherwise it is released.
 
 The schedule-once discipline is what makes a quote a *promise*: admitted
 work is never re-planned, so a later burst cannot invalidate an earlier
@@ -33,6 +36,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.core.formulation import FormulationMode
 from repro.core.invocation import solve_invocation, extract_assignments
+from repro.core.matchmaking import FrozenBase
 from repro.core.schedule import SchedulingError, TaskAssignment
 from repro.cp.solver import CpSolver, SolverParams
 from repro.obs.logs import get_logger, kv
@@ -53,9 +57,7 @@ _LOG = get_logger("service.admission")
 
 #: Admission-latency buckets (milliseconds): quoting is a sub-second
 #: operation by design, so the buckets resolve the 1ms..1s range.
-ADMISSION_LATENCY_BUCKETS_MS = (
-    1.0, 2.0, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 500.0, 1000.0, 5000.0,
-)
+ADMISSION_LATENCY_BUCKETS_MS = (1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 5000)
 
 
 @dataclass(frozen=True)
@@ -78,8 +80,8 @@ class AdmissionConfig:
 class _CommittedJob:
     """Book-keeping for one admitted job."""
 
-    spec: JobSpec
     quote: SlaQuote
+    #: As admitted; the ones not yet retired are still in the base.
     assignments: List[TaskAssignment]
     cancelled: bool = False
 
@@ -108,7 +110,12 @@ class AdmissionController:
         self.wall_clock = wall_clock or time.perf_counter
         self._solver = CpSolver(self.config.solver_params)
         self._ladder = DegradationLadder(self.config.ladder, self._solver)
+        #: The committed plan: every admitted, uncancelled, unretired task.
+        self._base = FrozenBase(
+            self.resources, self.config.mode is FormulationMode.JOINT
+        )
         self._jobs: Dict[str, _CommittedJob] = {}
+        self.committed_count = 0
         self._rejected: Dict[str, SlaQuote] = {}
         self._next_numeric_id = 1
         self._m_requests = self.registry.counter("service.requests")
@@ -132,75 +139,56 @@ class AdmissionController:
         t0 = self.wall_clock()
         now = int(ceil(arrival))
         self._m_requests.inc()
-        if spec.job_id in self._jobs or spec.job_id in self._rejected:
-            quote = self._finish(
-                spec, False, "duplicate", None, None, "none", now, t0
-            )
-            return quote
-        self._evict_completed(now)
-        frozen = self._frozen_assignments()
+        job_id = spec.job_id
+        if job_id in self._jobs or job_id in self._rejected:
+            return self._finish(job_id, False, "duplicate", None, None, "none", now, t0)
+        self._base.retire(now)
         candidate = spec.to_job(self._next_numeric_id, now)
         try:
             outcome, formulation = solve_invocation(
                 [candidate],
                 self.resources,
                 now,
-                running=frozen,
                 mode=self.config.mode,
+                base=self._base,
                 solver=self._solver,
                 ladder=self._ladder,
                 start_rung=start_rung,
             )
         except SchedulingError as exc:
-            # The frozen plan itself became unplaceable (should not happen
-            # under schedule-once; reject rather than crash the service).
-            _LOG.warning("quote solve failed %s", kv(job=spec.job_id, err=str(exc)))
+            # No model could be built: reject rather than crash the service.
+            _LOG.warning("quote solve failed %s", kv(job=job_id, err=str(exc)))
             return self._finish(
-                spec, False, "infeasible", None, None, "none", now, t0
+                job_id, False, "infeasible", None, None, "none", now, t0
             )
         if not outcome:
             return self._finish(
-                spec, False, "infeasible", None, None, outcome.rung, now, t0
+                job_id, False, "infeasible", None, None, outcome.rung, now, t0
             )
         try:
-            complete = extract_assignments(
-                formulation, outcome.solution, frozen, self.resources
+            mine = extract_assignments(
+                formulation, outcome.solution, (), self.resources, self._base
             )
         except SchedulingError as exc:
-            _LOG.warning(
-                "decomposition failed %s", kv(job=spec.job_id, err=str(exc))
-            )
+            _LOG.warning("decomposition failed %s", kv(job=job_id, err=str(exc)))
             return self._finish(
-                spec, False, "infeasible", None, None, outcome.rung, now, t0
+                job_id, False, "infeasible", None, None, outcome.rung, now, t0
             )
-        candidate_ids = {t.id for t in candidate.tasks}
-        mine = [a for a in complete if a.task.id in candidate_ids]
-        completion = max(a.start + a.task.duration for a in mine)
-        if completion <= candidate.deadline:
-            self._next_numeric_id += 1
-            quote = self._finish(
-                spec,
-                True,
-                "deadline_met",
-                completion,
-                candidate.deadline,
-                outcome.rung,
-                now,
-                t0,
-            )
-            self._jobs[spec.job_id] = _CommittedJob(spec, quote, mine)
-            self._m_committed.set(float(self.committed_count))
-            return quote
-        return self._finish(
-            spec,
-            False,
-            "deadline_missed",
-            completion,
-            candidate.deadline,
-            outcome.rung,
-            now,
-            t0,
+        deadline = candidate.deadline
+        completion = max(a.end for a in mine)
+        admitted = completion <= deadline
+        if not admitted:
+            self._base.remove(mine)  # the placement stays booked only if admitted
+        reason = "deadline_met" if admitted else "deadline_missed"
+        quote = self._finish(
+            job_id, admitted, reason, completion, deadline, outcome.rung, now, t0
         )
+        if admitted:
+            self._next_numeric_id += 1
+            self._jobs[job_id] = _CommittedJob(quote, mine)
+            self.committed_count += 1
+            self._m_committed.set(float(self.committed_count))
+        return quote
 
     def shed(self, spec: JobSpec, arrival: float) -> SlaQuote:
         """Reject without solving (batcher refused the submission)."""
@@ -209,7 +197,7 @@ class AdmissionController:
         self._m_requests.inc()
         self._m_shed.inc()
         return self._finish(
-            spec, False, "overload_shed", None, None, "none", now, t0
+            spec.job_id, False, "overload_shed", None, None, "none", now, t0
         )
 
     def invalid(self, job_id: str, arrival: float, error: str) -> SlaQuote:
@@ -218,28 +206,11 @@ class AdmissionController:
         now = int(ceil(arrival))
         self._m_requests.inc()
         _LOG.warning("invalid submission %s", kv(job=job_id, err=error))
-        return self._finish_id(job_id, "invalid", now, t0)
-
-    def _finish_id(self, job_id: str, reason: str, now: int, t0: float) -> SlaQuote:
-        solve_ms = (self.wall_clock() - t0) * 1000.0
-        quote = SlaQuote(
-            job_id=job_id,
-            admitted=False,
-            reason=reason,
-            predicted_completion=None,
-            deadline=None,
-            rung="none",
-            solve_ms=solve_ms,
-            arrival=now,
-        )
-        self._m_rejected.inc()
-        self._rejected.setdefault(job_id, quote)
-        self._m_latency.observe(solve_ms)
-        return quote
+        return self._finish(job_id, False, "invalid", None, None, "none", now, t0)
 
     def _finish(
         self,
-        spec: JobSpec,
+        job_id: str,
         admitted: bool,
         reason: str,
         completion: Optional[int],
@@ -250,7 +221,7 @@ class AdmissionController:
     ) -> SlaQuote:
         solve_ms = (self.wall_clock() - t0) * 1000.0
         quote = SlaQuote(
-            job_id=spec.job_id,
+            job_id=job_id,
             admitted=admitted,
             reason=reason,
             predicted_completion=completion,
@@ -263,27 +234,12 @@ class AdmissionController:
             self._m_admitted.inc()
         else:
             self._m_rejected.inc()
-            if reason not in ("duplicate",):
-                self._rejected[spec.job_id] = quote
+            if reason == "invalid":  # a known job keeps its first verdict
+                self._rejected.setdefault(job_id, quote)
+            elif reason != "duplicate":
+                self._rejected[job_id] = quote
         self._m_latency.observe(solve_ms)
         return quote
-
-    # ------------------------------------------------------ committed plan
-    def _frozen_assignments(self) -> List[TaskAssignment]:
-        frozen: List[TaskAssignment] = []
-        for job in self._jobs.values():
-            if not job.cancelled:
-                frozen.extend(job.assignments)
-        return frozen
-
-    def _evict_completed(self, now: int) -> None:
-        """Release assignments whose tasks finished before ``now``."""
-        # Fully-elapsed jobs stay queryable as COMPLETED but stop
-        # occupying slots (they drop out of the frozen set).
-        for job in self._jobs.values():
-            job.assignments = [
-                a for a in job.assignments if a.start + a.task.duration > now
-            ]
 
     # ------------------------------------------------------------ lifecycle
     def cancel(self, job_id: str, now: float) -> bool:
@@ -292,12 +248,12 @@ class AdmissionController:
         if job is None or job.cancelled:
             return False
         tick = int(ceil(now))
-        if not job.assignments or all(
-            a.start + a.task.duration <= tick for a in job.assignments
-        ):
+        live = self._live(job)
+        if all(a.end <= tick for a in live):
             return False  # already completed: nothing left to cancel
         job.cancelled = True
-        job.assignments = []
+        self._base.remove(live)
+        self.committed_count -= 1
         self._m_committed.set(float(self.committed_count))
         return True
 
@@ -309,9 +265,7 @@ class AdmissionController:
             if job.cancelled:
                 return JobStatus(job_id, CANCELLED, job.quote)
             remaining = [
-                (a.task.id, a.start, a.start + a.task.duration)
-                for a in job.assignments
-                if a.start + a.task.duration > tick
+                (a.task.id, a.start, a.end) for a in self._live(job) if a.end > tick
             ]
             if not remaining and (
                 job.quote.predicted_completion is None
@@ -324,6 +278,7 @@ class AdmissionController:
             return JobStatus(job_id, REJECTED, quote)
         return None
 
-    @property
-    def committed_count(self) -> int:
-        return sum(1 for j in self._jobs.values() if not j.cancelled)
+    def _live(self, job: _CommittedJob) -> List[TaskAssignment]:
+        """The job's assignments still in the base (not retired, cancelled)."""
+        live = self._base.live
+        return [a for a in job.assignments if live.get(a.task.id) is a]

@@ -76,9 +76,17 @@ def test_orphan_frozen_tasks_consume_capacity_combined():
     running = [TaskAssignment(other.map_tasks[0], 0, 0, start=0)]
     new_job = make_job(0, (5,), deadline=50)
     result = build_model([new_job], _resources(), now=1, running=running)
-    # the orphan interval must appear in the combined-map cumulative
+    # the orphan's load is in the combined-map cumulative's base ...
     cum = next(c for c in result.model.cumulatives if c.name == "combined-map")
-    assert result.interval_of[other.map_tasks[0].id] in cum.intervals
+    assert cum.base is not None
+    assert [cum.base.height_at(t) for t in (-1, 0, 7, 8)] == [0, 1, 1, 0]
+    # ... and no interval of it is left in the model
+    orphan = other.map_tasks[0]
+    assert orphan.id not in result.interval_of
+    assert all(iv.payload is not orphan for iv in result.model.all_intervals)
+    assert cum.intervals == [result.interval_of[new_job.map_tasks[0].id]]
+    assert result.frozen == {orphan.id: running[0]}
+    assert result.horizon > 8  # the base's end is under the horizon
 
 
 def test_joint_model_structure():

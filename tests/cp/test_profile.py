@@ -66,6 +66,19 @@ def test_cancelling_deltas_cleanup():
     assert p.height_at(10) == 2
 
 
+def test_copy_is_the_same_step_function_and_independent():
+    p = TimetableProfile()
+    p.add(2, 8, 1)
+    p.add(5, 9, 2)
+    p.height_at(0)  # materialise the prefix sums of the original
+    twin = p.copy()
+    assert _pieces(twin) == _pieces(p) == [(2, 5, 1), (5, 8, 3), (8, 9, 2)]
+    twin.add(0, 3, 1)
+    p.remove(5, 9, 2)
+    assert _pieces(twin) == [(0, 2, 1), (2, 3, 2), (3, 5, 1), (5, 8, 3), (8, 9, 2)]
+    assert _pieces(p) == [(2, 8, 1)]
+
+
 def test_earliest_fit_empty_profile():
     p = TimetableProfile()
     assert p.earliest_fit(est=3, lst=10, length=5, demand=1, capacity=1) == 3

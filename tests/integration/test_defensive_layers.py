@@ -44,7 +44,7 @@ def test_corrupted_matchmaking_caught_by_validator():
 
     sim, metrics, rm = _rm()
 
-    def broken_decompose(movable, frozen, resources):
+    def broken_decompose(movable, frozen, resources, base=None):
         return list(frozen) + [
             TaskAssignment(task, 0, 0, start) for task, start in movable
         ]

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+from math import ceil
+
 import pytest
 
+from repro.core.matchmaking import FrozenBase
 from repro.obs.metrics import MetricsRegistry
 from repro.service.admission import AdmissionConfig, AdmissionController
+from repro.service.loadgen import LoadProfile, generate_request_stream
 from repro.service.schemas import JobSpec
 from repro.workload.entities import make_uniform_cluster
 
@@ -177,3 +181,78 @@ class TestMetrics:
         # The next admission must not count the cancelled job back in.
         assert c.quote(spec("c", maps=(50,)), 1.0).admitted
         assert gauge() == 2.0 == c.committed_count
+
+
+def base_snapshot(c: AdmissionController):
+    """Every part of the committed plan a quote may touch."""
+    base = c._base
+    profiles = {
+        pool: (p._times[:], p._deltas[:])
+        for pool, p in base.profiles.items()
+        if p._times
+    }
+    busy = {key: [s.busy[:] for s in pool] for key, pool in base.slots.items()}
+    return profiles, busy, dict(base.live), base.ends[:]
+
+
+class TestStandingBase:
+    """The committed plan is one base that quotes book on and release."""
+
+    def test_failed_placement_leaves_the_base_unchanged(self, monkeypatch):
+        booked = []
+        book = FrozenBase._book
+        monkeypatch.setattr(
+            FrozenBase, "_book", lambda base, a: (booked.append(a), book(base, a))
+        )
+        c = AdmissionController(make_uniform_cluster(3), AdmissionConfig())
+        profile = LoadProfile(
+            requests=45,
+            seed=2,
+            deadline_multiplier_max=2.5,
+            ar_probability=0.5,
+            s_max=80,
+        )
+        part_way = []
+        for arrival, s in generate_request_stream(profile, (6, 6)):
+            c._base.retire(int(ceil(arrival)))  # what the quote does first
+            before, n = base_snapshot(c), len(booked)
+            q = c.quote(s, arrival)
+            if q.reason == "infeasible":
+                assert base_snapshot(c) == before
+                part_way.append(len(booked) - n)
+        # Placement failed after booking some of the candidate's tasks.
+        assert max(part_way) > 0
+
+    def test_deadline_miss_leaves_the_base_unchanged(self):
+        c = controller()
+        assert c.quote(spec("a", maps=(50,), deadline=60), 0.0).admitted
+        before = base_snapshot(c)
+        q = c.quote(spec("b", maps=(10,), deadline=40), 0.0)
+        assert q.reason == "deadline_missed"
+        assert base_snapshot(c) == before
+
+    def test_cancel_releases_only_the_unretired_assignments(self):
+        c = controller()
+        assert c.quote(spec("a", maps=(10,), reduces=(20,)), 0.0).admitted
+        # A later quote retires a's map (ended at 10), not its reduce.
+        assert c.quote(spec("b", maps=(5,)), 15.0).admitted
+        assert sorted(c._base.live) == ["a-r0", "b-m0"]
+        assert c.cancel("a", 15.0)
+        assert sorted(c._base.live) == ["b-m0"]
+        assert c.status("a", 16.0).state == "cancelled"
+        assert c.quote(spec("c", reduces=(5,), maps=(1,)), 16.0).admitted
+
+    def test_committed_count_through_admit_cancel_retire(self):
+        c = controller(num_resources=2)
+        assert c.quote(spec("a", maps=(5,)), 0.0).admitted
+        assert c.quote(spec("b", maps=(50,)), 0.0).admitted
+        assert c.committed_count == 2
+        # Retiring a's finished work does not un-commit the job.
+        assert c.quote(spec("c", maps=(5,)), 10.0).admitted
+        assert "a-m0" not in c._base.live
+        assert c.committed_count == 3
+        assert c.cancel("b", 11.0)
+        assert not c.cancel("a", 11.0)  # completed: nothing to cancel
+        assert c.committed_count == 2
+        assert not c.quote(spec("d", maps=(10,), deadline=5), 12.0).admitted
+        assert c.committed_count == 2
