@@ -13,8 +13,9 @@ maps that schedule onto physical resources:
    :func:`regroup_unit_resources` reproduces the paper's redistribution of
    slot totals over user-specified resource counts (nm/nr example).
 
-Placement books onto a :class:`FrozenBase` of committed work: fresh per
-simulator invocation, one for the admission service's lifetime.  Greedy
+Placement books onto a :class:`FrozenBase` of committed work, one standing
+base per run: the simulator's (synced to the executor's frozen set at each
+invocation) and the admission service's (for its lifetime).  Greedy
 placement in start order is sure to find free slots *only when every frozen
 start is at or before every movable start* (the simulator: frozen tasks
 started in the past): the combined cumulative bounds the active tasks by
@@ -46,6 +47,9 @@ class UnitSlot:
     slot_index: int
     #: Sorted, non-overlapping busy windows (start, end).
     busy: List[Tuple[int, int]] = field(default_factory=list)
+    #: Placement pool and tie order among its candidates; set by FrozenBase.
+    pool: object = None
+    rank: int = 0
 
     def gap_if_free(self, start: int, end: int) -> Optional[int]:
         """Idle time before ``start`` if ``[start, end)`` is free, else None.
@@ -76,7 +80,14 @@ class UnitSlot:
 
 class FrozenBase:
     """Committed work: load profile per pool (slot kind, or (resource id,
-    kind) with ``per_resource``), unit-slot book, and the live assignments."""
+    kind) with ``per_resource``), unit-slot book, and the live assignments.
+
+    The best-gap index, kept current by every booking and release: per pool,
+    its slots' (last end, -candidate order) sorted (empty: end 0) and the
+    largest booked start.  A task starting at or after it has no booking
+    ahead, so the scan's pick is the largest last end <= start, lowest order
+    among ties: one bisect.  Otherwise :meth:`place` runs the scan.
+    """
 
     def __init__(self, resources: Sequence[Resource], per_resource: bool = False):
         self.per_resource = per_resource
@@ -86,8 +97,18 @@ class FrozenBase:
             for kind, cap in zip(_KINDS, (r.map_capacity, r.reduce_capacity)):
                 pool = self.slots[r.id, kind] = [UnitSlot(r.id, k) for k in range(cap)]
                 self._flat[kind].extend(pool)
+        self._pools = self.slots if per_resource else self._flat
+        self._gaps: Dict[object, List[Tuple[int, int]]] = {}
+        self._top: Dict[object, int] = dict.fromkeys(self._pools, 0)
+        for pool, candidates in self._pools.items():
+            for rank, slot in enumerate(candidates):
+                slot.pool, slot.rank = pool, rank
+            self._gaps[pool] = [(0, -rank) for rank in reversed(range(len(candidates)))]
         #: task id -> assignment of every booked task.
         self.live: Dict[str, TaskAssignment] = {}
+        #: task id -> its slot and the end it was booked with (runtime
+        #: perturbation may rebase a live task's end).
+        self._booked: Dict[str, Tuple[UnitSlot, int]] = {}
         #: Built on first use, kept current after: load profile per pool, the
         #: live work's (end, task id) sorted, and its ends alone in that order.
         self._profiles: Optional[Dict[object, TimetableProfile]] = None
@@ -97,8 +118,9 @@ class FrozenBase:
     def _indexes(self) -> Dict[object, TimetableProfile]:
         if self._profiles is None:
             self._profiles = defaultdict(TimetableProfile)
-            for a in self.live.values():
-                self._index(a, 1)
+            for task_id, a in self.live.items():
+                slot, end = self._booked[task_id]
+                self._index(a, slot.pool, end, 1)
         return self._profiles
 
     @property
@@ -112,20 +134,32 @@ class FrozenBase:
         self._indexes()
         return self._ends
 
-    def _index(self, a: TaskAssignment, sign: int) -> None:
-        pool = (a.resource_id, a.slot_kind) if self.per_resource else a.slot_kind
-        self._profiles[pool].add(a.start, a.end, sign * a.task.demand)
-        i = bisect.bisect_left(self._by_end, (a.end, a.task.id))
+    def _index(self, a: TaskAssignment, pool: object, end: int, sign: int) -> None:
+        self._profiles[pool].add(a.start, end, sign * a.task.demand)
+        i = bisect.bisect_left(self._by_end, (end, a.task.id))
         if sign > 0:
-            self._by_end.insert(i, (a.end, a.task.id))
-            self._ends.insert(i, a.end)
+            self._by_end.insert(i, (end, a.task.id))
+            self._ends.insert(i, end)
         else:
             del self._by_end[i], self._ends[i]
 
-    def _book(self, a: TaskAssignment) -> None:
+    def _rekey(self, slot: UnitSlot, last: int) -> None:
+        """Move ``slot`` in its pool's index after its last end was ``last``."""
+        new = slot.busy[-1][1] if slot.busy else 0
+        if new != last:
+            gaps = self._gaps[slot.pool]
+            del gaps[bisect.bisect_left(gaps, (last, -slot.rank))]
+            bisect.insort(gaps, (new, -slot.rank))
+
+    def _book(self, a: TaskAssignment, slot: UnitSlot) -> None:
+        end, last = a.end, slot.busy[-1][1] if slot.busy else 0
+        slot.occupy(a.start, end)
+        self._rekey(slot, last)
+        self._top[slot.pool] = max(a.start, self._top[slot.pool])
         self.live[a.task.id] = a
+        self._booked[a.task.id] = (slot, end)
         if self._profiles is not None:
-            self._index(a, 1)
+            self._index(a, slot.pool, end, 1)
 
     def add(self, assignments: Iterable[TaskAssignment]) -> None:
         """Book work that is already placed, on its recorded slot."""
@@ -136,23 +170,41 @@ class FrozenBase:
                     f"frozen task {a.task.id}: slot "
                     f"r{a.resource_id}/{a.slot_index} does not exist"
                 )
-            pool[a.slot_index].occupy(a.start, a.end)
-            self._book(a)
+            self._book(a, pool[a.slot_index])
 
     def remove(self, assignments: Iterable[TaskAssignment]) -> None:
-        """Release booked work: its slot time, its load, its live entry."""
+        """Release booked work, at the end it was booked with: its slot time,
+        its load, its live entry."""
+        lowered = set()  # pools that may have lost their largest start
         for a in assignments:
             del self.live[a.task.id]
-            busy = self.slots[a.resource_id, a.slot_kind][a.slot_index].busy
-            del busy[bisect.bisect_left(busy, (a.start, a.end))]
+            slot, end = self._booked.pop(a.task.id)
+            busy, pool, last = slot.busy, slot.pool, slot.busy[-1][1]
+            del busy[bisect.bisect_left(busy, (a.start, end))]
+            self._rekey(slot, last)
+            if self._top[pool] == a.start:
+                lowered.add(pool)
             if self._profiles is not None:
-                self._index(a, -1)
+                self._index(a, pool, end, -1)
+        for pool in lowered:
+            starts = [s.busy[-1][0] for s in self._pools[pool] if s.busy]
+            self._top[pool] = max(starts, default=0)
 
     def retire(self, now: int) -> None:
         """Release the work that ended at or before ``now``."""
         self._indexes()
         done = self._by_end[: bisect.bisect_left(self._by_end, (now + 1,))]
         self.remove([self.live[task_id] for _end, task_id in done])
+
+    def sync(self, frozen: Sequence[TaskAssignment]) -> None:
+        """Hold exactly ``frozen``: release every other live entry and every
+        one rebased since it was booked, then book what is missing."""
+        keep = {a.task.id: a for a in frozen}
+        booked, live = self._booked, self.live.items()
+        self.remove(
+            [a for t, a in live if keep.get(t) is not a or booked[t][1] != a.end]
+        )
+        self.add([a for a in frozen if a.task.id not in booked])
 
     def end(self) -> int:
         """The largest end of the live work (0 when there is none)."""
@@ -176,26 +228,29 @@ class FrozenBase:
                 kind = task.kind
                 end = start + task.duration
                 if resource_id is None:
-                    candidates, scope = self._flat[kind], "combined"
+                    pool, candidates, scope = kind, self._flat[kind], "combined"
                 else:
-                    candidates = self.slots.get((resource_id, kind))
+                    pool, scope = (resource_id, kind), f"per-resource (r{resource_id})"
+                    candidates = self.slots.get(pool)
                     if candidates is None:
                         raise SchedulingError(f"unknown resource {resource_id}")
-                    scope = f"per-resource (r{resource_id})"
-                best: Optional[UnitSlot] = None
-                best_gap: Optional[int] = None
-                for slot in candidates:
-                    gap = slot.gap_if_free(start, end)
-                    if gap is not None and (best_gap is None or gap < best_gap):
-                        best, best_gap = slot, gap
+                gaps = self._gaps.get(pool)  # None: not one of the base's pools
+                if gaps is not None and start >= self._top[pool]:
+                    i = bisect.bisect_right(gaps, (start, 1)) - 1
+                    best = candidates[-gaps[i][1]] if i >= 0 else None
+                else:
+                    best, best_gap = None, None
+                    for slot in candidates:
+                        gap = slot.gap_if_free(start, end)
+                        if gap is not None and (best_gap is None or gap < best_gap):
+                            best, best_gap = slot, gap
                 if best is None:
                     raise SchedulingError(
                         f"no free {kind.value} slot for task {task.id} at "
                         f"[{start},{end}) -- {scope} capacity invariant violated"
                     )
-                best.occupy(start, end)
                 a = TaskAssignment(task, best.resource_id, best.slot_index, start)
-                self._book(a)
+                self._book(a, best)
                 placed.append(a)
         except BaseException:
             self.remove(placed)
@@ -203,9 +258,9 @@ class FrozenBase:
         return placed
 
 
-def _placed(movable, frozen, resources, base) -> List[TaskAssignment]:
+def _placed(movable, frozen, resources, base, joint=False) -> List[TaskAssignment]:
     if base is None:
-        base = FrozenBase(resources)
+        base = FrozenBase(resources, joint)
         base.add(frozen)
     return list(frozen) + base.place(movable)
 
@@ -234,7 +289,7 @@ def assign_slots_within_resources(
 ) -> List[TaskAssignment]:
     """JOINT mode helper: the solver chose (task, start, resource); pick the
     slot index within each resource with the same best-gap rule."""
-    return _placed(movable, frozen, resources, base)
+    return _placed(movable, frozen, resources, base, joint=True)
 
 
 def regroup_unit_resources(
@@ -276,6 +331,5 @@ def regroup_unit_resources(
         n - num_reduce_resources
     )
     return [
-        Resource(first_resource_id + i, map_caps[i], reduce_caps[i])
-        for i in range(n)
+        Resource(first_resource_id + i, map_caps[i], reduce_caps[i]) for i in range(n)
     ]

@@ -37,6 +37,7 @@ from repro.core.invocation import (
     extract_assignments,
     solve_invocation,
 )
+from repro.core.matchmaking import FrozenBase
 from repro.core.schedule import (
     Schedule,
     SchedulingError,
@@ -215,6 +216,8 @@ class MrcpRm:
         #: (overlapping windows compose; offline while the count is > 0)
         self._outage_depth: Dict[int, int] = {}
         self._fault_replan_pending = False
+        #: The run's slot book; dropped when the online pool changes.
+        self._base: Optional[FrozenBase] = None
         #: set when a trigger fired with zero online resources; the next
         #: recovery event runs the postponed re-plan.
         self._stalled = False
@@ -395,6 +398,10 @@ class MrcpRm:
         running = self.executor.snapshot_running()
         if not self.config.replan:
             running = running + self.executor.planned_unstarted()
+        if self._base is None:
+            joint = self.config.mode is FormulationMode.JOINT
+            self._base = FrozenBase(resources, joint)
+        self._base.sync(running)
 
         assignments = self._solve(jobs, running, now, resources)
 
@@ -474,7 +481,7 @@ class MrcpRm:
                 outcome.describe_failure(now, jobs, len(running))
             )
         return extract_assignments(
-            formulation, outcome.solution, running, resources
+            formulation, outcome.solution, running, resources, self._base
         )
 
     def _fold_solve_metrics(
@@ -676,6 +683,7 @@ class MrcpRm:
         if self.metrics is not None:
             self.metrics.outage_started()
         self.executor.fail_resource(resource_id)
+        self._base = None
         # Even with no running victims, pending plan entries on the node
         # were dropped -- re-plan them elsewhere.
         self._schedule_fault_replan(0.0)
@@ -696,6 +704,7 @@ class MrcpRm:
             sim_track=True,
         )
         self.executor.restore_resource(resource_id)
+        self._base = None
         self._stalled = False
         self._schedule_fault_replan(0.0)
 

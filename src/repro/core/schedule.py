@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.cp.profile import TimetableProfile
 from repro.workload.entities import Job, Resource, Task, TaskKind
 
 
@@ -90,9 +89,7 @@ class Schedule:
     def job_completion(self, job: Job) -> int:
         """Completion time of ``job`` under this schedule."""
         ends = [
-            self.assignments[t.id].end
-            for t in job.tasks
-            if t.id in self.assignments
+            self.assignments[t.id].end for t in job.tasks if t.id in self.assignments
         ]
         if not ends:
             raise KeyError(f"job {job.id} has no scheduled tasks")
@@ -118,27 +115,28 @@ def validate_schedule(
 
     # --- slot exclusivity and capacity
     slot_usage: Dict[Tuple[int, SlotKind, int], List[TaskAssignment]] = {}
-    kind_profiles: Dict[Tuple[int, SlotKind], TimetableProfile] = {}
+    # (resource, kind) -> (time, +demand) / (time, -demand) usage events
+    kind_events: Dict[Tuple[int, SlotKind], List[Tuple[int, int]]] = {}
     for a in schedule:
         res = resource_by_id.get(a.resource_id)
         if res is None:
             problems.append(f"task {a.task.id}: unknown resource {a.resource_id}")
             continue
-        cap = (
-            res.map_capacity
-            if a.slot_kind is SlotKind.MAP
-            else res.reduce_capacity
-        )
+        cap = res.map_capacity if a.slot_kind is SlotKind.MAP else res.reduce_capacity
         if not (0 <= a.slot_index < cap):
             problems.append(
                 f"task {a.task.id}: slot index {a.slot_index} outside "
                 f"0..{cap - 1} on resource {a.resource_id}"
             )
         slot_usage.setdefault(a.slot_key(), []).append(a)
-        prof = kind_profiles.setdefault((a.resource_id, a.slot_kind), TimetableProfile())
-        prof.add(a.start, a.end, a.task.demand)
+        events = kind_events.setdefault((a.resource_id, a.slot_kind), [])
+        start, end, demand = a.start, a.end, a.task.demand
+        if end > start and demand:  # TimetableProfile ignores empty usage
+            events += ((start, demand), (end, -demand))
 
     for key, assignments in slot_usage.items():
+        if len(assignments) < 2:
+            continue
         assignments.sort(key=lambda a: a.start)
         for prev, cur in zip(assignments, assignments[1:]):
             if cur.start < prev.end:
@@ -146,24 +144,28 @@ def validate_schedule(
                     f"slot {key}: tasks {prev.task.id} and {cur.task.id} overlap"
                 )
 
-    for (rid, kind), prof in kind_profiles.items():
+    for (rid, kind), events in kind_events.items():
+        # Ends sort before starts at one instant (-d < +d), as in a profile.
+        peak = height = 0
+        for _t, delta in sorted(events):
+            height += delta
+            if height > peak:
+                peak = height
         res = resource_by_id[rid]
         cap = res.map_capacity if kind is SlotKind.MAP else res.reduce_capacity
-        peak = prof.max_height()
         if peak > cap:
             problems.append(
                 f"resource {rid} {kind.value}: peak usage {peak} > capacity {cap}"
             )
 
     # --- per-job constraints
+    assigned = schedule.assignments.get
     for job in jobs:
-        scheduled = [
-            schedule.get(t.id) for t in job.tasks if schedule.get(t.id) is not None
-        ]
-        if not scheduled:
+        of = {t.id: a for t in job.tasks if (a := assigned(t.id)) is not None}
+        if not of:
             continue
         # earliest start times (constraint 2) -- frozen tasks exempt
-        for a in scheduled:
+        for a in of.values():
             if a.task.id in frozen:
                 continue
             if a.start < job.earliest_start:
@@ -178,21 +180,9 @@ def validate_schedule(
         # stage barriers: constraint (3) for MapReduce, per-edge for DAGs
         # (including data-transfer delays on workflow edges)
         for pred_tasks, succ_tasks, delay, tag in _stage_edges(job):
-            pred_ends = [
-                schedule.get(t.id).end
-                for t in pred_tasks
-                if schedule.get(t.id) is not None
-            ]
-            succ_starts = [
-                schedule.get(t.id).start
-                for t in succ_tasks
-                if schedule.get(t.id) is not None
-            ]
-            if (
-                pred_ends
-                and succ_starts
-                and min(succ_starts) < max(pred_ends) + delay
-            ):
+            pred_ends = [of[t.id].end for t in pred_tasks if t.id in of]
+            succ_starts = [of[t.id].start for t in succ_tasks if t.id in of]
+            if pred_ends and succ_starts and min(succ_starts) < max(pred_ends) + delay:
                 problems.append(
                     f"job {job.id} {tag}: successor stage starts "
                     f"{min(succ_starts)} before predecessor ends "

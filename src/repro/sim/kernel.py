@@ -5,14 +5,16 @@ callbacks, plus an optional generator-coroutine layer (:class:`Process`)
 for writing drivers such as "draw inter-arrival time, submit job, repeat"
 in straight-line style.
 
-Determinism: events at equal times fire in scheduling order (a monotone
-sequence number breaks ties), so a seeded run is exactly reproducible.
+Determinism: the calendar is a heap of ``(time, priority, seq, handle)``
+tuples, so events at equal times fire by priority and then in scheduling
+order (the monotone, unique ``seq`` breaks every tie before a handle is ever
+compared), and a seeded run is exactly reproducible.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Dict, Generator, List, Optional
+from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry
 
@@ -28,18 +30,9 @@ PRIORITY_ACQUIRE = 9
 class EventHandle:
     """A scheduled callback; keep it to :meth:`cancel` before it fires."""
 
-    __slots__ = ("time", "priority", "seq", "callback", "cancelled")
+    __slots__ = ("callback", "cancelled")
 
-    def __init__(
-        self,
-        time: float,
-        priority: int,
-        seq: int,
-        callback: Callable[[], None],
-    ) -> None:
-        self.time = time
-        self.priority = priority
-        self.seq = seq
+    def __init__(self, callback: Callable[[], None]) -> None:
         self.callback = callback
         self.cancelled = False
 
@@ -47,19 +40,12 @@ class EventHandle:
         """Prevent the callback from firing (safe after it fired: no-op)."""
         self.cancelled = True
 
-    def __lt__(self, other: "EventHandle") -> bool:
-        return (self.time, self.priority, self.seq) < (
-            other.time,
-            other.priority,
-            other.seq,
-        )
-
 
 class Simulator:
     """The event calendar."""
 
     def __init__(self, start_time: float = 0.0) -> None:
-        self._heap: List[EventHandle] = []
+        self._heap: List[Tuple[float, int, int, EventHandle]] = []
         self._seq = 0
         self._now = float(start_time)
         self._stopped = False
@@ -134,9 +120,9 @@ class Simulator:
         """
         if time < self._now:
             raise ValueError(f"cannot schedule at {time} < now {self._now}")
-        handle = EventHandle(time, priority, self._seq, callback)
+        handle = EventHandle(callback)
+        heapq.heappush(self._heap, (time, priority, self._seq, handle))
         self._seq += 1
-        heapq.heappush(self._heap, handle)
         return handle
 
     # -------------------------------------------------------------- running
@@ -149,18 +135,18 @@ class Simulator:
         self._stopped = False
         heap = self._heap
         while heap and not self._stopped:
-            handle = heap[0]
+            time, _priority, _seq, handle = heap[0]
             if handle.cancelled:
                 # Purge before the early-exit check (mirrors peek()): a
                 # cancelled head must not decide when the loop pauses.
                 heapq.heappop(heap)
                 continue
-            if until is not None and handle.time > until:
+            if until is not None and time > until:
                 self._now = until
                 self.sync_gauges()
                 return self._now
             heapq.heappop(heap)
-            self._now = handle.time
+            self._now = time
             self.dispatched += 1
             handle.callback()
         if until is not None and self._now < until:
@@ -171,10 +157,10 @@ class Simulator:
     def step(self) -> bool:
         """Dispatch a single event; returns False when the calendar is empty."""
         while self._heap:
-            handle = heapq.heappop(self._heap)
+            time, _priority, _seq, handle = heapq.heappop(self._heap)
             if handle.cancelled:
                 continue
-            self._now = handle.time
+            self._now = time
             self.dispatched += 1
             handle.callback()
             return True
@@ -200,13 +186,14 @@ class Simulator:
 
     @property
     def pending(self) -> int:
-        return sum(1 for h in self._heap if not h.cancelled)
+        return sum(1 for entry in self._heap if not entry[3].cancelled)
 
     def peek(self) -> Optional[float]:
         """Time of the next (non-cancelled) event, or None."""
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
-        return self._heap[0].time if self._heap else None
+        heap = self._heap
+        while heap and heap[0][3].cancelled:
+            heapq.heappop(heap)
+        return heap[0][0] if heap else None
 
     # ------------------------------------------------------------ processes
     def process(self, generator: Generator) -> "Process":

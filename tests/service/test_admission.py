@@ -202,7 +202,9 @@ class TestStandingBase:
         booked = []
         book = FrozenBase._book
         monkeypatch.setattr(
-            FrozenBase, "_book", lambda base, a: (booked.append(a), book(base, a))
+            FrozenBase,
+            "_book",
+            lambda base, a, slot: (booked.append(a), book(base, a, slot)),
         )
         c = AdmissionController(make_uniform_cluster(3), AdmissionConfig())
         profile = LoadProfile(

@@ -242,3 +242,81 @@ def test_cancel_between_run_segments():
     sim.run()
     assert log == [1]
     assert sim.now == 5  # nothing live remained; clock stays put
+
+
+def test_same_time_and_priority_fire_in_scheduling_order():
+    """(time, priority) ties resolve by scheduling order, also for events
+    scheduled from callbacks and interleaved with other priorities."""
+    sim = Simulator()
+    log = []
+    for tag in "abc":
+        sim.schedule_at(5, lambda t=tag: log.append(t), PRIORITY_ACQUIRE)
+        sim.schedule_at(5, lambda t=tag: log.append(t.upper()), PRIORITY_RELEASE)
+
+    def late():
+        log.append("late")
+        sim.schedule_at(5, lambda: log.append("d"), PRIORITY_ACQUIRE)
+
+    sim.schedule_at(5, late, PRIORITY_DEFAULT)
+    sim.run()
+    assert log == ["A", "B", "C", "late", "a", "b", "c", "d"]
+
+
+def test_handles_are_never_compared():
+    """The calendar orders (time, priority, seq) keys; a handle is an
+    opaque cancel token with no ordering of its own."""
+    sim = Simulator()
+    h1 = sim.schedule_at(1, lambda: None)
+    h2 = sim.schedule_at(1, lambda: None)
+    with pytest.raises(TypeError):
+        h1 < h2
+    sim.run()
+    assert sim.dispatched == 2
+
+
+def test_cancelled_head_at_the_same_instant_does_not_fire_or_decide_run():
+    sim = Simulator()
+    log = []
+    head = sim.schedule_at(3, lambda: log.append("cancelled"))
+    sim.schedule_at(3, lambda: log.append("live"))
+    far = sim.schedule_at(20, lambda: log.append("far"))
+    head.cancel()
+    far.cancel()
+    assert sim.run(until=10) == 10
+    assert log == ["live"]
+    assert sim.pending == 0 and sim.peek() is None
+
+
+def test_peek_and_pending_see_only_live_events():
+    sim = Simulator()
+    handles = [sim.schedule_at(t, lambda: None) for t in (1, 2, 2, 4)]
+    handles[0].cancel()
+    handles[2].cancel()
+    assert sim.pending == 2
+    assert sim.peek() == 2
+    handles[1].cancel()
+    assert sim.peek() == 4
+    assert sim.pending == 1
+
+
+def test_step_skips_cancelled_events():
+    sim = Simulator()
+    log = []
+    sim.schedule_at(1, lambda: log.append(1)).cancel()
+    sim.schedule_at(2, lambda: log.append(2))
+    sim.schedule_at(3, lambda: log.append(3)).cancel()
+    assert sim.step() and log == [2] and sim.now == 2
+    assert not sim.step()
+    assert log == [2] and sim.now == 2 and sim.dispatched == 1
+
+
+def test_state_digest_of_a_scripted_run():
+    """Pinned values: the calendar's entry layout must not move them."""
+    sim = Simulator()
+    for t in (1, 2, 3, 5, 8):
+        sim.schedule_at(t, lambda: None)
+    cancelled = sim.schedule_at(4, lambda: None)
+    sim.schedule_at(2, lambda: sim.schedule(10, lambda: None))
+    cancelled.cancel()
+    sim.run(until=5)
+    assert sim.state_digest() == {"now": 5, "dispatched": 5, "seq": 8, "pending": 2}
