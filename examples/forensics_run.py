@@ -24,11 +24,12 @@ import sys
 from repro.core import MrcpRm, MrcpRmConfig
 from repro.cp.solver import SolverParams
 from repro.faults import FaultModel
+from repro.ioutil import atomic_write_text
 from repro.metrics import MetricsCollector
 from repro.obs import ObsConfig
 from repro.obs.conformance import validate_trace_events
 from repro.obs.forensics import attribute_lateness, format_attributions
-from repro.obs.report import write_report
+from repro.obs.report import render_report
 from repro.sim import RandomStreams, Simulator
 from repro.workload import (
     SyntheticWorkloadParams,
@@ -109,8 +110,7 @@ def smoke(out: str, seed: int) -> None:
             all(v >= 0 for v in a.components_us.values()),
             f"job {a.job_id}: negative component {a.components_us}",
         )
-    write_report(
-        out,
+    document = render_report(
         result,
         resources=resources,
         events=events,
@@ -118,6 +118,7 @@ def smoke(out: str, seed: int) -> None:
         plan_history=plan_history,
         title="forensics smoke report",
     )
+    atomic_write_text(out, document)
     with open(out, "r", encoding="utf-8") as fh:
         html = fh.read()
     _check(len(html) > 1000, f"report suspiciously small ({len(html)} bytes)")
@@ -151,8 +152,7 @@ def full(out: str, seed: int) -> None:
         print()
         print(format_attributions(attributions))
         print()
-    write_report(
-        out,
+    document = render_report(
         result,
         resources=resources,
         events=events,
@@ -160,6 +160,7 @@ def full(out: str, seed: int) -> None:
         plan_history=plan_history,
         title=f"MRCP-RM forensics run (seed {seed}, fault-injected)",
     )
+    atomic_write_text(out, document)
     print(f"report written to {out} -- open it in any browser")
 
 

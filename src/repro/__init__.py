@@ -80,8 +80,8 @@ def quick_demo(
 
     Pass a :class:`FaultModel` to subject the run to task failures,
     stragglers, and resource outages; the default (``None``) is the
-    fault-free happy path.  Pass a :class:`repro.obs.Tracer` to capture a
-    trace of the run (the caller writes it out afterwards).
+    fault-free happy path.  Pass a :class:`repro.obs.trace.Tracer` to
+    capture a trace of the run (the caller writes it out afterwards).
     """
     params = SyntheticWorkloadParams(
         num_jobs=num_jobs,

@@ -283,9 +283,9 @@ def _case_telemetry_overhead() -> Dict[str, Any]:
     """
     from dataclasses import replace as _replace
 
-    from repro.experiments.pool import PinnedClock
     from repro.experiments.runner import build_live_run
     from repro.obs import ObsConfig
+    from repro.obs.clocks import PinnedClock
     from repro.obs.timeseries import TelemetryConfig
 
     def with_obs(telemetry):

@@ -225,10 +225,11 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 def _cmd_report(args: argparse.Namespace) -> int:
     from repro.core import MrcpRm, MrcpRmConfig
     from repro.cp.solver import SolverParams
+    from repro.ioutil import atomic_write_text
     from repro.metrics import MetricsCollector
     from repro.obs import ObsConfig
     from repro.obs.forensics import attribute_lateness, format_attributions
-    from repro.obs.report import write_report
+    from repro.obs.report import render_report
     from repro.obs.slo import SloMonitor, default_slos
     from repro.obs.timeseries import TelemetryConfig, TimeSeriesSampler
     from repro.sim import RandomStreams, Simulator
@@ -292,8 +293,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         f"MRCP-RM run report (seed {args.seed}, {args.jobs} jobs"
         f"{', fault-injected' if args.faults else ''})"
     )
-    write_report(
-        args.out,
+    document = render_report(
         result,
         resources=resources,
         events=events,
@@ -303,6 +303,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         alerts=[alert.as_dict() for alert in monitor.alerts],
         title=title,
     )
+    atomic_write_text(args.out, document)
     print(f"run: {result.jobs_completed}/{result.jobs_arrived} jobs completed, "
           f"{result.late_jobs} late ({result.percent_late:.1f}%)")
     _print_tardiness(metrics=result)
@@ -490,8 +491,8 @@ def _cmd_diff(args: argparse.Namespace) -> int:
         diff_sweeps,
         format_run_diff,
         format_sweep_diff,
-        write_diff_json,
     )
+    from repro.ioutil import atomic_write_json, atomic_write_text
 
     if args.capture is not None:
         config = default_diff_config(
@@ -528,15 +529,15 @@ def _cmd_diff(args: argparse.Namespace) -> int:
             if not args.quiet:
                 print(format_run_diff(diff))
             if args.html is not None:
-                from repro.obs.diffreport import write_diff_report
+                from repro.obs.diffreport import render_diff_report
 
-                write_diff_report(args.html, diff)
+                atomic_write_text(args.html, render_diff_report(diff))
                 print(f"diff report written: {args.html}")
     except DiffError as exc:
         print(f"diff failed: {exc}", file=sys.stderr)
         return 2
     if args.json is not None:
-        write_diff_json(args.json, doc)
+        atomic_write_json(args.json, doc)
         print(f"diff.json written  : {args.json}")
     return 0 if doc["verdict"] == "identical" else 1
 

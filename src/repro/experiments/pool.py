@@ -120,11 +120,6 @@ def cell_seed(root_seed: int, config: RunConfig, replication: int) -> int:
     return stable_hash(f"{root_seed}|{workload_key(config)}|{replication}")
 
 
-# PinnedClock moved to repro.obs.clocks (the service path needs it without
-# importing the process-pool machinery); re-exported here so existing
-# imports -- and pickles referencing this module -- keep working.
-
-
 def deterministic_solver_params(params: SolverParams) -> SolverParams:
     """Rewrite a solver budget so search effort is machine-independent.
 
@@ -140,20 +135,27 @@ def deterministic_solver_params(params: SolverParams) -> SolverParams:
     )
 
 
-def _canonical_config(
-    config: RunConfig, seed: int, deterministic: bool
-) -> RunConfig:
+def deterministic_run_config(config: RunConfig) -> RunConfig:
+    """Pin ``config`` so overhead O replays byte-identically.
+
+    A fresh :class:`PinnedClock` as the wall clock (O counts clock samples)
+    and :func:`deterministic_solver_params` as the solver budget (search
+    effort becomes machine-independent).  Sweep cells, checkpoints, chaos
+    scenarios and run diffs all pin this way.
+    """
+    return replace(
+        config,
+        mrcp=replace(
+            config.mrcp, solver=deterministic_solver_params(config.mrcp.solver)
+        ),
+        obs=replace(config.obs, wall_clock=PinnedClock()),
+    )
+
+
+def _canonical_config(config: RunConfig, seed: int, deterministic: bool) -> RunConfig:
     """The exact config a cell runs: derived seed, optionally pinned."""
     cfg = replace(config, seed=seed)
-    if deterministic:
-        cfg = replace(
-            cfg,
-            mrcp=replace(
-                cfg.mrcp, solver=deterministic_solver_params(cfg.mrcp.solver)
-            ),
-            obs=replace(cfg.obs, wall_clock=PinnedClock()),
-        )
-    return cfg
+    return deterministic_run_config(cfg) if deterministic else cfg
 
 
 # --------------------------------------------------------------------------

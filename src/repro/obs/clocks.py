@@ -14,9 +14,6 @@ Two distinct time axes run through the codebase:
   explicitly advanced counter, which is what makes the arrival-batching
   determinism contract testable (same arrivals, any batch size, identical
   verdicts).
-
-``PinnedClock`` historically lived in :mod:`repro.experiments.pool`; it is
-re-exported there so existing imports keep working.
 """
 
 from __future__ import annotations
@@ -88,9 +85,7 @@ class ManualServiceClock(ServiceClock):
     def advance_to(self, t: float) -> float:
         """Move the clock forward to absolute time ``t`` (never backwards)."""
         if t < self._now:
-            raise ValueError(
-                f"manual clock cannot move backwards: {t} < {self._now}"
-            )
+            raise ValueError(f"manual clock cannot move backwards: {t} < {self._now}")
         self._now = float(t)
         return self._now
 

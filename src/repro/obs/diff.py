@@ -46,7 +46,7 @@ from __future__ import annotations
 import difflib
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import (
     Any,
     Dict,
@@ -58,9 +58,9 @@ from typing import (
     Tuple,
 )
 
-from repro.ioutil import atomic_write_text
+from repro.ioutil import atomic_write_json
 from repro.obs.conformance import validate_trace_events
-from repro.obs.forensics import attribute_lateness, load_trace_events
+from repro.obs.forensics import COMPONENTS, US, attribute_lateness, load_trace_events
 from repro.obs.structdiff import DiffEntry, structural_diff
 from repro.obs.timeseries import read_series_jsonl
 from repro.obs.trace import SIM_PID
@@ -75,11 +75,6 @@ PLANS_SCHEMA = "repro-plans/1"
 
 #: Merged sweep artifact schema (mirrors repro.experiments.pool).
 _SWEEP_SCHEMA = "repro-sweep/1"
-
-_US = 1_000_000
-
-#: The four additive lateness components, in waterfall order.
-_COMPONENTS = ("contention", "solver", "fault", "residual")
 
 #: PlanRecord fields that define the *plan* (overhead is wall-clock
 #: bookkeeping, not plan semantics -- two budgets trivially differ in it).
@@ -152,17 +147,13 @@ def canonicalize_events(
                 if k in ev:
                     canon[k] = ev[k]
             if "ts" in ev:
-                sim_time = ev["ts"] / _US
+                sim_time = ev["ts"] / US
         args = ev.get("args")
         if isinstance(args, dict):
             canon["args"] = {
-                k: v
-                for k, v in args.items()
-                if k not in _QUARANTINED_EVENT_ARGS
+                k: v for k, v in args.items() if k not in _QUARANTINED_EVENT_ARGS
             }
-            if sim_time is None and isinstance(
-                args.get("sim_time"), (int, float)
-            ):
+            if sim_time is None and isinstance(args.get("sim_time"), (int, float)):
                 sim_time = float(args["sim_time"])
         canonical.append(canon)
         sim_times.append(sim_time)
@@ -193,16 +184,7 @@ class EventAlignment:
 
     def as_dict(self) -> Dict[str, Any]:
         """JSON-ready summary of the alignment statistics."""
-        return {
-            "total_a": self.total_a,
-            "total_b": self.total_b,
-            "matched": self.matched,
-            "only_a": self.only_a,
-            "only_b": self.only_b,
-            "identical": self.identical,
-            "first_divergence": self.first_divergence,
-            "problems": list(self.problems),
-        }
+        return {**asdict(self), "identical": self.identical}
 
 
 def align_events(
@@ -302,7 +284,7 @@ def delta_waterfalls(
         components = {
             name: (int(b[f"{name}_us"]) if b else 0)
             - (int(a[f"{name}_us"]) if a else 0)
-            for name in _COMPONENTS
+            for name in COMPONENTS
         }
         delta = tb - ta
         if delta == 0 and not any(components.values()):
@@ -431,7 +413,7 @@ def plan_record_dict(record: Any) -> Dict[str, Any]:
         "outcome": record.outcome,
         "overhead": record.overhead,
         "trigger": record.trigger,
-        "rung": getattr(record, "rung", "cp_full"),
+        "rung": record.rung,
         "planned_starts": {str(k): v for k, v in record.planned_starts.items()},
     }
 
@@ -467,9 +449,7 @@ def first_divergent_plan(
             "a": dict(plans_a[index]) if index < len(plans_a) else None,
             "b": dict(plans_b[index]) if index < len(plans_b) else None,
             "changed": [
-                DiffEntry(
-                    "invocations", "length", len(plans_a), len(plans_b)
-                ).as_dict()
+                DiffEntry("invocations", "length", len(plans_a), len(plans_b)).as_dict()
             ],
         }
     return None
@@ -495,6 +475,15 @@ class RunArtifacts:
     def label(self) -> str:
         return str(self.run.get("label") or self.path)
 
+    def identity(self) -> Dict[str, Any]:
+        """Which run this is, as a diff document names it."""
+        return {
+            "path": self.path,
+            "label": self.label,
+            "seed": self.run.get("seed"),
+            "fingerprint": self.run.get("fingerprint"),
+        }
+
 
 def capture_run_dir(
     config: Any,
@@ -505,7 +494,7 @@ def capture_run_dir(
 ) -> RunArtifacts:
     """Run ``config`` deterministically and persist the diffable artifacts.
 
-    The run is pinned (:func:`~repro.resilience.checkpoint.deterministic_run_config`:
+    The run is pinned (:func:`~repro.experiments.pool.deterministic_run_config`:
     pinned wall clock, fail-limited LNS-off solver) so a same-seed capture
     is byte-reproducible, then executed with tracing, plan history and
     telemetry on.  The directory holds ``run.json`` (metrics + job SLAs),
@@ -516,14 +505,11 @@ def capture_run_dir(
     """
     from dataclasses import replace
 
+    from repro.experiments.pool import deterministic_run_config
     from repro.experiments.runner import build_live_run
     from repro.obs.config import ObsConfig
     from repro.obs.timeseries import TelemetryConfig
-    from repro.resilience.checkpoint import (
-        config_fingerprint,
-        deterministic_run_config,
-        fresh_run_config,
-    )
+    from repro.resilience.checkpoint import config_fingerprint, fresh_run_config
 
     os.makedirs(out_dir, exist_ok=True)
     config = fresh_run_config(deterministic_run_config(config))
@@ -582,12 +568,12 @@ def capture_run_dir(
             for job in run.jobs
         ],
     }
-    _write_json(os.path.join(out_dir, "run.json"), run_doc)
-    _write_json(
+    atomic_write_json(os.path.join(out_dir, "run.json"), run_doc)
+    atomic_write_json(
         os.path.join(out_dir, "forensics.json"),
         {"schema": FORENSICS_SCHEMA, "attributions": attribution_rows},
     )
-    _write_json(
+    atomic_write_json(
         os.path.join(out_dir, "plans.json"),
         {"schema": PLANS_SCHEMA, "plans": plan_rows},
     )
@@ -610,13 +596,6 @@ def capture_run_dir(
     )
 
 
-def _write_json(path: str, payload: Mapping[str, Any]) -> str:
-    atomic_write_text(
-        path, json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    )
-    return path
-
-
 def _read_json(path: str, expect_schema: Optional[str] = None) -> Dict[str, Any]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -627,8 +606,7 @@ def _read_json(path: str, expect_schema: Optional[str] = None) -> Dict[str, Any]
         raise DiffError(f"{path} is {type(doc).__name__}, not an object")
     if expect_schema is not None and doc.get("schema") != expect_schema:
         raise DiffError(
-            f"{path} has schema {doc.get('schema')!r}, expected "
-            f"{expect_schema!r}"
+            f"{path} has schema {doc.get('schema')!r}, expected {expect_schema!r}"
         )
     return doc
 
@@ -645,29 +623,22 @@ def load_run_dir(path: str) -> RunArtifacts:
         run_doc["metrics"] = {
             k: v for k, v in metrics.items() if k not in QUARANTINED_METRIC_KEYS
         }
-    trace_path = os.path.join(path, "trace.jsonl")
-    events = load_trace_events(trace_path) if os.path.exists(trace_path) else []
-    forensics_path = os.path.join(path, "forensics.json")
-    attributions: List[Dict[str, Any]] = []
-    if os.path.exists(forensics_path):
-        attributions = list(
-            _read_json(forensics_path, FORENSICS_SCHEMA)["attributions"]
-        )
-    plans_path = os.path.join(path, "plans.json")
-    plans: List[Dict[str, Any]] = []
-    if os.path.exists(plans_path):
-        plans = list(_read_json(plans_path, PLANS_SCHEMA)["plans"])
-    series_path = os.path.join(path, "series.jsonl")
-    series: List[Dict[str, Any]] = []
-    if os.path.exists(series_path):
-        _, series = read_series_jsonl(series_path)
+
+    def optional(name: str, read: Any) -> List[Dict[str, Any]]:
+        """What ``read`` returns for an artifact the run may not have."""
+        artifact = os.path.join(path, name)
+        return list(read(artifact)) if os.path.exists(artifact) else []
+
     return RunArtifacts(
         path=path,
         run=run_doc,
-        events=events,
-        attributions=attributions,
-        plans=plans,
-        series=series,
+        events=optional("trace.jsonl", load_trace_events),
+        attributions=optional(
+            "forensics.json",
+            lambda p: _read_json(p, FORENSICS_SCHEMA)["attributions"],
+        ),
+        plans=optional("plans.json", lambda p: _read_json(p, PLANS_SCHEMA)["plans"]),
+        series=optional("series.jsonl", lambda p: read_series_jsonl(p)[1]),
     )
 
 
@@ -695,9 +666,7 @@ class RunDiff:
             or self.invocation is not None
             or self.waterfalls
             or self.series.get("changed")
-            or any(
-                e["delta"] not in (0, 0.0, None) for e in self.metrics.values()
-            )
+            or any(e["delta"] not in (0, 0.0, None) for e in self.metrics.values())
         )
 
     @property
@@ -710,18 +679,8 @@ class RunDiff:
             "schema": DIFF_SCHEMA,
             "kind": "run",
             "verdict": self.verdict,
-            "a": {
-                "path": self.a.path,
-                "label": self.a.label,
-                "seed": self.a.run.get("seed"),
-                "fingerprint": self.a.run.get("fingerprint"),
-            },
-            "b": {
-                "path": self.b.path,
-                "label": self.b.label,
-                "seed": self.b.run.get("seed"),
-                "fingerprint": self.b.run.get("fingerprint"),
-            },
+            "a": self.a.identity(),
+            "b": self.b.identity(),
             "metrics": self.metrics,
             "events": self.alignment.as_dict(),
             "invocation": self.invocation,
@@ -736,9 +695,7 @@ def diff_runs(a: RunArtifacts, b: RunArtifacts) -> RunDiff:
         a=a,
         b=b,
         alignment=align_events(a.events, b.events),
-        metrics=metrics_delta(
-            a.run.get("metrics", {}), b.run.get("metrics", {})
-        ),
+        metrics=metrics_delta(a.run.get("metrics", {}), b.run.get("metrics", {})),
         invocation=first_divergent_plan(a.plans, b.plans),
         waterfalls=delta_waterfalls(a.attributions, b.attributions),
         series=diff_series(a.series, b.series),
@@ -748,11 +705,6 @@ def diff_runs(a: RunArtifacts, b: RunArtifacts) -> RunDiff:
 def diff_run_dirs(path_a: str, path_b: str) -> RunDiff:
     """Load two run directories and diff them."""
     return diff_runs(load_run_dir(path_a), load_run_dir(path_b))
-
-
-def write_diff_json(path: str, doc: Mapping[str, Any]) -> str:
-    """Atomically write a diff document (CI artifact surface)."""
-    return _write_json(path, doc)
 
 
 # --------------------------------------------------------------------------
@@ -790,12 +742,8 @@ def diff_sweeps(path_a: str, path_b: str) -> Dict[str, Any]:
             )
             divergent_cells += 1
             continue
-        compared_a = {
-            k: ca.get(k) for k in ("status", "metrics", "counts", "seed")
-        }
-        compared_b = {
-            k: cb.get(k) for k in ("status", "metrics", "counts", "seed")
-        }
+        compared_a = {k: ca.get(k) for k in ("status", "metrics", "counts", "seed")}
+        compared_b = {k: cb.get(k) for k in ("status", "metrics", "counts", "seed")}
         entries = structural_diff(compared_a, compared_b)
         if entries:
             divergent_cells += 1
@@ -863,12 +811,7 @@ class BisectionResult:
             "schema": DIFF_SCHEMA,
             "kind": "bisection",
             "verdict": "divergent" if self.divergent else "identical",
-            "checkpoint_index": self.checkpoint_index,
-            "checkpoint_events": self.checkpoint_events,
-            "checkpoints_compared": self.checkpoints_compared,
-            "state_changed": self.state_changed,
-            "invocation": self.invocation,
-            "metrics": self.metrics,
+            **asdict(self),
         }
 
 
@@ -965,27 +908,17 @@ def bisect_divergence(
             ).as_dict()
         ]
 
-    def _with_history(config: Any) -> Any:
-        return replace(
-            config, mrcp=replace(config.mrcp, record_plan_history=True)
-        )
+    def replay(config: Any) -> Tuple[Any, List[Dict[str, Any]]]:
+        """Run ``config`` afresh with plan history on: (metrics, plans)."""
+        config = fresh_run_config(config)
+        config = replace(config, mrcp=replace(config.mrcp, record_plan_history=True))
+        live = build_live_run(config, replication)
+        metrics = live.finish()
+        history = live.manager.plan_history if live.manager else []
+        return metrics, [plan_record_dict(r) for r in history]
 
-    live_a = build_live_run(
-        _with_history(fresh_run_config(config_a)), replication
-    )
-    metrics_a = live_a.finish()
-    live_b = build_live_run(
-        _with_history(fresh_run_config(config_b)), replication
-    )
-    metrics_b = live_b.finish()
-    plans_a = [
-        plan_record_dict(r)
-        for r in (live_a.manager.plan_history if live_a.manager else [])
-    ]
-    plans_b = [
-        plan_record_dict(r)
-        for r in (live_b.manager.plan_history if live_b.manager else [])
-    ]
+    metrics_a, plans_a = replay(config_a)
+    metrics_b, plans_b = replay(config_b)
 
     return BisectionResult(
         checkpoint_index=first_diverged,
@@ -1057,8 +990,7 @@ def format_run_diff(diff: RunDiff) -> str:
         if entry is None or entry["a"] is None or entry["b"] is None:
             continue
         lines.append(
-            f"  {key}: {entry['a']:g} -> {entry['b']:g} "
-            f"(delta {entry['delta']:+g})"
+            f"  {key}: {entry['a']:g} -> {entry['b']:g} (delta {entry['delta']:+g})"
         )
     al = diff.alignment
     lines.append(
@@ -1088,11 +1020,9 @@ def format_run_diff(diff: RunDiff) -> str:
             f"({later} later, {earlier} earlier)"
         )
         for w in diff.waterfalls[:8]:
-            dominant = max(
-                w["components_us"], key=lambda k: abs(w["components_us"][k])
-            )
+            dominant = max(w["components_us"], key=lambda k: abs(w["components_us"][k]))
             lines.append(
-                f"    job {w['job_id']:>4d}: {w['delta_us'] / _US:+.1f}s "
+                f"    job {w['job_id']:>4d}: {w['delta_us'] / US:+.1f}s "
                 f"({w['direction']}, dominant {dominant})"
             )
     changed_series = diff.series.get("changed", {})

@@ -1,8 +1,7 @@
 """Self-contained HTML diff reports for two captured runs.
 
-One :class:`~repro.obs.diff.RunDiff` -> one HTML file, in the same
-no-scripts/no-network idiom as :mod:`repro.obs.report` (whose CSS and
-layout helpers this module reuses):
+One :class:`~repro.obs.diff.RunDiff` -> one HTML page built from
+:mod:`repro.obs.htmlkit`, like the run report:
 
 * **side-by-side tiles** -- the paper's O / N / T / P for both runs with
   the signed delta under each pair;
@@ -21,26 +20,27 @@ from __future__ import annotations
 
 from typing import Any, List, Mapping, Sequence
 
-from repro.ioutil import atomic_write_text
-from repro.obs.diff import _COMPONENTS, _US, RunDiff
-from repro.obs.report import _CSS, _esc, _fmt, _kv_table, _tile, _time_axis
-
-#: Bars drawn in the delta waterfall (the table still lists every job).
-_MAX_WATERFALL_JOBS = 25
+from repro.obs.diff import RunDiff
+from repro.obs.forensics import COMPONENT_LABEL, COMPONENTS, US
+from repro.obs.htmlkit import (
+    MAX_WATERFALL_JOBS,
+    TimeAxis,
+    esc,
+    fmt,
+    lane_label,
+    legend,
+    page,
+    svg,
+    table,
+    tiles,
+)
 
 #: Overlay strips drawn (ordered by how far the field diverged).
 _MAX_OVERLAY_STRIPS = 4
 
-_COMPONENT_LABEL = {
-    "contention": "slot contention",
-    "solver": "solver delay",
-    "fault": "fault recovery",
-    "residual": "residual execution",
-}
-
 
 def _metric_tiles(diff: RunDiff) -> str:
-    tiles: List[str] = []
+    pairs = []
     for key, label in (
         ("O", "O · overhead/job (s)"),
         ("N", "N · late jobs"),
@@ -52,30 +52,24 @@ def _metric_tiles(diff: RunDiff) -> str:
             continue
         delta = entry["delta"] or 0.0
         arrow = "=" if delta == 0 else ("▲" if delta > 0 else "▼")
-        tiles.append(
-            _tile(f"{entry['a']:g} → {entry['b']:g}", f"{label} {arrow}")
-        )
-    tiles.append(_tile(diff.verdict, "verdict"))
-    return '<div class="tiles">' + "".join(tiles) + "</div>"
-
-
-def _span_of(diff: RunDiff) -> float:
-    spans = [
-        float(art.run.get("counts", {}).get("makespan") or 0.0)
-        for art in (diff.a, diff.b)
-    ]
-    return max(spans + [0.0])
+        pairs.append((f"{entry['a']:g} → {entry['b']:g}", f"{label} {arrow}"))
+    pairs.append((diff.verdict, "verdict"))
+    return tiles(pairs)
 
 
 def _timeline(diff: RunDiff) -> str:
     """Shared time axis with the first-divergence markers."""
-    span = _span_of(diff)
+    span = max(
+        float(art.run.get("counts", {}).get("makespan") or 0.0)
+        for art in (diff.a, diff.b)
+    )
     if span <= 0:
         return ""
-    x0, width, height = 90, 860, 56
+    height = 56
+    axis = TimeAxis(90, 860, span)
 
     def x(t: float) -> float:
-        return x0 + (min(t, span) / span) * width
+        return axis.x(min(t, span))
 
     marks: List[str] = []
     fd = diff.alignment.first_divergence
@@ -105,21 +99,11 @@ def _timeline(diff: RunDiff) -> str:
             '<p class="note">no divergence marker: the canonical event '
             "streams and plan histories are identical.</p>"
         )
-    svg = (
-        f'<svg viewBox="0 0 {x0 + width + 10} {height + 20}" width="100%" '
-        f'role="img" aria-label="divergence timeline">'
-        + _time_axis(x0, width, span, height)
-        + "".join(marks)
-        + "</svg>"
+    swatches = legend(
+        ("var(--c-failed)", "first divergent trace event"),
+        ("var(--c-solver)", "first divergent scheduler invocation"),
     )
-    legend = (
-        '<div class="legend">'
-        '<span><span class="sw" style="background:var(--c-failed)"></span>'
-        "first divergent trace event</span>"
-        '<span><span class="sw" style="background:var(--c-solver)"></span>'
-        "first divergent scheduler invocation</span></div>"
-    )
-    return legend + svg
+    return swatches + axis.chart("divergence timeline", height, "".join(marks))
 
 
 def _delta_waterfall(waterfalls: Sequence[Mapping[str, Any]]) -> str:
@@ -130,16 +114,14 @@ def _delta_waterfall(waterfalls: Sequence[Mapping[str, Any]]) -> str:
             "late (or punctual) in both runs.</p>"
         )
     shown = sorted(waterfalls, key=lambda w: abs(w["delta_us"]), reverse=True)
-    shown = shown[:_MAX_WATERFALL_JOBS]
+    shown = shown[:MAX_WATERFALL_JOBS]
     max_abs = max(abs(w["delta_us"]) for w in shown) or 1
     bar_h, x0, width = 20, 70, 760
     mid = x0 + width / 2
     height = len(shown) * bar_h
-    svg = [
-        f'<svg viewBox="0 0 {x0 + width + 110} {height + 6}" width="100%" '
-        f'role="img" aria-label="per-job delta waterfall">',
+    body = [
         f'<line x1="{mid:.1f}" y1="0" x2="{mid:.1f}" y2="{height}" '
-        f'stroke="var(--grid)" stroke-width="1"/>',
+        f'stroke="var(--grid)" stroke-width="1"/>'
     ]
     for row, w in enumerate(shown):
         y = row * bar_h + 2
@@ -148,46 +130,36 @@ def _delta_waterfall(waterfalls: Sequence[Mapping[str, Any]]) -> str:
         bx = mid if delta >= 0 else mid - bar_w
         fill = "var(--c-failed)" if delta > 0 else "var(--c-reduce)"
         parts = ", ".join(
-            f"{name} {w['components_us'][name] / _US:+.1f}s"
-            for name in _COMPONENTS
+            f"{name} {w['components_us'][name] / US:+.1f}s"
+            for name in COMPONENTS
             if w["components_us"][name]
         )
-        svg.append(
-            f'<text class="lane-label" x="{x0 - 6}" y="{y + bar_h - 8}" '
-            f'text-anchor="end">job {w["job_id"]}</text>'
-            f'<rect x="{bx:.1f}" y="{y:.1f}" width="{bar_w:.1f}" '
+        body.append(
+            lane_label(x0 - 6, y + bar_h - 8, f"job {w['job_id']}")
+            + f'<rect x="{bx:.1f}" y="{y:.1f}" width="{bar_w:.1f}" '
             f'height="{bar_h - 6:.1f}" rx="2" fill="{fill}" '
             f'stroke="var(--surface-1)" stroke-width="1">'
             f"<title>job {w['job_id']} ({w['direction']}): "
-            f"{delta / _US:+.1f}s ({parts or 'no component moved'})"
+            f"{delta / US:+.1f}s ({parts or 'no component moved'})"
             f"</title></rect>"
             f'<text x="{(mid + bar_w + 6) if delta >= 0 else x0 + width + 6:.1f}" '
-            f'y="{y + bar_h - 8}">{delta / _US:+.1f}s · '
-            f"{_esc(w['direction'])}</text>"
+            f'y="{y + bar_h - 8}">{delta / US:+.1f}s · '
+            f"{esc(w['direction'])}</text>"
         )
-    svg.append("</svg>")
-    legend = (
-        '<div class="legend">'
-        '<span><span class="sw" style="background:var(--c-failed)"></span>'
-        "later in B</span>"
-        '<span><span class="sw" style="background:var(--c-reduce)"></span>'
-        "earlier in B</span></div>"
-    )
-    rows = []
-    for w in sorted(waterfalls, key=lambda w: w["job_id"]):
-        rows.append(
-            [
-                f"job {w['job_id']}",
-                _fmt(w["tardiness_a_us"] / _US),
-                _fmt(w["tardiness_b_us"] / _US),
-                f"{w['delta_us'] / _US:+.1f}",
-            ]
-            + [f"{w['components_us'][n] / _US:+.3f}" for n in _COMPONENTS]
-            + [w["direction"]]
-        )
-    table = _kv_table(
+    rows = [
+        [
+            f"job {w['job_id']}",
+            fmt(w["tardiness_a_us"] / US),
+            fmt(w["tardiness_b_us"] / US),
+            f"{w['delta_us'] / US:+.1f}",
+        ]
+        + [f"{w['components_us'][n] / US:+.3f}" for n in COMPONENTS]
+        + [w["direction"]]
+        for w in sorted(waterfalls, key=lambda w: w["job_id"])
+    ]
+    numbers = table(
         ("job", "tardiness A (s)", "tardiness B (s)", "Δ (s)")
-        + tuple(f"Δ {_COMPONENT_LABEL[n]} (s)" for n in _COMPONENTS)
+        + tuple(f"Δ {COMPONENT_LABEL[n]} (s)" for n in COMPONENTS)
         + ("direction",),
         rows,
     )
@@ -196,7 +168,12 @@ def _delta_waterfall(waterfalls: Sequence[Mapping[str, Any]]) -> str:
         "and sum to each job's tardiness delta; bars show the "
         f"{len(shown)} largest movements.</p>"
     )
-    return legend + "".join(svg) + note + table
+    return (
+        legend(("var(--c-failed)", "later in B"), ("var(--c-reduce)", "earlier in B"))
+        + svg(x0 + width + 110, height + 6, "per-job delta waterfall", "".join(body))
+        + note
+        + numbers
+    )
 
 
 def _series_overlays(diff: RunDiff) -> str:
@@ -205,77 +182,48 @@ def _series_overlays(diff: RunDiff) -> str:
     overlays = diff.series.get("overlays", {})
     if not changed:
         return ""
-    ranked = sorted(
-        changed, key=lambda k: changed[k]["max_abs_delta"], reverse=True
-    )[:_MAX_OVERLAY_STRIPS]
-    strip_h, x0, width = 48, 150, 800
-    strips: List[str] = []
+    ranked = sorted(changed, key=lambda k: changed[k]["max_abs_delta"], reverse=True)
+    ranked = ranked[:_MAX_OVERLAY_STRIPS]
+    strip_h = 48
     span = max(
         (float(p[0]) for name in ranked for p in overlays.get(name, ())),
         default=0.0,
     )
     if span <= 0:
         return ""
+    axis = TimeAxis(150, 800, span)
 
-    def x(t: float) -> float:
-        return x0 + (t / span) * width
-
-    for row, name in enumerate(ranked):
+    def row(name: str):
         points = overlays.get(name, [])
-        values = [
-            v for p in points for v in (p[1], p[2]) if v is not None
-        ]
-        if not values:
-            continue
-        top = len(strips) * strip_h
-        hi, lo = max(values), min(values)
-        scale = (hi - lo) or 1.0
-
-        def coords(side: int) -> str:
-            return " ".join(
-                f"{x(float(p[0])):.1f},"
-                f"{top + strip_h - 8 - ((p[side] - lo) / scale) * (strip_h - 16):.1f}"
-                for p in points
-                if p[side] is not None
-            )
-
         info = changed[name]
-        strips.append(
-            f'<text class="lane-label" x="{x0 - 6}" '
-            f'y="{top + strip_h / 2 + 3:.1f}" text-anchor="end">'
-            f"{_esc(name)}</text>"
-            f'<polyline points="{coords(1)}" fill="none" '
-            f'stroke="var(--c-map)" stroke-width="1.5">'
-            f"<title>{_esc(name)} (run A)</title></polyline>"
-            f'<polyline points="{coords(2)}" fill="none" '
-            f'stroke="var(--c-solver)" stroke-width="1.5" '
-            f'stroke-dasharray="5 3"><title>{_esc(name)} (run B); '
-            f"max |Δ| {info['max_abs_delta']:g}, first diverged at "
-            f"t={info['first_divergence_t']:g}s</title></polyline>"
-        )
+        return name, [
+            (
+                [(float(p[0]), p[1]) for p in points],
+                'stroke="var(--c-map)" stroke-width="1.5"',
+                lambda lo, hi: f"{esc(name)} (run A)",
+            ),
+            (
+                [(float(p[0]), p[2]) for p in points],
+                'stroke="var(--c-solver)" stroke-width="1.5" stroke-dasharray="5 3"',
+                lambda lo, hi: f"{esc(name)} (run B); "
+                f"max |Δ| {info['max_abs_delta']:g}, first diverged at "
+                f"t={info['first_divergence_t']:g}s",
+            ),
+        ]
+
+    strips = axis.strips([row(name) for name in ranked], strip_h, 8)
     if not strips:
         return ""
-    height = len(strips) * strip_h
-    svg = (
-        f'<svg viewBox="0 0 {x0 + width + 10} {height + 20}" width="100%" '
-        f'role="img" aria-label="series overlays">'
-        + _time_axis(x0, width, span, height)
-        + "".join(strips)
-        + "</svg>"
-    )
-    legend = (
-        '<div class="legend">'
-        '<span><span class="sw" style="background:var(--c-map)"></span>'
-        "run A (solid)</span>"
-        '<span><span class="sw" style="background:var(--c-solver)"></span>'
-        "run B (dashed)</span></div>"
-    )
     note = (
         f'<p class="note">{len(changed)} series field(s) diverged; showing '
         f"the {len(strips)} with the largest absolute delta, each min-max "
         "scaled independently.</p>"
     )
-    return legend + note + svg
+    return (
+        legend(("var(--c-map)", "run A (solid)"), ("var(--c-solver)", "run B (dashed)"))
+        + note
+        + axis.chart("series overlays", len(strips) * strip_h, "".join(strips))
+    )
 
 
 def _event_detail(diff: RunDiff) -> str:
@@ -286,25 +234,23 @@ def _event_detail(diff: RunDiff) -> str:
         ("aligned (LCS)", al.matched, al.matched),
         ("unmatched", al.only_a, al.only_b),
     ]
-    parts = [_kv_table(("event streams", "run A", "run B"), rows)]
+    parts = [table(("event streams", "run A", "run B"), rows)]
     if fd is not None:
-        detail_rows = []
-        keys = sorted(
-            set((fd["a"] or {}).keys()) | set((fd["b"] or {}).keys())
-        )
-        for key in keys:
-            va = (fd["a"] or {}).get(key)
-            vb = (fd["b"] or {}).get(key)
-            detail_rows.append((key, repr(va), repr(vb)))
+        side_a = fd["a"] or {}
+        side_b = fd["b"] or {}
+        detail_rows = [
+            (key, repr(side_a.get(key)), repr(side_b.get(key)))
+            for key in sorted(set(side_a) | set(side_b))
+        ]
         parts.append(
             f"<p>first divergent event: index <b>{fd['index']}</b> at "
             f"t=<b>{fd['sim_time']:g}s</b></p>"
         )
-        parts.append(_kv_table(("field", "run A", "run B"), detail_rows))
+        parts.append(table(("field", "run A", "run B"), detail_rows))
     if al.problems:
         parts.append(
             '<p class="note">conformance problems: '
-            + "; ".join(_esc(p) for p in al.problems[:5])
+            + "; ".join(esc(p) for p in al.problems[:5])
             + "</p>"
         )
     return "".join(parts)
@@ -314,30 +260,21 @@ def _plan_detail(diff: RunDiff) -> str:
     inv = diff.invocation
     if inv is None:
         return '<p class="note">plan histories are identical.</p>'
-    parts = [
+    rows = [(e["path"], repr(e["a"]), repr(e["b"])) for e in inv["changed"]]
+    return (
         f"<p>first divergent scheduler invocation: index "
         f"<b>{inv['index']}</b> at t=<b>{inv['sim_time']:g}s</b></p>"
-    ]
-    rows = []
-    for entry in inv["changed"]:
-        rows.append((entry["path"], repr(entry["a"]), repr(entry["b"])))
-    parts.append(_kv_table(("changed path", "run A", "run B"), rows))
-    return "".join(parts)
+        + table(("changed path", "run A", "run B"), rows)
+    )
 
 
 def render_diff_report(diff: RunDiff, title: str = "MRCP-RM run diff") -> str:
     """Render a :class:`RunDiff` as one self-contained HTML document."""
-    parts: List[str] = [
-        "<!DOCTYPE html>",
-        '<html lang="en"><head><meta charset="utf-8">',
-        f"<title>{_esc(title)}</title>",
-        f"<style>{_CSS}</style></head><body>",
-        f"<h1>{_esc(title)}</h1>",
-        f'<p class="sub">A = {_esc(diff.a.label)} '
-        f"(seed {_esc(diff.a.run.get('seed'))}) · "
-        f"B = {_esc(diff.b.label)} "
-        f"(seed {_esc(diff.b.run.get('seed'))}) · "
-        "single-file diff · inline SVG/CSS · no scripts, no network</p>",
+    lead = (
+        f"A = {esc(diff.a.label)} (seed {esc(diff.a.run.get('seed'))}) · "
+        f"B = {esc(diff.b.label)} (seed {esc(diff.b.run.get('seed'))}) · "
+    )
+    sections = [
         _metric_tiles(diff),
         "<h2>Divergence timeline</h2>",
         _timeline(diff),
@@ -346,17 +283,11 @@ def render_diff_report(diff: RunDiff, title: str = "MRCP-RM run diff") -> str:
     ]
     overlays = _series_overlays(diff)
     if overlays:
-        parts.append("<h2>Series overlays</h2>")
-        parts.append(overlays)
-    parts.append("<h2>Event streams</h2>")
-    parts.append(_event_detail(diff))
-    parts.append("<h2>Plan histories</h2>")
-    parts.append(_plan_detail(diff))
-    parts.append("</body></html>")
-    return "\n".join(p for p in parts if p)
-
-
-def write_diff_report(path: str, diff: RunDiff, **kwargs: Any) -> str:
-    """Render and atomically write the HTML diff report to ``path``."""
-    atomic_write_text(path, render_diff_report(diff, **kwargs))
-    return path
+        sections += ["<h2>Series overlays</h2>", overlays]
+    sections += [
+        "<h2>Event streams</h2>",
+        _event_detail(diff),
+        "<h2>Plan histories</h2>",
+        _plan_detail(diff),
+    ]
+    return page(title, "diff", sections, lead=lead)

@@ -40,7 +40,7 @@ is what makes the decomposition additive).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -52,13 +52,25 @@ from typing import (
     Sequence,
 )
 
-from repro.ioutil import atomic_write_text
 from repro.obs.trace import SIM_PID, WALL_PID
 
 if TYPE_CHECKING:  # import cycle: repro.cp -> repro.obs -> repro.metrics
     from repro.metrics.collector import RunMetrics
 
-_US = 1_000_000
+#: Microseconds per second: trace timestamps and the attribution
+#: components are integer microseconds.
+US = 1_000_000
+
+#: The four additive lateness components, in waterfall order.
+COMPONENTS = ("contention", "solver", "fault", "residual")
+
+#: Display label of each component (report tables, legends, tooltips).
+COMPONENT_LABEL = {
+    "contention": "slot contention",
+    "solver": "solver delay",
+    "fault": "fault recovery",
+    "residual": "residual execution",
+}
 
 
 @dataclass(frozen=True)
@@ -125,7 +137,7 @@ def parse_attempts(events: Iterable[Mapping[str, Any]]) -> List[AttemptRecord]:
     for ev in events:
         args = ev.get("args") or {}
         if ev.get("ph") == "X" and ev.get("cat") == "task":
-            start = ev["ts"] / _US
+            start = ev["ts"] / US
             attempts.append(
                 AttemptRecord(
                     task_id=str(ev.get("name")),
@@ -134,7 +146,7 @@ def parse_attempts(events: Iterable[Mapping[str, Any]]) -> List[AttemptRecord]:
                     kind=str(args.get("kind", "MAP")),
                     slot=int(args.get("slot", 0)),
                     start=start,
-                    end=(ev["ts"] + ev.get("dur", 0)) / _US,
+                    end=(ev["ts"] + ev.get("dur", 0)) / US,
                     outcome="completed",
                     planned=args.get("planned"),
                 )
@@ -147,8 +159,8 @@ def parse_attempts(events: Iterable[Mapping[str, Any]]) -> List[AttemptRecord]:
                     resource_id=int(args.get("resource", -1)),
                     kind=str(args.get("kind", "MAP")),
                     slot=int(args.get("slot", 0)),
-                    start=float(args.get("start", ev["ts"] / _US)),
-                    end=ev["ts"] / _US,
+                    start=float(args.get("start", ev["ts"] / US)),
+                    end=ev["ts"] / US,
                     outcome=str(args.get("reason", "failed")),
                 )
             )
@@ -169,19 +181,17 @@ def outage_windows(
     horizon = 0.0
     for ev in events:
         if ev.get("pid") == SIM_PID and "ts" in ev:
-            horizon = max(horizon, (ev["ts"] + ev.get("dur", 0)) / _US)
+            horizon = max(horizon, (ev["ts"] + ev.get("dur", 0)) / US)
         if ev.get("ph") != "i":
             continue
         args = ev.get("args") or {}
         if ev.get("name") == "fault.outage":
-            opens[int(args.get("resource", -1))] = ev["ts"] / _US
+            opens[int(args.get("resource", -1))] = ev["ts"] / US
         elif ev.get("name") == "fault.recovery":
             rid = int(args.get("resource", -1))
             start = opens.pop(rid, None)
             if start is not None:
-                windows.append(
-                    {"resource": rid, "start": start, "end": ev["ts"] / _US}
-                )
+                windows.append({"resource": rid, "start": start, "end": ev["ts"] / US})
     for rid, start in opens.items():
         windows.append({"resource": rid, "start": start, "end": horizon})
     windows.sort(key=lambda w: (w["start"], w["resource"]))
@@ -217,22 +227,17 @@ class LatenessAttribution:
     @property
     def tardiness(self) -> float:
         """Measured tardiness in seconds (completion minus deadline)."""
-        return self.tardiness_us / _US
+        return self.tardiness_us / US
 
     @property
     def components_us(self) -> Dict[str, int]:
         """The decomposition in integer microseconds (sums exactly)."""
-        return {
-            "contention": self.contention_us,
-            "solver": self.solver_us,
-            "fault": self.fault_us,
-            "residual": self.residual_us,
-        }
+        return {name: getattr(self, f"{name}_us") for name in COMPONENTS}
 
     @property
     def components(self) -> Dict[str, float]:
         """The decomposition in seconds (floating-point view)."""
-        return {k: v / _US for k, v in self.components_us.items()}
+        return {k: v / US for k, v in self.components_us.items()}
 
     def dominant(self) -> str:
         """Name of the largest component (ties break in waterfall order)."""
@@ -246,20 +251,7 @@ class LatenessAttribution:
         ``forensics.json`` so two runs can be diffed without re-parsing
         their traces (:mod:`repro.obs.diff`).
         """
-        return {
-            "job_id": self.job_id,
-            "tardiness_us": self.tardiness_us,
-            "contention_us": self.contention_us,
-            "solver_us": self.solver_us,
-            "fault_us": self.fault_us,
-            "residual_us": self.residual_us,
-            "raw_contention": self.raw_contention,
-            "raw_solver": self.raw_solver,
-            "raw_fault": self.raw_fault,
-            "first_start": self.first_start,
-            "completion": self.completion,
-            "degraded_plans": self.degraded_plans,
-        }
+        return asdict(self)
 
 
 def attribution_from_dict(row: Mapping[str, Any]) -> LatenessAttribution:
@@ -304,7 +296,7 @@ def _solver_overhead_us(
     if plan_history:
         for rec in plan_history:
             if job_arrival <= rec.t <= first_start:
-                total += int(round(rec.overhead * _US))
+                total += int(round(rec.overhead * US))
         return total
     if events is None:
         return 0
@@ -351,26 +343,20 @@ def attribute_lateness(
         elif a.planned is not None:
             lost = a.inflation
         if lost > 0:
-            fault_us[a.job_id] = fault_us.get(a.job_id, 0) + int(
-                round(lost * _US)
-            )
+            fault_us[a.job_id] = fault_us.get(a.job_id, 0) + int(round(lost * US))
 
     out: List[LatenessAttribution] = []
     for job_id in sorted(metrics.tardiness_by_job):
         job = job_by_id.get(job_id)
         if job is None:
             continue
-        tardiness_us = int(metrics.tardiness_by_job[job_id]) * _US
+        tardiness_us = int(metrics.tardiness_by_job[job_id]) * US
         completion = job.earliest_start + metrics.turnarounds[job_id]
         fs = first_start.get(job_id)
         raw_contention_us = (
-            max(int(round((fs - job.earliest_start) * _US)), 0)
-            if fs is not None
-            else 0
+            max(int(round((fs - job.earliest_start) * US)), 0) if fs is not None else 0
         )
-        raw_solver_us = _solver_overhead_us(
-            job.arrival_time, fs, plan_history, events
-        )
+        raw_solver_us = _solver_overhead_us(job.arrival_time, fs, plan_history, events)
         raw_fault_us = fault_us.get(job_id, 0)
         degraded = 0
         if plan_history:
@@ -378,7 +364,7 @@ def attribute_lateness(
                 1
                 for rec in plan_history
                 if job.arrival_time <= rec.t <= completion
-                and getattr(rec, "rung", "cp_full") != "cp_full"
+                and rec.rung != "cp_full"
             )
 
         remaining = tardiness_us
@@ -397,9 +383,9 @@ def attribute_lateness(
                 solver_us=solver,
                 fault_us=fault,
                 residual_us=remaining,
-                raw_contention=raw_contention_us / _US,
-                raw_solver=raw_solver_us / _US,
-                raw_fault=raw_fault_us / _US,
+                raw_contention=raw_contention_us / US,
+                raw_solver=raw_solver_us / US,
+                raw_fault=raw_fault_us / US,
                 first_start=fs,
                 completion=float(completion),
                 degraded_plans=degraded,
@@ -423,14 +409,6 @@ def attributions_csv(attributions: Sequence[LatenessAttribution]) -> str:
             f"{a.degraded_plans}"
         )
     return "\n".join(lines) + "\n"
-
-
-def write_attributions_csv(
-    attributions: Sequence[LatenessAttribution], path: str
-) -> str:
-    """Atomically write :func:`attributions_csv` to ``path``."""
-    atomic_write_text(path, attributions_csv(attributions))
-    return path
 
 
 def format_attributions(attributions: Sequence[LatenessAttribution]) -> str:

@@ -1,12 +1,12 @@
-"""Self-contained HTML run reports.
+"""Self-contained HTML run and sweep reports.
 
-One MRCP-RM run -> one HTML file: inline SVG and CSS only, no scripts, no
-frameworks, no network access -- the file opens anywhere and archives
-alongside the trace it was rendered from.  Sections degrade gracefully
-with their inputs:
+One MRCP-RM run -> one HTML page built from :mod:`repro.obs.htmlkit`.
+Sections degrade gracefully with their inputs:
 
 * **headline tiles** -- the paper's O / N / T / P plus run shape
   (always rendered, from :class:`~repro.metrics.collector.RunMetrics`);
+* **live timeline** -- sampled telemetry strips with fired SLO alerts
+  marked (needs the series);
 * **cluster Gantt** -- one lane per (resource, kind, slot) with every task
   attempt, failed attempts marked, resource outage windows shaded
   (needs the trace event stream and the resource list);
@@ -19,15 +19,13 @@ with their inputs:
   counters (from the run metrics when solver profiling was on);
 * **fault counters** -- when the run was fault-injected.
 
-Colors are a fixed, CVD-validated categorical order (never cycled); task
-kinds take the first two slots, attribution components the first four,
-faults use the reserved status red, and both light and dark modes are
-explicit steps of the same hues (selected, not auto-inverted).
+A sweep renders as one page too (:func:`render_sweep_report`): the
+per-label summary, the per-cell table and one utilization strip per
+captured cell.
 """
 
 from __future__ import annotations
 
-import html
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -40,149 +38,64 @@ from typing import (
     Tuple,
 )
 
-from repro.ioutil import atomic_write_text
 from repro.obs.forensics import (
+    COMPONENT_LABEL,
+    COMPONENTS,
     AttemptRecord,
     LatenessAttribution,
     outage_windows,
     parse_attempts,
 )
+from repro.obs.htmlkit import (
+    MAX_WATERFALL_JOBS,
+    TimeAxis,
+    esc,
+    fmt,
+    lane_label,
+    legend,
+    page,
+    svg,
+    table,
+    tiles,
+)
 
 if TYPE_CHECKING:  # import cycle: repro.cp -> repro.obs -> repro.metrics
     from repro.metrics.collector import RunMetrics
 
-#: Fixed categorical assignment (validated palette, light / dark steps).
-_COLORS = {
-    "map": ("#2a78d6", "#3987e5"),  # slot 1: blue
-    "reduce": ("#1baf7a", "#199e70"),  # slot 3: aqua (skip orange next to it)
-    "contention": ("#2a78d6", "#3987e5"),  # slot 1
-    "solver": ("#eb6834", "#d95926"),  # slot 2
-    "fault": ("#1baf7a", "#199e70"),  # slot 3
-    "residual": ("#eda100", "#c98500"),  # slot 4
-    "failed": ("#e34948", "#e66767"),  # reserved status: serious
-}
-
 #: Sequential blue ramp (light mode steps 100->700) for utilization.
 _SEQ = (
-    "#cde2fb", "#b7d3f6", "#9ec5f4", "#86b6ef", "#6da7ec", "#5598e7",
-    "#3987e5", "#2a78d6", "#256abf", "#1c5cab", "#184f95", "#104281",
+    "#cde2fb",
+    "#b7d3f6",
+    "#9ec5f4",
+    "#86b6ef",
+    "#6da7ec",
+    "#5598e7",
+    "#3987e5",
+    "#2a78d6",
+    "#256abf",
+    "#1c5cab",
+    "#184f95",
+    "#104281",
     "#0d366b",
 )
 
-_CSS = """
-:root {
-  color-scheme: light;
-  --surface-1: #fcfcfb; --surface-2: #f0efec;
-  --text-primary: #0b0b0b; --text-secondary: #52514e; --text-muted: #706f6a;
-  --grid: #dddcd7; --outage: #706f6a;
-  --c-map: #2a78d6; --c-reduce: #1baf7a; --c-failed: #e34948;
-  --c-contention: #2a78d6; --c-solver: #eb6834; --c-fault: #1baf7a;
-  --c-residual: #eda100;
-}
-@media (prefers-color-scheme: dark) {
-  :root {
-    color-scheme: dark;
-    --surface-1: #1a1a19; --surface-2: #262625;
-    --text-primary: #ffffff; --text-secondary: #c3c2b7; --text-muted: #96958c;
-    --grid: #383835; --outage: #96958c;
-    --c-map: #3987e5; --c-reduce: #199e70; --c-failed: #e66767;
-    --c-contention: #3987e5; --c-solver: #d95926; --c-fault: #199e70;
-    --c-residual: #c98500;
-  }
-}
-html { background: var(--surface-1); }
-body {
-  font: 14px/1.45 system-ui, -apple-system, "Segoe UI", sans-serif;
-  color: var(--text-primary); background: var(--surface-1);
-  max-width: 1020px; margin: 0 auto; padding: 24px 16px 64px;
-}
-h1 { font-size: 22px; margin: 0 0 4px; }
-h2 { font-size: 16px; margin: 32px 0 8px; }
-p.sub { color: var(--text-secondary); margin: 0 0 16px; }
-.tiles { display: flex; flex-wrap: wrap; gap: 12px; margin: 16px 0; }
-.tile {
-  background: var(--surface-2); border-radius: 8px; padding: 10px 16px;
-  min-width: 108px;
-}
-.tile .v { font-size: 22px; font-weight: 600; font-variant-numeric: tabular-nums; }
-.tile .l { font-size: 12px; color: var(--text-secondary); }
-table { border-collapse: collapse; margin: 8px 0; }
-th, td {
-  text-align: right; padding: 3px 12px; font-variant-numeric: tabular-nums;
-}
-th { color: var(--text-secondary); font-weight: 500; font-size: 12px; }
-th:first-child, td:first-child { text-align: left; }
-tbody tr { border-top: 1px solid var(--grid); }
-svg text { fill: var(--text-secondary); font-size: 10px; }
-svg .lane-label { fill: var(--text-muted); }
-.legend { display: flex; gap: 16px; font-size: 12px;
-  color: var(--text-secondary); margin: 4px 0 8px; align-items: center; }
-.legend .sw { display: inline-block; width: 10px; height: 10px;
-  border-radius: 3px; margin-right: 5px; vertical-align: -1px; }
-.note { color: var(--text-muted); font-size: 12px; }
-"""
-
-
-def _esc(value: Any) -> str:
-    return html.escape(str(value), quote=True)
-
-
-def _fmt(value: float, digits: int = 1) -> str:
-    return f"{value:,.{digits}f}"
-
-
-def _tile(value: str, label: str) -> str:
-    return (
-        f'<div class="tile"><div class="v">{_esc(value)}</div>'
-        f'<div class="l">{_esc(label)}</div></div>'
-    )
-
 
 def _tiles(metrics: RunMetrics) -> str:
-    tiles = [
-        _tile(f"{metrics.avg_sched_overhead * 1000:.2f} ms", "O · overhead/job"),
-        _tile(str(metrics.late_jobs), "N · late jobs"),
-        _tile(_fmt(metrics.avg_turnaround), "T · avg turnaround (s)"),
-        _tile(f"{metrics.percent_late:.1f}%", "P · percent late"),
-        _tile(
-            f"{metrics.jobs_completed}/{metrics.jobs_arrived}",
-            "jobs completed/arrived",
-        ),
-        _tile(_fmt(float(metrics.makespan), 0), "makespan (s)"),
-        _tile(str(metrics.scheduler_invocations), "scheduler invocations"),
+    pairs = [
+        (f"{metrics.avg_sched_overhead * 1000:.2f} ms", "O · overhead/job"),
+        (str(metrics.late_jobs), "N · late jobs"),
+        (fmt(metrics.avg_turnaround), "T · avg turnaround (s)"),
+        (f"{metrics.percent_late:.1f}%", "P · percent late"),
+        (f"{metrics.jobs_completed}/{metrics.jobs_arrived}", "jobs completed/arrived"),
+        (fmt(float(metrics.makespan), 0), "makespan (s)"),
+        (str(metrics.scheduler_invocations), "scheduler invocations"),
     ]
     if metrics.jobs_failed:
-        tiles.append(_tile(str(metrics.jobs_failed), "jobs failed"))
+        pairs.append((str(metrics.jobs_failed), "jobs failed"))
     if metrics.late_jobs:
-        tiles.append(
-            _tile(_fmt(metrics.mean_tardiness), "mean tardiness (s)")
-        )
-        tiles.append(
-            _tile(_fmt(float(metrics.max_tardiness), 0), "max tardiness (s)")
-        )
-    return '<div class="tiles">' + "".join(tiles) + "</div>"
-
-
-def _ticks(span: float, n: int = 6) -> List[float]:
-    if span <= 0:
-        return [0.0]
-    raw = span / n
-    magnitude = 10 ** max(len(str(int(raw))) - 1, 0)
-    step = max(int(round(raw / magnitude)) * magnitude, 1)
-    return [t for t in range(0, int(span) + 1, int(step))]
-
-
-def _time_axis(x0: float, width: float, span: float, y: float) -> str:
-    parts = []
-    for t in _ticks(span):
-        x = x0 + (t / span) * width if span else x0
-        parts.append(
-            f'<line x1="{x:.1f}" y1="0" x2="{x:.1f}" y2="{y:.1f}" '
-            f'stroke="var(--grid)" stroke-width="1"/>'
-            f'<text x="{x:.1f}" y="{y + 12:.1f}" text-anchor="middle">'
-            f"{t:,}</text>"
-        )
-    return "".join(parts)
+        pairs.append((fmt(metrics.mean_tardiness), "mean tardiness (s)"))
+        pairs.append((fmt(float(metrics.max_tardiness), 0), "max tardiness (s)"))
+    return tiles(pairs)
 
 
 _MAX_GANTT_LANES = 96
@@ -206,17 +119,10 @@ def _gantt(
     truncated = len(lanes) > _MAX_GANTT_LANES
     lanes = lanes[:_MAX_GANTT_LANES]
     lane_index = {key: i for i, key in enumerate(lanes)}
-    lane_h, x0, width = 14, 90, 860
-    height = len(lanes) * lane_h
-    svg = [
-        f'<svg viewBox="0 0 {x0 + width + 10} {height + 20}" '
-        f'width="100%" role="img" aria-label="cluster Gantt">'
-    ]
-    svg.append(_time_axis(x0, width, span, height))
-
-    def x(t: float) -> float:
-        return x0 + (t / span) * width
-
+    lane_h = 14
+    axis = TimeAxis(90, 860, span)
+    x = axis.x
+    body: List[str] = []
     # outage shading behind the bars, across the resource's lanes
     for w in outages:
         rows = [i for (rid, _, _), i in lane_index.items() if rid == w["resource"]]
@@ -224,7 +130,7 @@ def _gantt(
             continue
         y = min(rows) * lane_h
         h = (max(rows) - min(rows) + 1) * lane_h
-        svg.append(
+        body.append(
             f'<rect x="{x(w["start"]):.1f}" y="{y:.1f}" '
             f'width="{max(x(w["end"]) - x(w["start"]), 1):.1f}" h'
             f'eight="{h:.1f}" fill="var(--outage)" opacity="0.18">'
@@ -236,18 +142,16 @@ def _gantt(
     for (rid, kind, slot), i in lane_index.items():
         y = i * lane_h
         if rid != prev_rid:
-            svg.append(
-                f'<line x1="{x0}" y1="{y}" x2="{x0 + width}" y2="{y}" '
-                f'stroke="var(--grid)" stroke-width="1"/>'
+            body.append(
+                f'<line x1="{axis.x0}" y1="{y}" x2="{axis.x0 + axis.width}" '
+                f'y2="{y}" stroke="var(--grid)" stroke-width="1"/>'
             )
             prev_rid = rid
-        svg.append(
-            f'<text class="lane-label" x="{x0 - 6}" y="{y + lane_h - 4}" '
-            f'text-anchor="end">r{rid} {kind.lower()[:3]}{slot}</text>'
+        body.append(
+            lane_label(axis.x0 - 6, y + lane_h - 4, f"r{rid} {kind.lower()[:3]}{slot}")
         )
     for a in attempts:
-        key = (a.resource_id, a.kind, a.slot)
-        i = lane_index.get(key)
+        i = lane_index.get((a.resource_id, a.kind, a.slot))
         if i is None:
             continue
         y = i * lane_h + 2
@@ -258,32 +162,29 @@ def _gantt(
         )
         w = max(x(a.end) - x(a.start), 1.5)
         state = "" if a.outcome == "completed" else f" [{a.outcome}]"
-        svg.append(
+        body.append(
             f'<rect x="{x(a.start):.1f}" y="{y:.1f}" width="{w:.1f}" '
             f'height="{lane_h - 4:.1f}" rx="2" fill="{fill}" '
             f'stroke="var(--surface-1)" stroke-width="1">'
-            f"<title>{_esc(a.task_id)}{state}: job {a.job_id}, "
+            f"<title>{esc(a.task_id)}{state}: job {a.job_id}, "
             f"{a.start:.0f}-{a.end:.0f}s on r{a.resource_id} "
             f"{a.kind.lower()} slot {a.slot}</title></rect>"
         )
-    svg.append("</svg>")
-    legend = (
-        '<div class="legend">'
-        '<span><span class="sw" style="background:var(--c-map)"></span>'
-        "map task</span>"
-        '<span><span class="sw" style="background:var(--c-reduce)"></span>'
-        "reduce task</span>"
-        '<span><span class="sw" style="background:var(--c-failed)"></span>'
-        "failed/killed attempt</span>"
-        '<span><span class="sw" style="background:var(--outage);'
-        'opacity:.4"></span>resource outage</span></div>'
-    )
     note = (
         f'<p class="note">showing the first {_MAX_GANTT_LANES} slot lanes.</p>'
         if truncated
         else ""
     )
-    return legend + "".join(svg) + note
+    return (
+        legend(
+            ("var(--c-map)", "map task"),
+            ("var(--c-reduce)", "reduce task"),
+            ("var(--c-failed)", "failed/killed attempt"),
+            ("var(--outage);opacity:.4", "resource outage"),
+        )
+        + axis.chart("cluster Gantt", len(lanes) * lane_h, "".join(body))
+        + note
+    )
 
 
 def _utilization(
@@ -308,49 +209,36 @@ def _utilization(
             overlap = min(a.end, hi) - max(a.start, lo)
             if overlap > 0:
                 busy[a.resource_id][b] += overlap
-    strip_h, x0, width = 16, 90, 860
+    strip_h = 16
+    axis = TimeAxis(90, 860, span)
     rows = [r for r in resources if slots_of[r.id]][:32]
     height = len(rows) * strip_h
-    cell_w = width / bins
-    svg = [
-        f'<svg viewBox="0 0 {x0 + width + 10} {height + 20}" width="100%" '
-        f'role="img" aria-label="utilization strips">'
-    ]
+    cell_w = axis.width / bins
+    body: List[str] = []
     for row, r in enumerate(rows):
         y = row * strip_h
-        svg.append(
-            f'<text class="lane-label" x="{x0 - 6}" y="{y + strip_h - 5}" '
-            f'text-anchor="end">r{r.id}</text>'
-        )
+        body.append(lane_label(axis.x0 - 6, y + strip_h - 5, f"r{r.id}"))
         for b in range(bins):
             frac = busy[r.id][b] / (slots_of[r.id] * bin_w)
             frac = min(max(frac, 0.0), 1.0)
             if frac <= 0:
                 continue
             color = _SEQ[min(int(frac * (len(_SEQ) - 1) + 0.5), len(_SEQ) - 1)]
-            svg.append(
-                f'<rect x="{x0 + b * cell_w:.1f}" y="{y + 2:.1f}" '
+            body.append(
+                f'<rect x="{axis.x0 + b * cell_w:.1f}" y="{y + 2:.1f}" '
                 f'width="{cell_w + 0.2:.1f}" height="{strip_h - 4:.1f}" '
                 f'fill="{color}"><title>r{r.id} '
                 f"{b * bin_w:.0f}-{(b + 1) * bin_w:.0f}s: "
                 f"{100 * frac:.0f}% busy</title></rect>"
             )
-    svg.append(_time_axis(x0, width, span, height))
-    svg.append("</svg>")
+    body.append(axis.grid(height))
+    chart = svg(
+        axis.x0 + axis.width + 10, height + 20, "utilization strips", "".join(body)
+    )
     return (
         '<p class="note">busy slot-fraction per resource over time '
-        "(darker = busier; sequential single-hue ramp).</p>" + "".join(svg)
+        "(darker = busier; sequential single-hue ramp).</p>" + chart
     )
-
-
-_MAX_WATERFALL_JOBS = 25
-_COMPONENT_ORDER = ("contention", "solver", "fault", "residual")
-_COMPONENT_LABEL = {
-    "contention": "slot contention",
-    "solver": "solver delay",
-    "fault": "fault recovery",
-    "residual": "residual execution",
-}
 
 
 def _waterfall(attributions: Sequence[LatenessAttribution]) -> str:
@@ -360,64 +248,39 @@ def _waterfall(attributions: Sequence[LatenessAttribution]) -> str:
             '<p class="note">no late jobs: every deadline was met, nothing '
             "to attribute.</p>"
         )
-    shown = sorted(
-        attributions, key=lambda a: a.tardiness_us, reverse=True
-    )[:_MAX_WATERFALL_JOBS]
+    shown = sorted(attributions, key=lambda a: a.tardiness_us, reverse=True)
+    shown = shown[:MAX_WATERFALL_JOBS]
     max_t = max(a.tardiness for a in shown) or 1.0
     bar_h, x0, width = 20, 70, 760
-    height = len(shown) * bar_h
-    svg = [
-        f'<svg viewBox="0 0 {x0 + width + 110} {height + 6}" width="100%" '
-        f'role="img" aria-label="lateness attribution waterfall">'
-    ]
+    body: List[str] = []
     for row, a in enumerate(shown):
         y = row * bar_h + 2
-        svg.append(
-            f'<text class="lane-label" x="{x0 - 6}" y="{y + bar_h - 8}" '
-            f'text-anchor="end">job {a.job_id}</text>'
-        )
+        body.append(lane_label(x0 - 6, y + bar_h - 8, f"job {a.job_id}"))
         cx = float(x0)
         comp = a.components
-        for name in _COMPONENT_ORDER:
+        for name in COMPONENTS:
             seconds = comp[name]
             if seconds <= 0:
                 continue
             w = max((seconds / max_t) * width, 1.0)
-            svg.append(
+            body.append(
                 f'<rect x="{cx:.1f}" y="{y:.1f}" width="{w:.1f}" '
                 f'height="{bar_h - 6:.1f}" rx="2" fill="var(--c-{name})" '
                 f'stroke="var(--surface-1)" stroke-width="1">'
-                f"<title>job {a.job_id} {_COMPONENT_LABEL[name]}: "
+                f"<title>job {a.job_id} {COMPONENT_LABEL[name]}: "
                 f"{seconds:.1f}s of {a.tardiness:.1f}s tardiness"
                 f"</title></rect>"
             )
             cx += w
-        svg.append(
+        body.append(
             f'<text x="{cx + 6:.1f}" y="{y + bar_h - 8}">'
-            f"{a.tardiness:.0f}s · {_esc(a.dominant())}</text>"
+            f"{a.tardiness:.0f}s · {esc(a.dominant())}</text>"
         )
-    svg.append("</svg>")
-    legend = ['<div class="legend">']
-    for name in _COMPONENT_ORDER:
-        legend.append(
-            f'<span><span class="sw" style="background:var(--c-{name})">'
-            f"</span>{_COMPONENT_LABEL[name]}</span>"
-        )
-    legend.append("</div>")
-    rows = []
-    for a in sorted(attributions, key=lambda x: x.job_id):
-        comp = a.components
-        rows.append(
-            f"<tr><td>job {a.job_id}</td><td>{a.tardiness:.1f}</td>"
-            + "".join(f"<td>{comp[n]:.3f}</td>" for n in _COMPONENT_ORDER)
-            + f"<td>{_esc(a.dominant())}</td></tr>"
-        )
-    table = (
-        "<table><thead><tr><th>late job</th><th>tardiness (s)</th>"
-        + "".join(f"<th>{_COMPONENT_LABEL[n]} (s)</th>" for n in _COMPONENT_ORDER)
-        + "<th>dominant</th></tr></thead><tbody>"
-        + "".join(rows)
-        + "</tbody></table>"
+    chart = svg(
+        x0 + width + 110,
+        len(shown) * bar_h + 6,
+        "lateness attribution waterfall",
+        "".join(body),
     )
     note = (
         f'<p class="note">bars show the {len(shown)} latest jobs; '
@@ -427,7 +290,19 @@ def _waterfall(attributions: Sequence[LatenessAttribution]) -> str:
         else '<p class="note">Components are a capped-waterfall '
         "decomposition and sum exactly to each job's tardiness.</p>"
     )
-    return "".join(legend) + "".join(svg) + note + table
+    numbers = table(
+        ("late job", "tardiness (s)")
+        + tuple(f"{COMPONENT_LABEL[n]} (s)" for n in COMPONENTS)
+        + ("dominant",),
+        [
+            [f"job {a.job_id}", f"{a.tardiness:.1f}"]
+            + [f"{a.components[n]:.3f}" for n in COMPONENTS]
+            + [a.dominant()]
+            for a in sorted(attributions, key=lambda x: x.job_id)
+        ],
+    )
+    swatches = legend(*((f"var(--c-{n})", COMPONENT_LABEL[n]) for n in COMPONENTS))
+    return swatches + chart + note + numbers
 
 
 #: Telemetry fields drawn as sparkline strips, in display order.  Probe
@@ -444,7 +319,7 @@ _TIMELINE_FIELDS = (
 
 def _sample_value(sample: Mapping[str, Any], field: str) -> Optional[float]:
     if field.startswith("probes."):
-        value = (sample.get("probes") or {}).get(field[len("probes."):])
+        value = (sample.get("probes") or {}).get(field[len("probes.") :])
     else:
         value = sample.get(field)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -462,76 +337,49 @@ def _timeline_section(
     span = max(float(s.get("sim_time", 0.0)) for s in samples)
     if span <= 0:
         return ""
-    strip_h, x0, width = 36, 150, 800
+    strip_h = 36
+    axis = TimeAxis(150, 800, span)
 
-    def x(t: float) -> float:
-        return x0 + (t / span) * width
-
-    strips: List[str] = []
-    for row, (field, label) in enumerate(_TIMELINE_FIELDS):
+    def row(field: str, label: str):
         points = [
-            (float(s.get("sim_time", 0.0)), v)
-            for s in samples
-            if (v := _sample_value(s, field)) is not None
+            (float(s.get("sim_time", 0.0)), _sample_value(s, field)) for s in samples
         ]
-        if not points:
-            continue
-        top = len(strips) * strip_h
-        hi = max(v for _, v in points)
-        lo = min(v for _, v in points)
-        scale = (hi - lo) or 1.0
-        coords = " ".join(
-            f"{x(t):.1f},{top + strip_h - 6 - ((v - lo) / scale) * (strip_h - 12):.1f}"
-            for t, v in points
-        )
-        strips.append(
-            f'<text class="lane-label" x="{x0 - 6}" '
-            f'y="{top + strip_h / 2 + 3:.1f}" text-anchor="end">'
-            f"{_esc(label)}</text>"
-            f'<polyline points="{coords}" fill="none" stroke="var(--c-map)" '
-            f'stroke-width="1.5"><title>{_esc(label)}: '
-            f"min {lo:g}, max {hi:g}</title></polyline>"
-        )
+        return label, [
+            (
+                points,
+                'stroke="var(--c-map)" stroke-width="1.5"',
+                lambda lo, hi: f"{esc(label)}: min {lo:g}, max {hi:g}",
+            )
+        ]
+
+    strips = axis.strips(
+        [row(field, label) for field, label in _TIMELINE_FIELDS], strip_h, 6
+    )
     if not strips:
         return ""
     height = len(strips) * strip_h
     marks: List[str] = []
+    fired = 0
     for alert in alerts:
         if alert.get("state") != "fired":
             continue
+        fired += 1
         t = float(alert.get("sim_time", 0.0))
         marks.append(
-            f'<line x1="{x(t):.1f}" y1="0" x2="{x(t):.1f}" '
+            f'<line x1="{axis.x(t):.1f}" y1="0" x2="{axis.x(t):.1f}" '
             f'y2="{height:.1f}" stroke="var(--c-failed)" stroke-width="1.5" '
             f'stroke-dasharray="3 3"><title>SLO alert '
-            f"{_esc(alert.get('name', ''))} fired at t={t:g}s "
+            f"{esc(alert.get('name', ''))} fired at t={t:g}s "
             f"(burn {float(alert.get('burn_short', 0.0)):.2f}x)"
             f"</title></line>"
         )
-    svg = (
-        f'<svg viewBox="0 0 {x0 + width + 10} {height + 20}" width="100%" '
-        f'role="img" aria-label="live telemetry timeline">'
-        + _time_axis(x0, width, span, height)
-        + "".join(strips)
-        + "".join(marks)
-        + "</svg>"
-    )
-    fired = sum(1 for a in alerts if a.get("state") == "fired")
     note = (
         f'<p class="note">{len(samples)} samples; each strip is min-max '
         "scaled independently. Dashed red lines mark fired SLO burn-rate "
         f"alerts ({fired} in this run).</p>"
     )
-    return note + svg
-
-
-def _kv_table(title_row: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
-    head = "".join(f"<th>{_esc(h)}</th>" for h in title_row)
-    body = "".join(
-        "<tr>" + "".join(f"<td>{_esc(c)}</td>" for c in row) + "</tr>"
-        for row in rows
-    )
-    return f"<table><thead><tr>{head}</tr></thead><tbody>{body}</tbody></table>"
+    chart = axis.chart("live telemetry timeline", height, "".join(strips + marks))
+    return note + chart
 
 
 def _solver_section(metrics: RunMetrics) -> str:
@@ -539,10 +387,7 @@ def _solver_section(metrics: RunMetrics) -> str:
     if metrics.solves_by_phase:
         parts.append("<h2>Solver: which phase produced the plan</h2>")
         parts.append(
-            _kv_table(
-                ("phase", "solves"),
-                sorted(metrics.solves_by_phase.items()),
-            )
+            table(("phase", "solves"), sorted(metrics.solves_by_phase.items()))
         )
     phase_times = [
         ("propagate", metrics.solver_propagate_time),
@@ -553,15 +398,12 @@ def _solver_section(metrics: RunMetrics) -> str:
     if any(t > 0 for _, t in phase_times):
         parts.append("<h2>Solver: where the overhead O went</h2>")
         parts.append(
-            _kv_table(
-                ("phase", "wall seconds"),
-                [(n, f"{t:.4f}") for n, t in phase_times],
-            )
+            table(("phase", "wall seconds"), [(n, f"{t:.4f}") for n, t in phase_times])
         )
     if metrics.solver_propagators:
         parts.append("<h2>Solver: propagator effort</h2>")
         parts.append(
-            _kv_table(
+            table(
                 ("propagator", "runs", "prunes", "fails"),
                 [
                     (name, c["runs"], c["prunes"], c["fails"])
@@ -589,7 +431,7 @@ def _fault_section(metrics: RunMetrics) -> str:
         ("fallback solves", metrics.fallback_solves),
         ("jobs failed", metrics.jobs_failed),
     ]
-    return "<h2>Fault injection</h2>" + _kv_table(("counter", "value"), rows)
+    return "<h2>Fault injection</h2>" + table(("counter", "value"), rows)
 
 
 def _resilience_section(metrics: RunMetrics) -> str:
@@ -601,15 +443,10 @@ def _resilience_section(metrics: RunMetrics) -> str:
         for rung in ("cp_full", "cp_limited", "edf", "greedy")
         if rung in metrics.solves_by_rung
     ]
-    degraded = sum(
-        n for rung, n in metrics.solves_by_rung.items() if rung != "cp_full"
-    )
+    degraded = sum(n for rung, n in metrics.solves_by_rung.items() if rung != "cp_full")
     rows.append(("degraded solves (below cp_full)", degraded))
     rows.append(("circuit breakers opened", metrics.breaker_opens))
-    return (
-        "<h2>Resilience: degradation ladder</h2>"
-        + _kv_table(("counter", "value"), rows)
-    )
+    return "<h2>Resilience: degradation ladder</h2>" + table(("counter", "value"), rows)
 
 
 def _plan_history_section(plan_history: Optional[Sequence]) -> str:
@@ -621,22 +458,17 @@ def _plan_history_section(plan_history: Optional[Sequence]) -> str:
     for rec in plan_history:
         by_trigger[rec.trigger] = by_trigger.get(rec.trigger, 0) + 1
         by_outcome[rec.outcome] = by_outcome.get(rec.outcome, 0) + 1
-        rung = getattr(rec, "rung", None)
-        if rung is not None:
-            by_rung[rung] = by_rung.get(rung, 0) + 1
+        by_rung[rec.rung] = by_rung.get(rec.rung, 0) + 1
     total = sum(rec.overhead for rec in plan_history)
-    rows = [
-        (f"trigger: {k}", v) for k, v in sorted(by_trigger.items())
-    ] + [(f"outcome: {k}", v) for k, v in sorted(by_outcome.items())]
+    rows = [(f"trigger: {k}", v) for k, v in sorted(by_trigger.items())] + [
+        (f"outcome: {k}", v) for k, v in sorted(by_outcome.items())
+    ]
     # Rung attribution only says something once a plan came from below
     # the full CP solve (the common all-cp_full case would be noise).
     if set(by_rung) - {"cp_full"}:
         rows += [(f"rung: {k}", v) for k, v in sorted(by_rung.items())]
     rows.append(("total overhead (wall s)", f"{total:.4f}"))
-    return (
-        "<h2>Plan history</h2>"
-        + _kv_table(("invocations", "count"), rows)
-    )
+    return "<h2>Plan history</h2>" + table(("invocations", "count"), rows)
 
 
 def render_report(
@@ -666,42 +498,26 @@ def render_report(
     if attempts:
         span = max(span, max(a.end for a in attempts))
 
-    parts: List[str] = [
-        "<!DOCTYPE html>",
-        '<html lang="en"><head><meta charset="utf-8">',
-        f"<title>{_esc(title)}</title>",
-        f"<style>{_CSS}</style></head><body>",
-        f"<h1>{_esc(title)}</h1>",
-        '<p class="sub">single-file report · inline SVG/CSS · '
-        "no scripts, no network</p>",
-        _tiles(metrics),
-    ]
-    if series:
-        timeline = _timeline_section(series, alerts or ())
-        if timeline:
-            parts.append("<h2>Live timeline</h2>")
-            parts.append(timeline)
+    sections: List[str] = [_tiles(metrics)]
+    timeline = _timeline_section(series, alerts or ()) if series else ""
+    if timeline:
+        sections += ["<h2>Live timeline</h2>", timeline]
     if attempts and resources is not None:
-        parts.append("<h2>Cluster Gantt</h2>")
-        parts.append(_gantt(attempts, resources, outages, span))
-        parts.append("<h2>Utilization</h2>")
-        parts.append(_utilization(attempts, resources, span))
+        sections += [
+            "<h2>Cluster Gantt</h2>",
+            _gantt(attempts, resources, outages, span),
+            "<h2>Utilization</h2>",
+            _utilization(attempts, resources, span),
+        ]
     if attributions is not None:
-        parts.append("<h2>Why were the late jobs late?</h2>")
-        parts.append(_waterfall(attributions))
-    parts.append(_solver_section(metrics))
-    parts.append(_fault_section(metrics))
-    parts.append(_resilience_section(metrics))
-    parts.append(_plan_history_section(plan_history))
-    parts.append("</body></html>")
-    return "\n".join(p for p in parts if p)
-
-
-def write_report(path: str, metrics: RunMetrics, **kwargs: Any) -> str:
-    """Render and atomically write the HTML report to ``path``."""
-    document = render_report(metrics, **kwargs)
-    atomic_write_text(path, document)
-    return path
+        sections += ["<h2>Why were the late jobs late?</h2>", _waterfall(attributions)]
+    sections += [
+        _solver_section(metrics),
+        _fault_section(metrics),
+        _resilience_section(metrics),
+        _plan_history_section(plan_history),
+    ]
+    return page(title, "report", sections)
 
 
 # ------------------------------------------------------------ sweep report
@@ -730,42 +546,33 @@ def render_sweep_report(
     ran without trace capture).
     """
     ok = sum(1 for r in cell_rows if r.get("status") == "ok")
-    failed = len(cell_rows) - ok
-    tiles = [
-        (str(len(summary_rows)), "configurations"),
-        (str(len(cell_rows)), "cells"),
-        (str(ok), "ok"),
-        (str(failed), "failed"),
-    ]
-    parts: List[str] = [
-        "<!DOCTYPE html>",
-        '<html lang="en"><head><meta charset="utf-8">',
-        f"<title>{_esc(title)}</title>",
-        f"<style>{_CSS}</style></head><body>",
-        f"<h1>{_esc(title)}</h1>",
-        '<p class="sub">single-file sweep report · inline SVG/CSS · '
-        "no scripts, no network</p>",
-        '<div class="tiles">'
-        + "".join(_tile(v, label) for v, label in tiles)
-        + "</div>",
+    sections: List[str] = [
+        tiles(
+            [
+                (str(len(summary_rows)), "configurations"),
+                (str(len(cell_rows)), "cells"),
+                (str(ok), "ok"),
+                (str(len(cell_rows) - ok), "failed"),
+            ]
+        ),
         "<h2>Sweep summary</h2>",
-        _kv_table(
+        table(
             (factor, "scheduler", "ok/cells", "O (ms)", "N", "T (s)", "P (%)"),
             [
                 (
                     r.get("label", ""),
                     r.get("scheduler", ""),
                     f"{r.get('ok', 0):g}/{r.get('cells', 0):g}",
-                    _fmt(1000.0 * r["O"], 2) if "O" in r else "-",
-                    _fmt(r["N"], 2) if "N" in r else "-",
-                    _fmt(r["T"], 1) if "T" in r else "-",
-                    _fmt(r["P"], 1) if "P" in r else "-",
+                    fmt(1000.0 * r["O"], 2) if "O" in r else "-",
+                    fmt(r["N"], 2) if "N" in r else "-",
+                    fmt(r["T"], 1) if "T" in r else "-",
+                    fmt(r["P"], 1) if "P" in r else "-",
                 )
                 for r in summary_rows
             ],
         ),
         "<h2>Cells</h2>",
-        _kv_table(
+        table(
             ("cell", "replication", "seed", "status", "attempts", "error"),
             [
                 (
@@ -781,9 +588,8 @@ def render_sweep_report(
         ),
     ]
     if strips:
-        parts.append("<h2>Per-cell utilization</h2>")
+        sections.append("<h2>Per-cell utilization</h2>")
         for label, strip_html in strips:
-            parts.append(f"<h2>{_esc(label)}</h2>")
-            parts.append(strip_html or '<p class="note">no trace.</p>')
-    parts.append("</body></html>")
-    return "\n".join(p for p in parts if p)
+            sections.append(f"<h2>{esc(label)}</h2>")
+            sections.append(strip_html or '<p class="note">no trace.</p>')
+    return page(title, "sweep report", sections)

@@ -27,7 +27,7 @@ time or deterministic counts, so same-seed runs alert identically.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.ioutil import atomic_write_text

@@ -9,7 +9,10 @@ collector, the metrics registry, and any component-registered probes into a
 bounded ring-buffer :class:`SeriesStore`.  Consumers -- the SLO monitor
 (:mod:`repro.obs.slo`), the OpenMetrics exporter (:mod:`repro.obs.export`),
 the HTML report's live timeline -- read the store or subscribe as
-listeners.
+listeners.  The admission service has no calendar to ride; its
+:class:`WallSeriesSampler` samples on the service clock whenever the
+caller's loop finds a sample due.  Both samplers share one core (probes,
+listeners, store, sequence numbers) and write one JSONL layout.
 
 Determinism contract (mirrors the tracer's dual-timeline discipline):
 
@@ -128,7 +131,100 @@ class SeriesStore:
         return len(self._samples)
 
 
-class TimeSeriesSampler:
+class _SeriesSampler:
+    """What both samplers share: probes, listeners, store, JSONL writer.
+
+    A record is opened with the next sequence number, filled by the
+    subclass, then closed by :meth:`_emit`, which reads every probe, stores
+    the record and hands it to each listener.  Subclasses decide *when* a
+    sample is due and which fields it carries.
+    """
+
+    def __init__(
+        self,
+        interval: float,
+        capacity: int,
+        registry: Optional["MetricsRegistry"] = None,
+        include_wall: bool = False,
+    ) -> None:
+        if interval <= 0:
+            raise ValueError(f"interval must be > 0: {interval}")
+        self.interval = interval
+        self.store = SeriesStore(capacity)
+        self.include_wall = include_wall
+        self._registry = registry
+        self._probes: Dict[str, Callable[[], float]] = {}
+        self._listeners: List[Callable[[Mapping[str, Any]], object]] = []
+        self._seq = 0
+
+    def add_probe(self, name: str, fn: Callable[[], float]) -> None:
+        """Register a named gauge callable, read at every sample."""
+        self._probes[name] = fn
+
+    def add_listener(self, fn: Callable[[Mapping[str, Any]], object]) -> None:
+        """Call ``fn(sample)`` after each sample is stored (SLO monitor)."""
+        self._listeners.append(fn)
+
+    def _open(self, final: bool, **head: Any) -> Dict[str, Any]:
+        """A new record: sequence number, ``head`` fields, final flag."""
+        record = {"seq": self._seq, **head, "final": bool(final)}
+        self._seq += 1
+        return record
+
+    def _read_registry(self, record: Dict[str, Any]) -> None:
+        """Scalar registry values go under ``counters``; histograms to
+        :meth:`_histogram`."""
+        counters: Dict[str, float] = {}
+        for name, value in self._registry.as_dict().items():
+            if isinstance(value, dict):
+                self._histogram(record, name, value)
+            else:
+                counters[name] = value
+        record["counters"] = counters
+
+    def _histogram(self, record: Dict[str, Any], name: str, value: Dict) -> None:
+        """Histograms stay out of the record unless a subclass keeps one."""
+
+    def _emit(self, record: Dict[str, Any]) -> Dict[str, Any]:
+        """Read the probes, store the record and fan it out."""
+        record["probes"] = {name: self._probes[name]() for name in sorted(self._probes)}
+        self.store.append(record)
+        for listener in self._listeners:
+            listener(record)
+        return record
+
+    def _meta(self) -> Dict[str, Any]:
+        """Sampler-specific fields of the JSONL meta line."""
+        return {}
+
+    def write_series(self, path: str, include_wall: Optional[bool] = None) -> str:
+        """Write the stored series as JSONL (meta line + one per sample).
+
+        Wall-clock fields (:data:`QUARANTINED_KEYS`) are dropped unless
+        ``include_wall`` -- the same quarantine rule that keeps sweep
+        outputs byte-identical across machines.
+        """
+        if include_wall is None:
+            include_wall = self.include_wall
+        meta: Dict[str, Any] = {
+            "schema": SERIES_SCHEMA,
+            "interval": self.interval,
+            "capacity": self.store.capacity,
+            "samples": len(self.store),
+            "total_samples": self.store.total,
+            "dropped": self.store.dropped,
+            **self._meta(),
+        }
+        lines = [json.dumps(meta, sort_keys=True)]
+        for sample in self.store.samples:
+            if not include_wall:
+                sample = {k: v for k, v in sample.items() if k not in QUARANTINED_KEYS}
+            lines.append(json.dumps(sample, sort_keys=True))
+        atomic_write_text(path, "\n".join(lines) + "\n")
+        return path
+
+
+class TimeSeriesSampler(_SeriesSampler):
     """Samples kernel/collector/registry state on a sim-time cadence.
 
     Wire-up order: :meth:`attach` binds the run's simulator, collector and
@@ -143,18 +239,16 @@ class TimeSeriesSampler:
     enabled = True
 
     def __init__(self, config: Optional[TelemetryConfig] = None) -> None:
-        self.config = config if config is not None else TelemetryConfig(
-            enabled=True
-        )
+        self.config = config if config is not None else TelemetryConfig(enabled=True)
         self.config.validate()
-        self.store = SeriesStore(self.config.capacity)
+        super().__init__(
+            self.config.interval,
+            self.config.capacity,
+            include_wall=self.config.include_wall,
+        )
         self._sim: Optional["Simulator"] = None
         self._collector: Optional["MetricsCollector"] = None
-        self._registry: Optional["MetricsRegistry"] = None
-        self._probes: Dict[str, Callable[[], float]] = {}
-        self._listeners: List[Callable[[Mapping[str, Any]], object]] = []
         self._handle = None
-        self._seq = 0
         self._overhead_boundaries: Optional[Tuple[float, ...]] = None
 
     # ------------------------------------------------------------- wiring
@@ -168,14 +262,6 @@ class TimeSeriesSampler:
         self._sim = sim
         self._collector = collector
         self._registry = registry
-
-    def add_probe(self, name: str, fn: Callable[[], float]) -> None:
-        """Register a named gauge callable, read at every sample."""
-        self._probes[name] = fn
-
-    def add_listener(self, fn: Callable[[Mapping[str, Any]], object]) -> None:
-        """Call ``fn(sample)`` after each sample is stored (SLO monitor)."""
-        self._listeners.append(fn)
 
     # ----------------------------------------------------------- sampling
     def start(self) -> None:
@@ -195,11 +281,9 @@ class TimeSeriesSampler:
         sim = self._sim
         if sim is None or sim.peek() is None:
             return
-        interval = self.config.interval
+        interval = self.interval
         next_t = (math.floor(sim.now / interval + 1e-9) + 1) * interval
-        self._handle = sim.schedule_at(
-            next_t, self._tick, priority=SAMPLE_PRIORITY
-        )
+        self._handle = sim.schedule_at(next_t, self._tick, priority=SAMPLE_PRIORITY)
 
     def _tick(self) -> None:
         self._handle = None
@@ -208,12 +292,8 @@ class TimeSeriesSampler:
 
     def sample(self, final: bool = False) -> Dict[str, Any]:
         """Snapshot the run into one sample record and store it."""
+        record = self._open(final)
         sim = self._sim
-        record: Dict[str, Any] = {
-            "seq": self._seq,
-            "final": bool(final),
-        }
-        self._seq += 1
         if sim is not None:
             sim.sync_gauges()
             record.update(sim.telemetry_snapshot())
@@ -230,27 +310,16 @@ class TimeSeriesSampler:
                 "tree": collector.solver_tree_time,
                 "lns": collector.solver_lns_time,
             }
-        registry = self._registry
-        if registry is not None:
-            counters: Dict[str, float] = {}
-            for name, value in registry.as_dict().items():
-                if isinstance(value, dict):  # histogram snapshot
-                    if name == "scheduler.overhead_seconds":
-                        record["overhead_buckets"] = list(value["counts"])
-                        self._overhead_boundaries = tuple(value["boundaries"])
-                else:
-                    counters[name] = value
-            record["counters"] = counters
-        probes: Dict[str, float] = {}
-        for name in sorted(self._probes):
-            probes[name] = self._probes[name]()
-        record["probes"] = probes
+        if self._registry is not None:
+            self._read_registry(record)
         if self.config.wall_clock is not None:
             record["wall"] = float(self.config.wall_clock())
-        self.store.append(record)
-        for listener in self._listeners:
-            listener(record)
-        return record
+        return self._emit(record)
+
+    def _histogram(self, record: Dict[str, Any], name: str, value: Dict) -> None:
+        if name == "scheduler.overhead_seconds":
+            record["overhead_buckets"] = list(value["counts"])
+            self._overhead_boundaries = tuple(value["boundaries"])
 
     def finalize(self) -> Optional[Dict[str, Any]]:
         """Cancel any pending tick and take the closing sample."""
@@ -267,42 +336,13 @@ class TimeSeriesSampler:
         """Bucket boundaries of the sampled overhead histogram, if seen."""
         return self._overhead_boundaries
 
-    def write_series(
-        self, path: str, include_wall: Optional[bool] = None
-    ) -> str:
-        """Write the stored series as JSONL (meta line + one per sample).
-
-        Wall-clock fields (:data:`QUARANTINED_KEYS`) are dropped unless
-        ``include_wall`` -- the same quarantine rule that keeps sweep
-        outputs byte-identical across machines.
-        """
-        if include_wall is None:
-            include_wall = self.config.include_wall
-        meta: Dict[str, Any] = {
-            "schema": SERIES_SCHEMA,
-            "interval": self.config.interval,
-            "capacity": self.config.capacity,
-            "samples": len(self.store),
-            "total_samples": self.store.total,
-            "dropped": self.store.dropped,
-        }
-        if self._overhead_boundaries is not None:
-            meta["overhead_boundaries"] = list(self._overhead_boundaries)
-        lines = [json.dumps(meta, sort_keys=True)]
-        for sample in self.store.samples:
-            if include_wall:
-                row = dict(sample)
-            else:
-                row = {
-                    k: v for k, v in sample.items()
-                    if k not in QUARANTINED_KEYS
-                }
-            lines.append(json.dumps(row, sort_keys=True))
-        atomic_write_text(path, "\n".join(lines) + "\n")
-        return path
+    def _meta(self) -> Dict[str, Any]:
+        if self._overhead_boundaries is None:
+            return {}
+        return {"overhead_boundaries": list(self._overhead_boundaries)}
 
 
-class WallSeriesSampler:
+class WallSeriesSampler(_SeriesSampler):
     """Probe sampler on a *wall/service* time axis (no simulator).
 
     The admission service has no simulation calendar to ride, so this
@@ -324,23 +364,8 @@ class WallSeriesSampler:
         capacity: int = 4096,
         registry: Optional["MetricsRegistry"] = None,
     ) -> None:
-        if interval <= 0:
-            raise ValueError(f"interval must be > 0: {interval}")
-        self.interval = interval
-        self.store = SeriesStore(capacity)
-        self._registry = registry
-        self._probes: Dict[str, Callable[[], float]] = {}
-        self._listeners: List[Callable[[Mapping[str, Any]], object]] = []
-        self._seq = 0
+        super().__init__(interval, capacity, registry)
         self._next_due: Optional[float] = None
-
-    def add_probe(self, name: str, fn: Callable[[], float]) -> None:
-        """Register a named gauge callable, read at every sample."""
-        self._probes[name] = fn
-
-    def add_listener(self, fn: Callable[[Mapping[str, Any]], object]) -> None:
-        """Call ``fn(sample)`` after each sample is stored."""
-        self._listeners.append(fn)
 
     def maybe_sample(self, now: float) -> Optional[Dict[str, Any]]:
         """Take a sample iff the cadence is due at ``now`` (else None)."""
@@ -350,44 +375,14 @@ class WallSeriesSampler:
 
     def sample(self, now: float, final: bool = False) -> Dict[str, Any]:
         """Snapshot probes + registry counters at service time ``now``."""
-        record: Dict[str, Any] = {
-            "seq": self._seq,
-            "t": float(now),
-            "final": bool(final),
-        }
-        self._seq += 1
-        registry = self._registry
-        if registry is not None:
-            record["counters"] = {
-                name: value
-                for name, value in registry.as_dict().items()
-                if not isinstance(value, dict)  # histograms stay out
-            }
-        record["probes"] = {
-            name: self._probes[name]() for name in sorted(self._probes)
-        }
-        self.store.append(record)
+        record = self._open(final, t=float(now))
+        if self._registry is not None:
+            self._read_registry(record)
         self._next_due = now + self.interval
-        for listener in self._listeners:
-            listener(record)
-        return record
+        return self._emit(record)
 
-    def write_series(self, path: str) -> str:
-        """Write the stored series as JSONL (same layout as sim series)."""
-        meta: Dict[str, Any] = {
-            "schema": SERIES_SCHEMA,
-            "axis": "wall",
-            "interval": self.interval,
-            "capacity": self.store.capacity,
-            "samples": len(self.store),
-            "total_samples": self.store.total,
-            "dropped": self.store.dropped,
-        }
-        lines = [json.dumps(meta, sort_keys=True)]
-        for sample in self.store.samples:
-            lines.append(json.dumps(sample, sort_keys=True))
-        atomic_write_text(path, "\n".join(lines) + "\n")
-        return path
+    def _meta(self) -> Dict[str, Any]:
+        return {"axis": "wall"}
 
 
 class NullTimeSeriesSampler(TimeSeriesSampler):
@@ -423,9 +418,7 @@ class NullTimeSeriesSampler(TimeSeriesSampler):
         """No-op."""
         return None
 
-    def write_series(
-        self, path: str, include_wall: Optional[bool] = None
-    ) -> str:
+    def write_series(self, path: str, include_wall: Optional[bool] = None) -> str:
         """Refuse: a disabled sampler has nothing to write."""
         raise RuntimeError("telemetry is disabled: no series to write")
 
@@ -476,5 +469,7 @@ def read_series_jsonl(
     try:
         samples = [json.loads(line) for line in lines[1:]]
     except json.JSONDecodeError as exc:
-        raise ValueError(f"series file {path} has a corrupt sample line: {exc}") from exc
+        raise ValueError(
+            f"series file {path} has a corrupt sample line: {exc}"
+        ) from exc
     return meta, samples

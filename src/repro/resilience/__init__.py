@@ -40,7 +40,6 @@ __all__ = [
     "CheckpointMismatch",
     "CheckpointedRun",
     "capture_snapshot",
-    "deterministic_run_config",
     "fresh_run_config",
     "restore_run",
     "run_with_checkpoints",
@@ -58,7 +57,6 @@ _CHECKPOINT_EXPORTS = (
     "CheckpointMismatch",
     "CheckpointedRun",
     "capture_snapshot",
-    "deterministic_run_config",
     "fresh_run_config",
     "restore_run",
     "run_with_checkpoints",

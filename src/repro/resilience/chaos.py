@@ -7,7 +7,7 @@ Three scenarios, all seeded and fully deterministic:
   boundary executes), restore from the snapshot, run to completion, and
   require the restored run's O/N/T/P to be **byte-identical** to an
   uninterrupted same-seed run (pin the config with
-  :func:`~repro.resilience.checkpoint.deterministic_run_config` first).
+  :func:`~repro.experiments.pool.deterministic_run_config` first).
 * :func:`overload_burst` -- spike the arrival rate and force the CP
   rungs to fail via injected solver failures, driving the degradation
   ladder through all four rungs while the run stays correct; repeated
@@ -32,7 +32,13 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
 
 from repro.experiments.configs import LabeledConfig
-from repro.experiments.pool import CellJob, CellOutcome, SweepSpec, run_sweep
+from repro.experiments.pool import (
+    CellJob,
+    CellOutcome,
+    SweepSpec,
+    deterministic_run_config,
+    run_sweep,
+)
 from repro.experiments.pool import execute_cell as _execute_cell
 from repro.experiments.runner import (
     LiveRun,
@@ -46,7 +52,6 @@ from repro.obs.logs import get_logger, kv
 from repro.resilience.breaker import InjectedSolverFailures, LadderConfig
 from repro.resilience.checkpoint import (
     CheckpointConfig,
-    deterministic_run_config,
     fresh_run_config,
     restore_run,
     run_with_checkpoints,

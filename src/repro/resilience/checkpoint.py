@@ -20,13 +20,13 @@ continues to byte-identical O/N/T/P versus an uninterrupted same-seed
 run.
 
 Determinism contract: byte-identical *O* additionally requires the run to
-be pinned -- a :class:`~repro.experiments.pool.PinnedClock` as the wall
+be pinned -- a :class:`~repro.obs.clocks.PinnedClock` as the wall
 clock and a fail-limited deterministic solver budget (LNS off), exactly
 the recipe the sweep pool and bench suite already use;
-:func:`deterministic_run_config` applies it.  Unpinned runs still replay
-to identical N/T/P and identical structural state; real wall-clock
-readings land in the snapshot's ``volatile`` section, which is recorded
-for debugging but never compared.
+:func:`~repro.experiments.pool.deterministic_run_config` applies it.
+Unpinned runs still replay to identical N/T/P and identical structural
+state; real wall-clock readings land in the snapshot's ``volatile``
+section, which is recorded for debugging but never compared.
 
 Checkpoint files are written atomically (``tmp + os.replace``) so a kill
 mid-write leaves the previous complete checkpoint, never a torn one.
@@ -40,10 +40,10 @@ import os
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
 
-from repro.experiments.pool import PinnedClock, deterministic_solver_params
 from repro.experiments.runner import LiveRun, RunConfig, build_live_run
 from repro.ioutil import atomic_write_json
 from repro.metrics.collector import RunMetrics
+from repro.obs.clocks import PinnedClock
 from repro.obs.logs import get_logger, kv
 from repro.obs.structdiff import format_entries, structural_diff
 from repro.resilience.breaker import InjectedSolverFailures
@@ -119,24 +119,6 @@ def config_fingerprint(config: RunConfig, replication: int) -> str:
     """
     text = f"{config!r}|rep={replication}"
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
-
-
-def deterministic_run_config(config: RunConfig) -> RunConfig:
-    """Pin ``config`` so overhead O replays byte-identically.
-
-    The same recipe the sweep pool uses for its deterministic cells: a
-    fresh :class:`PinnedClock` as the wall clock (O counts clock samples)
-    and a fail-limited, LNS-free solver budget (search effort becomes
-    machine-independent).
-    """
-    return replace(
-        config,
-        mrcp=replace(
-            config.mrcp,
-            solver=deterministic_solver_params(config.mrcp.solver),
-        ),
-        obs=replace(config.obs, wall_clock=PinnedClock()),
-    )
 
 
 def _is_pinned(run: LiveRun) -> bool:

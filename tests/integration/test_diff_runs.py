@@ -19,6 +19,7 @@ import os
 import pytest
 
 from repro.cli import main
+from repro.ioutil import atomic_write_json, atomic_write_text
 from repro.obs.diff import (
     DIFF_SCHEMA,
     bisect_divergence,
@@ -26,7 +27,6 @@ from repro.obs.diff import (
     default_diff_config,
     diff_runs,
     load_run_dir,
-    write_diff_json,
 )
 
 
@@ -140,7 +140,7 @@ def test_diff_json_document_round_trips(run_dirs, tmp_path):
     baseline, _, perturbed = run_dirs
     diff = diff_runs(baseline, perturbed)
     path = str(tmp_path / "diff.json")
-    write_diff_json(path, diff.to_json_dict())
+    atomic_write_json(path, diff.to_json_dict())
     doc = json.load(open(path, encoding="utf-8"))
     assert doc["schema"] == DIFF_SCHEMA
     assert doc["kind"] == "run" and doc["verdict"] == "divergent"
@@ -149,11 +149,11 @@ def test_diff_json_document_round_trips(run_dirs, tmp_path):
 
 
 def test_html_diff_report_renders_the_divergence(run_dirs, tmp_path):
-    from repro.obs.diffreport import write_diff_report
+    from repro.obs.diffreport import render_diff_report
 
     baseline, twin, perturbed = run_dirs
     path = str(tmp_path / "diff.html")
-    write_diff_report(path, diff_runs(baseline, perturbed))
+    atomic_write_text(path, render_diff_report(diff_runs(baseline, perturbed)))
     doc = open(path, encoding="utf-8").read()
     assert doc.startswith("<!DOCTYPE html>")
     assert "first divergent scheduler invocation" in doc
@@ -161,7 +161,7 @@ def test_html_diff_report_renders_the_divergence(run_dirs, tmp_path):
     assert "<script" not in doc  # self-contained, no scripts
     # the self-diff report renders too, saying nothing diverged
     clean = str(tmp_path / "self.html")
-    write_diff_report(clean, diff_runs(baseline, twin))
+    atomic_write_text(clean, render_diff_report(diff_runs(baseline, twin)))
     assert "no divergence marker" in open(clean, encoding="utf-8").read()
 
 

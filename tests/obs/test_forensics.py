@@ -2,6 +2,7 @@
 
 from types import SimpleNamespace
 
+from repro.core.mrcp_rm import PlanRecord
 from repro.obs.forensics import (
     attribute_lateness,
     attributions_csv,
@@ -127,8 +128,10 @@ def test_solver_component_from_plan_history():
     job = make_job(2, arrival=0, earliest_start=0, deadline=50)
     events = [_task_span("t2_m0", 2, ts=0.0, dur=54.0)]
     history = [
-        SimpleNamespace(t=0, outcome="optimal", overhead=1.5, trigger="submit"),
-        SimpleNamespace(t=90, outcome="optimal", overhead=9.0, trigger="release"),
+        PlanRecord(t=0, outcome="optimal", overhead=1.5, trigger="submit",
+                   planned_starts={}),
+        PlanRecord(t=90, outcome="optimal", overhead=9.0, trigger="release",
+                   planned_starts={}),
     ]
     metrics = _metrics({2: 4}, {2: 54})
     [a] = attribute_lateness(metrics, [job], events, plan_history=history)

@@ -3,9 +3,10 @@
 import pytest
 
 from repro import quick_demo
+from repro.ioutil import atomic_write_text
 from repro.obs import ObsConfig
 from repro.obs.forensics import attribute_lateness
-from repro.obs.report import render_report, write_report
+from repro.obs.report import render_report
 from repro.workload import make_uniform_cluster
 
 
@@ -22,7 +23,9 @@ def traced_run():
 def test_report_is_self_contained(traced_run, tmp_path):
     metrics, resources, events = traced_run
     out = tmp_path / "report.html"
-    write_report(str(out), metrics, resources=resources, events=events)
+    atomic_write_text(
+        str(out), render_report(metrics, resources=resources, events=events)
+    )
     html = out.read_text()
     assert html.startswith("<!DOCTYPE html>")
     assert "<script" not in html
