@@ -16,12 +16,15 @@ this module provides the equivalent improvement loop.  Each iteration:
    pop back to the pinned level.
 
 The neighbourhood grows when iterations stop improving, shrinking the pinned
-region until either the incumbent is optimal-enough (0 late jobs) or the time
-budget runs out.
+region.  The loop ends when the incumbent reaches the target (0 late jobs, or
+a proven lower bound), when it has *stagnated* -- gone as many gainless
+iterations as twice the ramp from the initial to the largest neighbourhood,
+plus the iteration of its last gain -- or when the time budget runs out.
 """
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from dataclasses import dataclass
@@ -169,11 +172,19 @@ def lns_improve(
     jump: bool = True,
     target: int = 0,
 ) -> tuple:
-    """Improve ``incumbent`` until ``deadline`` (perf_counter time).
+    """Improve ``incumbent`` until it stops paying or ``deadline`` passes.
 
     ``target`` is a proven lower bound on the objective: reaching it stops
-    the loop early.  The engine may be in any state on entry and is left
-    reset.  Returns ``(best_solution, stats)``.
+    the loop early.  So does stagnation: with ``ramp`` the gainless
+    iterations it takes to grow from the initial to the largest
+    neighbourhood, the loop gives up once ``2 * ramp + last_gain`` iterations
+    have passed since ``last_gain``, the iteration of the last gain (0 before
+    any).  A run that keeps improving earns a longer wait; the stop needs no
+    lower bound because it claims no optimality.  ``deadline`` (perf_counter
+    time) stays the ceiling.  The engine may be in any state on entry and is
+    left reset.  Returns ``(best_solution, stats)``; ``stats.lns_stop`` says
+    why the loop ended: ``"target"``, ``"stagnated"`` or ``"deadline"``
+    (None when it never started).
     """
     params = params or LnsParams()
     stats = SearchStats()
@@ -186,6 +197,11 @@ def lns_improve(
     brancher = SetTimesBrancher(model, jump=jump)
     neighbourhood = params.initial_neighbourhood
     stall = 0
+    ramp = params.stall_before_grow * math.ceil(
+        (params.max_neighbourhood - params.initial_neighbourhood) / 2
+    )
+    last_gain = 0
+    stats.lns_stop = "deadline"
     level: Optional[_PinnedLevel] = None
 
     while time.perf_counter() < deadline:
@@ -193,6 +209,7 @@ def lns_improve(
             # ---- once per incumbent: late jobs, windows, the pinned level
             late = _late_groups(model, best)
             if not late:
+                stats.lns_stop = "target"
                 break  # objective is 0 by construction
             windows = {id(g): _window(best, g) for g in groups}
             level = _PinnedLevel(model, engine, best, groups)
@@ -241,13 +258,18 @@ def lns_improve(
             best = result.best
             stall = 0
             neighbourhood = params.initial_neighbourhood
+            last_gain = stats.lns_iterations
             if best.objective <= target:
+                stats.lns_stop = "target"
                 break
         else:
             stall += 1
             if stall >= params.stall_before_grow:
                 neighbourhood = min(neighbourhood + 2, params.max_neighbourhood)
                 stall = 0
+            if stats.lns_iterations - last_gain >= 2 * ramp + last_gain:
+                stats.lns_stop = "stagnated"
+                break
 
     engine.reset()
     return best, stats

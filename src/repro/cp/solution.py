@@ -87,6 +87,9 @@ class SearchStats:
     tree_time: float = 0.0
     #: large-neighbourhood improvement
     lns_time: float = 0.0
+    #: why LNS stopped: ``"target"``, ``"stagnated"`` or ``"deadline"``
+    #: (None when it never ran; not accumulated by :meth:`merge`)
+    lns_stop: Optional[str] = None
 
     def merge(self, other: "SearchStats") -> None:
         """Accumulate another phase's counters into this one."""
@@ -120,6 +123,8 @@ class SolveProfile:
     #: whether tree search / LNS strictly improved the incumbent
     improved_by_tree: bool = False
     improved_by_lns: bool = False
+    #: why LNS stopped (``SearchStats.lns_stop``; None when it never ran)
+    lns_stop: Optional[str] = None
     #: wall seconds inside ``Engine.propagate`` across all phases
     engine_propagate_time: float = 0.0
     #: number of ``Engine.propagate`` fixpoint runs

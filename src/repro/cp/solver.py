@@ -16,7 +16,8 @@ variables, and treat "no solution" as an exceptional condition.  The phases:
    dive pushing the incumbent down, on :data:`TREE_TIME_SHARE` of what is
    left of the budget.
 4. **LNS.**  Remaining time is spent relaxing late jobs plus their temporal
-   neighbours and re-solving.
+   neighbours and re-solving, until the target, stagnation or the deadline
+   stops it.
 
 Whatever phase produced it, the solution returned has passed
 ``check_solution``; there is no switch to turn that off.
@@ -29,7 +30,8 @@ the solve never entered appear as zero-duration spans marked ``skipped``).
 With profiling on (``SolverParams.profile`` or an enabled tracer) the
 returned :class:`~repro.cp.solution.SolveResult` carries a
 :class:`~repro.cp.solution.SolveProfile` with per-propagator-class effort
-counters and warm-start vs. improvement attribution.
+counters, warm-start vs. improvement attribution and why LNS stopped (also
+the ``stop`` annotation of the ``cp.lns`` span).
 """
 
 from __future__ import annotations
@@ -280,7 +282,7 @@ class CpSolver:
             phases_traced.add("cp.lns")
             t_phase = time.perf_counter()
             incumbent_before = best
-            with tracer.span("cp.lns", "cp.phase"):
+            with tracer.span("cp.lns", "cp.phase") as span:
                 lns_params = replace(params.lns, seed=params.seed)
                 best, lns_stats = lns_improve(
                     model,
@@ -291,12 +293,16 @@ class CpSolver:
                     jump=params.jump_branching,
                     target=root_lb,
                 )
+                span.add(stop=lns_stats.lns_stop)
             stats.merge(lns_stats)
             stats.lns_iterations = lns_stats.lns_iterations
+            stats.lns_stop = lns_stats.lns_stop
             stats.lns_time = time.perf_counter() - t_phase
-            if best is not incumbent_before and profile is not None:
-                profile.improved_by_lns = True
-                profile.solved_by = "lns"
+            if profile is not None:
+                profile.lns_stop = lns_stats.lns_stop
+                if best is not incumbent_before:
+                    profile.improved_by_lns = True
+                    profile.solved_by = "lns"
 
         if best is None:
             # No heuristic solution and the budgeted search found nothing.

@@ -33,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.cp.checker import check_solution
 from repro.cp.heuristics import list_schedule
 from repro.cp.model import CpModel
 from repro.cp.solution import SolveResult, Solution
@@ -113,8 +114,15 @@ class LadderConfig:
 class CircuitBreaker:
     """Three-state breaker guarding one ladder rung."""
 
-    __slots__ = ("rung", "threshold", "cooldown", "state", "failures",
-                 "cooldown_left", "opened_count")
+    __slots__ = (
+        "rung",
+        "threshold",
+        "cooldown",
+        "state",
+        "failures",
+        "cooldown_left",
+        "opened_count",
+    )
 
     def __init__(self, rung: str, threshold: int, cooldown: int) -> None:
         self.rung = rung
@@ -209,9 +217,7 @@ class DegradationLadder:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         # The floor rung has no breaker: there is nothing to skip to.
         self.breakers: Dict[str, CircuitBreaker] = {
-            rung: CircuitBreaker(
-                rung, config.failure_threshold, config.cooldown
-            )
+            rung: CircuitBreaker(rung, config.failure_threshold, config.cooldown)
             for rung in RUNGS[:-1]
         }
         registry = self.tracer.registry
@@ -242,13 +248,11 @@ class DegradationLadder:
         tracer = self.tracer
         attempts: List[Tuple[str, bool]] = []
         last_result: Optional[SolveResult] = None
-        for rung in RUNGS[RUNGS.index(start_rung):]:
+        for rung in RUNGS[RUNGS.index(start_rung) :]:
             breaker = self.breakers.get(rung)
             if breaker is not None and not breaker.allow():
                 continue  # breaker open: skip straight to the next rung
-            with tracer.span(
-                "resilience.rung", "resilience", {"rung": rung}
-            ) as span:
+            with tracer.span("resilience.rung", "resilience", {"rung": rung}) as span:
                 solution, result = self._attempt(rung, model, hint)
                 if tracer.enabled:
                     span.add(success=solution is not None)
@@ -262,9 +266,7 @@ class DegradationLadder:
                 # but the rung's health record is left untouched so a
                 # healthy solver is not locked out by one bad instance.
                 infeasible = (
-                    not success
-                    and result is not None
-                    and not result.budget_exhausted
+                    not success and result is not None and not result.budget_exhausted
                 )
                 if not infeasible:
                     transition = breaker.record(success)
@@ -302,10 +304,13 @@ class DegradationLadder:
             return list_schedule(model, "edf"), None
         # greedy: admission-only -- keep the previous plan pinned and place
         # just the new work around it; with no previous plan (or a stale
-        # one) fall back to plain input-order placement.
+        # one, which the checker rejects as ``CpSolver`` does a hint) fall
+        # back to plain input-order placement.
         solution = None
         if hint:
             solution = list_schedule(model, "edf", preplaced=hint)
+            if solution is not None and check_solution(model, solution):
+                solution = None
         if solution is None:
             solution = list_schedule(model, "input")
         return solution, None

@@ -122,8 +122,9 @@ def _run_with_ladder(jobs, ladder_config):
 
 def _jobs(n=3):
     return [
-        make_job(i, (4, 4), (6,), arrival=i * 5, earliest_start=i * 5,
-                 deadline=i * 5 + 500)
+        make_job(
+            i, (4, 4), (6,), arrival=i * 5, earliest_start=i * 5, deadline=i * 5 + 500
+        )
         for i in range(n)
     ]
 
@@ -154,9 +155,7 @@ def test_breaker_escalation_walks_all_four_rungs():
     config = LadderConfig(
         failure_threshold=1,
         cooldown=2,
-        chaos=InjectedSolverFailures(
-            counts={"cp_full": 3, "cp_limited": 2, "edf": 1}
-        ),
+        chaos=InjectedSolverFailures(counts={"cp_full": 3, "cp_limited": 2, "edf": 1}),
     )
     # 8 arrivals = 8 solver invocations: with threshold 1 / cooldown 2 the
     # cp_full breaker needs 7 invocations to exhaust its injected budget
@@ -172,6 +171,21 @@ def test_breaker_escalation_walks_all_four_rungs():
     # Plan history attributes each invocation to the rung that planned it.
     rungs_in_history = {rec.rung for rec in rm.plan_history}
     assert "greedy" in rungs_in_history
+
+
+def test_greedy_rung_drops_a_stale_hint():
+    """A hinted successor can keep a start its re-planned predecessor has
+    passed; the greedy rung must check the hinted plan and fall back to
+    input order instead of handing an invalid schedule to the executor."""
+    from repro.experiments.runner import run_once
+    from repro.resilience.chaos import default_chaos_config, escalation_ladder
+
+    config = default_chaos_config(
+        seed=2, num_jobs=16, arrival_rate=0.5, ladder=escalation_ladder()
+    )
+    metrics = run_once(config)
+    assert metrics.jobs_arrived == 16
+    assert metrics.solves_by_rung.get("greedy", 0) > 0
 
 
 def test_ladder_exhaustion_raises_scheduling_error():
