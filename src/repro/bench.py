@@ -1,12 +1,14 @@
 """Behaviour pins: a small fixed suite, a committed baseline, exact comparison.
 
-``mrcp-rm bench`` (``python -m repro.bench``) runs eight pinned cases --
-three solver micro-cases, two figure experiments at smoke scale, a
-parallel-sweep fan-out, the telemetry-on/off equality and an admission
-service load run -- and emits a schema-versioned JSON result that is
-compared *exactly* against the committed ``BENCH_core.json``.  The suite
-pins seeds and runs the solver fail-limited with LNS off (or, in the one
-LNS case, to a fixed target under a cap that never binds), so task counts,
+``mrcp-rm bench`` (``python -m repro.bench``) runs nine pinned cases --
+three solver micro-cases, two figure experiments at smoke scale, a short
+open run with LNS on, a parallel-sweep fan-out, the telemetry-on/off
+equality and an admission service load run -- and emits a schema-versioned
+JSON result that is compared *exactly* against the committed
+``BENCH_core.json``.  The suite pins seeds and runs the solver fail-limited
+with LNS off, except in two cases: ``solver_micro_lns`` runs LNS to a fixed
+target under a cap that never binds, and ``open_lns_small`` runs LNS under
+a time limit that never binds, stopping on its own counts.  So task counts,
 objectives, fails/branches, N/T/P and the digests are machine-independent
 and any drift is a behaviour change, not noise.  Each case runs twice; two
 runs that disagree are nondeterminism in a pinned case and raise.
@@ -148,23 +150,28 @@ def _case_solver_micro_lns() -> Dict[str, Any]:
     }
 
 
-def _run_once_case(config) -> Dict[str, Any]:
+def _run_once_case(config, solver_counts: bool = False) -> Dict[str, Any]:
     """Run one experiment config; report its deterministic metrics.
 
     O (scheduling overhead) is wall-clock and excluded; N/T/P depend only
-    on the seeded workload and the deterministic solver.
+    on the seeded workload and the deterministic solver.  ``solver_counts``
+    adds the run's LNS iterations and search fails.
     """
     from repro.experiments.runner import run_once
 
     metrics = run_once(config)
     summary = metrics.as_dict()
-    return {
+    case = {
         "N": summary["N"],
         "T": summary["T"],
         "P": summary["P"],
         "jobs": metrics.jobs_arrived,
         "invocations": metrics.scheduler_invocations,
     }
+    if solver_counts:
+        case["lns_iterations"] = metrics.solver_lns_iterations
+        case["fails"] = metrics.solver_fails
+    return case
 
 
 def _case_fig2_small() -> Dict[str, Any]:
@@ -217,6 +224,39 @@ def _fig7_small_config():
 def _case_fig7_small() -> Dict[str, Any]:
     """Figure 7 shape at smoke scale through MRCP-RM."""
     return _run_once_case(_fig7_small_config())
+
+
+def _case_open_lns_small() -> Dict[str, Any]:
+    """A short open run with LNS on, under the sweeps' deterministic budget.
+
+    ``MrcpRmConfig().solver`` through ``deterministic_solver_params``: the
+    shipped solver, LNS included, with the clock out of the search.  LNS
+    stops on counts of iterations and fails, so its work and N/T/P repeat
+    exactly.  Of its three LNS calls two stop on the iteration count and
+    one on the fail count.
+    """
+    from repro.core import MrcpRmConfig
+    from repro.experiments.pool import deterministic_solver_params
+    from repro.experiments.runner import RunConfig
+    from repro.workload import SyntheticWorkloadParams
+
+    solver = deterministic_solver_params(MrcpRmConfig().solver)
+    config = RunConfig(
+        scheduler="mrcp-rm",
+        workload="synthetic",
+        synthetic=SyntheticWorkloadParams(
+            num_jobs=12,
+            map_tasks_range=(1, 10),
+            reduce_tasks_range=(1, 5),
+            e_max=20,
+            ar_probability=0.0,
+            deadline_multiplier_max=1.5,
+            arrival_rate=0.2,
+        ),
+        mrcp=MrcpRmConfig(solver=solver),
+        seed=101,
+    )
+    return _run_once_case(config, solver_counts=True)
 
 
 def _case_sweep_pool() -> Dict[str, Any]:
@@ -295,9 +335,7 @@ def _case_telemetry_overhead() -> Dict[str, Any]:
         )
 
     off = build_live_run(with_obs(None)).finish()
-    run = build_live_run(
-        with_obs(TelemetryConfig(enabled=True, interval=5.0))
-    )
+    run = build_live_run(with_obs(TelemetryConfig(enabled=True, interval=5.0)))
     on = run.finish()
     return {
         "ontp_equal": on.as_dict() == off.as_dict(),
@@ -347,6 +385,7 @@ CASES: Dict[str, Callable[[], Dict[str, Any]]] = {
     "solver_micro_lns": _case_solver_micro_lns,
     "fig2_small": _case_fig2_small,
     "fig7_small": _case_fig7_small,
+    "open_lns_small": _case_open_lns_small,
     "sweep_pool": _case_sweep_pool,
     "telemetry_overhead": _case_telemetry_overhead,
     "service_admission_latency": _case_service_admission_latency,

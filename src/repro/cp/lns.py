@@ -17,9 +17,13 @@ this module provides the equivalent improvement loop.  Each iteration:
 
 The neighbourhood grows when iterations stop improving, shrinking the pinned
 region.  The loop ends when the incumbent reaches the target (0 late jobs, or
-a proven lower bound), when it has *stagnated* -- gone as many gainless
-iterations as twice the ramp from the initial to the largest neighbourhood,
-plus the iteration of its last gain -- or when the time budget runs out.
+a proven lower bound) or when it has *stagnated*.  Stagnation is two counts,
+each lengthened by the progress made so far: gainless iterations (twice the
+ramp from the initial to the largest neighbourhood, plus the iteration of the
+last gain) and gainless fails (a fail budget, plus the fails spent up to the
+last gain).  The fail count ends the calls whose dives are expensive, which
+run few iterations.  Because both exits count work, where a call stops does
+not depend on the host; the time budget stays only as a ceiling.
 """
 
 from __future__ import annotations
@@ -175,16 +179,29 @@ def lns_improve(
     """Improve ``incumbent`` until it stops paying or ``deadline`` passes.
 
     ``target`` is a proven lower bound on the objective: reaching it stops
-    the loop early.  So does stagnation: with ``ramp`` the gainless
-    iterations it takes to grow from the initial to the largest
-    neighbourhood, the loop gives up once ``2 * ramp + last_gain`` iterations
-    have passed since ``last_gain``, the iteration of the last gain (0 before
-    any).  A run that keeps improving earns a longer wait; the stop needs no
-    lower bound because it claims no optimality.  ``deadline`` (perf_counter
-    time) stays the ceiling.  The engine may be in any state on entry and is
-    left reset.  Returns ``(best_solution, stats)``; ``stats.lns_stop`` says
-    why the loop ended: ``"target"``, ``"stagnated"`` or ``"deadline"``
-    (None when it never started).
+    the loop early.  So does stagnation, on whichever of two counts comes
+    first after a gainless iteration:
+
+    * iterations: with ``ramp`` the gainless iterations it takes to grow from
+      the initial to the largest neighbourhood, the loop gives up once
+      ``2 * ramp + last_gain`` iterations have passed since ``last_gain``,
+      the iteration of the last gain (0 before any);
+    * fails: with ``gain_fails`` the fails spent up to the last gain (0
+      before any), it gives up once ``stall_fails + gain_fails`` fails have
+      been spent since then.  ``stall_fails`` is the fails of
+      ``stall_before_grow + 2`` full dives (1 800 at the defaults), but at
+      least ``(2 * ramp) ** 2``, a floor that leaves short dives (a small
+      ``fail_limit``) room to ramp.
+
+    A run that keeps improving earns a longer wait on both counts; the stop
+    needs no lower bound because it claims no optimality.  Both exits count
+    work, so with ``deadline = math.inf`` the loop still ends, and a call
+    that stops on them returns exactly what it would with no deadline.
+    ``deadline`` (perf_counter time) stays the ceiling.  The engine may be
+    in any state on entry and is left reset.  Returns
+    ``(best_solution, stats)``; ``stats.lns_stop`` says why the loop ended:
+    ``"target"``, ``"stagnated"`` or ``"deadline"`` (None when it never
+    started).
     """
     params = params or LnsParams()
     stats = SearchStats()
@@ -201,6 +218,10 @@ def lns_improve(
         (params.max_neighbourhood - params.initial_neighbourhood) / 2
     )
     last_gain = 0
+    stall_fails = max(
+        (params.stall_before_grow + 2) * params.fail_limit, (2 * ramp) ** 2
+    )
+    gain_fails = 0
     stats.lns_stop = "deadline"
     level: Optional[_PinnedLevel] = None
 
@@ -259,6 +280,7 @@ def lns_improve(
             stall = 0
             neighbourhood = params.initial_neighbourhood
             last_gain = stats.lns_iterations
+            gain_fails = stats.fails
             if best.objective <= target:
                 stats.lns_stop = "target"
                 break
@@ -267,7 +289,10 @@ def lns_improve(
             if stall >= params.stall_before_grow:
                 neighbourhood = min(neighbourhood + 2, params.max_neighbourhood)
                 stall = 0
-            if stats.lns_iterations - last_gain >= 2 * ramp + last_gain:
+            if (
+                stats.lns_iterations - last_gain >= 2 * ramp + last_gain
+                or stats.fails - gain_fails >= stall_fails + gain_fails
+            ):
                 stats.lns_stop = "stagnated"
                 break
 

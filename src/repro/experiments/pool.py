@@ -123,15 +123,14 @@ def cell_seed(root_seed: int, config: RunConfig, replication: int) -> int:
 def deterministic_solver_params(params: SolverParams) -> SolverParams:
     """Rewrite a solver budget so search effort is machine-independent.
 
-    Huge time limit (never binds), fail-limited tree search, LNS off (its
-    improvement loop is time-budgeted and would reintroduce wall-clock
-    dependence).  The same recipe the bench suite pins its baselines with.
+    Huge time limit (never binds) and fail-limited tree search.  ``use_lns``
+    passes through: LNS stops on counts of iterations and fails, never on
+    the clock, so it repeats exactly too.
     """
     return replace(
         params,
         time_limit=_DETERMINISTIC_TIME_LIMIT,
         tree_fail_limit=params.tree_fail_limit or _DETERMINISTIC_FAIL_LIMIT,
-        use_lns=False,
     )
 
 
@@ -596,9 +595,7 @@ def merge_cell_series(out_dir: str, cells: Sequence[SweepCell]) -> str:
             "series": None,
         }
         try:
-            meta, samples = read_series_jsonl(
-                cell_series_path(out_dir, cell.index)
-            )
+            meta, samples = read_series_jsonl(cell_series_path(out_dir, cell.index))
         except (OSError, ValueError):
             pass
         else:

@@ -495,7 +495,7 @@ def capture_run_dir(
     """Run ``config`` deterministically and persist the diffable artifacts.
 
     The run is pinned (:func:`~repro.experiments.pool.deterministic_run_config`:
-    pinned wall clock, fail-limited LNS-off solver) so a same-seed capture
+    pinned wall clock, fail-limited solver) so a same-seed capture
     is byte-reproducible, then executed with tracing, plan history and
     telemetry on.  The directory holds ``run.json`` (metrics + job SLAs),
     ``trace.json``/``trace.jsonl``, ``series.jsonl``, ``forensics.json``

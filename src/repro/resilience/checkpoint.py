@@ -21,8 +21,9 @@ run.
 
 Determinism contract: byte-identical *O* additionally requires the run to
 be pinned -- a :class:`~repro.obs.clocks.PinnedClock` as the wall
-clock and a fail-limited deterministic solver budget (LNS off), exactly
-the recipe the sweep pool and bench suite already use;
+clock and a fail-limited deterministic solver budget, exactly the recipe
+the sweep pool and bench suite already use (LNS stays on when configured:
+it stops on counts, never on the clock);
 :func:`~repro.experiments.pool.deterministic_run_config` applies it.
 Unpinned runs still replay to identical N/T/P and identical structural
 state; real wall-clock readings land in the snapshot's ``volatile``
@@ -89,9 +90,7 @@ class CheckpointConfig:
         if self.every_events is not None and self.every_events < 1:
             raise ValueError(f"every_events must be >= 1, got {self.every_events}")
         if self.every_sim_time is not None and self.every_sim_time <= 0:
-            raise ValueError(
-                f"every_sim_time must be > 0, got {self.every_sim_time}"
-            )
+            raise ValueError(f"every_sim_time must be > 0, got {self.every_sim_time}")
 
 
 @dataclass

@@ -1,10 +1,12 @@
 """When LNS stops: target, stagnation, deadline.
 
-The stagnation exit may only cut a run short, never change it: up to the
-iteration it stops at, the loop must do exactly what it did when the wall
-clock and the target were its only exits.
+Both stagnation exits -- on gainless iterations and on gainless fails -- may
+only cut a run short, never change it: up to the iteration it stops at, the
+loop must do exactly what it did when the wall clock and the target were its
+only exits.  Both count work, so the loop ends with no deadline at all.
 """
 
+import math
 import random
 import time
 
@@ -22,9 +24,12 @@ from repro.cp.lns import (
     _window,
     lns_improve,
 )
+from repro.cp import solver as cp_solver
 from repro.cp.search import SearchLimits, SetTimesBrancher, tree_search
 from repro.cp.solution import SearchStats, Solution
 from repro.cp.solver import SolverParams
+from repro.experiments.pool import deterministic_run_config
+from repro.experiments.runner import RunConfig, run_once
 from repro.obs.trace import TraceRecorder, Tracer
 from repro.workload import (
     SyntheticWorkloadParams,
@@ -39,10 +44,11 @@ ODD_SPAN = LnsParams(initial_neighbourhood=2, max_neighbourhood=7, stall_before_
 FAR = 3600.0
 
 
-def _reference_lns(model, engine, incumbent, deadline, params, target, cap):
+def _reference_lns(model, engine, incumbent, deadline, params, target, cap, trace=None):
     """The loop before the stagnation exit, stopped after ``cap`` iterations.
 
     Returns ``(best, stats, gains)``, ``gains`` the iterations that improved.
+    A ``trace`` list receives ``(fails so far, improved)`` per iteration.
     """
     stats = SearchStats()
     gains = []
@@ -98,11 +104,14 @@ def _reference_lns(model, engine, incumbent, deadline, params, target, cap):
             stats.merge(result.stats)
         engine.trail.pop_level()
 
-        if (
+        improved = (
             result is not None
             and result.best.objective is not None
             and result.best.objective < best.objective
-        ):
+        )
+        if trace is not None:
+            trace.append((stats.fails, improved))
+        if improved:
             best = result.best
             gains.append(stats.lns_iterations)
             stall = 0
@@ -294,3 +303,200 @@ def test_solver_reports_the_stop_on_profile_and_span():
     assert result.stats.lns_stop == result.profile.lns_stop == "stagnated"
     (span,) = [e for e in tracer.recorder.events if e["name"] == "cp.lns"]
     assert span["args"]["stop"] == "stagnated"
+
+
+# ------------------------------------------------------------ the fail stop
+def _stall_fails(params):
+    """The fail budget: ``stall_before_grow + 2`` dives, at least ``(2 ramp)^2``."""
+    ramp = params.stall_before_grow * math.ceil(
+        (params.max_neighbourhood - params.initial_neighbourhood) / 2
+    )
+    return max((params.stall_before_grow + 2) * params.fail_limit, (2 * ramp) ** 2)
+
+
+def _fail_stop_due(trace, params):
+    """The iterations of ``trace`` at which the fail stop's condition holds."""
+    budget = _stall_fails(params)
+    gain_fails, due = 0, []
+    for iteration, (fails, improved) in enumerate(trace, 1):
+        if improved:
+            gain_fails = fails
+        elif fails - gain_fails >= budget + gain_fails:
+            due.append(iteration)
+    return due
+
+
+def _counts(stats):
+    """What a run did, without its timings."""
+    return (
+        stats.lns_stop,
+        stats.lns_iterations,
+        stats.fails,
+        stats.branches,
+        stats.solutions,
+        stats.propagations,
+    )
+
+
+def _beatable(n_jobs=12):
+    """``n_jobs`` ten-unit jobs on one slot, all late in the incumbent.
+
+    Two can meet their deadline of 20, so LNS gains twice, then every dive
+    fails against the ``best - 1`` cut until the fail count stops it.
+    """
+    m, engine, _ = _unbeatable(n_jobs)
+    starts = {iv: 100 + 10 * k for k, iv in enumerate(m.intervals)}
+    incumbent = Solution(starts=starts)
+    incumbent.objective = incumbent.evaluate_objective(m)
+    assert incumbent.objective == n_jobs
+    return m, engine, incumbent
+
+
+@pytest.mark.parametrize(
+    "instance", [_beatable, _unbeatable], ids=["gains", "gainless"]
+)
+def test_fail_stop_only_truncates_the_parent_loop(instance):
+    """The fail count fires first; up to it, the old loop ran the same."""
+    params = LnsParams()
+    m, engine, incumbent = instance(12)
+    best, stats = lns_improve(m, engine, incumbent, math.inf, params, target=0)
+    assert stats.lns_stop == "stagnated"
+
+    m, engine, incumbent = instance(12)
+    trace = []
+    ref_best, ref_stats, gains = _reference_lns(
+        m,
+        engine,
+        incumbent,
+        math.inf,
+        params,
+        0,
+        cap=stats.lns_iterations,
+        trace=trace,
+    )
+    assert ref_stats.lns_iterations == stats.lns_iterations
+    assert ref_stats.fails == stats.fails
+    assert ref_stats.branches == stats.branches
+    assert ref_best.objective == best.objective == 10
+    assert _starts_by_name(ref_best) == _starts_by_name(best)
+    # The fail count ended it, before the iteration count was due.
+    assert _fail_stop_due(trace, params)[0] == stats.lns_iterations
+    last_gain = gains[-1] if gains else 0
+    assert stats.lns_iterations - last_gain < 2 * DEFAULT_RAMP + last_gain
+    assert bool(gains) == (instance is _beatable)
+
+
+def test_fail_stop_ignores_the_clock():
+    """A call that stops on fails returns the same under any later deadline."""
+    runs = []
+    for deadline in (time.perf_counter() + 0.5, math.inf):
+        m, engine, incumbent = _unbeatable(12)
+        best, stats = lns_improve(m, engine, incumbent, deadline, target=0)
+        runs.append((_counts(stats), _starts_by_name(best)))
+    assert runs[0] == runs[1]
+    assert runs[0][0][:3] == ("stagnated", 27, 1839)
+
+
+@pytest.mark.parametrize("seed", [1, 3])
+def test_no_deadline_still_ends_on_closed_batches(seed):
+    """Run to 0 late jobs, which these batches cannot reach, with no deadline."""
+    model = _micro_batch_model(seed)
+    engine, warm = _warm(model)
+    params = LnsParams(seed=seed, fail_limit=50)
+    best, stats = lns_improve(model, engine, warm, math.inf, params, target=0)
+    assert stats.lns_stop == "stagnated"
+    assert best.objective < warm.objective
+
+
+def test_no_deadline_still_ends_on_open_runs(monkeypatch):
+    """Every LNS call of a seeded open run, rerun with no deadline at all.
+
+    Each call is also replayed by the old loop, capped where the new one
+    stopped: frozen and movable tasks change nothing about the truncation.
+    """
+    stops = []
+
+    def unbounded(model, engine, incumbent, deadline, params, jump, target):
+        assert jump
+        best, stats = lns_improve(
+            model, engine, incumbent, math.inf, params, jump, target
+        )
+        trace = []
+        ref_best, ref_stats, _ = _reference_lns(
+            model,
+            engine,
+            incumbent,
+            math.inf,
+            params,
+            target,
+            cap=stats.lns_iterations,
+            trace=trace,
+        )
+        assert ref_stats.lns_iterations == stats.lns_iterations
+        assert ref_stats.fails == stats.fails
+        assert _starts_by_name(ref_best) == _starts_by_name(best)
+        fail_stop = stats.lns_iterations in _fail_stop_due(trace, params)
+        stops.append((stats.lns_stop, fail_stop))
+        return best, stats
+
+    monkeypatch.setattr(cp_solver, "lns_improve", unbounded)
+    jobs = SyntheticWorkloadParams(
+        num_jobs=12,
+        map_tasks_range=(1, 10),
+        reduce_tasks_range=(1, 5),
+        e_max=20,
+        ar_probability=0.0,
+        deadline_multiplier_max=1.5,
+        arrival_rate=0.2,
+    )
+    run_once(deterministic_run_config(RunConfig(synthetic=jobs, seed=101)))
+    assert stops == [
+        ("stagnated", False),
+        ("stagnated", False),
+        ("stagnated", True),
+    ]
+
+
+@pytest.mark.parametrize(
+    "seed, to_zero, lns_seed, fail_limit",
+    [
+        (1, False, 1, 50),
+        (4, False, 4, 50),
+        (5, False, 5, 50),
+        (6, False, 6, 50),
+        (1, True, 1, 50),
+        (3, True, 3, 50),
+        (5, True, 5, 50),
+        (5, False, 0, 300),
+    ],
+)
+def test_fail_stop_never_fires_on_the_micro_lns_seeds(
+    seed, to_zero, lns_seed, fail_limit
+):
+    """On the ``solver_micro_lns`` batches the fail count is never due.
+
+    The instances of :func:`test_stop_only_truncates_the_parent_loop`, and
+    the bench case itself (generator seed 5, LNS seed 0, the default fail
+    limit).
+    """
+    params = LnsParams(seed=lns_seed, fail_limit=fail_limit)
+    model = _micro_batch_model(seed)
+    engine, warm = _warm(model)
+    target = 0 if to_zero else warm.objective - max(1, round(0.2 * warm.objective))
+    _, stats = lns_improve(model, engine, warm, math.inf, params, target=target)
+
+    model = _micro_batch_model(seed)
+    engine, warm = _warm(model)
+    trace = []
+    _reference_lns(
+        model,
+        engine,
+        warm,
+        math.inf,
+        params,
+        target,
+        cap=stats.lns_iterations,
+        trace=trace,
+    )
+    assert len(trace) == stats.lns_iterations
+    assert _fail_stop_due(trace, params) == []

@@ -8,6 +8,7 @@ in-process via ``workers=1`` or calls the pure helpers directly.
 import json
 import os
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -130,7 +131,10 @@ def test_deterministic_solver_params_never_time_bound():
     params = deterministic_solver_params(_config().mrcp.solver)
     assert params.time_limit >= 1e6
     assert params.tree_fail_limit
-    assert not params.use_lns
+    # LNS stops on counts, not the clock, so it may stay on either way.
+    for use_lns in (True, False):
+        given = replace(_config().mrcp.solver, use_lns=use_lns)
+        assert deterministic_solver_params(given).use_lns is use_lns
 
 
 def test_pinned_clock_is_deterministic_and_picklable():

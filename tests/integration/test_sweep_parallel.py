@@ -15,7 +15,7 @@ from repro.experiments.pool import (
     execute_cell,
     run_sweep,
 )
-from repro.experiments.runner import RunConfig, SystemConfig
+from repro.experiments.runner import RunConfig, SystemConfig, run_once
 from repro.workload import SyntheticWorkloadParams
 
 
@@ -74,6 +74,41 @@ def test_parallel_output_byte_identical_to_sequential(tmp_path):
         par_bytes = (par_dir / name).read_bytes()
         assert seq_bytes == par_bytes, f"{name} differs between worker counts"
     assert seq.to_json() == par.to_json()
+
+
+def test_lns_on_sweep_byte_identical_across_worker_counts(tmp_path):
+    """Deterministic mode keeps LNS on, and LNS repeats in any worker."""
+    config = RunConfig(
+        scheduler="mrcp-rm",
+        workload="synthetic",
+        synthetic=SyntheticWorkloadParams(
+            num_jobs=6,
+            map_tasks_range=(1, 10),
+            reduce_tasks_range=(1, 5),
+            e_max=20,
+            ar_probability=0.0,
+            deadline_multiplier_max=1.5,
+            arrival_rate=0.2,
+        ),
+        system=SystemConfig(num_resources=3),
+    )
+    assert config.mrcp.solver.use_lns
+    spec = SweepSpec(
+        name="lns-on",
+        configs=[LabeledConfig("lns=on", 1.0, "mrcp-rm", config)],
+        factor="lns",
+        replications=2,
+        root_seed=2,
+    )
+    for cell in spec.cells():
+        assert cell.config.mrcp.solver.use_lns
+        assert run_once(cell.config).solver_lns_iterations > 0
+    one_dir, two_dir = tmp_path / "one", tmp_path / "two"
+    one = run_sweep(spec, workers=1, out_dir=str(one_dir))
+    two = run_sweep(spec, workers=2, out_dir=str(two_dir))
+    assert not one.failed_cells and not two.failed_cells
+    for name in ("sweep.json", "sweep.csv"):
+        assert (one_dir / name).read_bytes() == (two_dir / name).read_bytes()
 
 
 def test_worker_raise_fails_only_its_cell():

@@ -29,9 +29,9 @@ from repro.resilience.chaos import default_chaos_config, escalation_ladder
 from repro.resilience.checkpoint import fresh_run_config
 
 #: sha256 of each artifact's bytes.
-RUN_REPORT_SHA = "31bd093b937f305befe15662fd9f1c59221680dd7a9eb06b3ede9bdba82bcb3d"
-SIM_SERIES_SHA = "38794829ce1844e54047456a73bf83bfd81da00fd8910dcb46e98445377fbb57"
-SWEEP_REPORT_SHA = "8e9c13a5e0c4fc02bd6b25047e6bfbcc6034d2c8d1676201ce73bfa4e33c5296"
+RUN_REPORT_SHA = "b27d74c58172f251fdf89550e06e674348c64310f8973233614b37a9d164b572"
+SIM_SERIES_SHA = "6447474548204e3a65d798a3020b32a90f9b334e72810206e31e10ddade75851"
+SWEEP_REPORT_SHA = "a11e30bcb5fffb5cc4f7ad495cf678fd75aef4de5a615ae56f13e8ae70b4f798"
 DIFF_REPORT_SHA = "0cfa176ef3c930db7c07de32a49aefa1246ec3dcf285b443a8558ed8ad06c9ba"
 WALL_SERIES_SHA = "ea8f5c9e6e5806427361cb42e4697f078b467b70af3d968ac36a89cd41fbaf2a"
 
