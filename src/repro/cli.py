@@ -414,11 +414,7 @@ def _cmd_telemetry(args: argparse.Namespace) -> int:
         write_openmetrics,
     )
     from repro.obs.timeseries import TelemetryConfig
-    from repro.resilience.chaos import (
-        default_chaos_config,
-        escalation_ladder,
-        fresh_run_config,
-    )
+    from repro.resilience.chaos import default_chaos_config, escalation_ladder
 
     os.makedirs(args.out_dir, exist_ok=True)
     series_path = os.path.join(args.out_dir, "series.jsonl")
@@ -447,7 +443,6 @@ def _cmd_telemetry(args: argparse.Namespace) -> int:
         series_out=series_path,
         alerts_out=alerts_path,
     )
-    config = fresh_run_config(config)
     config = replace(config, obs=replace(config.obs, telemetry=telemetry))
 
     run = build_live_run(config)

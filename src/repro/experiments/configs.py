@@ -2,7 +2,10 @@
 
 Every figure of the paper's evaluation maps to a :class:`FigureSeries`: the
 factor being varied, and one :class:`~repro.experiments.runner.RunConfig`
-per (factor value, scheduler) combination.
+per (factor value, scheduler) combination.  Each series is a list of
+``(label, factor value, RunConfig)`` points handed to one builder
+(:func:`_series`); the points come from the profile's baseline run with one
+knob overridden (:func:`_synthetic`, :func:`_workflow`).
 
 Two profiles:
 
@@ -21,8 +24,8 @@ paper's text; DESIGN.md Section 4 records the choices used here
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Sequence
+from dataclasses import dataclass, fields, replace
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 from repro.core.formulation import FormulationMode
 from repro.core.mrcp_rm import MrcpRmConfig
@@ -70,6 +73,7 @@ def _check_profile(profile: str) -> None:
 # Baseline parameterisations per profile
 # --------------------------------------------------------------------------
 
+
 def default_solver_params(profile: str) -> SolverParams:
     """Per-invocation CP budget for the given profile."""
     if profile == SCALED:
@@ -85,21 +89,11 @@ def default_mrcp_config(profile: str) -> MrcpRmConfig:
 def default_synthetic_params(profile: str) -> SyntheticWorkloadParams:
     """Table 3 defaults (DESIGN.md Section 4), scaled 5x when requested."""
     _check_profile(profile)
-    if profile == SCALED:
-        return SyntheticWorkloadParams(
-            num_jobs=40,
-            map_tasks_range=(1, 20),
-            reduce_tasks_range=(1, 20),
-            e_max=50,
-            ar_probability=0.5,
-            s_max=10_000,
-            deadline_multiplier_max=5.0,
-            arrival_rate=0.01,
-        )
+    tasks = (1, 20) if profile == SCALED else (1, 100)
     return SyntheticWorkloadParams(
-        num_jobs=400,
-        map_tasks_range=(1, 100),
-        reduce_tasks_range=(1, 100),
+        num_jobs=40 if profile == SCALED else 400,
+        map_tasks_range=tasks,
+        reduce_tasks_range=tasks,
         e_max=50,
         ar_probability=0.5,
         s_max=10_000,
@@ -120,18 +114,11 @@ def default_synthetic_system(profile: str) -> SystemConfig:
 def default_facebook_params(profile: str) -> FacebookWorkloadParams:
     """Table 4 workload defaults per profile (10x scaled or full)."""
     _check_profile(profile)
-    if profile == SCALED:
-        return FacebookWorkloadParams(
-            num_jobs=60,
-            arrival_rate=0.0001,
-            deadline_multiplier_max=2.0,
-            scale=0.1,
-        )
     return FacebookWorkloadParams(
-        num_jobs=1000,
+        num_jobs=60 if profile == SCALED else 1000,
         arrival_rate=0.0001,
         deadline_multiplier_max=2.0,
-        scale=1.0,
+        scale=0.1 if profile == SCALED else 1.0,
     )
 
 
@@ -141,321 +128,6 @@ def default_facebook_system(profile: str) -> SystemConfig:
         num_resources=8 if profile == SCALED else 64,
         map_slots=1,
         reduce_slots=1,
-    )
-
-
-def _synthetic_config(profile: str, **overrides) -> RunConfig:
-    params = default_synthetic_params(profile)
-    system = default_synthetic_system(profile)
-    mrcp = default_mrcp_config(profile)
-    cfg = RunConfig(
-        scheduler="mrcp-rm",
-        workload="synthetic",
-        synthetic=params,
-        system=system,
-        mrcp=mrcp,
-    )
-    for key, value in overrides.items():
-        setattr(cfg, key, value)
-    return cfg
-
-
-# --------------------------------------------------------------------------
-# Figures 2-3: MRCP-RM vs MinEDF-WC on the Facebook workload
-# --------------------------------------------------------------------------
-
-def _facebook_lambdas(profile: str) -> List[float]:
-    # Paper sweeps 0.0001 .. 0.0005 jobs/s.
-    return [0.0001, 0.0002, 0.0003, 0.0004, 0.0005]
-
-
-def _fig2_fig3(profile: str, figure: str, title: str, metrics) -> FigureSeries:
-    configs: List[LabeledConfig] = []
-    for lam in _facebook_lambdas(profile):
-        for sched in ("mrcp-rm", "minedf-wc"):
-            fb = replace(default_facebook_params(profile), arrival_rate=lam)
-            cfg = RunConfig(
-                scheduler=sched,
-                workload="facebook",
-                facebook=fb,
-                system=default_facebook_system(profile),
-                mrcp=default_mrcp_config(profile),
-            )
-            configs.append(
-                LabeledConfig(
-                    label=f"lambda={lam:g}/{sched}",
-                    factor_value=lam,
-                    scheduler=sched,
-                    config=cfg,
-                )
-            )
-    return FigureSeries(
-        figure=figure,
-        title=title,
-        factor="lambda (jobs/s)",
-        configs=configs,
-        metrics=metrics,
-        notes=(
-            "Facebook Table 4 workload; deadlines U[1,2]*TE; p=0; "
-            "1 map + 1 reduce slot per resource."
-        ),
-    )
-
-
-# --------------------------------------------------------------------------
-# Figures 4-9: factor-at-a-time on the synthetic workload
-# --------------------------------------------------------------------------
-
-def _factor_series(
-    profile: str,
-    figure: str,
-    title: str,
-    factor: str,
-    values: Sequence[float],
-    apply: Callable[[RunConfig, float], None],
-    notes: str = "",
-) -> FigureSeries:
-    configs = []
-    for v in values:
-        cfg = _synthetic_config(profile)
-        apply(cfg, v)
-        configs.append(
-            LabeledConfig(
-                label=f"{factor}={v:g}",
-                factor_value=v,
-                scheduler="mrcp-rm",
-                config=cfg,
-            )
-        )
-    return FigureSeries(
-        figure=figure,
-        title=title,
-        factor=factor,
-        configs=configs,
-        notes=notes,
-    )
-
-
-def _fig4(profile: str) -> FigureSeries:
-    def apply(cfg: RunConfig, v: float) -> None:
-        cfg.synthetic = replace(cfg.synthetic, e_max=int(v))
-
-    return _factor_series(
-        profile,
-        "fig4",
-        "Effect of task execution times (e_max)",
-        "e_max",
-        [10, 50, 100],
-        apply,
-        notes="O and T should increase with e_max; P ~2% at e_max=100.",
-    )
-
-
-def _fig5(profile: str) -> FigureSeries:
-    def apply(cfg: RunConfig, v: float) -> None:
-        cfg.synthetic = replace(cfg.synthetic, s_max=int(v))
-
-    return _factor_series(
-        profile,
-        "fig5",
-        "Effect of earliest start times (s_max)",
-        "s_max",
-        [10_000, 50_000, 250_000],
-        apply,
-        notes="O, T and P should all decrease as s_max grows.",
-    )
-
-
-def _fig6(profile: str) -> FigureSeries:
-    def apply(cfg: RunConfig, v: float) -> None:
-        cfg.synthetic = replace(cfg.synthetic, ar_probability=v)
-
-    return _factor_series(
-        profile,
-        "fig6",
-        "Effect of the advance-reservation probability (p)",
-        "p",
-        [0.1, 0.5, 0.9],
-        apply,
-        notes="Same trend as fig5 but weaker in O (s_max stays small).",
-    )
-
-
-def _fig7(profile: str) -> FigureSeries:
-    def apply(cfg: RunConfig, v: float) -> None:
-        cfg.synthetic = replace(cfg.synthetic, deadline_multiplier_max=v)
-
-    return _factor_series(
-        profile,
-        "fig7",
-        "Effect of the deadline multiplier (d_UL)",
-        "d_UL",
-        [2, 5, 10],
-        apply,
-        notes="O and P should drop sharply from d_UL=2 to 5 and 10.",
-    )
-
-
-def _fig8(profile: str) -> FigureSeries:
-    def apply(cfg: RunConfig, v: float) -> None:
-        cfg.synthetic = replace(cfg.synthetic, arrival_rate=v)
-
-    return _factor_series(
-        profile,
-        "fig8",
-        "Effect of the job arrival rate (lambda)",
-        "lambda",
-        [0.001, 0.01, 0.015, 0.02],
-        apply,
-        notes="O, T and P should all increase with lambda.",
-    )
-
-
-def _fig9(profile: str) -> FigureSeries:
-    values = [5, 10, 20] if profile == SCALED else [25, 50, 100]
-
-    configs = []
-    for v in values:
-        cfg = _synthetic_config(profile)
-        cfg.system = replace(cfg.system, num_resources=int(v))
-        configs.append(
-            LabeledConfig(
-                label=f"m={v:g}",
-                factor_value=v,
-                scheduler="mrcp-rm",
-                config=cfg,
-            )
-        )
-    return FigureSeries(
-        figure="fig9",
-        title="Effect of the number of resources (m)",
-        factor="m",
-        configs=configs,
-        notes="T, P and O should all increase as m shrinks.",
-    )
-
-
-# --------------------------------------------------------------------------
-# Ablations (DESIGN.md Section 5)
-# --------------------------------------------------------------------------
-
-def _ablation_separation(profile: str) -> FigureSeries:
-    configs = []
-    for mode in (FormulationMode.COMBINED, FormulationMode.JOINT):
-        cfg = _synthetic_config(profile)
-        # Joint mode builds (tasks x resources) optional intervals; keep the
-        # instance compact even in the paper profile.
-        if profile == PAPER:
-            cfg.synthetic = replace(cfg.synthetic, num_jobs=60)
-        cfg.mrcp = replace(default_mrcp_config(profile), mode=mode)
-        configs.append(
-            LabeledConfig(
-                label=f"mode={mode.value}",
-                factor_value=0.0 if mode is FormulationMode.COMBINED else 1.0,
-                scheduler="mrcp-rm",
-                config=cfg,
-            )
-        )
-    return FigureSeries(
-        figure="ablation-separation",
-        title="V.D ablation: combined-resource vs joint matchmaking",
-        factor="mode",
-        configs=configs,
-        notes="Combined mode should show substantially lower O at equal P.",
-    )
-
-
-def _ablation_est_deferral(profile: str) -> FigureSeries:
-    configs = []
-    for deferral in (True, False):
-        cfg = _synthetic_config(profile)
-        # Deferral matters when many jobs have far-future start times.
-        cfg.synthetic = replace(cfg.synthetic, ar_probability=0.9, s_max=50_000)
-        cfg.mrcp = replace(default_mrcp_config(profile), est_deferral=deferral)
-        configs.append(
-            LabeledConfig(
-                label=f"deferral={'on' if deferral else 'off'}",
-                factor_value=1.0 if deferral else 0.0,
-                scheduler="mrcp-rm",
-                config=cfg,
-            )
-        )
-    return FigureSeries(
-        figure="ablation-est-deferral",
-        title="V.E ablation: earliest-start-time deferral",
-        factor="deferral",
-        configs=configs,
-        notes="Deferral should reduce O (fewer tasks re-planned per solve).",
-    )
-
-
-def _ablation_ordering(profile: str) -> FigureSeries:
-    configs = []
-    for order in ("edf", "laxity", "input"):
-        cfg = _synthetic_config(profile)
-        cfg.mrcp = replace(default_mrcp_config(profile), ordering=order)
-        configs.append(
-            LabeledConfig(
-                label=f"ordering={order}",
-                factor_value=float(["edf", "laxity", "input"].index(order)),
-                scheduler="mrcp-rm",
-                config=cfg,
-            )
-        )
-    return FigureSeries(
-        figure="ablation-ordering",
-        title="VI.B ablation: job ordering strategies",
-        factor="ordering",
-        configs=configs,
-        notes="The paper reports no significant difference; EDF slightly best.",
-    )
-
-
-def _ablation_lns(profile: str) -> FigureSeries:
-    configs = []
-    for use_lns in (True, False):
-        cfg = _synthetic_config(profile)
-        # Make deadlines tight so the improvement phase has work to do.
-        cfg.synthetic = replace(cfg.synthetic, deadline_multiplier_max=2.0)
-        solver = replace(default_solver_params(profile), use_lns=use_lns)
-        cfg.mrcp = replace(default_mrcp_config(profile), solver=solver)
-        configs.append(
-            LabeledConfig(
-                label=f"lns={'on' if use_lns else 'off'}",
-                factor_value=1.0 if use_lns else 0.0,
-                scheduler="mrcp-rm",
-                config=cfg,
-            )
-        )
-    return FigureSeries(
-        figure="ablation-lns",
-        title="Solver ablation: LNS improvement phase",
-        factor="lns",
-        configs=configs,
-        notes="LNS should lower P under tight deadlines at equal budget.",
-    )
-
-
-def _ablation_replanning(profile: str) -> FigureSeries:
-    configs = []
-    for replan in (True, False):
-        cfg = _synthetic_config(profile)
-        cfg.synthetic = replace(cfg.synthetic, deadline_multiplier_max=2.0)
-        cfg.mrcp = replace(default_mrcp_config(profile), replan=replan)
-        configs.append(
-            LabeledConfig(
-                label=f"replan={'on' if replan else 'off'}",
-                factor_value=1.0 if replan else 0.0,
-                scheduler="mrcp-rm",
-                config=cfg,
-            )
-        )
-    return FigureSeries(
-        figure="ablation-replanning",
-        title="V.B ablation: incremental re-planning vs schedule-once",
-        factor="replan",
-        configs=configs,
-        notes="Re-planning should reduce P (late jobs) at higher O.",
     )
 
 
@@ -479,120 +151,260 @@ def default_workflow_params(profile: str) -> WorkflowWorkloadParams:
     )
 
 
-def _ablation_hints(profile: str) -> FigureSeries:
-    """Solution hints (Fig. 1's "incrementally builds on the previous
-    solution"): re-using the prior plan as a warm start."""
-    configs = []
-    for hints in (True, False):
-        cfg = _synthetic_config(profile)
-        cfg.synthetic = replace(cfg.synthetic, deadline_multiplier_max=2.0)
-        cfg.mrcp = replace(default_mrcp_config(profile), use_hints=hints)
-        configs.append(
-            LabeledConfig(
-                label=f"hints={'on' if hints else 'off'}",
-                factor_value=1.0 if hints else 0.0,
-                scheduler="mrcp-rm",
-                config=cfg,
-            )
+# --------------------------------------------------------------------------
+# Points and the one series builder
+# --------------------------------------------------------------------------
+
+#: One figure point: (label, factor value, the run).
+Point = Tuple[str, Any, RunConfig]
+
+
+def _synthetic(profile: str, **overrides: Any) -> RunConfig:
+    """The profile's synthetic MRCP-RM run with named fields overridden.
+
+    Each keyword names a field of the Table 3 workload
+    (:class:`SyntheticWorkloadParams`), the system (:class:`SystemConfig`)
+    or the manager (:class:`MrcpRmConfig`); the three share no field name.
+    """
+    parts = {
+        "synthetic": default_synthetic_params(profile),
+        "system": default_synthetic_system(profile),
+        "mrcp": default_mrcp_config(profile),
+    }
+    for name, part in parts.items():
+        own = {f.name for f in fields(part)}
+        parts[name] = replace(
+            part, **{k: overrides.pop(k) for k in own & overrides.keys()}
         )
+    if overrides:
+        raise TypeError(f"unknown run fields: {sorted(overrides)}")
+    return RunConfig(scheduler="mrcp-rm", workload="synthetic", **parts)
+
+
+def _workflow(profile: str, **overrides: Any) -> RunConfig:
+    """The profile's DAG-workflow MRCP-RM run, workload fields overridden."""
+    return RunConfig(
+        scheduler="mrcp-rm",
+        workload="workflow",
+        workflow=replace(default_workflow_params(profile), **overrides),
+        system=default_synthetic_system(profile),
+        mrcp=default_mrcp_config(profile),
+    )
+
+
+def _series(
+    figure: str,
+    title: str,
+    factor: str,
+    points: Sequence[Point],
+    notes: str,
+    metrics: Sequence[str] = ("O", "T", "P"),
+) -> FigureSeries:
+    """Every figure, ablation and extension series is built here."""
     return FigureSeries(
-        figure="ablation-hints",
-        title="Fig. 1 ablation: previous-solution warm starts",
-        factor="hints",
-        configs=configs,
-        notes="Hints should not raise P; O may drop when arrivals fit "
+        figure=figure,
+        title=title,
+        factor=factor,
+        configs=[
+            LabeledConfig(label, value, config.scheduler, config)
+            for label, value, config in points
+        ],
+        metrics=metrics,
+        notes=notes,
+    )
+
+
+def _vary(profile: str, factor: str, field: str, values: Sequence) -> List[Point]:
+    """Factor-at-a-time points: one :func:`_synthetic` run per value.
+
+    Values pass through uncast: an int stays an int in the config repr.
+    """
+    return [(f"{factor}={v:g}", v, _synthetic(profile, **{field: v})) for v in values]
+
+
+def _on_off(name: str, arm: Callable[[bool], RunConfig]) -> List[Point]:
+    """The two arms of a design-choice ablation, "on" first."""
+    return [
+        (f"{name}={'on' if on else 'off'}", 1.0 if on else 0.0, arm(on))
+        for on in (True, False)
+    ]
+
+
+# --------------------------------------------------------------------------
+# The figures
+# --------------------------------------------------------------------------
+
+
+def _facebook(profile: str) -> List[Point]:
+    """Figs 2-3: MRCP-RM vs MinEDF-WC on the Facebook workload per lambda
+    (the paper sweeps 0.0001 .. 0.0005 jobs/s in both profiles)."""
+    return [
+        (
+            f"lambda={lam:g}/{sched}",
+            lam,
+            RunConfig(
+                scheduler=sched,
+                workload="facebook",
+                facebook=replace(default_facebook_params(profile), arrival_rate=lam),
+                system=default_facebook_system(profile),
+                mrcp=default_mrcp_config(profile),
+            ),
+        )
+        for lam in (0.0001, 0.0002, 0.0003, 0.0004, 0.0005)
+        for sched in ("mrcp-rm", "minedf-wc")
+    ]
+
+
+_FACEBOOK_NOTES = (
+    "Facebook Table 4 workload; deadlines U[1,2]*TE; p=0; "
+    "1 map + 1 reduce slot per resource."
+)
+
+#: Figure name -> profile -> ``(title, factor, points, notes[, metrics])``,
+#: the arguments :func:`_series` builds the figure from.  Figs 4-9 vary
+#: one Table 3 parameter at a time; the ablations (DESIGN.md Section 5)
+#: switch one design choice; the extensions run DAG workflows (paper
+#: Section VII).
+_FIGURES: Dict[str, Callable[[str], tuple]] = {
+    "fig2": lambda p: (
+        "MRCP-RM vs MinEDF-WC: proportion of late jobs",
+        "lambda (jobs/s)",
+        _facebook(p),
+        _FACEBOOK_NOTES,
+        ("P",),
+    ),
+    "fig3": lambda p: (
+        "MRCP-RM vs MinEDF-WC: average turnaround time",
+        "lambda (jobs/s)",
+        _facebook(p),
+        _FACEBOOK_NOTES,
+        ("T",),
+    ),
+    "fig4": lambda p: (
+        "Effect of task execution times (e_max)",
+        "e_max",
+        _vary(p, "e_max", "e_max", [10, 50, 100]),
+        "O and T should increase with e_max; P ~2% at e_max=100.",
+    ),
+    "fig5": lambda p: (
+        "Effect of earliest start times (s_max)",
+        "s_max",
+        _vary(p, "s_max", "s_max", [10_000, 50_000, 250_000]),
+        "O, T and P should all decrease as s_max grows.",
+    ),
+    "fig6": lambda p: (
+        "Effect of the advance-reservation probability (p)",
+        "p",
+        _vary(p, "p", "ar_probability", [0.1, 0.5, 0.9]),
+        "Same trend as fig5 but weaker in O (s_max stays small).",
+    ),
+    "fig7": lambda p: (
+        "Effect of the deadline multiplier (d_UL)",
+        "d_UL",
+        _vary(p, "d_UL", "deadline_multiplier_max", [2, 5, 10]),
+        "O and P should drop sharply from d_UL=2 to 5 and 10.",
+    ),
+    "fig8": lambda p: (
+        "Effect of the job arrival rate (lambda)",
+        "lambda",
+        _vary(p, "lambda", "arrival_rate", [0.001, 0.01, 0.015, 0.02]),
+        "O, T and P should all increase with lambda.",
+    ),
+    "fig9": lambda p: (
+        "Effect of the number of resources (m)",
+        "m",
+        _vary(p, "m", "num_resources", [5, 10, 20] if p == SCALED else [25, 50, 100]),
+        "T, P and O should all increase as m shrinks.",
+    ),
+    "ablation-separation": lambda p: (
+        "V.D ablation: combined-resource vs joint matchmaking",
+        "mode",
+        [
+            # Joint mode builds (tasks x resources) optional intervals;
+            # keep the instance compact even in the paper profile.
+            (
+                f"mode={mode.value}",
+                float(i),
+                _synthetic(p, mode=mode, **({"num_jobs": 60} if p == PAPER else {})),
+            )
+            for i, mode in enumerate((FormulationMode.COMBINED, FormulationMode.JOINT))
+        ],
+        "Combined mode should show substantially lower O at equal P.",
+    ),
+    "ablation-est-deferral": lambda p: (
+        "V.E ablation: earliest-start-time deferral",
+        "deferral",
+        # Deferral matters when many jobs have far-future start times.
+        _on_off(
+            "deferral",
+            lambda on: _synthetic(p, ar_probability=0.9, s_max=50_000, est_deferral=on),
+        ),
+        "Deferral should reduce O (fewer tasks re-planned per solve).",
+    ),
+    "ablation-ordering": lambda p: (
+        "VI.B ablation: job ordering strategies",
+        "ordering",
+        [
+            (f"ordering={order}", float(i), _synthetic(p, ordering=order))
+            for i, order in enumerate(("edf", "laxity", "input"))
+        ],
+        "The paper reports no significant difference; EDF slightly best.",
+    ),
+    "ablation-lns": lambda p: (
+        "Solver ablation: LNS improvement phase",
+        "lns",
+        # Tight deadlines, so the improvement phase has work to do.
+        _on_off(
+            "lns",
+            lambda on: _synthetic(
+                p,
+                deadline_multiplier_max=2.0,
+                solver=replace(default_solver_params(p), use_lns=on),
+            ),
+        ),
+        "LNS should lower P under tight deadlines at equal budget.",
+    ),
+    "ablation-replanning": lambda p: (
+        "V.B ablation: incremental re-planning vs schedule-once",
+        "replan",
+        _on_off(
+            "replan", lambda on: _synthetic(p, deadline_multiplier_max=2.0, replan=on)
+        ),
+        "Re-planning should reduce P (late jobs) at higher O.",
+    ),
+    # Fig. 1's "incrementally builds on the previous solution": the prior
+    # plan re-used as a warm start.
+    "ablation-hints": lambda p: (
+        "Fig. 1 ablation: previous-solution warm starts",
+        "hints",
+        _on_off(
+            "hints",
+            lambda on: _synthetic(p, deadline_multiplier_max=2.0, use_hints=on),
+        ),
+        "Hints should not raise P; O may drop when arrivals fit "
         "around the existing plan.",
-    )
-
-
-def _ext_workflow_depth(profile: str) -> FigureSeries:
-    """Extension experiment (paper Section VII): DAG workflows of growing
-    depth through MRCP-RM -- deeper critical paths mean longer turnarounds
-    and more constrained solves."""
-    configs = []
-    for max_stages in (2, 4, 6):
-        wf = replace(
-            default_workflow_params(profile),
-            stages_range=(max(2, max_stages - 1), max_stages),
-        )
-        cfg = RunConfig(
-            scheduler="mrcp-rm",
-            workload="workflow",
-            workflow=wf,
-            system=default_synthetic_system(profile),
-            mrcp=default_mrcp_config(profile),
-        )
-        configs.append(
-            LabeledConfig(
-                label=f"stages<={max_stages}",
-                factor_value=float(max_stages),
-                scheduler="mrcp-rm",
-                config=cfg,
-            )
-        )
-    return FigureSeries(
-        figure="ext-workflow-depth",
-        title="Extension: DAG workflow depth (Section VII generalisation)",
-        factor="max stages",
-        configs=configs,
-        notes="Deeper DAGs (longer critical paths) should raise T; all "
+    ),
+    # Deeper DAGs mean longer critical paths and more constrained solves.
+    "ext-workflow-depth": lambda p: (
+        "Extension: DAG workflow depth (Section VII generalisation)",
+        "max stages",
+        [
+            (f"stages<={s}", float(s), _workflow(p, stages_range=(max(2, s - 1), s)))
+            for s in (2, 4, 6)
+        ],
+        "Deeper DAGs (longer critical paths) should raise T; all "
         "precedence edges hold by construction (validated per solve).",
-    )
-
-
-def _ext_workflow_density(profile: str) -> FigureSeries:
-    """Extension experiment: DAG density via extra skip-level edges."""
-    configs = []
-    for density in (0.0, 0.4, 0.8):
-        wf = replace(
-            default_workflow_params(profile), extra_edge_probability=density
-        )
-        cfg = RunConfig(
-            scheduler="mrcp-rm",
-            workload="workflow",
-            workflow=wf,
-            system=default_synthetic_system(profile),
-            mrcp=default_mrcp_config(profile),
-        )
-        configs.append(
-            LabeledConfig(
-                label=f"density={density:g}",
-                factor_value=density,
-                scheduler="mrcp-rm",
-                config=cfg,
-            )
-        )
-    return FigureSeries(
-        figure="ext-workflow-density",
-        title="Extension: DAG precedence density",
-        factor="extra edge probability",
-        configs=configs,
-        notes="More precedence edges restrict overlap; T should not drop as "
-        "density rises.",
-    )
-
-
-_FIGURES: Dict[str, Callable[[str], FigureSeries]] = {
-    "fig2": lambda p: _fig2_fig3(
-        p, "fig2", "MRCP-RM vs MinEDF-WC: proportion of late jobs", ("P",)
     ),
-    "fig3": lambda p: _fig2_fig3(
-        p, "fig3", "MRCP-RM vs MinEDF-WC: average turnaround time", ("T",)
+    # DAG density via extra skip-level edges.
+    "ext-workflow-density": lambda p: (
+        "Extension: DAG precedence density",
+        "extra edge probability",
+        [
+            (f"density={d:g}", d, _workflow(p, extra_edge_probability=d))
+            for d in (0.0, 0.4, 0.8)
+        ],
+        "More precedence edges restrict overlap; T should not drop as density rises.",
     ),
-    "fig4": _fig4,
-    "fig5": _fig5,
-    "fig6": _fig6,
-    "fig7": _fig7,
-    "fig8": _fig8,
-    "fig9": _fig9,
-    "ablation-separation": _ablation_separation,
-    "ablation-est-deferral": _ablation_est_deferral,
-    "ablation-ordering": _ablation_ordering,
-    "ablation-lns": _ablation_lns,
-    "ablation-replanning": _ablation_replanning,
-    "ablation-hints": _ablation_hints,
-    "ext-workflow-depth": _ext_workflow_depth,
-    "ext-workflow-density": _ext_workflow_density,
 }
 
 
@@ -610,4 +422,4 @@ def figure_series(figure: str, profile: str = SCALED) -> FigureSeries:
         raise ValueError(
             f"unknown figure {figure!r}; available: {', '.join(_FIGURES)}"
         ) from None
-    return builder(profile)
+    return _series(figure, *builder(profile))

@@ -137,7 +137,7 @@ def deterministic_solver_params(params: SolverParams) -> SolverParams:
 def deterministic_run_config(config: RunConfig) -> RunConfig:
     """Pin ``config`` so overhead O replays byte-identically.
 
-    A fresh :class:`PinnedClock` as the wall clock (O counts clock samples)
+    A :class:`PinnedClock` as the wall clock (O counts clock samples)
     and :func:`deterministic_solver_params` as the solver budget (search
     effort becomes machine-independent).  Sweep cells, checkpoints, chaos
     scenarios and run diffs all pin this way.
@@ -361,10 +361,6 @@ def execute_cell(job: CellJob) -> CellOutcome:
     outcome = _outcome_skeleton(cell, job.attempt)
     config = cell.config
     obs = config.obs
-    if isinstance(obs.wall_clock, PinnedClock):
-        # Every attempt starts from a virgin clock, whether the cell runs
-        # in-process (workers=1), in a forked worker, or as a retry.
-        obs = replace(obs, wall_clock=PinnedClock(obs.wall_clock.tick))
     if job.capture and job.out_dir is not None:
         obs = replace(obs, trace_out=cell_trace_path(job.out_dir, cell.index))
     if job.telemetry and job.out_dir is not None:
@@ -621,6 +617,17 @@ def merge_outcomes(
 # --------------------------------------------------------------------------
 
 
+def _read_json_object(path: str) -> Optional[Dict[str, Any]]:
+    """The JSON object stored at ``path``; None when the file is missing,
+    malformed, or holds valid JSON that is not an object."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            payload = json.load(fh)
+    except (OSError, ValueError):
+        return None
+    return payload if isinstance(payload, dict) else None
+
+
 def _load_resumable(out_dir: str, cell: SweepCell) -> Optional[CellOutcome]:
     """A previously persisted *ok* outcome for this exact cell, if any.
 
@@ -628,11 +635,8 @@ def _load_resumable(out_dir: str, cell: SweepCell) -> Optional[CellOutcome]:
     a results directory from a different sweep or root seed never poisons a
     resumed run -- its cells simply re-execute.
     """
-    path = cell_json_path(out_dir, cell.index)
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except (OSError, ValueError):
+    payload = _read_json_object(cell_json_path(out_dir, cell.index))
+    if payload is None:
         return None
     identity = ("figure", "label", "replication", "seed")
     if any(payload.get(k) != getattr(cell, k) for k in identity):
@@ -828,12 +832,10 @@ def build_sweep_report(
 
     strips: List[tuple] = []
     for cell in spec.cells():
-        trace_path = cell_trace_path(out_dir, cell.index)
-        try:
-            with open(trace_path, "r", encoding="utf-8") as fh:
-                events = json.load(fh).get("traceEvents", [])
-        except (OSError, ValueError):
+        trace = _read_json_object(cell_trace_path(out_dir, cell.index))
+        if trace is None:
             continue
+        events = trace.get("traceEvents", [])
         outcome = result.outcomes[cell.index]
         span = float(outcome.counts.get("makespan", 0.0))
         resources = make_uniform_cluster(

@@ -14,6 +14,16 @@ from typing import Dict, List, Optional
 
 from repro.workload.entities import Job
 
+#: The verbose :meth:`RunMetrics.as_dict` keys that are real solver wall
+#: time (``time.perf_counter``).  They never replay identically, so every
+#: determinism contract (chaos reruns, run diffs) leaves them out.
+SOLVER_WALL_TIME_KEYS = (
+    "solver_propagate_time",
+    "solver_warm_start_time",
+    "solver_tree_time",
+    "solver_lns_time",
+)
+
 
 @dataclass
 class RunMetrics:
@@ -161,10 +171,11 @@ class RunMetrics:
                     "solver_fails": float(self.solver_fails),
                     "solver_lns_iterations": float(self.solver_lns_iterations),
                     "solver_propagations": float(self.solver_propagations),
-                    "solver_propagate_time": self.solver_propagate_time,
-                    "solver_warm_start_time": self.solver_warm_start_time,
-                    "solver_tree_time": self.solver_tree_time,
-                    "solver_lns_time": self.solver_lns_time,
+                }
+            )
+            d.update((k, getattr(self, k)) for k in SOLVER_WALL_TIME_KEYS)
+            d.update(
+                {
                     "tardiness_mean": self.mean_tardiness,
                     "tardiness_p50": self.tardiness_percentile(50),
                     "tardiness_p95": self.tardiness_percentile(95),

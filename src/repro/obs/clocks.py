@@ -28,7 +28,9 @@ class PinnedClock:
     overhead metric O counts clock samples instead of real seconds.  The
     call sequence of an event-driven run is deterministic, hence so is O.
     Picklable (plain attributes) so configs carrying it cross the process
-    boundary; workers restart it from zero for every attempt.
+    boundary.  The configured instance is a template: every run counts on
+    its own fresh copy, so one config replays identically any number of
+    times.
     """
 
     def __init__(self, tick: float = 0.001) -> None:

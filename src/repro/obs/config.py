@@ -13,9 +13,10 @@ the shared null sampler when telemetry is off).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Tuple
 
+from repro.obs.clocks import PinnedClock
 from repro.obs.logs import configure_logging
 from repro.obs.timeseries import (
     NULL_SAMPLER,
@@ -48,7 +49,8 @@ class ObsConfig:
     #: attribution -- and the HTML run report consume the history.
     plan_history: bool = False
     #: Injectable wall-clock source (None = ``time.perf_counter``).  Tests
-    #: inject a deterministic clock here to pin the overhead metric O.
+    #: inject a deterministic clock here to pin the overhead metric O; a
+    #: :class:`PinnedClock` is a template -- each run counts on its own copy.
     wall_clock: Optional[Callable[[], float]] = None
     #: Live telemetry sampling (None or ``enabled=False`` = off; the run
     #: then pays nothing -- the shared null sampler is handed out).
@@ -89,10 +91,23 @@ class ObsConfig:
             from repro.obs.metrics import MetricsRegistry
 
             registry = MetricsRegistry()
-        return Tracer(recorder, wall_clock=self.wall_clock, registry=registry)
+        return Tracer(
+            recorder, wall_clock=_run_clock(self.wall_clock), registry=registry
+        )
 
     def make_sampler(self) -> TimeSeriesSampler:
         """Build the run's telemetry sampler (the null one when off)."""
         if not self.telemetry_enabled:
             return NULL_SAMPLER
-        return TimeSeriesSampler(self.telemetry)
+        telemetry = self.telemetry
+        return TimeSeriesSampler(
+            replace(telemetry, wall_clock=_run_clock(telemetry.wall_clock))
+        )
+
+
+def _run_clock(clock: Optional[Callable[[], float]]) -> Optional[Callable[[], float]]:
+    """The clock one run reads: a configured :class:`PinnedClock` is copied
+    so every run counts its own samples from zero (a config is a value,
+    reusable for any number of runs); any other callable is used as given.
+    """
+    return PinnedClock(clock.tick) if isinstance(clock, PinnedClock) else clock

@@ -59,6 +59,7 @@ from typing import (
 )
 
 from repro.ioutil import atomic_write_json
+from repro.metrics.collector import SOLVER_WALL_TIME_KEYS
 from repro.obs.conformance import validate_trace_events
 from repro.obs.forensics import COMPONENTS, US, attribute_lateness, load_trace_events
 from repro.obs.structdiff import DiffEntry, structural_diff
@@ -93,15 +94,7 @@ _QUARANTINED_EVENT_ARGS = frozenset({"overhead", "wall"})
 #: (O/N/T/P, plans, forensics, the event spine), so effort counters are
 #: quarantined alongside the clocks.  ``solver_fails``/``solver_branches``
 #: stay compared -- they pin the search *tree*, not the effort.
-QUARANTINED_METRIC_KEYS = frozenset(
-    {
-        "solver_propagate_time",
-        "solver_warm_start_time",
-        "solver_tree_time",
-        "solver_lns_time",
-        "solver_propagations",
-    }
-)
+QUARANTINED_METRIC_KEYS = frozenset(SOLVER_WALL_TIME_KEYS + ("solver_propagations",))
 
 #: Stored overlay points per series field are capped so diff.json stays a
 #: reviewable CI artifact even for long runs.
@@ -509,10 +502,10 @@ def capture_run_dir(
     from repro.experiments.runner import build_live_run
     from repro.obs.config import ObsConfig
     from repro.obs.timeseries import TelemetryConfig
-    from repro.resilience.checkpoint import config_fingerprint, fresh_run_config
+    from repro.resilience.checkpoint import config_fingerprint
 
     os.makedirs(out_dir, exist_ok=True)
-    config = fresh_run_config(deterministic_run_config(config))
+    config = deterministic_run_config(config)
     obs = replace(
         config.obs,
         trace=True,
@@ -851,11 +844,7 @@ def bisect_divergence(
     from dataclasses import replace
 
     from repro.experiments.runner import build_live_run
-    from repro.resilience.checkpoint import (
-        CheckpointConfig,
-        fresh_run_config,
-        run_with_checkpoints,
-    )
+    from repro.resilience.checkpoint import CheckpointConfig, run_with_checkpoints
 
     ckpt = CheckpointConfig(every_events=every_events)
     run_a = run_with_checkpoints(config_a, ckpt, replication=replication)
@@ -909,8 +898,7 @@ def bisect_divergence(
         ]
 
     def replay(config: Any) -> Tuple[Any, List[Dict[str, Any]]]:
-        """Run ``config`` afresh with plan history on: (metrics, plans)."""
-        config = fresh_run_config(config)
+        """Run ``config`` with plan history on: (metrics, plans)."""
         config = replace(config, mrcp=replace(config.mrcp, record_plan_history=True))
         live = build_live_run(config, replication)
         metrics = live.finish()

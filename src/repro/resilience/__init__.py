@@ -40,7 +40,6 @@ __all__ = [
     "CheckpointMismatch",
     "CheckpointedRun",
     "capture_snapshot",
-    "fresh_run_config",
     "restore_run",
     "run_with_checkpoints",
     "ChaosReport",
@@ -57,7 +56,6 @@ _CHECKPOINT_EXPORTS = (
     "CheckpointMismatch",
     "CheckpointedRun",
     "capture_snapshot",
-    "fresh_run_config",
     "restore_run",
     "run_with_checkpoints",
 )

@@ -63,37 +63,17 @@ class InjectedSolverFailures:
     without needing a genuinely pathological CP instance: a forced
     failure short-circuits the rung (no budget is burned, no RNG is
     consumed) and the ladder escalates exactly as it would for a real
-    timeout.  Counts are consumed per rung in call order, so the same
-    plan replays identically -- checkpoint/restore safe.
+    timeout.  This is configuration only: each :class:`DegradationLadder`
+    counts the attempts it has failed (and checkpoints that count), so one
+    config replays identically in any number of runs.
     """
 
     #: rung name -> number of initial attempts of that rung to fail.
     counts: Dict[str, int] = field(default_factory=dict)
-    #: attempts already consumed per rung (mutable bookkeeping).
-    consumed: Dict[str, int] = field(default_factory=dict)
-
-    def take(self, rung: str) -> bool:
-        """Whether this attempt of ``rung`` is forced to fail."""
-        budget = self.counts.get(rung, 0)
-        used = self.consumed.get(rung, 0)
-        if used >= budget:
-            return False
-        self.consumed[rung] = used + 1
-        return True
 
     def __repr__(self) -> str:
-        # Stable across a run (omits the mutable ``consumed`` bookkeeping):
-        # checkpoint fingerprints are built on config repr and must not
-        # drift as budgets are consumed.
+        # Sorted, so equal budgets repr (and fingerprint) identically.
         return f"InjectedSolverFailures(counts={dict(sorted(self.counts.items()))!r})"
-
-    def state(self) -> Dict[str, int]:
-        """Checkpointable bookkeeping (counts are config, not state)."""
-        return dict(sorted(self.consumed.items()))
-
-    def restore(self, state: Dict[str, int]) -> None:
-        """Restore bookkeeping captured by :meth:`state`."""
-        self.consumed = {str(k): int(v) for k, v in state.items()}
 
 
 @dataclass
@@ -226,6 +206,8 @@ class DegradationLadder:
             for rung in RUNGS
         }
         self._m_opened = registry.counter("resilience.breaker_opened")
+        #: Attempts per rung already failed by injection (``config.chaos``).
+        self._chaos_used: Dict[str, int] = {}
 
     # ------------------------------------------------------------- solving
     def solve(
@@ -285,8 +267,7 @@ class DegradationLadder:
     def _attempt(
         self, rung: str, model: CpModel, hint: Optional[Dict]
     ) -> Tuple[Optional[Solution], Optional[SolveResult]]:
-        chaos = self.config.chaos
-        if chaos is not None and chaos.take(rung):
+        if self._inject_failure(rung):
             return None, None
         if rung == "cp_full":
             result = self.solver.solve(model, hint=hint)
@@ -315,6 +296,17 @@ class DegradationLadder:
             solution = list_schedule(model, "input")
         return solution, None
 
+    def _inject_failure(self, rung: str) -> bool:
+        """Whether ``config.chaos`` forces this attempt of ``rung`` to fail."""
+        chaos = self.config.chaos
+        if chaos is None:
+            return False
+        used = self._chaos_used.get(rung, 0)
+        if used >= chaos.counts.get(rung, 0):
+            return False
+        self._chaos_used[rung] = used + 1
+        return True
+
     def _note_transition(self, rung: str, transition: Tuple[str, str]) -> None:
         before, after = transition
         if after == OPEN:
@@ -338,7 +330,7 @@ class DegradationLadder:
             }
         }
         if self.config.chaos is not None:
-            snap["chaos"] = self.config.chaos.state()
+            snap["chaos"] = dict(sorted(self._chaos_used.items()))
         return snap
 
     def restore(self, snap: Dict[str, object]) -> None:
@@ -347,7 +339,7 @@ class DegradationLadder:
             if rung in self.breakers:
                 self.breakers[rung].restore(state)
         if self.config.chaos is not None and "chaos" in snap:
-            self.config.chaos.restore(snap["chaos"])
+            self._chaos_used = {str(k): int(v) for k, v in snap["chaos"].items()}
 
     @property
     def opened_total(self) -> int:

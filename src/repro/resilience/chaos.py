@@ -47,12 +47,11 @@ from repro.experiments.runner import (
     build_live_run,
 )
 from repro.faults import FaultModel, OutageWindow
-from repro.metrics.collector import RunMetrics
+from repro.metrics.collector import SOLVER_WALL_TIME_KEYS, RunMetrics
 from repro.obs.logs import get_logger, kv
 from repro.resilience.breaker import InjectedSolverFailures, LadderConfig
 from repro.resilience.checkpoint import (
     CheckpointConfig,
-    fresh_run_config,
     restore_run,
     run_with_checkpoints,
 )
@@ -137,23 +136,11 @@ def _ontp(metrics: RunMetrics) -> Dict[str, float]:
     return {k: d[k] for k in ONTP}
 
 
-#: Verbose metrics measured with ``time.perf_counter`` inside the solver.
-#: Real wall time can never be byte-identical across runs, so the chaos
-#: determinism contract covers everything *except* these.
-_WALL_TIME_KEYS = frozenset(
-    {
-        "solver_propagate_time",
-        "solver_warm_start_time",
-        "solver_tree_time",
-        "solver_lns_time",
-    }
-)
-
-
 def _comparable(metrics: RunMetrics) -> Dict[str, float]:
-    """The verbose metric dict minus inherently wall-clock keys."""
+    """The verbose metric dict minus the solver's real wall times, which can
+    never be byte-identical across runs."""
     d = metrics.as_dict(verbose=True)
-    return {k: v for k, v in d.items() if k not in _WALL_TIME_KEYS}
+    return {k: v for k, v in d.items() if k not in SOLVER_WALL_TIME_KEYS}
 
 
 # --------------------------------------------------------------------------
@@ -239,7 +226,7 @@ def kill_restore_cycle(
     violations: List[str] = []
 
     # The uninterrupted reference run (and its invariant audit).
-    reference = build_live_run(fresh_run_config(config), replication)
+    reference = build_live_run(config, replication)
     ref_metrics = reference.finish()
     violations += invariant_violations(reference, ref_metrics)
 
@@ -323,7 +310,7 @@ def overload_burst(
         config = base
     violations: List[str] = []
 
-    run = build_live_run(fresh_run_config(config), replication)
+    run = build_live_run(config, replication)
     metrics = run.finish()
     violations += invariant_violations(run, metrics)
 
@@ -335,7 +322,7 @@ def overload_burst(
         violations.append("no circuit breaker ever opened under overload")
 
     # Determinism under degradation: same seed, same everything.
-    rerun = build_live_run(fresh_run_config(config), replication)
+    rerun = build_live_run(config, replication)
     rerun_metrics = rerun.finish()
     if _comparable(rerun_metrics) != _comparable(metrics):
         violations.append("two identical overload runs produced different metrics")

@@ -38,7 +38,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.experiments.runner import LiveRun, RunConfig, build_live_run
@@ -47,7 +47,6 @@ from repro.metrics.collector import RunMetrics
 from repro.obs.clocks import PinnedClock
 from repro.obs.logs import get_logger, kv
 from repro.obs.structdiff import format_entries, structural_diff
-from repro.resilience.breaker import InjectedSolverFailures
 
 _LOG = get_logger("resilience.checkpoint")
 
@@ -114,7 +113,7 @@ def config_fingerprint(config: RunConfig, replication: int) -> str:
 
     Built on ``repr`` of the (dataclass) config tree: every behavioural
     knob appears, and the injectable clock reprs stably
-    (:class:`PinnedClock` takes care to omit its mutable call count).
+    (:class:`PinnedClock` shows only its tick).
     """
     text = f"{config!r}|rep={replication}"
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
@@ -122,38 +121,7 @@ def config_fingerprint(config: RunConfig, replication: int) -> str:
 
 def _is_pinned(run: LiveRun) -> bool:
     """Whether the run's wall clock is deterministic (PinnedClock)."""
-    return isinstance(run.config.obs.wall_clock, PinnedClock)
-
-
-def fresh_run_config(config: RunConfig) -> RunConfig:
-    """Reset the config's run-mutated carriers to their virgin state.
-
-    Two config-embedded objects mutate as a run consumes them: the
-    :class:`PinnedClock` (its sample count) and the ladder's
-    :class:`~repro.resilience.breaker.InjectedSolverFailures` (its
-    consumed-budget bookkeeping).  Reusing one config object for a
-    checkpointed run *and* its restore -- or for two runs that must agree
-    -- would otherwise start the second run mid-state and fork it from
-    the first.  The pool applies the same per-attempt reset to its clock.
-    """
-    clock = config.obs.wall_clock
-    if isinstance(clock, PinnedClock) and clock.count:
-        config = replace(
-            config, obs=replace(config.obs, wall_clock=PinnedClock(clock.tick))
-        )
-    ladder = config.mrcp.resilience
-    if ladder is not None and ladder.chaos is not None and ladder.chaos.consumed:
-        config = replace(
-            config,
-            mrcp=replace(
-                config.mrcp,
-                resilience=replace(
-                    ladder,
-                    chaos=InjectedSolverFailures(counts=dict(ladder.chaos.counts)),
-                ),
-            ),
-        )
-    return config
+    return isinstance(run.tracer.wall_clock, PinnedClock)
 
 
 def canonical(payload: object) -> object:
@@ -177,8 +145,7 @@ def capture_snapshot(run: LiveRun) -> dict:
         state["manager"] = run.manager.resilience_state()
     volatile: Dict[str, object] = {}
     if deterministic:
-        clock = run.config.obs.wall_clock
-        state["clock_count"] = clock.count
+        state["clock_count"] = run.tracer.wall_clock.count
     else:
         # Real wall readings never replay identically; record for
         # debugging, exclude from comparison.
@@ -273,7 +240,7 @@ def run_with_checkpoints(
     cycle (the process genuinely stops driving the simulation; nothing
     after the checkpoint boundary executes).
     """
-    run = build_live_run(fresh_run_config(config), replication)
+    run = build_live_run(config, replication)
     result = CheckpointedRun(metrics=None)
     last_events = 0
     last_time = run.sim.now
@@ -333,7 +300,6 @@ def restore_run(
         snapshot = load_snapshot(snapshot)
     else:
         validate_snapshot(snapshot)
-    config = fresh_run_config(config)
     expected_fp = config_fingerprint(config, replication)
     if snapshot["fingerprint"] != expected_fp:
         raise CheckpointMismatch(

@@ -1,5 +1,7 @@
 """Figure/ablation configuration definitions."""
 
+import hashlib
+
 import pytest
 
 from repro.core.formulation import FormulationMode
@@ -11,6 +13,11 @@ from repro.experiments.configs import (
     figure_series,
     list_figures,
 )
+
+#: sha256 over ``repr(figure_series(f, p))`` concatenated for every figure
+#: in ``list_figures()`` order x (scaled, paper).  Any change to a figure's
+#: configs -- a value, a value's type, a default -- moves it.
+FIGURE_REPR_SHA256 = "768f7b03c1bcdaeb6d529ab2ce0bba95c30a574054261344628f3fd463009e52"
 
 
 def test_all_figures_listed():
@@ -41,9 +48,7 @@ def test_fig2_pairs_both_schedulers_per_lambda():
     lambdas = {c.factor_value for c in series.configs}
     assert len(lambdas) == 5
     for lam in lambdas:
-        scheds = {
-            c.scheduler for c in series.configs if c.factor_value == lam
-        }
+        scheds = {c.scheduler for c in series.configs if c.factor_value == lam}
         assert scheds == {"mrcp-rm", "minedf-wc"}
 
 
@@ -117,3 +122,12 @@ def test_series_have_fresh_param_objects():
     a, b = series.configs[0].config, series.configs[1].config
     assert a.synthetic is not b.synthetic
     assert a.system is not b.system or a.system == b.system
+
+
+def test_figure_configs_repr_pin():
+    text = "".join(
+        repr(figure_series(figure, profile))
+        for figure in list_figures()
+        for profile in (SCALED, PAPER)
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == FIGURE_REPR_SHA256

@@ -284,6 +284,34 @@ def test_resume_ignores_foreign_or_failed_cell_files(tmp_path):
     assert sorted(calls) == [0, 1]  # only the poisoned cells re-ran
 
 
+@pytest.mark.parametrize("reader", ["resume", "report"])
+def test_non_object_json_reads_as_unreadable(tmp_path, reader):
+    """Valid JSON that is not an object is treated like an unreadable file:
+    resume re-executes the cell, and the report skips its strip."""
+    from repro.experiments.pool import build_sweep_report
+
+    spec = _spec(replications=1, capture=True)
+    result = run_sweep(spec, workers=1, out_dir=str(tmp_path))
+    if reader == "resume":
+        (tmp_path / "cells" / "cell-0000.json").write_text("[]")
+        calls = []
+
+        def counting_runner(job):
+            calls.append(job.cell.index)
+            return execute_cell(job)
+
+        run_sweep(
+            spec, workers=1, out_dir=str(tmp_path), resume=True, runner=counting_runner
+        )
+        assert calls == [0]
+    else:
+        (tmp_path / "cells" / "cell-0000.trace.json").write_text("[]")
+        path = build_sweep_report(result, spec, str(tmp_path))
+        html = open(path, encoding="utf-8").read()
+        assert "cell 0:" not in html
+        assert "cell 1:" in html
+
+
 def test_capture_requires_out_dir():
     with pytest.raises(ValueError, match="out_dir"):
         run_sweep(_spec(capture=True), workers=1)

@@ -54,11 +54,7 @@ def _telemetry(**kw):
 
 def _overload_config(seed=0, telemetry=None):
     """The CLI's overload-burst scenario: 10x arrivals, degrading ladder."""
-    from repro.resilience.chaos import (
-        default_chaos_config,
-        escalation_ladder,
-        fresh_run_config,
-    )
+    from repro.resilience.chaos import default_chaos_config, escalation_ladder
 
     config = default_chaos_config(
         seed=seed, faults=False, ladder=escalation_ladder()
@@ -70,7 +66,6 @@ def _overload_config(seed=0, telemetry=None):
             arrival_rate=config.synthetic.arrival_rate * 10.0,
         ),
     )
-    config = fresh_run_config(config)
     if telemetry is not None:
         config = replace(config, obs=replace(config.obs, telemetry=telemetry))
     return config

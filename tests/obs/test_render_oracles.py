@@ -26,7 +26,6 @@ from repro.obs.forensics import attribute_lateness
 from repro.obs.report import render_report
 from repro.obs.timeseries import TelemetryConfig, WallSeriesSampler
 from repro.resilience.chaos import default_chaos_config, escalation_ladder
-from repro.resilience.checkpoint import fresh_run_config
 
 #: sha256 of each artifact's bytes.
 RUN_REPORT_SHA = "b27d74c58172f251fdf89550e06e674348c64310f8973233614b37a9d164b572"
@@ -57,7 +56,6 @@ def chaos_run():
             config.synthetic, arrival_rate=config.synthetic.arrival_rate * 10.0
         ),
     )
-    config = fresh_run_config(config)
     config = replace(
         config,
         obs=replace(

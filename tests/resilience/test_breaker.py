@@ -71,32 +71,51 @@ def test_breaker_snapshot_restore_round_trip():
 
 
 # ------------------------------------------------------ injected failures
+class _SolvingSolver:
+    """Solver stub whose every solve succeeds (no model needed)."""
+
+    def solve(self, model, hint=None, **overrides):
+        from repro.cp.solution import SolveResult, SolveStatus
+
+        return SolveResult(SolveStatus.FEASIBLE, "plan")
+
+
+def _chaos_ladder(counts, failure_threshold=99):
+    chaos = InjectedSolverFailures(counts=counts)
+    config = LadderConfig(failure_threshold=failure_threshold, chaos=chaos)
+    return DegradationLadder(config, solver=_SolvingSolver())
+
+
 def test_injected_failures_consume_budget_in_call_order():
-    chaos = InjectedSolverFailures(counts={"cp_full": 2})
-    assert chaos.take("cp_full")
-    assert chaos.take("cp_full")
-    assert not chaos.take("cp_full")  # budget spent
-    assert not chaos.take("edf")  # no budget configured
+    ladder = _chaos_ladder({"cp_full": 2})
+    rungs = [ladder.solve(model=None).rung for _ in range(3)]
+    assert rungs == ["cp_limited", "cp_limited", "cp_full"]  # budget spent
+    # cp_limited has no budget configured, so it is never charged.
+    assert ladder.snapshot()["chaos"] == {"cp_full": 2}
 
 
 def test_injected_failures_repr_stable_across_consumption():
-    """config_fingerprint hashes the config repr; consuming budget must
-    not change it or checkpoint restores could never match."""
-    chaos = InjectedSolverFailures(counts={"cp_full": 1})
+    """config_fingerprint hashes the config repr; a ladder consuming the
+    budget must leave the config (and its repr) untouched."""
+    ladder = _chaos_ladder({"cp_full": 1})
+    chaos = ladder.config.chaos
     before = repr(chaos)
-    chaos.take("cp_full")
+    ladder.solve(model=None)
+    assert ladder.snapshot()["chaos"] == {"cp_full": 1}
     assert repr(chaos) == before
+    assert chaos == InjectedSolverFailures(counts={"cp_full": 1})
 
 
 def test_injected_failures_state_restore_round_trip():
-    chaos = InjectedSolverFailures(counts={"cp_full": 3, "edf": 1})
-    chaos.take("cp_full")
-    chaos.take("edf")
-    state = chaos.state()
-    fresh = InjectedSolverFailures(counts={"cp_full": 3, "edf": 1})
-    fresh.restore(state)
-    assert fresh.consumed == chaos.consumed
-    assert not fresh.take("edf")  # already spent in the restored state
+    counts = {"cp_full": 3, "cp_limited": 1, "edf": 1, "greedy": 1}
+    ladder = _chaos_ladder(counts)
+    assert ladder.solve(model=None).rung == "none"  # every rung forced
+    snap = ladder.snapshot()
+    fresh = _chaos_ladder(counts)
+    fresh.restore(snap)
+    assert fresh.snapshot()["chaos"] == snap["chaos"] == {r: 1 for r in counts}
+    # cp_limited's one forced failure was spent in the restored state.
+    assert fresh.solve(model=None).rung == "cp_limited"
 
 
 # ------------------------------------------------------------------- ladder
@@ -245,19 +264,14 @@ def test_budget_exhaustion_does_trip_the_breaker():
 
 
 def test_ladder_snapshot_restore_round_trip():
-    chaos = InjectedSolverFailures(counts={"cp_full": 5})
-    config = LadderConfig(failure_threshold=1, cooldown=2, chaos=chaos)
-    ladder = DegradationLadder(config, solver=None)
-    ladder.breakers["cp_full"].record(False)
-    chaos.take("cp_full")
+    ladder = _chaos_ladder({"cp_full": 5}, failure_threshold=1)
+    assert ladder.solve(model=None).rung == "cp_limited"
     snap = ladder.snapshot()
 
-    fresh_chaos = InjectedSolverFailures(counts={"cp_full": 5})
-    fresh = DegradationLadder(
-        LadderConfig(failure_threshold=1, cooldown=2, chaos=fresh_chaos),
-        solver=None,
-    )
+    fresh = _chaos_ladder({"cp_full": 5}, failure_threshold=1)
     fresh.restore(snap)
     assert fresh.snapshot() == snap
     assert fresh.breakers["cp_full"].state == OPEN
-    assert fresh_chaos.consumed == {"cp_full": 1}
+    assert fresh.snapshot()["chaos"] == {"cp_full": 1}
+    # Restoring fills the ladder, never the shared config.
+    assert fresh.config.chaos == InjectedSolverFailures(counts={"cp_full": 5})

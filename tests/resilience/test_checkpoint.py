@@ -5,14 +5,14 @@ import os
 
 import pytest
 
-from repro.resilience.chaos import default_chaos_config
+from repro.metrics.collector import SOLVER_WALL_TIME_KEYS
+from repro.resilience.chaos import default_chaos_config, escalation_ladder
 from repro.resilience.checkpoint import (
     CheckpointConfig,
     CheckpointError,
     CheckpointMismatch,
     capture_snapshot,
     config_fingerprint,
-    fresh_run_config,
     list_checkpoints,
     load_snapshot,
     restore_run,
@@ -36,7 +36,7 @@ def test_checkpoint_config_requires_a_cadence():
 
 def test_capture_snapshot_shape_and_fingerprint():
     config = _config()
-    run = build_live_run(fresh_run_config(config), 0)
+    run = build_live_run(config, 0)
     for _ in range(10):
         assert run.sim.step()
     snap = capture_snapshot(run)
@@ -66,7 +66,7 @@ def test_write_load_list_and_prune(tmp_path):
 
 def test_validate_rejects_wrong_schema_and_missing_keys():
     config = _config()
-    run = build_live_run(fresh_run_config(config), 0)
+    run = build_live_run(config, 0)
     run.sim.step()
     snap = capture_snapshot(run)
     bad_schema = dict(snap, schema="repro-ckpt/999")
@@ -79,7 +79,7 @@ def test_validate_rejects_wrong_schema_and_missing_keys():
 
 def test_previous_schema_is_refused_before_any_replay():
     config = _config()
-    run = build_live_run(fresh_run_config(config), 0)
+    run = build_live_run(config, 0)
     run.sim.step()
     old = dict(capture_snapshot(run), schema="repro-ckpt/1")
     # /1 stored the executor as history-long plan/started maps; a clean
@@ -94,7 +94,7 @@ def test_previous_schema_is_refused_before_any_replay():
 
 def test_restore_refuses_a_foreign_config():
     config = _config()
-    run = build_live_run(fresh_run_config(config), 0)
+    run = build_live_run(config, 0)
     for _ in range(10):
         run.sim.step()
     snap = capture_snapshot(run)
@@ -105,7 +105,7 @@ def test_restore_refuses_a_foreign_config():
 
 def test_restore_refuses_a_wrong_replication():
     config = _config()
-    run = build_live_run(fresh_run_config(config), 0)
+    run = build_live_run(config, 0)
     for _ in range(10):
         run.sim.step()
     snap = capture_snapshot(run)
@@ -117,7 +117,7 @@ def test_kill_and_restore_matches_uninterrupted_run(tmp_path):
     """The tentpole contract: killed at a checkpoint boundary + restored
     == never killed, down to the deterministic metric surface."""
     config = _config()
-    reference = build_live_run(fresh_run_config(config), 0)
+    reference = build_live_run(config, 0)
     ref_metrics = reference.finish()
 
     out = str(tmp_path / "ckpts")
@@ -139,7 +139,7 @@ def test_restore_from_in_memory_snapshot_dict():
     )
     assert killed.killed and not killed.paths  # nothing persisted
     restored = restore_run(config, killed.snapshots[-1])
-    reference = build_live_run(fresh_run_config(config), 0).finish()
+    reference = build_live_run(config, 0).finish()
     assert restored.as_dict() == reference.as_dict()
 
 
@@ -154,15 +154,26 @@ def test_sim_time_cadence_checkpoints():
     assert all(b - a >= 15.0 for a, b in zip(times, times[1:]))
 
 
-def test_fresh_run_config_resets_mutated_clock_state():
-    """Reusing one config object across runs must not leak PinnedClock
-    ticks (that would fork O between a restore and its reference)."""
-    config = _config()
-    first = build_live_run(fresh_run_config(config), 0)
-    m1 = first.finish()
-    second = build_live_run(fresh_run_config(config), 0)
-    m2 = second.finish()
-    assert m1.as_dict() == m2.as_dict()
+def _without_wall_times(metrics):
+    d = metrics.as_dict(verbose=True)
+    return {k: v for k, v in d.items() if k not in SOLVER_WALL_TIME_KEYS}
+
+
+def test_reused_config_replays_identically():
+    """A config is a value: one config object run twice, with no reset in
+    between, gives the same run.  The pinned clock's sample count and the
+    ladder's injected-failure count are run state, not config state."""
+    config = default_chaos_config(
+        seed=0, num_jobs=16, faults=False, ladder=escalation_ladder()
+    )
+    first, second = (build_live_run(config, 0).finish() for _ in range(2))
+    assert first.breaker_opens > 0  # the injected failures did fire
+    assert _without_wall_times(first) == _without_wall_times(second)
+
+    pinned = _config()  # deterministic_run_config applied
+    ckpt = CheckpointConfig(every_events=20)
+    snapshots = [run_with_checkpoints(pinned, ckpt).snapshots for _ in range(2)]
+    assert snapshots[0] and snapshots[0] == snapshots[1]
 
 
 def test_compare_states_mismatch_renders_paths_with_both_values():
