@@ -14,15 +14,16 @@ maps that schedule onto physical resources:
    slot totals over user-specified resource counts (nm/nr example).
 
 Placement books onto a :class:`FrozenBase` of committed work, one standing
-base per run: the simulator's (synced to the executor's frozen set at each
-invocation) and the admission service's (for its lifetime).  Greedy
-placement in start order is sure to find free slots *only when every frozen
-start is at or before every movable start* (the simulator: frozen tasks
-started in the past): the combined cumulative bounds the active tasks by
-the slot total and start-order interval-graph colouring succeeds.  The
-service's committed work mostly starts in the future, where a
-capacity-feasible combined schedule can have no best-gap mapping: placement
-then raises :class:`~repro.core.schedule.SchedulingError`.
+base per run -- the simulator's (synced to the executor's frozen set at each
+invocation) and the admission service's -- whose index of every idle gap
+makes each best-gap pick one bisect.  Greedy placement in start order is
+sure to find free slots *only when every frozen start is at or before every
+movable start* (the simulator: frozen tasks started in the past): the
+combined cumulative bounds the active tasks by the slot total and
+start-order interval-graph colouring succeeds.  The service's work mostly
+starts in the future, where a capacity-feasible combined schedule can have
+no best-gap mapping: placement then raises
+:class:`~repro.core.schedule.SchedulingError`.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from repro.cp.profile import TimetableProfile
 from repro.workload.entities import Resource, Task
 
 _KINDS = (SlotKind.MAP, SlotKind.REDUCE)
+_OPEN = float("inf")  # where a slot's trailing gap ends
 
 
 @dataclass
@@ -58,24 +60,22 @@ class UnitSlot:
         prefix counts from time 0, matching the paper's example arithmetic.
         """
         busy = self.busy
-        i = bisect.bisect_right(busy, (start, float("inf")))
-        prev_end = 0
-        if i > 0:
-            prev_end = busy[i - 1][1]
-            if prev_end > start:
-                return None
-        if i < len(busy) and busy[i][0] < end:
-            return None
-        return start - prev_end
+        i = bisect.bisect_right(busy, (start, _OPEN))
+        lo = busy[i - 1][1] if i else 0
+        hi = busy[i][0] if i < len(busy) else _OPEN
+        return start - lo if lo <= start and end <= hi else None
 
-    def occupy(self, start: int, end: int) -> None:
-        """Book ``[start, end)``; raises SchedulingError on overlap."""
-        if self.gap_if_free(start, end) is None:
+    def occupy(self, start: int, end: int) -> int:
+        """Book ``[start, end)``, returning its index; SchedulingError on overlap."""
+        busy = self.busy
+        i = bisect.bisect_right(busy, (start, _OPEN))
+        if (i and busy[i - 1][1] > start) or (i < len(busy) and busy[i][0] < end):
             raise SchedulingError(
                 f"slot r{self.resource_id}/{self.slot_index}: "
                 f"[{start},{end}) overlaps existing booking"
             )
-        bisect.insort(self.busy, (start, end))
+        busy.insert(i, (start, end))
+        return i
 
 
 class FrozenBase:
@@ -83,10 +83,11 @@ class FrozenBase:
     kind) with ``per_resource``), unit-slot book, and the live assignments.
 
     The best-gap index, kept current by every booking and release: per pool,
-    its slots' (last end, -candidate order) sorted (empty: end 0) and the
-    largest booked start.  A task starting at or after it has no booking
-    ahead, so the scan's pick is the largest last end <= start, lowest order
-    among ties: one bisect.  Otherwise :meth:`place` runs the scan.
+    each non-empty idle gap of its slots (before, between and after their
+    bookings) as (lo, -candidate order, hi), sorted.  The scan's pick for a
+    task is the gap of largest ``lo <= start``, lowest order among ties, with
+    ``hi >= max(end, start + 1)``: one bisect, then a walk past shorter gaps.
+    Only a task bound to a pool the base does not index is placed by scanning.
     """
 
     def __init__(self, resources: Sequence[Resource], per_resource: bool = False):
@@ -98,12 +99,11 @@ class FrozenBase:
                 pool = self.slots[r.id, kind] = [UnitSlot(r.id, k) for k in range(cap)]
                 self._flat[kind].extend(pool)
         self._pools = self.slots if per_resource else self._flat
-        self._gaps: Dict[object, List[Tuple[int, int]]] = {}
-        self._top: Dict[object, int] = dict.fromkeys(self._pools, 0)
+        self._gaps: Dict[object, List[Tuple[int, int, float]]] = {}
         for pool, candidates in self._pools.items():
             for rank, slot in enumerate(candidates):
                 slot.pool, slot.rank = pool, rank
-            self._gaps[pool] = [(0, -rank) for rank in reversed(range(len(candidates)))]
+            self._gaps[pool] = sorted((0, -r, _OPEN) for r in range(len(candidates)))
         #: task id -> assignment of every booked task.
         self.live: Dict[str, TaskAssignment] = {}
         #: task id -> its slot and the end it was booked with (runtime
@@ -143,19 +143,27 @@ class FrozenBase:
         else:
             del self._by_end[i], self._ends[i]
 
-    def _rekey(self, slot: UnitSlot, last: int) -> None:
-        """Move ``slot`` in its pool's index after its last end was ``last``."""
-        new = slot.busy[-1][1] if slot.busy else 0
-        if new != last:
-            gaps = self._gaps[slot.pool]
-            del gaps[bisect.bisect_left(gaps, (last, -slot.rank))]
-            bisect.insort(gaps, (new, -slot.rank))
+    def _regap(self, slot: UnitSlot, i: int, booked: bool) -> None:
+        """Split the gap ``busy[i]`` was booked into, or merge the two it leaves."""
+        busy, gaps, rank = slot.busy, self._gaps[slot.pool], -slot.rank
+        start, end = busy[i]
+        lo = busy[i - 1][1] if i else 0
+        hi = busy[i + 1][0] if i + 1 < len(busy) else _OPEN
+        j = bisect.bisect_left(gaps, (lo, rank))  # non-empty gaps: one per lo
+        if lo < start:
+            gaps[j] = (lo, rank, start if booked else hi)
+        elif booked:  # hi > start = lo: that gap was kept
+            del gaps[j]
+        elif lo < hi:
+            gaps.insert(j, (lo, rank, hi))
+        if end < hi and booked:
+            bisect.insort(gaps, (end, rank, hi))
+        elif end < hi:
+            del gaps[bisect.bisect_left(gaps, (end, rank))]
 
     def _book(self, a: TaskAssignment, slot: UnitSlot) -> None:
-        end, last = a.end, slot.busy[-1][1] if slot.busy else 0
-        slot.occupy(a.start, end)
-        self._rekey(slot, last)
-        self._top[slot.pool] = max(a.start, self._top[slot.pool])
+        end = a.end
+        self._regap(slot, slot.occupy(a.start, end), True)
         self.live[a.task.id] = a
         self._booked[a.task.id] = (slot, end)
         if self._profiles is not None:
@@ -165,7 +173,7 @@ class FrozenBase:
         """Book work that is already placed, on its recorded slot."""
         for a in assignments:
             pool = self.slots.get((a.resource_id, a.slot_kind))
-            if pool is None or a.slot_index >= len(pool):
+            if pool is None or not 0 <= a.slot_index < len(pool):
                 raise SchedulingError(
                     f"frozen task {a.task.id}: slot "
                     f"r{a.resource_id}/{a.slot_index} does not exist"
@@ -175,20 +183,14 @@ class FrozenBase:
     def remove(self, assignments: Iterable[TaskAssignment]) -> None:
         """Release booked work, at the end it was booked with: its slot time,
         its load, its live entry."""
-        lowered = set()  # pools that may have lost their largest start
         for a in assignments:
             del self.live[a.task.id]
             slot, end = self._booked.pop(a.task.id)
-            busy, pool, last = slot.busy, slot.pool, slot.busy[-1][1]
-            del busy[bisect.bisect_left(busy, (a.start, end))]
-            self._rekey(slot, last)
-            if self._top[pool] == a.start:
-                lowered.add(pool)
+            i = bisect.bisect_left(slot.busy, (a.start, end))
+            self._regap(slot, i, False)
+            del slot.busy[i]
             if self._profiles is not None:
-                self._index(a, pool, end, -1)
-        for pool in lowered:
-            starts = [s.busy[-1][0] for s in self._pools[pool] if s.busy]
-            self._top[pool] = max(starts, default=0)
+                self._index(a, slot.pool, end, -1)
 
     def retire(self, now: int) -> None:
         """Release the work that ended at or before ``now``."""
@@ -235,8 +237,11 @@ class FrozenBase:
                     if candidates is None:
                         raise SchedulingError(f"unknown resource {resource_id}")
                 gaps = self._gaps.get(pool)  # None: not one of the base's pools
-                if gaps is not None and start >= self._top[pool]:
+                if gaps is not None:
+                    fits = max(end, start + 1)
                     i = bisect.bisect_right(gaps, (start, 1)) - 1
+                    while i >= 0 and gaps[i][2] < fits:
+                        i -= 1
                     best = candidates[-gaps[i][1]] if i >= 0 else None
                 else:
                     best, best_gap = None, None
@@ -318,18 +323,13 @@ def regroup_unit_resources(
         return []
 
     def spread(total: int, count: int) -> List[int]:
-        if count == 0:
-            return []
-        base, extra = divmod(total, count)
-        # The first (count - extra) resources get `base`, the rest base + 1.
-        return [base] * (count - extra) + [base + 1] * extra
+        base, extra = divmod(total, count or 1)  # no resources, no slots
+        # The first (count - extra) resources get `base`, the next base + 1,
+        # the rest none.
+        return [base] * (count - extra) + [base + 1] * extra + [0] * (n - count)
 
-    map_caps = spread(total_map_slots, num_map_resources) + [0] * (
-        n - num_map_resources
-    )
-    reduce_caps = spread(total_reduce_slots, num_reduce_resources) + [0] * (
-        n - num_reduce_resources
-    )
+    map_caps = spread(total_map_slots, num_map_resources)
+    reduce_caps = spread(total_reduce_slots, num_reduce_resources)
     return [
         Resource(first_resource_id + i, map_caps[i], reduce_caps[i]) for i in range(n)
     ]

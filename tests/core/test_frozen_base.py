@@ -137,3 +137,13 @@ def test_booking_a_missing_slot_is_refused():
                 TaskAssignment(make_task("y"), 0, 0, start=3),
             ]
         )
+
+
+def test_a_negative_slot_index_does_not_exist():
+    """Python's negative indexing would book it on the last slot, where
+    ``validate_schedule`` rejects it (``0 <= slot_index < cap``)."""
+    base = FrozenBase([Resource(0, 2, 1)])
+    before = snapshot(base)
+    with pytest.raises(SchedulingError, match="r0/-1 does not exist"):
+        base.add([TaskAssignment(make_task("x"), 0, -1, start=3)])
+    assert snapshot(base) == before

@@ -22,7 +22,7 @@ from tests.conftest import make_job
 
 def test_unit_slot_bookkeeping():
     slot = UnitSlot(0, 0)
-    slot.occupy(2, 10)
+    assert slot.occupy(2, 10) == 0  # its index in ``busy``
     assert slot.gap_if_free(5, 8) is None  # inside the booking
     assert slot.gap_if_free(1, 3) is None  # runs into it
     assert slot.gap_if_free(10, 12) == 0  # back to back
@@ -30,7 +30,11 @@ def test_unit_slot_bookkeeping():
     assert slot.gap_if_free(11, 13) == 1
     with pytest.raises(SchedulingError, match="overlaps"):
         slot.occupy(9, 11)
+    with pytest.raises(SchedulingError, match="overlaps"):
+        slot.occupy(0, 3)
     assert slot.busy == [(2, 10)]
+    assert slot.occupy(12, 12) == 1 and slot.occupy(0, 2) == 0
+    assert slot.busy == [(0, 2), (2, 10), (12, 12)]
 
 
 def test_paper_best_gap_example():

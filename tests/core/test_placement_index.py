@@ -1,11 +1,12 @@
 """Best-gap placement by index equals the scan it replaced.
 
-:meth:`FrozenBase.place` picks a slot with one bisect when no booking lies
-ahead of the task; :func:`scan_place` below is the scan that defined the
-rule, kept here as the oracle.  Two bases replay the same random book --
-frozen work in the past and the future, placements that may fail part-way,
-releases and retirements -- one through each, and must agree on every
-result, every error message and every piece of state, index included.
+:meth:`FrozenBase.place` picks a slot by bisecting its pool's index of idle
+gaps; :func:`scan_place` below is the scan that defined the rule, kept here
+as the oracle.  Two bases replay the same random book -- frozen work in the
+past and the future, placements that may fail part-way, releases and
+retirements -- one through each, and must agree on every result, every
+error message and every piece of state; the index must hold exactly the
+idle gaps the busy lists show.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -59,17 +60,20 @@ def scan_place(base, movable):
 
 
 def index_state(base):
-    return {pool: gaps[:] for pool, gaps in base._gaps.items()}, dict(base._top)
+    return {pool: gaps[:] for pool, gaps in base._gaps.items()}
 
 
 def rebuilt_index(base):
-    """The index a fresh base holding the same live work would have."""
-    caps = {}
-    for rid, _kind in base.slots:  # per resource: map, then reduce
-        caps.setdefault(rid, []).append(len(base.slots[rid, _kind]))
-    fresh = FrozenBase([Resource(r, *c) for r, c in caps.items()], base.per_resource)
-    fresh.add(base.live.values())
-    return index_state(fresh)
+    """Every non-empty idle gap of every slot, read off the busy lists."""
+    gaps = {pool: [] for pool in base._gaps}
+    for slots in base.slots.values():
+        for slot in slots:
+            ends = [0] + [end for _start, end in slot.busy]
+            starts = [start for start, _end in slot.busy] + [float("inf")]
+            for lo, hi in zip(ends, starts):
+                if lo < hi:
+                    gaps[slot.pool].append((lo, -slot.rank, hi))
+    return {pool: sorted(pool_gaps) for pool, pool_gaps in gaps.items()}
 
 
 def outcome(call):
@@ -153,8 +157,8 @@ def test_index_place_equals_the_scan(book):
 
 
 def test_the_index_path_skips_slots_booked_ahead_of_it():
-    """A booking ahead of the task sends it down the scan; a task after
-    every booking takes the index, which must match the scan's pick."""
+    """A task before a booking fits only its slot's leading gap, a task after
+    every booking a trailing one; the index's pick is the scan's for both."""
     base = FrozenBase([Resource(0, 2, 0), Resource(1, 1, 0)])
     g = Task("g", 9, TaskKind.MAP, 5)
     base.add([TaskAssignment(g, 1, 0, start=2)])  # ends at 7
@@ -165,6 +169,71 @@ def test_the_index_path_skips_slots_booked_ahead_of_it():
         ("early", 0, 0),
         ("late", 1, 0),
     ]
+
+
+def placed_like_the_scan(resources, frozen, movable, per_resource=False):
+    """Place ``movable`` on two bases holding ``frozen``, by index and by
+    scan; both must agree, and the index must equal a rebuilt one after."""
+    indexed, scanned = (FrozenBase(resources, per_resource) for _ in range(2))
+    for base in (indexed, scanned):
+        base.add(frozen)
+    got = outcome(lambda: indexed.place(movable))
+    assert got == outcome(lambda: scan_place(scanned, movable))
+    assert snapshot(indexed) == snapshot(scanned)
+    assert index_state(indexed) == rebuilt_index(indexed)
+    return got, indexed
+
+
+def booked(resource_id, slot_index, start, duration, kind=TaskKind.MAP):
+    task = Task(f"f{resource_id}{slot_index}{start}", 900, kind, duration)
+    return TaskAssignment(task, resource_id, slot_index, start)
+
+
+def test_a_task_fills_an_interior_gap_exactly():
+    frozen = [booked(0, 0, 0, 2), booked(0, 0, 6, 4), booked(0, 1, 0, 1)]
+    task = Task("t", 1, TaskKind.MAP, 4)
+    got, base = placed_like_the_scan([Resource(0, 2, 0)], frozen, [(task, 2, None)])
+    assert got == [("t", 0, 0, 2)]  # gap 0 between the bookings, not 1 on r0/1
+    assert base.slots[0, TaskKind.MAP][0].busy == [(0, 2), (2, 6), (6, 10)]
+    # No empty gap is kept: only r0/0's trailing one is left.
+    assert [g for g in base._gaps[TaskKind.MAP] if g[1] == 0] == [(10, 0, float("inf"))]
+
+
+def test_a_shorter_gap_with_a_larger_lo_is_walked_past():
+    # r0/0 is idle over [4, 8), r0/1 over [2, 20): [5, 10) fits only the second.
+    frozen = [booked(0, 0, 0, 4), booked(0, 0, 8, 12)]
+    frozen += [booked(0, 1, 0, 2), booked(0, 1, 20, 10)]
+    task = Task("t", 1, TaskKind.MAP, 5)
+    got, _ = placed_like_the_scan([Resource(0, 2, 0)], frozen, [(task, 5, None)])
+    assert got == [("t", 0, 1, 5)]
+
+
+def test_equal_gaps_go_to_the_lowest_rank():
+    resources = [Resource(0, 1, 0), Resource(1, 3, 0)]
+    # Gap 3 on r1/0 and r1/2 (the latter between two bookings), 4 on r0/0.
+    frozen = [booked(0, 0, 0, 1), booked(1, 0, 0, 2), booked(1, 1, 0, 30)]
+    frozen += [booked(1, 2, 0, 2), booked(1, 2, 9, 5)]
+    task = Task("t", 1, TaskKind.MAP, 2)
+    got, _ = placed_like_the_scan(resources, frozen, [(task, 5, None)])
+    assert got == [("t", 1, 0, 5)]
+    joint, _ = placed_like_the_scan(resources, frozen, [(task, 5, 1)], True)
+    assert joint == [("t", 1, 0, 5)]
+
+
+def test_zero_length_work_at_a_gap_boundary():
+    frozen = [booked(0, 0, 5, 3), booked(0, 1, 8, 0)]  # r0/1: a point at 8
+    at = [(Task(f"z{s}", 1, TaskKind.MAP, d), s, None) for s, d in ((4, 0), (5, 0))]
+    got, _ = placed_like_the_scan([Resource(0, 2, 0)], frozen, at)
+    # z4 fits r0/0's leading gap, which ends at 5, and r0/1's: gap 4 on
+    # both, the lowest rank wins; z5 may not sit on a booking's start, so
+    # only r0/1 is free at 5.
+    assert got == [("z4", 0, 0, 4), ("z5", 0, 1, 5)]
+    after = [(Task("z8", 1, TaskKind.MAP, 0), 8, None)]
+    after.append((Task("t8", 1, TaskKind.MAP, 2), 8, None))
+    got, _ = placed_like_the_scan([Resource(0, 2, 0)], frozen, after)
+    # Both slots are idle from 8 (gap 0): t8 takes r0/0; z8 may not sit on
+    # t8's start, so it goes to r0/1, after the point booked there.
+    assert got == [("t8", 0, 0, 8), ("z8", 0, 1, 8)]
 
 
 def test_slots_know_their_pool_and_tie_order():

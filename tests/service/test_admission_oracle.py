@@ -7,7 +7,9 @@ assignments to ``build_model(running=frozen)`` and decomposes the candidate
 on freshly booked slots.  Both controllers serve the same seeded request
 streams -- COMBINED and JOINT, batched by 1 and by 4, with cancels and
 status calls in between -- and must answer identically; after every quote
-the standing base must equal what its live assignments rebuild to.
+the standing base must equal what its live assignments rebuild to.  With
+the rebuild placing by the scan, the same streams check the standing base's
+gap index against the scan on real books.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import pytest
 
 from repro.core.formulation import FormulationMode
 from repro.core.invocation import extract_assignments, solve_invocation
+from repro.core.matchmaking import FrozenBase
 from repro.core.schedule import SchedulingError
 from repro.cp.profile import TimetableProfile
 from repro.cp.solver import CpSolver
@@ -37,6 +40,8 @@ from repro.service.schemas import (
 )
 from repro.service.server import SchedulerService, ServiceConfig
 from repro.workload.entities import make_uniform_cluster
+
+from tests.core.test_placement_index import scan_place
 
 RESOURCES = 3
 
@@ -65,9 +70,7 @@ class RebuildController:
         return sum(1 for j in self._jobs.values() if not j.cancelled)
 
     def _finish(self, job_id, admitted, reason, completion, deadline, rung, now):
-        quote = SlaQuote(
-            job_id, admitted, reason, completion, deadline, rung, 0.0, now
-        )
+        quote = SlaQuote(job_id, admitted, reason, completion, deadline, rung, 0.0, now)
         if not admitted:
             if reason == "invalid":
                 self._rejected.setdefault(job_id, quote)
@@ -267,3 +270,17 @@ def test_standing_base_answers_like_the_rebuild(mode, batch, seed):
     # The streams reach every quoting path, placement failures included.
     assert {"deadline_met", "deadline_missed", "infeasible"} <= reasons
     assert any(a == ("cancel", True) for a in mine)
+
+
+@pytest.mark.parametrize("mode", list(FormulationMode))
+@pytest.mark.parametrize("batch", [1, 4])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_standing_gap_index_quotes_like_the_scan(mode, batch, seed, monkeypatch):
+    """Future commitments, failed placements and released rejects: every
+    answer of the standing base, placing by its gap index, is the rebuild's,
+    placing by the scan."""
+    mine, _ = _replay(mode, batch, seed, reference=False)
+    monkeypatch.setattr(FrozenBase, "place", scan_place)
+    ref, _ = _replay(mode, batch, seed, reference=True)
+    assert mine == ref
+    assert "infeasible" in {a[2] for a in mine if a is not None and len(a) == 7}
