@@ -25,7 +25,7 @@ the constraint violated by a sliver).
 from __future__ import annotations
 
 import math
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 
 def phase_time_estimate(durations: Sequence[int], slots: int) -> float:
@@ -121,8 +121,3 @@ def min_slots_for_deadline(
     while n_r > 1 and fits(n_m, n_r - 1):
         n_r -= 1
     return n_m, n_r
-
-
-def remaining_durations(tasks) -> List[int]:
-    """Durations of a task list's uncompleted members (scheduler helper)."""
-    return [t.duration for t in tasks if not t.is_completed]

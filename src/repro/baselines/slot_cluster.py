@@ -41,12 +41,6 @@ class SlotCluster:
         self.tasks_started = 0
 
     # -------------------------------------------------------------- queries
-    def free_count(self, kind: SlotKind) -> int:
-        """Total free slots of ``kind`` across the cluster."""
-        return sum(
-            count for (rid, k), count in self._free.items() if k is kind
-        )
-
     def running_count(self) -> int:
         """Number of tasks currently executing."""
         return len(self._running)

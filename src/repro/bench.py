@@ -465,9 +465,19 @@ def compare(current: Dict[str, Any], baseline: Dict[str, Any]) -> List[str]:
 
 
 def load_result(path: str) -> Dict[str, Any]:
-    """Read a bench result/baseline JSON file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    """Read a bench result/baseline JSON file.
+
+    Raises ``ValueError`` naming the file when it cannot be read, is not
+    JSON, or holds something other than a JSON object.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"cannot read {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path} holds a JSON {type(doc).__name__}, not an object")
+    return doc
 
 
 def write_result(path: str, result: Dict[str, Any]) -> None:
@@ -507,10 +517,13 @@ def run_bench_command(args: argparse.Namespace) -> int:
     """Execute ``repro bench``; returns the process exit code.
 
     0 = no regression (or baseline updated); 1 = regression detected;
-    2 = baseline missing/unreadable.
+    2 = baseline or replayed result missing/unreadable.
     """
     if args.replay is not None:
-        current = load_result(args.replay)
+        try:
+            current = load_result(args.replay)
+        except ValueError as exc:
+            return _unreadable(exc)
         print(f"replaying result from {args.replay}")
     else:
         current = run_suite()
@@ -530,7 +543,10 @@ def run_bench_command(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    baseline = load_result(args.baseline)
+    try:
+        baseline = load_result(args.baseline)
+    except ValueError as exc:
+        return _unreadable(exc)
     failures = compare(current, baseline)
     if failures:
         print(f"REGRESSION: {len(failures)} failure(s)", file=sys.stderr)
@@ -541,6 +557,11 @@ def run_bench_command(args: argparse.Namespace) -> int:
         return 1
     print(f"ok: {len(baseline.get('cases', {}))} cases match the baseline")
     return 0
+
+
+def _unreadable(exc: ValueError) -> int:
+    print(f"error: {exc}", file=sys.stderr)
+    return 2
 
 
 def main(argv: Optional[List[str]] = None) -> int:

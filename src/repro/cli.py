@@ -583,8 +583,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_loadtest(args: argparse.Namespace) -> int:
-    import json as _json
-
+    from repro.ioutil import atomic_write_json
     from repro.service.batching import BatchingConfig
     from repro.service.loadgen import (
         LoadProfile,
@@ -622,12 +621,7 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
           f"{report.latency_p50 * 1000:.2f} / {report.latency_p99 * 1000:.2f} ms"
           f" (max {report.latency_max * 1000:.2f} ms)")
     if args.json is not None:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            _json.dump(
-                report.as_dict(include_quotes=args.quotes), fh,
-                indent=2, sort_keys=True,
-            )
-            fh.write("\n")
+        atomic_write_json(args.json, report.as_dict(include_quotes=args.quotes))
         print(f"  report written             : {args.json}")
     if report.requests == 0:
         print("loadtest FAILED: no responses collected", file=sys.stderr)
@@ -871,7 +865,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="directory for ckpt-*.json snapshot files",
     )
     ckpt_p.add_argument(
-        "--keep", type=int, default=None,
+        "--keep", type=_positive_int, default=None,
         help="retain only the newest N snapshots on disk",
     )
     ckpt_p.add_argument(

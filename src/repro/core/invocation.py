@@ -84,7 +84,6 @@ def solve_formulation(
     solver: CpSolver,
     ladder=None,
     hint: Optional[Dict] = None,
-    fallback_to_heuristic: bool = True,
     start_rung: str = "cp_full",
 ) -> InvocationOutcome:
     """Solve a built formulation through the configured strategy stack.
@@ -92,8 +91,8 @@ def solve_formulation(
     With ``ladder`` set the solve walks the degradation rungs (the ladder
     owns ``solver`` as its cp_full rung) beginning at ``start_rung`` --
     the admission service starts at ``cp_limited`` when overloaded;
-    otherwise it is one budgeted CP solve with an optional EDF
-    list-schedule fallback (``start_rung`` is ignored without a ladder).
+    otherwise it is one budgeted CP solve with an EDF list-schedule
+    fallback (``start_rung`` is ignored without a ladder).
     """
     if ladder is not None:
         outcome = ladder.solve(formulation.model, hint=hint, start_rung=start_rung)
@@ -107,16 +106,13 @@ def solve_formulation(
     result = solver.solve(formulation.model, hint=hint)
     if result:
         return InvocationOutcome(solution=result.solution, result=result)
-    if fallback_to_heuristic:
-        # Graceful degradation: the budgeted CP solve came back empty
-        # (e.g. a forced timeout).  The EDF list schedule satisfies every
-        # hard constraint -- deadline misses just show up in N -- so the
-        # run continues instead of crashing.
-        solution = list_schedule(formulation.model, "edf")
-        if solution is not None:
-            return InvocationOutcome(
-                solution=solution, result=result, fallback=True
-            )
+    # Graceful degradation: the budgeted CP solve came back empty (e.g. a
+    # forced timeout).  The EDF list schedule satisfies every hard
+    # constraint -- deadline misses just show up in N -- so the run
+    # continues instead of crashing.
+    solution = list_schedule(formulation.model, "edf")
+    if solution is not None:
+        return InvocationOutcome(solution=solution, result=result, fallback=True)
     return InvocationOutcome(solution=None, result=result)
 
 
@@ -164,7 +160,6 @@ def solve_invocation(
     solver: CpSolver,
     ladder=None,
     hint_starts: Optional[Dict[str, int]] = None,
-    fallback_to_heuristic: bool = True,
     start_rung: str = "cp_full",
 ) -> Tuple[InvocationOutcome, FormulationResult]:
     """Build + solve one invocation (the service admission entry point).
@@ -191,7 +186,6 @@ def solve_invocation(
         solver=solver,
         ladder=ladder,
         hint=hint,
-        fallback_to_heuristic=fallback_to_heuristic,
         start_rung=start_rung,
     )
     return outcome, formulation

@@ -16,9 +16,11 @@ maps that schedule onto physical resources:
 Placement books onto a :class:`FrozenBase` of committed work, one standing
 base per run -- the simulator's (synced to the executor's frozen set at each
 invocation) and the admission service's -- whose index of every idle gap
-makes each best-gap pick one bisect.  Greedy placement in start order is
-sure to find free slots *only when every frozen start is at or before every
-movable start* (the simulator: frozen tasks started in the past): the
+makes each best-gap pick one bisect.  A base indexes the pools of one
+mode, slot kinds (combined) or (resource, kind) pairs (joint), and places
+only in that mode.  Greedy placement in start order is sure to find free
+slots *only when every frozen start is at or before every movable start*
+(the simulator: frozen tasks started in the past): the
 combined cumulative bounds the active tasks by the slot total and
 start-order interval-graph colouring succeeds.  The service's work mostly
 starts in the future, where a capacity-feasible combined schedule can have
@@ -53,18 +55,6 @@ class UnitSlot:
     pool: object = None
     rank: int = 0
 
-    def gap_if_free(self, start: int, end: int) -> Optional[int]:
-        """Idle time before ``start`` if ``[start, end)`` is free, else None.
-
-        The gap runs from the previous occupant's end to ``start``; an empty
-        prefix counts from time 0, matching the paper's example arithmetic.
-        """
-        busy = self.busy
-        i = bisect.bisect_right(busy, (start, _OPEN))
-        lo = busy[i - 1][1] if i else 0
-        hi = busy[i][0] if i < len(busy) else _OPEN
-        return start - lo if lo <= start and end <= hi else None
-
     def occupy(self, start: int, end: int) -> int:
         """Book ``[start, end)``, returning its index; SchedulingError on overlap."""
         busy = self.busy
@@ -87,7 +77,9 @@ class FrozenBase:
     bookings) as (lo, -candidate order, hi), sorted.  The scan's pick for a
     task is the gap of largest ``lo <= start``, lowest order among ties, with
     ``hi >= max(end, start + 1)``: one bisect, then a walk past shorter gaps.
-    Only a task bound to a pool the base does not index is placed by scanning.
+    A task bound to a pool the base does not index -- a resource-bound task
+    on a combined base, or the reverse -- is a :class:`SchedulingError`:
+    every caller builds its base from the mode it decomposes in.
     """
 
     def __init__(self, resources: Sequence[Resource], per_resource: bool = False):
@@ -236,24 +228,22 @@ class FrozenBase:
                     candidates = self.slots.get(pool)
                     if candidates is None:
                         raise SchedulingError(f"unknown resource {resource_id}")
-                gaps = self._gaps.get(pool)  # None: not one of the base's pools
-                if gaps is not None:
-                    fits = max(end, start + 1)
-                    i = bisect.bisect_right(gaps, (start, 1)) - 1
-                    while i >= 0 and gaps[i][2] < fits:
-                        i -= 1
-                    best = candidates[-gaps[i][1]] if i >= 0 else None
-                else:
-                    best, best_gap = None, None
-                    for slot in candidates:
-                        gap = slot.gap_if_free(start, end)
-                        if gap is not None and (best_gap is None or gap < best_gap):
-                            best, best_gap = slot, gap
-                if best is None:
+                gaps = self._gaps.get(pool)
+                if gaps is None:
+                    base = "per-resource" if self.per_resource else "combined"
+                    raise SchedulingError(
+                        f"task {task.id}: {scope} placement on a {base} base"
+                    )
+                fits = max(end, start + 1)
+                i = bisect.bisect_right(gaps, (start, 1)) - 1
+                while i >= 0 and gaps[i][2] < fits:
+                    i -= 1
+                if i < 0:
                     raise SchedulingError(
                         f"no free {kind.value} slot for task {task.id} at "
                         f"[{start},{end}) -- {scope} capacity invariant violated"
                     )
+                best = candidates[-gaps[i][1]]
                 a = TaskAssignment(task, best.resource_id, best.slot_index, start)
                 self._book(a, best)
                 placed.append(a)

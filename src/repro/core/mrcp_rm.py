@@ -126,21 +126,15 @@ class MrcpRmConfig:
     #: Seconds to wait after a task failure before the recovery re-plan
     #: (0 = re-plan at the failure instant).
     retry_backoff: float = 0.0
-    #: Graceful degradation: when the CP solver returns no solution (budget
-    #: exhausted or internal failure), fall back to the EDF warm-start list
-    #: schedule instead of raising ``SchedulingError``.  Recorded in the
-    #: ``fallback_solves`` metric; disable to restore the strict Table 2
-    #: line 24 "throw exception" behaviour.
-    fallback_to_heuristic: bool = True
     #: Keep a :class:`PlanRecord` per invocation in
     #: :attr:`MrcpRm.plan_history` (O(active jobs) per trigger; off by
     #: default so large sweeps pay nothing).  Forensics and the run report
     #: consume the history.
     record_plan_history: bool = False
-    #: Circuit-breaker degradation ladder around the CP solver (None = the
-    #: plain solve + EDF fallback path above).  When set, every solve walks
-    #: cp_full -> cp_limited -> edf -> greedy under per-rung breakers; see
-    #: :mod:`repro.resilience.breaker`.
+    #: Circuit-breaker degradation ladder around the CP solver (None = one
+    #: plain solve with its EDF list-schedule fallback).  When set, every
+    #: solve walks cp_full -> cp_limited -> edf -> greedy under per-rung
+    #: breakers; see :mod:`repro.resilience.breaker`.
     resilience: Optional[LadderConfig] = None
 
 
@@ -473,7 +467,6 @@ class MrcpRm:
             solver=self._solver,
             ladder=self.ladder,
             hint_starts=hint_starts,
-            fallback_to_heuristic=self.config.fallback_to_heuristic,
         )
         self._fold_solve_metrics(outcome, opened_before, now, jobs)
         if outcome.solution is None:

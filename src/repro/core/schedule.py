@@ -73,19 +73,6 @@ class Schedule:
     def __iter__(self):
         return iter(self.assignments.values())
 
-    def by_resource(self) -> Dict[Tuple[int, SlotKind], List[TaskAssignment]]:
-        """Assignments per (resource, slot kind), sorted by start time.
-
-        This is the per-resource "scheduled tasks sorted by start time" view
-        that the Table 2 algorithm walks (lines 5-8).
-        """
-        out: Dict[Tuple[int, SlotKind], List[TaskAssignment]] = {}
-        for a in self.assignments.values():
-            out.setdefault((a.resource_id, a.slot_kind), []).append(a)
-        for lst in out.values():
-            lst.sort(key=lambda a: (a.start, a.task.id))
-        return out
-
     def job_completion(self, job: Job) -> int:
         """Completion time of ``job`` under this schedule."""
         ends = [

@@ -59,10 +59,6 @@ def _feasible(model: CpModel, starts: Dict, choices: Dict) -> bool:
         end_first = max(starts[iv] + iv.length for iv in b.first)
         if min(starts[iv] for iv in b.second) < end_first + b.delay:
             return False
-    # precedences
-    for p in model.precedences:
-        if starts[p.a] + p.a.length + p.delay > starts[p.b]:
-            return False
     # cumulatives
     chosen = set(choices.values())
     master_of = {}

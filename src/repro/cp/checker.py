@@ -2,8 +2,8 @@
 
 Every solution the solver surfaces -- from the warm-start heuristic, the tree
 search or LNS -- can be validated against the *declarative* model: start
-windows, barriers, precedences, alternatives, cumulative capacities and the
-reported objective.  The checker shares no propagation code with the solver
+windows, barriers, alternatives, cumulative capacities and the reported
+objective.  The checker shares no propagation code with the solver
 (it rebuilds each profile from the spec's fixed base plus the solution's
 starts), so it doubles as the oracle for property-based tests.
 """
@@ -81,13 +81,6 @@ def check_solution(model: CpModel, sol: Solution) -> List[str]:
                 f"before first stage ends {end_first} (+ delay {b.delay})"
             )
 
-    # --- generic precedences
-    for p in model.precedences:
-        if sol.starts[p.a] + p.a.length + p.delay > sol.starts[p.b]:
-            violations.append(
-                f"precedence {p.a.name} -> {p.b.name} violated"
-            )
-
     # --- objective consistency
     if model.objective_bools is not None and sol.objective is not None:
         actual = sol.evaluate_objective(model)
@@ -97,12 +90,3 @@ def check_solution(model: CpModel, sol: Solution) -> List[str]:
             )
 
     return violations
-
-
-def assert_valid(model: CpModel, sol: Solution) -> None:
-    """Raise AssertionError with details if the solution is invalid."""
-    violations = check_solution(model, sol)
-    if violations:
-        raise AssertionError(
-            "invalid solution:\n  " + "\n  ".join(violations)
-        )

@@ -102,10 +102,6 @@ class IntDomain:
     def size(self) -> int:
         return self._max - self._min + 1
 
-    def contains(self, v: int) -> bool:
-        """Whether ``v`` lies within the current bounds."""
-        return self._min <= v <= self._max
-
     # ---------------------------------------------------------- subscription
     def watch(
         self,

@@ -259,12 +259,7 @@ def list_schedule(
     ]
     leftovers.sort(key=lambda iv: (iv.est, -iv.length))
     for iv in leftovers:
-        # Honour generic pairwise precedences by a pre-pass on placed preds.
-        est = iv.est
-        for p in model.precedences:
-            if p.b is iv and p.a in state.starts:
-                est = max(est, state.starts[p.a] + p.a.length + p.delay)
-        s = state.place_master(iv, est=est)
+        s = state.place_master(iv, est=iv.est)
         if s is None:
             return None
 

@@ -23,7 +23,6 @@ from repro.cp.propagators import (
     BarrierPropagator,
     CumulativePropagator,
     DeadlineIndicatorPropagator,
-    EndBeforeStartPropagator,
     SumBoolBoundPropagator,
 )
 from repro.cp.variables import BoolVar, IntervalVar
@@ -50,15 +49,6 @@ class BarrierSpec:
     first: List[IntervalVar]
     second: List[IntervalVar]
     name: str = ""
-    delay: int = 0
-
-
-@dataclass
-class PrecedenceSpec:
-    """``a.end + delay <= b.start``."""
-
-    a: IntervalVar
-    b: IntervalVar
     delay: int = 0
 
 
@@ -129,15 +119,6 @@ class Group:
                 f"group {self.name}: stage_pred_delays shape mismatch"
             )
 
-    # Two-stage accessors kept for the MapReduce-shaped call sites.
-    @property
-    def first_stage(self) -> List[IntervalVar]:
-        return self.stages[0] if self.stages else []
-
-    @property
-    def second_stage(self) -> List[IntervalVar]:
-        return self.stages[1] if len(self.stages) > 1 else []
-
     @property
     def intervals(self) -> List[IntervalVar]:
         return [iv for stage in self.stages for iv in stage]
@@ -164,7 +145,6 @@ class CpModel:
         self.optionals: List[IntervalVar] = []
         self.cumulatives: List[CumulativeSpec] = []
         self.barriers: List[BarrierSpec] = []
-        self.precedences: List[PrecedenceSpec] = []
         self.alternatives: List[AlternativeSpec] = []
         self.indicators: List[IndicatorSpec] = []
         self.groups: List[Group] = []
@@ -301,15 +281,6 @@ class CpModel:
         self.barriers.append(spec)
         return spec
 
-    def add_end_before_start(
-        self, a: IntervalVar, b: IntervalVar, delay: int = 0
-    ) -> PrecedenceSpec:
-        """Generic pairwise precedence ``a.end + delay <= b.start``."""
-        self._check_sealed()
-        spec = PrecedenceSpec(a, b, int(delay))
-        self.precedences.append(spec)
-        return spec
-
     def add_alternative(
         self,
         master: IntervalVar,
@@ -406,8 +377,6 @@ class CpModel:
         eng = Engine()
         for b in self.barriers:
             eng.register(BarrierPropagator(b.first, b.second, b.name, b.delay))
-        for p in self.precedences:
-            eng.register(EndBeforeStartPropagator(p.a, p.b, p.delay))
         for a in self.alternatives:
             eng.register(AlternativePropagator(a.master, a.options, a.name))
         for ind in self.indicators:

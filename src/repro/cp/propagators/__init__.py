@@ -4,7 +4,9 @@ Each propagator implements one constraint family from the paper's CP
 formulation (Table 1):
 
 * :class:`~repro.cp.propagators.precedence.BarrierPropagator` -- constraint
-  (3): every reduce task starts after the latest-finishing map task.
+  (3): every reduce task starts after the latest-finishing map task; with
+  a transfer delay it is also every workflow edge of the Section VII DAG
+  extension.
 * :class:`~repro.cp.propagators.cumulative.CumulativePropagator` --
   constraints (5)/(6): per-resource map/reduce slot capacities, via
   time-table (compulsory part) reasoning.
@@ -15,13 +17,10 @@ formulation (Table 1):
   constraint (4): the reified "job is late" boolean.
 * :class:`~repro.cp.propagators.objective.SumBoolBoundPropagator` -- the
   branch-and-bound cut ``sum(N_j) <= incumbent - 1``.
-* :class:`~repro.cp.propagators.precedence.EndBeforeStartPropagator` --
-  generic pairwise precedence, exposed for library users building workflows
-  beyond two-stage MapReduce.
 """
 
 from repro.cp.propagators.base import Propagator
-from repro.cp.propagators.precedence import BarrierPropagator, EndBeforeStartPropagator
+from repro.cp.propagators.precedence import BarrierPropagator
 from repro.cp.propagators.cumulative import CumulativePropagator
 from repro.cp.propagators.alternative import AlternativePropagator
 from repro.cp.propagators.lateness import DeadlineIndicatorPropagator
@@ -30,7 +29,6 @@ from repro.cp.propagators.objective import SumBoolBoundPropagator
 __all__ = [
     "Propagator",
     "BarrierPropagator",
-    "EndBeforeStartPropagator",
     "CumulativePropagator",
     "AlternativePropagator",
     "DeadlineIndicatorPropagator",

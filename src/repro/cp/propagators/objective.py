@@ -42,10 +42,6 @@ class SumBoolBoundPropagator(Propagator):
         """Current lower bound of the objective under this node's domains."""
         return sum(b.domain.min for b in self.bools)
 
-    def upper_bound(self) -> int:
-        """Current upper bound of the objective under this node's domains."""
-        return sum(b.domain.max for b in self.bools)
-
     def propagate(self, engine: "Engine") -> None:
         bound = engine.objective_bound
         if bound is None:

@@ -6,10 +6,12 @@ Equivalently, ``map.end <= reduce.start`` for every (map, reduce) pair; the
 :class:`BarrierPropagator` enforces bounds consistency on the whole
 bipartite structure in O(maps + reduces) per run.
 
-Both propagators subscribe event-typed: the forward pass consumes lower
+The propagator subscribes event-typed: the forward pass consumes lower
 bounds of the predecessor side (MIN events) and the backward pass upper
 bounds of the successor side (MAX events), so e.g. tightening a map task's
-*due date* never re-runs the barrier.
+*due date* never re-runs the barrier.  Every precedence the planner builds
+is a barrier -- a workflow edge is one with a transfer ``delay`` -- and a
+pairwise precedence is a one-to-one barrier.
 """
 
 from __future__ import annotations
@@ -74,24 +76,3 @@ class BarrierPropagator(Propagator):
         barrier_max = min(iv.start._max for iv in self.second) - self.delay
         for iv in self.first:
             iv.start.set_max(barrier_max - iv.length, engine)
-
-
-class EndBeforeStartPropagator(Propagator):
-    """Generic pairwise precedence ``a.end + delay <= b.start``."""
-
-    __slots__ = ("a", "b", "delay")
-
-    def __init__(self, a: IntervalVar, b: IntervalVar, delay: int = 0, name: str = "") -> None:
-        super().__init__(name or f"{a.name}->{b.name}")
-        self.a = a
-        self.b = b
-        self.delay = int(delay)
-
-    def watches(self) -> Iterable[Tuple["IntDomain", int, object]]:
-        yield self.a.start, MIN_EVENT, None
-        yield self.b.start, MAX_EVENT, None
-
-    def propagate(self, engine: "Engine") -> None:
-        a, b = self.a, self.b
-        b.start.set_min(a.start._min + a.length + self.delay, engine)
-        a.start.set_max(b.start._max - self.delay - a.length, engine)

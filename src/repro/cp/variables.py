@@ -36,14 +36,6 @@ class BoolVar:
     def value(self) -> int:
         return self.domain.value
 
-    @property
-    def can_be_true(self) -> bool:
-        return self.domain.max == 1
-
-    @property
-    def can_be_false(self) -> bool:
-        return self.domain.min == 0
-
     def set_true(self, engine: "Engine") -> bool:
         """Fix to 1; raises Infeasible when already 0."""
         return self.domain.set_min(1, engine)
@@ -133,10 +125,6 @@ class IntervalVar:
         return self.presence is not None and (
             self.presence.is_fixed and self.presence.value == ABSENT
         )
-
-    @property
-    def presence_undecided(self) -> bool:
-        return self.presence is not None and not self.presence.is_fixed
 
     def set_present(self, engine: "Engine") -> bool:
         """Commit the optional interval to appear in the schedule."""

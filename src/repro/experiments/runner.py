@@ -243,8 +243,6 @@ def build_live_run(config: RunConfig, replication: int = 0) -> LiveRun:
             # so replications see independent fault draws while staying
             # exactly reproducible.
             mrcp = replace(mrcp, faults=replace(config.faults, seed=seed))
-        if config.obs.profile_solver and not mrcp.solver.profile:
-            mrcp = replace(mrcp, solver=replace(mrcp.solver, profile=True))
         if config.obs.plan_history and not mrcp.record_plan_history:
             mrcp = replace(mrcp, record_plan_history=True)
         manager = MrcpRm(sim, resources, mrcp, metrics, tracer=tracer)
@@ -269,8 +267,7 @@ def build_live_run(config: RunConfig, replication: int = 0) -> LiveRun:
         sampler.attach(sim, collector=metrics, registry=tracer.registry)
         if manager is not None:
             manager.attach_telemetry(sampler)
-        specs = config.obs.slo if config.obs.slo is not None else default_slos()
-        slo_monitor = SloMonitor(specs, tracer=tracer)
+        slo_monitor = SloMonitor(default_slos(), tracer=tracer)
         slo_monitor.subscribe(sampler)
         # Start *after* jobs are scheduled so the sampler sees a non-empty
         # calendar and rides it to the drain.

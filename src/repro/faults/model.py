@@ -102,8 +102,3 @@ class FaultModel:
             or self.outages
             or self.outage_rate > 0
         )
-
-    @property
-    def perturbs_durations(self) -> bool:
-        """Whether execution times can differ from their planned values."""
-        return self.straggler_prob > 0 or self.jitter_sigma > 0

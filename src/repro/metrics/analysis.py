@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, Optional, Sequence
 
 from repro.core.schedule import SlotKind, TaskAssignment
 from repro.ioutil import atomic_write_text
@@ -43,13 +43,6 @@ class UtilizationReport:
     def reduce_utilization(self) -> float:
         denom = self.reduce_slots * self.span
         return self.reduce_busy_seconds / denom if denom else 0.0
-
-    @property
-    def overall_utilization(self) -> float:
-        denom = (self.map_slots + self.reduce_slots) * self.span
-        busy = self.map_busy_seconds + self.reduce_busy_seconds
-        return busy / denom if denom else 0.0
-
 
 def slot_utilization(
     assignments: Iterable[TaskAssignment],
@@ -142,16 +135,6 @@ def percentile(values: Sequence[float], q: float) -> float:
         return float(ordered[0])
     rank = max(1, math.ceil(q / 100.0 * len(ordered)))
     return float(ordered[rank - 1])
-
-
-def turnaround_percentiles(
-    metrics: RunMetrics, qs: Sequence[float] = (50, 90, 99)
-) -> Dict[float, float]:
-    """Distributional view of T (the paper reports only the mean)."""
-    values: List[float] = list(metrics.turnarounds.values())
-    if not values:
-        return {q: 0.0 for q in qs}
-    return {q: percentile(values, q) for q in qs}
 
 
 # --------------------------------------------------------------- CSV export

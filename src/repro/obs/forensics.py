@@ -394,23 +394,6 @@ def attribute_lateness(
     return out
 
 
-def attributions_csv(attributions: Sequence[LatenessAttribution]) -> str:
-    """CSV of the decomposition: one row per late job, seconds columns."""
-    lines = [
-        "job_id,tardiness,contention,solver,fault,residual,"
-        "raw_contention,raw_solver,raw_fault,degraded_plans"
-    ]
-    for a in attributions:
-        c = a.components
-        lines.append(
-            f"{a.job_id},{a.tardiness:.6f},{c['contention']:.6f},"
-            f"{c['solver']:.6f},{c['fault']:.6f},{c['residual']:.6f},"
-            f"{a.raw_contention:.6f},{a.raw_solver:.6f},{a.raw_fault:.6f},"
-            f"{a.degraded_plans}"
-        )
-    return "\n".join(lines) + "\n"
-
-
 def format_attributions(attributions: Sequence[LatenessAttribution]) -> str:
     """Console table of the decomposition (seconds, one late job per row)."""
     if not attributions:

@@ -20,8 +20,8 @@ Determinism contract (mirrors the tracer's dual-timeline discipline):
   instants and see the same state -- the series is byte-identical across
   reruns once wall-clock fields are quarantined;
 * the sampler never touches the tracer's wall clock (a pinned clock's draw
-  count feeds the overhead metric O); an optional *separate* injectable
-  wall clock fills the quarantined ``wall`` field only;
+  count feeds the overhead metric O); the solver phase times it copies
+  from the collector are wall time, quarantined on write;
 * sampling events ride the calendar at :data:`SAMPLE_PRIORITY` (after
   every same-instant state transition) and re-arm only while real work is
   pending, so the run still drains and O/N/T/P are untouched;
@@ -60,8 +60,8 @@ if TYPE_CHECKING:  # avoid the repro.sim -> repro.obs import cycle
 SAMPLE_PRIORITY = 10
 
 #: Sample fields that only replay identically under a pinned wall clock;
-#: the JSONL writer drops them by default (the sweeps' quarantine rule).
-QUARANTINED_KEYS = frozenset({"wall", "phase_times"})
+#: the JSONL writer drops them (the sweeps' quarantine rule).
+QUARANTINED_KEYS = frozenset({"phase_times"})
 
 #: Schema tag stamped on the series JSONL meta line.
 SERIES_SCHEMA = "repro-telemetry/1"
@@ -82,11 +82,6 @@ class TelemetryConfig:
     series_out: Optional[str] = None
     #: When set, fired/resolved SLO alerts are written here as JSONL.
     alerts_out: Optional[str] = None
-    #: Include quarantined wall-clock fields in the JSONL output.
-    include_wall: bool = False
-    #: Injectable wall clock for the quarantined ``wall`` field only.
-    #: Never the tracer's clock -- sampling must not consume its ticks.
-    wall_clock: Optional[Callable[[], float]] = None
 
     def validate(self) -> None:
         """Reject unusable settings before a run starts."""
@@ -145,13 +140,11 @@ class _SeriesSampler:
         interval: float,
         capacity: int,
         registry: Optional["MetricsRegistry"] = None,
-        include_wall: bool = False,
     ) -> None:
         if interval <= 0:
             raise ValueError(f"interval must be > 0: {interval}")
         self.interval = interval
         self.store = SeriesStore(capacity)
-        self.include_wall = include_wall
         self._registry = registry
         self._probes: Dict[str, Callable[[], float]] = {}
         self._listeners: List[Callable[[Mapping[str, Any]], object]] = []
@@ -197,15 +190,13 @@ class _SeriesSampler:
         """Sampler-specific fields of the JSONL meta line."""
         return {}
 
-    def write_series(self, path: str, include_wall: Optional[bool] = None) -> str:
+    def write_series(self, path: str) -> str:
         """Write the stored series as JSONL (meta line + one per sample).
 
-        Wall-clock fields (:data:`QUARANTINED_KEYS`) are dropped unless
-        ``include_wall`` -- the same quarantine rule that keeps sweep
-        outputs byte-identical across machines.
+        Wall-clock fields (:data:`QUARANTINED_KEYS`) are dropped -- the same
+        quarantine rule that keeps sweep outputs byte-identical across
+        machines.
         """
-        if include_wall is None:
-            include_wall = self.include_wall
         meta: Dict[str, Any] = {
             "schema": SERIES_SCHEMA,
             "interval": self.interval,
@@ -217,8 +208,7 @@ class _SeriesSampler:
         }
         lines = [json.dumps(meta, sort_keys=True)]
         for sample in self.store.samples:
-            if not include_wall:
-                sample = {k: v for k, v in sample.items() if k not in QUARANTINED_KEYS}
+            sample = {k: v for k, v in sample.items() if k not in QUARANTINED_KEYS}
             lines.append(json.dumps(sample, sort_keys=True))
         atomic_write_text(path, "\n".join(lines) + "\n")
         return path
@@ -241,11 +231,7 @@ class TimeSeriesSampler(_SeriesSampler):
     def __init__(self, config: Optional[TelemetryConfig] = None) -> None:
         self.config = config if config is not None else TelemetryConfig(enabled=True)
         self.config.validate()
-        super().__init__(
-            self.config.interval,
-            self.config.capacity,
-            include_wall=self.config.include_wall,
-        )
+        super().__init__(self.config.interval, self.config.capacity)
         self._sim: Optional["Simulator"] = None
         self._collector: Optional["MetricsCollector"] = None
         self._handle = None
@@ -312,8 +298,6 @@ class TimeSeriesSampler(_SeriesSampler):
             }
         if self._registry is not None:
             self._read_registry(record)
-        if self.config.wall_clock is not None:
-            record["wall"] = float(self.config.wall_clock())
         return self._emit(record)
 
     def _histogram(self, record: Dict[str, Any], name: str, value: Dict) -> None:
@@ -418,7 +402,7 @@ class NullTimeSeriesSampler(TimeSeriesSampler):
         """No-op."""
         return None
 
-    def write_series(self, path: str, include_wall: Optional[bool] = None) -> str:
+    def write_series(self, path: str) -> str:
         """Refuse: a disabled sampler has nothing to write."""
         raise RuntimeError("telemetry is disabled: no series to write")
 

@@ -165,26 +165,6 @@ class TraceRecorder:
             ev["args"] = args
         self.events.append(ev)
 
-    def counter(
-        self,
-        name: str,
-        ts: float,
-        values: Dict[str, float],
-        pid: int = WALL_PID,
-    ) -> None:
-        """Record a counter ("C") sample (rendered as a track in Perfetto)."""
-        self.events.append(
-            {
-                "name": name,
-                "cat": "metrics",
-                "ph": "C",
-                "ts": int(round(ts)),
-                "pid": pid,
-                "tid": 0,
-                "args": dict(values),
-            }
-        )
-
     def _metadata_events(self) -> List[Dict[str, Any]]:
         names = [
             ("process_name", WALL_PID, 0, {"name": "wall (scheduler/solver)"}),
@@ -348,12 +328,6 @@ class Tracer:
             tid=tid,
             args=args,
         )
-
-    def counter_sample(self, name: str, values: Dict[str, float]) -> None:
-        """Sample a counter track at the current wall time."""
-        if not self.enabled:
-            return
-        self.recorder.counter(name, self.wall_us(), values)
 
     # ------------------------------------------------------------- output
     def write(self, path: str) -> Tuple[str, str]:

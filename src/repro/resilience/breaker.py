@@ -48,6 +48,10 @@ _LOG = get_logger("resilience.breaker")
 #: state itself is infeasible.
 RUNGS = ("cp_full", "cp_limited", "edf", "greedy")
 
+#: Budget of the ``cp_limited`` rung: seconds and tree fails.
+LIMITED_TIME_LIMIT = 0.1
+LIMITED_FAIL_LIMIT = 100
+
 #: Breaker states (the textbook three-state machine).
 CLOSED = "closed"
 OPEN = "open"
@@ -84,9 +88,6 @@ class LadderConfig:
     failure_threshold: int = 2
     #: Invocations a breaker stays open before half-opening one probe.
     cooldown: int = 4
-    #: Budget of the ``cp_limited`` rung (seconds / tree fails).
-    limited_time_limit: float = 0.1
-    limited_fail_limit: int = 100
     #: Deterministic failure injection (chaos harness only; None = off).
     chaos: Optional[InjectedSolverFailures] = None
 
@@ -276,8 +277,8 @@ class DegradationLadder:
             result = self.solver.solve(
                 model,
                 hint=hint,
-                time_limit=self.config.limited_time_limit,
-                tree_fail_limit=self.config.limited_fail_limit,
+                time_limit=LIMITED_TIME_LIMIT,
+                tree_fail_limit=LIMITED_FAIL_LIMIT,
                 use_lns=False,
             )
             return result.solution, result

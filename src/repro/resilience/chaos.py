@@ -450,12 +450,3 @@ def pool_worker_death(
     )
     _LOG.info("chaos %s", kv(scenario=report.scenario, passed=report.passed))
     return report
-
-
-def run_all(out_dir: str) -> List[ChaosReport]:
-    """Every scenario, for the CLI ``chaos`` subcommand and CI smoke."""
-    return [
-        kill_restore_cycle(out_dir=os.path.join(out_dir, "checkpoints")),
-        overload_burst(),
-        pool_worker_death(os.path.join(out_dir, "sweeps")),
-    ]

@@ -71,11 +71,8 @@ class CheckpointMismatch(CheckpointError):
 class CheckpointConfig:
     """When and where to write checkpoints."""
 
-    #: Write a checkpoint every N dispatched events (None = off).
-    every_events: Optional[int] = 100
-    #: ... and/or whenever simulated time advanced by this much since the
-    #: last checkpoint (None = off).
-    every_sim_time: Optional[float] = None
+    #: Write a checkpoint every N dispatched events.
+    every_events: int
     #: Directory for ``ckpt-<events>.json`` files (None = keep in memory
     #: only; the chaos harness restores from returned dicts directly).
     out_dir: Optional[str] = None
@@ -83,13 +80,10 @@ class CheckpointConfig:
     keep: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.every_events is None and self.every_sim_time is None:
-            raise ValueError("checkpoint cadence unset: give every_events "
-                             "and/or every_sim_time")
-        if self.every_events is not None and self.every_events < 1:
+        if self.every_events < 1:
             raise ValueError(f"every_events must be >= 1, got {self.every_events}")
-        if self.every_sim_time is not None and self.every_sim_time <= 0:
-            raise ValueError(f"every_sim_time must be > 0, got {self.every_sim_time}")
+        if self.keep is not None and self.keep < 1:
+            raise ValueError(f"keep must be >= 1 (None keeps all), got {self.keep}")
 
 
 @dataclass
@@ -220,7 +214,7 @@ def list_checkpoints(out_dir: str) -> List[str]:
 
 def _prune(out_dir: str, keep: int) -> None:
     paths = list_checkpoints(out_dir)
-    for stale in paths[:-keep] if keep else paths:
+    for stale in paths[:-keep]:
         try:
             os.remove(stale)
         except OSError:
@@ -243,25 +237,12 @@ def run_with_checkpoints(
     run = build_live_run(config, replication)
     result = CheckpointedRun(metrics=None)
     last_events = 0
-    last_time = run.sim.now
     while run.sim.step():
-        due = False
-        if (
-            ckpt.every_events is not None
-            and run.sim.dispatched - last_events >= ckpt.every_events
-        ):
-            due = True
-        if (
-            ckpt.every_sim_time is not None
-            and run.sim.now - last_time >= ckpt.every_sim_time
-        ):
-            due = True
-        if not due:
+        if run.sim.dispatched - last_events < ckpt.every_events:
             continue
         snapshot = capture_snapshot(run)
         result.snapshots.append(snapshot)
         last_events = run.sim.dispatched
-        last_time = run.sim.now
         if ckpt.out_dir is not None:
             result.paths.append(write_snapshot(snapshot, ckpt.out_dir))
             if ckpt.keep is not None:

@@ -70,16 +70,6 @@ class RandomStreams:
             for name, gen in sorted(self._streams.items())
         }
 
-    def spawn(self, label: int | str) -> "RandomStreams":
-        """Derive a child registry (e.g. one per replication)."""
-        digest = (
-            zlib.crc32(str(label).encode("utf-8"))
-            if isinstance(label, str)
-            else int(label)
-        )
-        return RandomStreams(seed=self.seed * 1_000_003 + digest + 1)
-
-
 class Distributions:
     """The distribution toolbox of Table 3 / Table 4 over one generator."""
 

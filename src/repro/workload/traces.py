@@ -12,6 +12,7 @@ import json
 from pathlib import Path
 from typing import List, Union
 
+from repro.ioutil import atomic_write_text
 from repro.workload.entities import Job, Task, TaskKind
 
 TRACE_FORMAT_VERSION = 1
@@ -78,8 +79,8 @@ def jobs_from_json(text: str) -> List[Job]:
 
 
 def save_trace(jobs: List[Job], path: Union[str, Path]) -> None:
-    """Write a job stream to ``path`` as JSON."""
-    Path(path).write_text(jobs_to_json(jobs))
+    """Write a job stream to ``path`` as JSON (atomically)."""
+    atomic_write_text(str(path), jobs_to_json(jobs))
 
 
 def load_trace(path: Union[str, Path]) -> List[Job]:
@@ -152,8 +153,8 @@ def workflows_from_json(text: str):
 
 
 def save_workflow_trace(jobs, path: Union[str, Path]) -> None:
-    """Write a workflow stream to ``path`` as JSON."""
-    Path(path).write_text(workflows_to_json(jobs))
+    """Write a workflow stream to ``path`` as JSON (atomically)."""
+    atomic_write_text(str(path), workflows_to_json(jobs))
 
 
 def load_workflow_trace(path: Union[str, Path]):

@@ -35,10 +35,6 @@ class Stage:
     tasks: List[Task] = field(default_factory=list)
 
     @property
-    def duration_lower_bound(self) -> int:
-        return max((t.duration for t in self.tasks), default=0)
-
-    @property
     def total_work(self) -> int:
         return sum(t.duration for t in self.tasks)
 
@@ -137,11 +133,6 @@ class WorkflowJob:
     def edge_delay(self, pred: str, succ: str) -> int:
         """Transfer delay on edge (pred, succ); 0 when unspecified."""
         return self.edge_delays.get((pred, succ), 0)
-
-    def topological_stages(self) -> Tuple[List[Stage], List[List[int]]]:
-        """(stages in topological order, predecessor indices per stage)."""
-        stages, preds, _ = self.topological_structure()
-        return stages, preds
 
     def topological_structure(
         self,

@@ -16,10 +16,10 @@ def test_start_task_occupies_and_releases():
     cluster = SlotCluster(sim, [Resource(0, 1, 1)])
     job = make_job(0, (5,))
     cluster.start_task(job.map_tasks[0], 0)
-    assert cluster.free_count(SlotKind.MAP) == 0
+    assert SlotPolicy.free_snapshot(cluster)[0, SlotKind.MAP] == 0
     assert cluster.running_count() == 1
     sim.run()
-    assert cluster.free_count(SlotKind.MAP) == 1
+    assert SlotPolicy.free_snapshot(cluster)[0, SlotKind.MAP] == 1
     assert job.map_tasks[0].is_completed
     cluster.assert_quiescent()
 

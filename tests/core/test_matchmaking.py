@@ -23,11 +23,6 @@ from tests.conftest import make_job
 def test_unit_slot_bookkeeping():
     slot = UnitSlot(0, 0)
     assert slot.occupy(2, 10) == 0  # its index in ``busy``
-    assert slot.gap_if_free(5, 8) is None  # inside the booking
-    assert slot.gap_if_free(1, 3) is None  # runs into it
-    assert slot.gap_if_free(10, 12) == 0  # back to back
-    assert slot.gap_if_free(0, 2) == 0  # an empty prefix counts from 0
-    assert slot.gap_if_free(11, 13) == 1
     with pytest.raises(SchedulingError, match="overlaps"):
         slot.occupy(9, 11)
     with pytest.raises(SchedulingError, match="overlaps"):

@@ -2,13 +2,18 @@
 
 :meth:`FrozenBase.place` picks a slot by bisecting its pool's index of idle
 gaps; :func:`scan_place` below is the scan that defined the rule, kept here
-as the oracle.  Two bases replay the same random book -- frozen work in the
-past and the future, placements that may fail part-way, releases and
-retirements -- one through each, and must agree on every result, every
-error message and every piece of state; the index must hold exactly the
-idle gaps the busy lists show.
+as the oracle together with the per-slot test it reads, :func:`gap_if_free`.
+Two bases replay the same random book -- frozen work in the past and the
+future, placements that may fail part-way, releases and retirements -- one
+through each, and must agree on every result, every error message and every
+piece of state; the index must hold exactly the idle gaps the busy lists
+show.  A base places only in the mode it indexes: a task bound to a pool it
+does not index is an error, tested on its own below.
 """
 
+import bisect
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.matchmaking import FrozenBase, UnitSlot
@@ -18,6 +23,21 @@ from repro.workload.entities import Resource, Task, TaskKind
 from tests.core.test_frozen_base import snapshot
 
 KINDS = (TaskKind.MAP, TaskKind.REDUCE)
+OPEN = float("inf")
+
+
+def gap_if_free(slot, start, end):
+    """Idle time before ``start`` if ``[start, end)`` is free on ``slot``,
+    else None.
+
+    The gap runs from the previous occupant's end to ``start``; an empty
+    prefix counts from time 0, matching the paper's example arithmetic.
+    """
+    busy = slot.busy
+    i = bisect.bisect_right(busy, (start, OPEN))
+    lo = busy[i - 1][1] if i else 0
+    hi = busy[i][0] if i < len(busy) else OPEN
+    return start - lo if lo <= start and end <= hi else None
 
 
 def scan_place(base, movable):
@@ -42,7 +62,7 @@ def scan_place(base, movable):
                 scope = f"per-resource (r{resource_id})"
             best, best_gap = None, None
             for slot in candidates:
-                gap = slot.gap_if_free(start, end)
+                gap = gap_if_free(slot, start, end)
                 if gap is not None and (best_gap is None or gap < best_gap):
                     best, best_gap = slot, gap
             if best is None:
@@ -69,7 +89,7 @@ def rebuilt_index(base):
     for slots in base.slots.values():
         for slot in slots:
             ends = [0] + [end for _start, end in slot.busy]
-            starts = [start for start, _end in slot.busy] + [float("inf")]
+            starts = [start for start, _end in slot.busy] + [OPEN]
             for lo, hi in zip(ends, starts):
                 if lo < hi:
                     gaps[slot.pool].append((lo, -slot.rank, hi))
@@ -106,10 +126,10 @@ def books(draw):
             batch = []
             for _ in range(draw(st.integers(1, 6))):
                 rid = draw(st.integers(0, len(resources)))  # len: unknown
-                bound = per_resource or draw(st.booleans())
                 kind, start = draw(st.sampled_from(KINDS)), draw(st.integers(0, 40))
                 duration = draw(st.integers(0, 12))
-                batch.append((kind, start, duration, rid if bound else None))
+                # A base places only in the mode it indexes (see below).
+                batch.append((kind, start, duration, rid if per_resource else None))
             ops.append((op, batch))
         elif op == "remove":
             ops.append((op, draw(st.integers(0, 2**16))))
@@ -133,7 +153,7 @@ def test_index_place_equals_the_scan(book):
             task = Task(f"f{serial:03d}", 900, kind, duration)
             a = TaskAssignment(task, rid, index, start)
             slot = indexed.slots[rid, kind][index]
-            if slot.gap_if_free(a.start, a.end) is None:
+            if gap_if_free(slot, a.start, a.end) is None:
                 continue
             for base in bases:
                 base.add([a])
@@ -154,6 +174,33 @@ def test_index_place_equals_the_scan(book):
                 base.retire(arg)
         assert snapshot(indexed) == snapshot(scanned)
         assert index_state(indexed) == rebuilt_index(indexed)
+
+
+def test_gap_if_free():
+    slot = UnitSlot(0, 0)
+    slot.occupy(2, 10)
+    assert gap_if_free(slot, 5, 8) is None  # inside the booking
+    assert gap_if_free(slot, 1, 3) is None  # runs into it
+    assert gap_if_free(slot, 10, 12) == 0  # back to back
+    assert gap_if_free(slot, 0, 2) == 0  # an empty prefix counts from 0
+    assert gap_if_free(slot, 11, 13) == 1
+
+
+def test_a_pool_the_base_does_not_index_is_an_error():
+    """A resource-bound task on a combined base, or an unbound one on a
+    per-resource base, raises -- and the call books nothing, not even the
+    task it placed first."""
+    resources = [Resource(0, 2, 1), Resource(1, 1, 1)]
+    for per_resource, stray in ((False, 1), (True, None)):
+        base = FrozenBase(resources, per_resource)
+        base.add([TaskAssignment(Task("g", 9, TaskKind.MAP, 4), 0, 1, 0)])
+        before = snapshot(base), index_state(base)
+        first = (Task("ok", 1, TaskKind.MAP, 2), 0, 0 if per_resource else None)
+        wrong = (Task("bad", 1, TaskKind.REDUCE, 2), 3, stray)
+        kind = "per-resource" if per_resource else "combined"
+        with pytest.raises(SchedulingError, match=f"task bad: .* on a {kind} base"):
+            base.place([wrong, first])
+        assert (snapshot(base), index_state(base)) == before
 
 
 def test_the_index_path_skips_slots_booked_ahead_of_it():

@@ -25,16 +25,15 @@ def test_assignment_properties():
     assert r.slot_kind is SlotKind.REDUCE
 
 
-def test_schedule_lookup_and_by_resource():
+def test_schedule_lookup():
     job = make_job(0, (5, 5), (3,))
     s = Schedule()
     s.add(_assign(job.map_tasks[0], rid=0, slot=0, start=10))
     s.add(_assign(job.map_tasks[1], rid=0, slot=1, start=0))
     s.add(_assign(job.reduce_tasks[0], rid=0, slot=0, start=20))
     assert len(s) == 3
-    by_res = s.by_resource()
-    maps = by_res[(0, SlotKind.MAP)]
-    assert [a.start for a in maps] == [0, 10]  # sorted by start
+    assert s.get(job.map_tasks[1].id).start == 0
+    assert s.get("absent") is None
     assert s.job_completion(job) == 23
 
 

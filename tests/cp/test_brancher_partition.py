@@ -62,7 +62,7 @@ def _random_model(seed):
         for i in range(rng.randint(5, 10))
     ]
     for a, b in zip(tasks[:2], tasks[2:4]):
-        m.add_end_before_start(a, b)
+        m.add_barrier([a], [b])
     tasks += [
         m.fixed_interval(start=rng.randint(0, 40), length=rng.randint(1, 6))
         for _ in range(3)

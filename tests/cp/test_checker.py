@@ -1,10 +1,8 @@
 """Solution checker: each violation class is detected."""
 
 from repro.cp import CpModel
-from repro.cp.checker import assert_valid, check_solution
+from repro.cp.checker import check_solution
 from repro.cp.solution import Solution
-
-import pytest
 
 
 def _simple_model():
@@ -20,7 +18,6 @@ def test_valid_solution_passes():
     m, a, b = _simple_model()
     sol = Solution(starts={a: 5, b: 15})
     assert check_solution(m, sol) == []
-    assert_valid(m, sol)  # should not raise
 
 
 def test_missing_start_detected():
@@ -52,13 +49,15 @@ def test_barrier_violation_detected():
 
 
 def test_precedence_violation_detected():
+    # A pairwise precedence is a one-to-one barrier; its delay is checked.
     m = CpModel(horizon=100)
     a = m.interval_var(length=10, name="a")
     b = m.interval_var(length=5, name="b")
-    m.add_end_before_start(a, b)
+    m.add_barrier([a], [b], name="a->b", delay=3)
     m.engine()
-    sol = Solution(starts={a: 0, b: 5})
-    assert any("precedence" in v for v in check_solution(m, sol))
+    late = check_solution(m, Solution(starts={a: 0, b: 12}))
+    assert any(v.startswith("a->b:") and "delay 3" in v for v in late)
+    assert check_solution(m, Solution(starts={a: 0, b: 13})) == []
 
 
 def test_alternative_choice_required():
@@ -108,10 +107,3 @@ def test_objective_mismatch_detected():
     m.engine()
     sol = Solution(starts={a: 0}, objective=0)  # actually late
     assert any("objective" in v for v in check_solution(m, sol))
-
-
-def test_assert_valid_raises_with_details():
-    m, a, b = _simple_model()
-    sol = Solution(starts={a: 5, b: 8})
-    with pytest.raises(AssertionError, match="exceeds capacity"):
-        assert_valid(m, sol)

@@ -80,12 +80,6 @@ def test_value_of_unfixed_raises():
         _ = d.value
 
 
-def test_contains():
-    d = IntDomain(2, 4)
-    assert d.contains(2) and d.contains(4)
-    assert not d.contains(1) and not d.contains(5)
-
-
 def test_repr_forms():
     d = IntDomain(1, 3, name="x")
     assert "x" in repr(d)

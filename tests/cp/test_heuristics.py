@@ -56,8 +56,8 @@ def test_edf_prioritises_urgent_job():
     m = _mapreduce_model(deadlines=(100, 15))
     sol = list_schedule(m, "edf")
     g0, g1 = m.groups
-    end_j1_maps = max(sol.end_of(iv) for iv in g1.first_stage)
-    start_j0_red = sol.start_of(g0.second_stage[0])
+    end_j1_maps = max(sol.end_of(iv) for iv in g1.stages[0])
+    start_j0_red = sol.start_of(g0.stages[1][0])
     assert sol.objective == 0
     assert end_j1_maps <= start_j0_red + 100  # sanity; j1 not starved
 
@@ -82,17 +82,6 @@ def test_respects_release_times():
     m.engine()
     sol = list_schedule(m, "edf")
     assert sol.starts[a] >= 30
-
-
-def test_leftover_intervals_respect_precedences():
-    m = CpModel(horizon=100)
-    a = m.interval_var(length=5, name="a")
-    b = m.interval_var(length=5, name="b")
-    m.add_cumulative([a, b], capacity=2)
-    m.add_end_before_start(a, b, delay=2)
-    m.engine()
-    sol = list_schedule(m, "edf")
-    assert sol.starts[b] >= sol.starts[a] + 5 + 2
 
 
 def test_joint_mode_resource_choice():

@@ -298,7 +298,7 @@ def test_pins_infeasible_relax_equals_reset_and_repin(seed, joint):
     engine = model.engine()
     best = _root_incumbent(model, engine)
     # Stack the reduces of two jobs on one slot of one resource.
-    a, b = [g.second_stage[0] for g in model.groups if g.second_stage][:2]
+    a, b = [g.stages[1][0] for g in model.groups if len(g.stages) > 1][:2]
     best.starts[a] = best.starts[b] = max(best.starts[a], best.starts[b])
     for alt in model.alternatives:
         if alt.master in (a, b):

@@ -49,11 +49,9 @@ def test_bound_zero_forces_all_false():
     assert all(b.is_fixed and b.value == 0 for b in bools)
 
 
-def test_lower_and_upper_bound_helpers():
+def test_lower_bound_helper():
     eng, bools, prop = _setup(3)
     assert prop.lower_bound() == 0
-    assert prop.upper_bound() == 3
     bools[0].set_true(eng)
     bools[1].set_false(eng)
     assert prop.lower_bound() == 1
-    assert prop.upper_bound() == 2

@@ -1,13 +1,10 @@
-"""Barrier and pairwise precedence propagation."""
+"""Barrier propagation (a pairwise precedence is a one-to-one barrier)."""
 
 import pytest
 
 from repro.cp.engine import Engine
 from repro.cp.errors import Infeasible
-from repro.cp.propagators.precedence import (
-    BarrierPropagator,
-    EndBeforeStartPropagator,
-)
+from repro.cp.propagators.precedence import BarrierPropagator
 from repro.cp.variables import IntervalVar
 
 
@@ -43,7 +40,7 @@ def test_barrier_iterates_to_fixpoint():
     r1 = IntervalVar(0, 100, 5, "r1")
     r2 = IntervalVar(0, 100, 5, "r2")
     eng.register(BarrierPropagator([m1], [r1]))
-    eng.register(EndBeforeStartPropagator(r1, r2))
+    eng.register(BarrierPropagator([r1], [r2]))
     eng.seal()
     m1.set_start_min(20, eng)
     eng.propagate()
@@ -68,6 +65,6 @@ def test_empty_sides_are_noops():
 def test_end_before_start_with_delay():
     a = IntervalVar(0, 50, 10, "a")
     b = IntervalVar(0, 50, 5, "b")
-    _setup([EndBeforeStartPropagator(a, b, delay=3)])
+    _setup([BarrierPropagator([a], [b], delay=3)])
     assert b.est == 13
     assert a.lst == 37  # a.end <= b.lst - delay = 50 - 3 = 47 -> lst = 37

@@ -45,16 +45,15 @@ def test_mandatory_interval_presence():
     assert not iv.is_optional
     assert iv.is_present
     assert not iv.is_absent
-    assert not iv.presence_undecided
 
 
 def test_optional_interval_presence_lifecycle():
     eng = _Engine()
     iv = IntervalVar(0, 5, 3, optional=True)
-    assert iv.is_optional and iv.presence_undecided
+    assert iv.is_optional
     assert not iv.is_present and not iv.is_absent
     iv.set_present(eng)
-    assert iv.is_present and not iv.presence_undecided
+    assert iv.is_present and not iv.is_absent
 
 
 def test_optional_interval_absent():
@@ -90,7 +89,7 @@ def test_fix_start():
 def test_boolvar():
     eng = _Engine()
     b = BoolVar("b")
-    assert b.can_be_true and b.can_be_false and not b.is_fixed
+    assert not b.is_fixed
     b.set_true(eng)
     assert b.is_fixed and b.value == 1
     with pytest.raises(Infeasible):

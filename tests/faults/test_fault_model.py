@@ -12,7 +12,6 @@ from tests.conftest import make_task
 def test_default_model_is_inert():
     m = FaultModel()
     assert not m.enabled
-    assert not m.perturbs_durations
 
 
 @pytest.mark.parametrize(

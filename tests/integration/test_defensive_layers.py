@@ -123,14 +123,22 @@ class _DeadSolver:
         return SolveResult(SolveStatus.UNKNOWN, None, SearchStats())
 
 
-def test_solver_failure_surfaces_as_scheduling_error():
-    """With graceful degradation disabled, a no-solution solve raises
-    (Table 2 line 24) instead of dropping the job on the floor."""
-    sim, metrics, rm = _rm(fallback_to_heuristic=False)
+def test_solver_failure_surfaces_as_scheduling_error(monkeypatch):
+    """When the CP solve and the EDF list schedule both come back empty, the
+    invocation raises (Table 2 line 24) instead of dropping the job on the
+    floor, with the failure's own description."""
+    import repro.core.invocation as invocation
+
+    monkeypatch.setattr(invocation, "list_schedule", lambda model, order: None)
+    sim, metrics, rm = _rm()
     rm._solver = _DeadSolver()
-    sim.schedule_at(0, lambda: rm.submit(make_job(0, (5,), deadline=50)))
-    with pytest.raises(SchedulingError, match="unknown"):
+    job = make_job(0, (5,), deadline=50)
+    sim.schedule_at(0, lambda: rm.submit(job))
+    with pytest.raises(SchedulingError) as exc:
         sim.run()
+    dead = invocation.InvocationOutcome(None, result=_DeadSolver().solve(None))
+    assert str(exc.value) == dead.describe_failure(0, [job], 0)
+    assert "CP solver returned unknown at t=0" in str(exc.value)
 
 
 def test_solver_failure_degrades_to_heuristic_by_default():

@@ -9,7 +9,6 @@ from repro.metrics.analysis import (
     percentile,
     slot_utilization,
     tardiness_stats,
-    turnaround_percentiles,
 )
 from repro.workload.entities import Resource
 
@@ -29,7 +28,6 @@ def test_slot_utilization():
     assert report.reduce_busy_seconds == 4
     assert report.map_utilization == pytest.approx(15 / 28)
     assert report.reduce_utilization == pytest.approx(4 / 14)
-    assert 0 < report.overall_utilization < 1
 
 
 def test_slot_utilization_explicit_span():
@@ -44,7 +42,7 @@ def test_slot_utilization_explicit_span():
 
 def test_utilization_empty():
     report = slot_utilization([], [Resource(0, 1, 1)])
-    assert report.overall_utilization == 0.0
+    assert report.map_utilization == report.reduce_utilization == 0.0
 
 
 def test_offered_load():
@@ -99,21 +97,3 @@ def test_percentile_nearest_rank():
         percentile([], 50)
     with pytest.raises(ValueError):
         percentile(data, 101)
-
-
-def test_turnaround_percentiles():
-    collector = MetricsCollector()
-    for i, ct in enumerate([10, 20, 30, 40]):
-        j = make_job(i, (5,), deadline=1000)
-        collector.job_arrived(j)
-        collector.job_completed(j, ct)
-    metrics = collector.finalize()
-    p = turnaround_percentiles(metrics, qs=(50, 100))
-    assert p[50] == 20
-    assert p[100] == 40
-
-
-def test_turnaround_percentiles_empty():
-    assert turnaround_percentiles(MetricsCollector().finalize()) == {
-        50: 0.0, 90: 0.0, 99: 0.0,
-    }

@@ -5,7 +5,6 @@ from types import SimpleNamespace
 from repro.core.mrcp_rm import PlanRecord
 from repro.obs.forensics import (
     attribute_lateness,
-    attributions_csv,
     format_attributions,
     load_trace_events,
     outage_windows,
@@ -198,9 +197,6 @@ def test_formatters():
     attrs = attribute_lateness(_metrics({1: 10}, {1: 100}), [job], events)
     table = format_attributions(attrs)
     assert "contention" in table and "dominant" in table
-    csv = attributions_csv(attrs)
-    assert csv.startswith("job_id,")
-    assert csv.count("\n") == 2  # header + one row (trailing newline)
     assert format_attributions([]) == "no late jobs: nothing to attribute"
 
 

@@ -14,6 +14,7 @@ from repro.obs.timeseries import (
     TimeSeriesSampler,
     read_series_jsonl,
 )
+from repro.metrics import MetricsCollector
 from repro.sim.kernel import Simulator
 
 
@@ -134,19 +135,19 @@ def test_null_sampler_refuses_to_write():
 # ------------------------------------------------------------------- output
 
 
-def _run_tiny(sampler):
+def _run_tiny(sampler, collector=None):
     sim = Simulator()
     sim.schedule_at(4.0, lambda: None)
-    sampler.attach(sim)
+    sampler.attach(sim, collector=collector)
     sampler.start()
     sim.run()
     sampler.finalize()
 
 
 def test_write_series_round_trips_and_quarantines_wall(tmp_path):
-    sampler = _sampler(interval=2.0, wall_clock=lambda: 123.0)
-    _run_tiny(sampler)
-    assert sampler.store.last["wall"] == 123.0
+    sampler = _sampler(interval=2.0)
+    _run_tiny(sampler, collector=MetricsCollector())
+    assert "phase_times" in sampler.store.last  # solver wall seconds
     path = str(tmp_path / "series.jsonl")
     assert sampler.write_series(path) == path
     meta, samples = read_series_jsonl(path)
@@ -157,15 +158,6 @@ def test_write_series_round_trips_and_quarantines_wall(tmp_path):
     for row in samples:
         assert not QUARANTINED_KEYS & row.keys()
     assert samples[-1]["final"] is True
-
-
-def test_write_series_can_include_wall(tmp_path):
-    sampler = _sampler(interval=2.0, include_wall=True,
-                       wall_clock=lambda: 9.5)
-    _run_tiny(sampler)
-    _, samples = read_series_jsonl(sampler.write_series(
-        str(tmp_path / "series.jsonl")))
-    assert all(row["wall"] == 9.5 for row in samples)
 
 
 def test_write_series_lines_are_sorted_key_json(tmp_path):

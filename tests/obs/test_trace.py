@@ -36,7 +36,6 @@ def test_disabled_tracer_is_all_noops():
     NULL_TRACER.marker("x")
     NULL_TRACER.instant("x")
     NULL_TRACER.sim_span("x", "cat", 0.0, 1.0)
-    NULL_TRACER.counter_sample("x", {"v": 1.0})
     with pytest.raises(RuntimeError):
         NULL_TRACER.write("/tmp/never.json")
 

@@ -33,15 +33,6 @@ def test_generator_cached_per_name():
     assert s.generator("x") is s.generator("x")
 
 
-def test_spawn_derives_independent_registries():
-    base = RandomStreams(7)
-    r1 = base.spawn(0).distributions("x")
-    r2 = base.spawn(1).distributions("x")
-    assert [r1.du(0, 10 ** 6) for _ in range(5)] != [
-        r2.du(0, 10 ** 6) for _ in range(5)
-    ]
-
-
 def test_du_bounds_inclusive():
     d = RandomStreams(3).distributions("x")
     values = {d.du(2, 4) for _ in range(300)}

@@ -135,6 +135,23 @@ def test_cli_missing_baseline(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["{not json", "[1, 2]"])
+@pytest.mark.parametrize("role", ["--baseline", "--replay"])
+def test_cli_unreadable_file_exits_2(tmp_path, capsys, text, role):
+    """A malformed baseline or replayed result is unreadable (exit 2), not a
+    regression (exit 1), and the command says why."""
+    good = tmp_path / "good.json"
+    write_result(str(good), load_result(DEFAULT_BASELINE))
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    files = {"--baseline": str(good), "--replay": str(good), role: str(bad)}
+    assert main([arg for pair in files.items() for arg in pair]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(bad) in err
+    with pytest.raises(ValueError, match="bad.json"):
+        load_result(str(bad))
+
+
 def test_cli_update_writes_valid_json(tmp_path, suite_result, monkeypatch):
     """`--update` writes a loadable, schema-correct baseline file."""
     out = tmp_path / "BENCH_new.json"

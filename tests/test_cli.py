@@ -81,6 +81,16 @@ def test_non_positive_replications_rejected_by_parser(command, value, capsys):
     assert "--replications" in err and "must be >= 1" in err
 
 
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_checkpoint_keep_must_be_positive(value, capsys):
+    # keep=0 used to prune every snapshot, leaving nothing to restore from.
+    with pytest.raises(SystemExit) as exit_info:
+        main(["checkpoint", "--keep", value])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "--keep" in err and "must be >= 1" in err
+
+
 def test_parser_requires_command():
     with pytest.raises(SystemExit):
         build_parser().parse_args([])
@@ -284,6 +294,30 @@ def test_loadtest_command_inprocess(tmp_path, capsys):
     assert payload["admitted"] + payload["rejected"] + payload["shed"] == 20
     assert len(payload["digest"]) == 16
     assert len(payload["quotes"]) == 20
+
+
+def test_loadtest_json_is_written_atomically(tmp_path, capsys, monkeypatch):
+    """``--json`` goes through the atomic writer: the bytes are the sorted,
+    two-space-indented report with a trailing newline, no ``.tmp.`` sibling
+    is left, and a write that dies before its rename keeps the old file."""
+    import repro.ioutil
+
+    report_file = tmp_path / "load.json"
+    args = ["loadtest", "--requests", "10", "--seed", "3", "--json", str(report_file)]
+    assert main(args) == 0
+    text = report_file.read_text()
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["load.json"]
+
+    def killed(src, dst):
+        raise OSError("killed before the rename")
+
+    monkeypatch.setattr(repro.ioutil.os, "replace", killed)
+    with pytest.raises(OSError, match="killed"):
+        main(args)
+    assert report_file.read_text() == text
+    assert [p.name for p in tmp_path.iterdir()] == ["load.json"]
+    capsys.readouterr()
 
 
 def test_loadtest_replay_digest_is_stable(capsys):

@@ -93,3 +93,41 @@ def test_workflow_trace_rejects_plain_job_trace():
 
     with pytest.raises(ValueError, match="workflow"):
         workflows_from_json('{"version": 1, "jobs": []}')
+
+
+def _workflows():
+    from repro.workload.workflows import (
+        WorkflowWorkloadParams,
+        generate_workflow_workload,
+    )
+
+    return generate_workflow_workload(
+        WorkflowWorkloadParams(num_jobs=3, stages_range=(2, 3)), seed=7
+    )
+
+
+@pytest.mark.parametrize("kind", ["jobs", "workflows"])
+def test_saved_traces_are_written_atomically(tmp_path, monkeypatch, kind):
+    """The file holds exactly the serialised text and no ``.tmp.`` sibling is
+    left behind; a write that dies before its rename leaves the previous file
+    whole instead of a torn one."""
+    import repro.ioutil
+    from repro.workload.traces import save_workflow_trace, workflows_to_json
+
+    save, dump, stream = {
+        "jobs": (save_trace, jobs_to_json, _jobs()),
+        "workflows": (save_workflow_trace, workflows_to_json, _workflows()),
+    }[kind]
+    path = tmp_path / "trace.json"
+    save(stream, path)
+    assert path.read_bytes() == dump(stream).encode("utf-8")
+    assert [p.name for p in tmp_path.iterdir()] == ["trace.json"]
+
+    def killed(src, dst):
+        raise OSError("killed before the rename")
+
+    monkeypatch.setattr(repro.ioutil.os, "replace", killed)
+    with pytest.raises(OSError, match="killed"):
+        save(stream[:1], path)
+    assert path.read_bytes() == dump(stream).encode("utf-8")
+    assert [p.name for p in tmp_path.iterdir()] == ["trace.json"]

@@ -41,7 +41,7 @@ def test_valid_diamond():
     wf = _diamond()
     assert len(wf.tasks) == 5
     assert wf.terminal_stage_names() == ["D"]
-    stages, preds = wf.topological_stages()
+    stages, preds, _ = wf.topological_structure()
     names = [s.name for s in stages]
     assert names[0] == "A" and names[-1] == "D"
     d_idx = names.index("D")
@@ -95,7 +95,7 @@ def test_topological_order_equals_networkx(dag, rnd):
     g = nx.DiGraph()
     g.add_nodes_from(names)
     g.add_edges_from(edges)
-    order = [s.name for s in wf.topological_stages()[0]]
+    order = [s.name for s in wf.topological_structure()[0]]
     assert order == list(nx.topological_sort(g))
     assert wf.terminal_stage_names() == [
         name for name in names if g.out_degree(name) == 0
