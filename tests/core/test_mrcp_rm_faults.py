@@ -132,6 +132,20 @@ def test_forced_solver_timeout_degrades_to_edf_fallback():
     assert "fallback_solves" in metrics.as_dict()
 
 
+def test_strict_mode_still_raises_on_timeout(monkeypatch):
+    """A timed-out solve with no EDF fallback schedule to fall back on
+    raises instead of dropping the job."""
+    import repro.core.invocation as invocation
+    from repro.core.schedule import SchedulingError
+
+    monkeypatch.setattr(invocation, "list_schedule", lambda model, order: None)
+    with pytest.raises(SchedulingError, match="timed out|unknown"):
+        _run(
+            [make_job(0, (5,), deadline=500)],
+            config=MrcpRmConfig(solver=SolverParams(time_limit=0.0)),
+        )
+
+
 def test_fractional_time_trigger_rounds_up_not_down():
     """Regression: a scheduling event at a fractional simulation time must
     plan from ceil(now), not int(now) -- truncation planned starts in the
