@@ -25,13 +25,12 @@ re-compares a previously written result file without re-running the suite.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import platform
 import sys
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.ioutil import atomic_write_json
+from repro.ioutil import atomic_write_json, read_json
 
 SCHEMA = "repro-bench/2"
 DEFAULT_BASELINE = "BENCH_core.json"
@@ -464,22 +463,6 @@ def compare(current: Dict[str, Any], baseline: Dict[str, Any]) -> List[str]:
     return failures
 
 
-def load_result(path: str) -> Dict[str, Any]:
-    """Read a bench result/baseline JSON file.
-
-    Raises ``ValueError`` naming the file when it cannot be read, is not
-    JSON, or holds something other than a JSON object.
-    """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise ValueError(f"cannot read {path}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ValueError(f"{path} holds a JSON {type(doc).__name__}, not an object")
-    return doc
-
-
 def write_result(path: str, result: Dict[str, Any]) -> None:
     """Write a bench result JSON file (stable key order, trailing newline)."""
     atomic_write_json(path, result, sort_keys=False)
@@ -521,7 +504,7 @@ def run_bench_command(args: argparse.Namespace) -> int:
     """
     if args.replay is not None:
         try:
-            current = load_result(args.replay)
+            current = read_json(args.replay)
         except ValueError as exc:
             return _unreadable(exc)
         print(f"replaying result from {args.replay}")
@@ -544,7 +527,7 @@ def run_bench_command(args: argparse.Namespace) -> int:
         )
         return 2
     try:
-        baseline = load_result(args.baseline)
+        baseline = read_json(args.baseline)
     except ValueError as exc:
         return _unreadable(exc)
     failures = compare(current, baseline)

@@ -22,7 +22,9 @@ Subcommands
   exactly against the committed ``BENCH_core.json`` (nonzero exit on drift;
   speed is ``perf/run.py``'s job).
 * ``checkpoint`` -- run a seeded scenario with crash-safe checkpoints,
-  optionally killing it at a boundary, or restore from a snapshot file::
+  optionally killing it at a boundary, or restore from a snapshot file (a
+  snapshot that is unreadable, of another schema or of another run exits
+  2)::
 
       mrcp-rm checkpoint --out-dir ckpts --kill-after 2
       mrcp-rm checkpoint --restore ckpts/ckpt-00000040.json
@@ -326,13 +328,18 @@ def _cmd_checkpoint(args: argparse.Namespace) -> int:
     from repro.resilience.chaos import default_chaos_config
     from repro.resilience.checkpoint import (
         CheckpointConfig,
+        CheckpointError,
         restore_run,
         run_with_checkpoints,
     )
 
     config = default_chaos_config(seed=args.seed, faults=not args.no_faults)
     if args.restore is not None:
-        metrics = restore_run(config, args.restore, replication=args.replication)
+        try:
+            metrics = restore_run(config, args.restore, replication=args.replication)
+        except CheckpointError as exc:
+            print(f"checkpoint failed: {exc}", file=sys.stderr)
+            return 2
         print(f"restored from {args.restore} and ran to completion:")
         print(f"  jobs arrived/completed : "
               f"{metrics.jobs_arrived}/{metrics.jobs_completed}")
@@ -479,7 +486,6 @@ def _cmd_telemetry(args: argparse.Namespace) -> int:
 
 def _cmd_diff(args: argparse.Namespace) -> int:
     from repro.obs.diff import (
-        DiffError,
         capture_run_dir,
         default_diff_config,
         diff_run_dirs,
@@ -528,7 +534,7 @@ def _cmd_diff(args: argparse.Namespace) -> int:
 
                 atomic_write_text(args.html, render_diff_report(diff))
                 print(f"diff report written: {args.html}")
-    except DiffError as exc:
+    except ValueError as exc:
         print(f"diff failed: {exc}", file=sys.stderr)
         return 2
     if args.json is not None:

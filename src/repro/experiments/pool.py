@@ -51,7 +51,12 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 from repro.cp.solver import SolverParams
 from repro.experiments.configs import FigureSeries, LabeledConfig
 from repro.experiments.runner import RunConfig, run_once
-from repro.ioutil import atomic_write_json, atomic_write_text
+from repro.ioutil import (
+    atomic_write_json,
+    atomic_write_jsonl,
+    atomic_write_text,
+    read_json,
+)
 from repro.obs.clocks import PinnedClock
 from repro.obs.timeseries import TelemetryConfig, read_series_jsonl
 
@@ -575,13 +580,7 @@ def merge_cell_series(out_dir: str, cells: Sequence[SweepCell]) -> str:
     Cell series are deterministic and the merge order is the cell index,
     so the rollup is byte-identical for any worker count.
     """
-    path = os.path.join(out_dir, "sweep.series.jsonl")
-    lines = [
-        json.dumps(
-            {"schema": SWEEP_SERIES_SCHEMA, "cells": len(cells)},
-            sort_keys=True,
-        )
-    ]
+    rows: List[Dict[str, Any]] = [{"schema": SWEEP_SERIES_SCHEMA, "cells": len(cells)}]
     for cell in cells:
         row: Dict[str, Any] = {
             "index": cell.index,
@@ -592,13 +591,12 @@ def merge_cell_series(out_dir: str, cells: Sequence[SweepCell]) -> str:
         }
         try:
             meta, samples = read_series_jsonl(cell_series_path(out_dir, cell.index))
-        except (OSError, ValueError):
+        except ValueError:
             pass
         else:
             row["series"] = _series_rollup(meta, samples)
-        lines.append(json.dumps(row, sort_keys=True))
-    atomic_write_text(path, "\n".join(lines) + "\n")
-    return path
+        rows.append(row)
+    return atomic_write_jsonl(os.path.join(out_dir, "sweep.series.jsonl"), rows)
 
 
 def merge_outcomes(
@@ -617,17 +615,6 @@ def merge_outcomes(
 # --------------------------------------------------------------------------
 
 
-def _read_json_object(path: str) -> Optional[Dict[str, Any]]:
-    """The JSON object stored at ``path``; None when the file is missing,
-    malformed, or holds valid JSON that is not an object."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except (OSError, ValueError):
-        return None
-    return payload if isinstance(payload, dict) else None
-
-
 def _load_resumable(out_dir: str, cell: SweepCell) -> Optional[CellOutcome]:
     """A previously persisted *ok* outcome for this exact cell, if any.
 
@@ -635,8 +622,9 @@ def _load_resumable(out_dir: str, cell: SweepCell) -> Optional[CellOutcome]:
     a results directory from a different sweep or root seed never poisons a
     resumed run -- its cells simply re-execute.
     """
-    payload = _read_json_object(cell_json_path(out_dir, cell.index))
-    if payload is None:
+    try:
+        payload = read_json(cell_json_path(out_dir, cell.index))
+    except ValueError:
         return None
     identity = ("figure", "label", "replication", "seed")
     if any(payload.get(k) != getattr(cell, k) for k in identity):
@@ -832,8 +820,9 @@ def build_sweep_report(
 
     strips: List[tuple] = []
     for cell in spec.cells():
-        trace = _read_json_object(cell_trace_path(out_dir, cell.index))
-        if trace is None:
+        try:
+            trace = read_json(cell_trace_path(out_dir, cell.index))
+        except ValueError:
             continue
         events = trace.get("traceEvents", [])
         outcome = result.outcomes[cell.index]

@@ -33,8 +33,8 @@ Built on top of those:
 * :mod:`repro.obs.structdiff` -- shared leaf-level structural diff over
   JSON-like values (checkpoint compare, bench deltas, run diffs).
 * :mod:`repro.obs.diff` -- the deterministic run-diff engine: event
-  alignment with first-divergence localisation, checkpoint bisection,
-  per-job delta waterfalls, sweep and series diffs.
+  alignment and plan histories localise the first divergence; per-job
+  delta waterfalls, sweep and series diffs explain it.
 * :mod:`repro.obs.htmlkit` -- the page shell, CSS, tables, legends and
   time-axis charts every HTML report is built from.
 * :mod:`repro.obs.report` -- the run and sweep reports (Gantt,

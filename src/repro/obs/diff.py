@@ -5,27 +5,22 @@ pinned metric, the checkpoint restore path flags a forked replay -- but
 could not *localise or explain* one.  This module closes that gap: it
 takes two runs (two seeds, two configs, or two code versions replaying
 the same pinned config) and produces a structured explanation of how they
-differ, in four layers:
+differ, in three layers:
 
-1. **Event-stream alignment** -- Chrome-trace events are canonicalised
+1. **First divergence** -- Chrome-trace events are canonicalised
    (metadata dropped, wall-timeline timestamps quarantined the same way
    the sweep artifacts quarantine wall clocks) and aligned with a
    longest-common-subsequence diff, localising the *first divergent
-   event*: its stream index, simulated time, and both sides' events.
-2. **Divergence bisection** -- for two configs replaying the same pinned
-   scenario, :func:`bisect_divergence` drives
-   :func:`~repro.resilience.checkpoint.run_with_checkpoints` on both and
-   binary-searches the checkpoint ladder for the first snapshot whose
-   compared state differs, then pins the earliest scheduler invocation
-   whose plan differs via the :class:`~repro.core.mrcp_rm.PlanRecord`
-   histories.
-3. **Delta forensics** -- the per-job lateness attributions of
+   event*: its stream index, simulated time, and both sides' events.  The
+   :class:`~repro.core.mrcp_rm.PlanRecord` histories pin the earliest
+   scheduler invocation whose plan differs (:func:`first_divergent_plan`).
+2. **Delta forensics** -- the per-job lateness attributions of
    :mod:`repro.obs.forensics` become per-job *delta waterfalls*: which
    jobs got later or earlier and which component (contention, solver,
    fault, residual) moved, in integer microseconds that sum exactly to
    each job's tardiness delta.  Telemetry series (queue depth, slot
    utilization) are aligned by simulated time into overlay deltas.
-4. **Surfaces** -- a machine-readable ``diff.json`` (schema
+3. **Surfaces** -- a machine-readable ``diff.json`` (schema
    ``repro-diff/1``), the ``mrcp-rm diff`` CLI subcommand, and a
    self-contained HTML diff report (:mod:`repro.obs.diffreport`).
 
@@ -33,11 +28,14 @@ Both run directories (written by :func:`capture_run_dir`) and merged
 sweep artifacts (``sweep.json`` vs ``sweep.json``, per-cell verdicts) can
 be diffed.  A same-seed self-diff reports zero divergence; any future
 perf or sharding PR runs this engine to prove "no semantic drift" -- or
-to explain intentional drift, job by job.
+to explain intentional drift, job by job.  Every input is read through
+:mod:`repro.ioutil`: a missing or damaged file raises ``ValueError``
+naming it, which ``mrcp-rm diff`` reports as unreadable (exit 2), never
+as a divergence (exit 1).
 
 Heavy run machinery (:mod:`repro.experiments.runner`,
-:mod:`repro.resilience.checkpoint`) is imported lazily inside the
-functions that need it, so this module stays importable from
+:mod:`repro.resilience.checkpoint`) is imported lazily inside
+:func:`capture_run_dir`, so this module stays importable from
 ``repro.obs`` without cycles.
 """
 
@@ -58,7 +56,7 @@ from typing import (
     Tuple,
 )
 
-from repro.ioutil import atomic_write_json
+from repro.ioutil import atomic_write_json, read_json
 from repro.metrics.collector import SOLVER_WALL_TIME_KEYS
 from repro.obs.conformance import validate_trace_events
 from repro.obs.forensics import COMPONENTS, US, attribute_lateness, load_trace_events
@@ -99,10 +97,6 @@ QUARANTINED_METRIC_KEYS = frozenset(SOLVER_WALL_TIME_KEYS + ("solver_propagation
 #: Stored overlay points per series field are capped so diff.json stays a
 #: reviewable CI artifact even for long runs.
 _MAX_OVERLAY_POINTS = 500
-
-
-class DiffError(RuntimeError):
-    """An input is unreadable or not something this engine can diff."""
 
 
 # --------------------------------------------------------------------------
@@ -248,7 +242,7 @@ def align_events(
 
 
 # --------------------------------------------------------------------------
-# Layer 3a: per-job delta waterfalls
+# Layer 2a: per-job delta waterfalls
 # --------------------------------------------------------------------------
 
 
@@ -306,7 +300,7 @@ def delta_waterfalls(
 
 
 # --------------------------------------------------------------------------
-# Layer 3b: series overlay deltas
+# Layer 2b: series overlay deltas
 # --------------------------------------------------------------------------
 
 
@@ -500,7 +494,6 @@ def capture_run_dir(
 
     from repro.experiments.pool import deterministic_run_config
     from repro.experiments.runner import build_live_run
-    from repro.obs.config import ObsConfig
     from repro.obs.timeseries import TelemetryConfig
     from repro.resilience.checkpoint import config_fingerprint
 
@@ -517,8 +510,6 @@ def capture_run_dir(
             series_out=os.path.join(out_dir, "series.jsonl"),
         ),
     )
-    if not isinstance(obs, ObsConfig):  # pragma: no cover - defensive
-        raise DiffError(f"config.obs is {type(obs).__name__}, not ObsConfig")
     config = replace(config, obs=obs)
 
     run = build_live_run(config, replication)
@@ -589,26 +580,23 @@ def capture_run_dir(
     )
 
 
-def _read_json(path: str, expect_schema: Optional[str] = None) -> Dict[str, Any]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DiffError(f"cannot read {path}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise DiffError(f"{path} is {type(doc).__name__}, not an object")
-    if expect_schema is not None and doc.get("schema") != expect_schema:
-        raise DiffError(
-            f"{path} has schema {doc.get('schema')!r}, expected {expect_schema!r}"
-        )
-    return doc
+def _payload(path: str, schema: str, key: str) -> List[Dict[str, Any]]:
+    """The ``key`` list of the ``schema`` document at ``path``."""
+    rows = read_json(path, schema).get(key)
+    if not isinstance(rows, list):
+        raise ValueError(f"{path} has no {key!r} list")
+    return rows
 
 
 def load_run_dir(path: str) -> RunArtifacts:
-    """Load a run directory written by :func:`capture_run_dir`."""
+    """Load a run directory written by :func:`capture_run_dir`.
+
+    A missing directory or ``run.json``, or any damaged artifact, raises
+    ``ValueError`` naming the file; the other artifacts are optional.
+    """
     if not os.path.isdir(path):
-        raise DiffError(f"run directory {path!r} does not exist")
-    run_doc = _read_json(os.path.join(path, "run.json"), RUN_SCHEMA)
+        raise ValueError(f"run directory {path!r} does not exist")
+    run_doc = read_json(os.path.join(path, "run.json"), RUN_SCHEMA)
     metrics = run_doc.get("metrics")
     if isinstance(metrics, dict):
         # Captures written before a key joined the quarantine must not
@@ -627,10 +615,9 @@ def load_run_dir(path: str) -> RunArtifacts:
         run=run_doc,
         events=optional("trace.jsonl", load_trace_events),
         attributions=optional(
-            "forensics.json",
-            lambda p: _read_json(p, FORENSICS_SCHEMA)["attributions"],
+            "forensics.json", lambda p: _payload(p, FORENSICS_SCHEMA, "attributions")
         ),
-        plans=optional("plans.json", lambda p: _read_json(p, PLANS_SCHEMA)["plans"]),
+        plans=optional("plans.json", lambda p: _payload(p, PLANS_SCHEMA, "plans")),
         series=optional("series.jsonl", lambda p: read_series_jsonl(p)[1]),
     )
 
@@ -713,8 +700,8 @@ def diff_sweeps(path_a: str, path_b: str) -> Dict[str, Any]:
     ``divergent`` otherwise; unpaired cells are ``only_in_a``/``only_in_b``.
     The document verdict is ``identical`` only when every cell is.
     """
-    doc_a = _read_json(path_a, _SWEEP_SCHEMA)
-    doc_b = _read_json(path_b, _SWEEP_SCHEMA)
+    doc_a = read_json(path_a, _SWEEP_SCHEMA)
+    doc_b = read_json(path_b, _SWEEP_SCHEMA)
     cells_a = {int(c["index"]): c for c in doc_a.get("cells", [])}
     cells_b = {int(c["index"]): c for c in doc_b.get("cells", [])}
     cell_rows: List[Dict[str, Any]] = []
@@ -769,153 +756,6 @@ def diff_sweeps(path_a: str, path_b: str) -> Dict[str, Any]:
         "cells": cell_rows,
         "summary": summary_delta,
     }
-
-
-# --------------------------------------------------------------------------
-# Layer 2: divergence bisection over checkpoint boundaries
-# --------------------------------------------------------------------------
-
-
-@dataclass
-class BisectionResult:
-    """Where two configs' executions first fork, at two granularities.
-
-    ``checkpoint_index``/``checkpoint_events`` localise the fork on the
-    checkpoint ladder (event-count granularity); ``invocation`` pins the
-    earliest scheduler invocation whose plan differs, with both
-    PlanRecords as context.  ``divergent`` is False when the two configs
-    replay identically at both granularities.
-    """
-
-    checkpoint_index: Optional[int]
-    checkpoint_events: Optional[int]
-    state_changed: List[Dict[str, Any]]
-    invocation: Optional[Dict[str, Any]]
-    metrics: Dict[str, Dict[str, Optional[float]]]
-    checkpoints_compared: int
-
-    @property
-    def divergent(self) -> bool:
-        return self.checkpoint_index is not None or self.invocation is not None
-
-    def as_dict(self) -> Dict[str, Any]:
-        """The machine-readable ``repro-diff/1`` document (kind ``bisection``)."""
-        return {
-            "schema": DIFF_SCHEMA,
-            "kind": "bisection",
-            "verdict": "divergent" if self.divergent else "identical",
-            **asdict(self),
-        }
-
-
-def _compared_snapshot(snapshot: Mapping[str, Any]) -> Dict[str, Any]:
-    """The deterministic sections of a checkpoint snapshot.
-
-    Fingerprints differ between the two configs by construction, and the
-    pinned clock count lives inside ``state`` -- two budgets legitimately
-    consume different clock samples, which is itself a divergence signal,
-    so ``state`` is compared whole.
-    """
-    return {
-        "position": snapshot["position"],
-        "state": snapshot["state"],
-    }
-
-
-def bisect_divergence(
-    config_a: Any,
-    config_b: Any,
-    every_events: int = 25,
-    replication: int = 0,
-    max_state_paths: int = 10,
-) -> BisectionResult:
-    """Find where two configs' executions of the same scenario fork.
-
-    Both configs run under :func:`~repro.resilience.checkpoint.run_with_checkpoints`
-    at the same event cadence, giving two aligned snapshot ladders; a
-    binary search over the ladder finds the first checkpoint whose
-    compared state (position + run state) differs.  Divergence is
-    monotone here -- the runs are deterministic, so once their states
-    differ they never re-converge to *identical* state -- which is what
-    makes bisection sound.  The scheduler-invocation pin then comes from
-    replaying both configs with plan history on and taking the earliest
-    PlanRecord whose plan differs.
-    """
-    from dataclasses import replace
-
-    from repro.experiments.runner import build_live_run
-    from repro.resilience.checkpoint import CheckpointConfig, run_with_checkpoints
-
-    ckpt = CheckpointConfig(every_events=every_events)
-    run_a = run_with_checkpoints(config_a, ckpt, replication=replication)
-    run_b = run_with_checkpoints(config_b, ckpt, replication=replication)
-
-    paired = min(len(run_a.snapshots), len(run_b.snapshots))
-    first_diverged: Optional[int] = None
-    if paired:
-        lo, hi = 0, paired - 1
-        if _compared_snapshot(run_a.snapshots[hi]) != _compared_snapshot(
-            run_b.snapshots[hi]
-        ):
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if _compared_snapshot(
-                    run_a.snapshots[mid]
-                ) != _compared_snapshot(run_b.snapshots[mid]):
-                    hi = mid
-                else:
-                    lo = mid + 1
-            first_diverged = lo
-    if first_diverged is None and len(run_a.snapshots) != len(run_b.snapshots):
-        first_diverged = paired
-
-    state_changed: List[Dict[str, Any]] = []
-    checkpoint_events: Optional[int] = None
-    if first_diverged is not None and first_diverged < paired:
-        snap_a = run_a.snapshots[first_diverged]
-        snap_b = run_b.snapshots[first_diverged]
-        checkpoint_events = int(snap_a["position"]["events_dispatched"])
-        state_changed = [
-            e.as_dict()
-            for e in structural_diff(
-                _compared_snapshot(snap_a),
-                _compared_snapshot(snap_b),
-                max_entries=max_state_paths,
-            )
-        ]
-    elif first_diverged is not None:
-        longer = run_a if len(run_a.snapshots) > len(run_b.snapshots) else run_b
-        checkpoint_events = int(
-            longer.snapshots[first_diverged]["position"]["events_dispatched"]
-        )
-        state_changed = [
-            DiffEntry(
-                "snapshots",
-                "length",
-                len(run_a.snapshots),
-                len(run_b.snapshots),
-            ).as_dict()
-        ]
-
-    def replay(config: Any) -> Tuple[Any, List[Dict[str, Any]]]:
-        """Run ``config`` with plan history on: (metrics, plans)."""
-        config = replace(config, mrcp=replace(config.mrcp, record_plan_history=True))
-        live = build_live_run(config, replication)
-        metrics = live.finish()
-        history = live.manager.plan_history if live.manager else []
-        return metrics, [plan_record_dict(r) for r in history]
-
-    metrics_a, plans_a = replay(config_a)
-    metrics_b, plans_b = replay(config_b)
-
-    return BisectionResult(
-        checkpoint_index=first_diverged,
-        checkpoint_events=checkpoint_events,
-        state_changed=state_changed,
-        invocation=first_divergent_plan(plans_a, plans_b),
-        metrics=metrics_delta(metrics_a.as_dict(), metrics_b.as_dict()),
-        checkpoints_compared=paired,
-    )
 
 
 # --------------------------------------------------------------------------

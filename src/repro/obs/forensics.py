@@ -39,7 +39,6 @@ is what makes the decomposition additive).
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 from typing import (
     TYPE_CHECKING,
@@ -52,6 +51,7 @@ from typing import (
     Sequence,
 )
 
+from repro.ioutil import read_json, read_jsonl
 from repro.obs.trace import SIM_PID, WALL_PID
 
 if TYPE_CHECKING:  # import cycle: repro.cp -> repro.obs -> repro.metrics
@@ -104,25 +104,14 @@ class AttemptRecord:
 def load_trace_events(path: str) -> List[Dict[str, Any]]:
     """Load trace events from a Chrome trace JSON or a JSONL event log.
 
-    ``.jsonl`` files are read line by line (the trailing
-    ``metrics.snapshot`` line is skipped); anything else is parsed as the
-    Chrome document and its ``traceEvents`` array returned.
+    ``.jsonl`` files hold one event per line (the trailing
+    ``metrics.snapshot`` line is skipped); anything else is the Chrome
+    document, whose ``traceEvents`` array is returned.  A damaged file
+    raises ``ValueError`` naming it (:mod:`repro.ioutil`).
     """
     if path.endswith(".jsonl"):
-        events: List[Dict[str, Any]] = []
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                ev = json.loads(line)
-                if ev.get("name") == "metrics.snapshot":
-                    continue
-                events.append(ev)
-        return events
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return list(doc.get("traceEvents", []))
+        return [ev for ev in read_jsonl(path) if ev.get("name") != "metrics.snapshot"]
+    return list(read_json(path).get("traceEvents", []))
 
 
 def parse_attempts(events: Iterable[Mapping[str, Any]]) -> List[AttemptRecord]:

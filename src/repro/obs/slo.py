@@ -26,11 +26,10 @@ time or deterministic counts, so same-seed runs alert identically.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.ioutil import atomic_write_text
+from repro.ioutil import atomic_write_jsonl
 from repro.obs.logs import get_logger, kv
 from repro.obs.trace import NULL_TRACER, Tracer
 
@@ -381,9 +380,4 @@ class SloMonitor:
 
     def write_alerts(self, path: str) -> str:
         """Write the alert log as JSONL (one transition per line)."""
-        lines = [
-            json.dumps(alert.as_dict(), sort_keys=True)
-            for alert in self.alerts
-        ]
-        atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
-        return path
+        return atomic_write_jsonl(path, [alert.as_dict() for alert in self.alerts])

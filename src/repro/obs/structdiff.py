@@ -19,13 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
-__all__ = [
-    "DiffEntry",
-    "structural_diff",
-    "diff_paths",
-    "format_entries",
-    "first_mismatch",
-]
+__all__ = ["DiffEntry", "structural_diff", "format_entries"]
 
 
 @dataclass(frozen=True)
@@ -134,11 +128,6 @@ def _walk(
         out.append(DiffEntry(path, "changed", left=a, right=b))
 
 
-def diff_paths(a: Any, b: Any, path: str = "") -> List[str]:
-    """Rendered divergent paths (the historical checkpoint helper shape)."""
-    return [e.render() for e in structural_diff(a, b, path)]
-
-
 def format_entries(
     entries: List[DiffEntry],
     limit: int = 5,
@@ -152,9 +141,3 @@ def format_entries(
     if len(entries) > limit:
         shown += f" (+{len(entries) - limit} more)"
     return shown
-
-
-def first_mismatch(a: Any, b: Any) -> Optional[DiffEntry]:
-    """The first divergent leaf in walk order, or None when equal."""
-    entries = structural_diff(a, b, max_entries=1)
-    return entries[0] if entries else None

@@ -31,7 +31,6 @@ Determinism contract (mirrors the tracer's dual-timeline discipline):
 
 from __future__ import annotations
 
-import json
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -47,7 +46,7 @@ from typing import (
     Tuple,
 )
 
-from repro.ioutil import atomic_write_text
+from repro.ioutil import atomic_write_jsonl, read_jsonl
 
 if TYPE_CHECKING:  # avoid the repro.sim -> repro.obs import cycle
     from repro.metrics.collector import MetricsCollector
@@ -206,12 +205,11 @@ class _SeriesSampler:
             "dropped": self.store.dropped,
             **self._meta(),
         }
-        lines = [json.dumps(meta, sort_keys=True)]
-        for sample in self.store.samples:
-            sample = {k: v for k, v in sample.items() if k not in QUARANTINED_KEYS}
-            lines.append(json.dumps(sample, sort_keys=True))
-        atomic_write_text(path, "\n".join(lines) + "\n")
-        return path
+        samples = (
+            {k: v for k, v in sample.items() if k not in QUARANTINED_KEYS}
+            for sample in self.store.samples
+        )
+        return atomic_write_jsonl(path, [meta, *samples])
 
 
 class TimeSeriesSampler(_SeriesSampler):
@@ -416,44 +414,8 @@ def read_series_jsonl(
 ) -> Tuple[Dict[str, Any], List[Dict[str, Any]]]:
     """Read a series JSONL file back into (meta, samples).
 
-    The first line must be a JSON object carrying the
-    :data:`SERIES_SCHEMA` marker (``repro-telemetry/1``); anything else --
-    a non-JSON header, a non-object meta line, a missing or unknown schema
-    tag -- raises a :class:`ValueError` naming the problem rather than
-    silently parsing a file this reader does not understand.
+    The first line must be the meta object carrying :data:`SERIES_SCHEMA`;
+    a damaged file raises ``ValueError`` (:func:`repro.ioutil.read_jsonl`).
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [line for line in fh.read().splitlines() if line.strip()]
-    if not lines:
-        raise ValueError(f"empty series file: {path}")
-    try:
-        meta = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise ValueError(
-            f"series file {path} has a non-JSON meta line "
-            f"(expected a {SERIES_SCHEMA!r} header): {exc}"
-        ) from exc
-    if not isinstance(meta, dict):
-        raise ValueError(
-            f"series file {path} meta line is "
-            f"{type(meta).__name__}, not an object with a "
-            f"{SERIES_SCHEMA!r} schema marker"
-        )
-    schema = meta.get("schema")
-    if schema is None:
-        raise ValueError(
-            f"series file {path} meta line has no 'schema' marker; "
-            f"expected {SERIES_SCHEMA!r}"
-        )
-    if schema != SERIES_SCHEMA:
-        raise ValueError(
-            f"unknown series schema {schema!r} in {path}; "
-            f"this reader understands {SERIES_SCHEMA!r}"
-        )
-    try:
-        samples = [json.loads(line) for line in lines[1:]]
-    except json.JSONDecodeError as exc:
-        raise ValueError(
-            f"series file {path} has a corrupt sample line: {exc}"
-        ) from exc
+    meta, *samples = read_jsonl(path, schema=SERIES_SCHEMA)
     return meta, samples

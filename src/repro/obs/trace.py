@@ -30,7 +30,7 @@ import json
 import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.ioutil import atomic_write_text
+from repro.ioutil import atomic_write_jsonl, atomic_write_text
 from repro.obs.metrics import MetricsRegistry, NULL_REGISTRY
 
 #: Chrome trace process ids for the two timebases.
@@ -201,14 +201,10 @@ class TraceRecorder:
         A final ``{"name": "metrics.snapshot", ...}`` line carries the
         metrics-registry snapshot when one is supplied.
         """
-        lines = [json.dumps(ev) for ev in self.events]
+        records = list(self.events)
         if metrics is not None:
-            lines.append(
-                json.dumps(
-                    {"name": "metrics.snapshot", "ph": "M", "args": metrics}
-                )
-            )
-        atomic_write_text(path, "".join(line + "\n" for line in lines))
+            records.append({"name": "metrics.snapshot", "ph": "M", "args": metrics})
+        atomic_write_jsonl(path, records, sort_keys=False)
 
 
 def _zero_clock() -> float:

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.experiments.runner import LiveRun, RunConfig, build_live_run
-from repro.ioutil import atomic_write_json
+from repro.ioutil import atomic_write_json, read_json
 from repro.metrics.collector import RunMetrics
 from repro.obs.clocks import PinnedClock
 from repro.obs.logs import get_logger, kv
@@ -183,10 +183,9 @@ def validate_snapshot(snapshot: dict) -> None:
 def load_snapshot(path: str) -> dict:
     """Read and schema-validate a checkpoint file."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            snapshot = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
+        snapshot = read_json(path)
+    except ValueError as exc:
+        raise CheckpointError(str(exc)) from exc
     validate_snapshot(snapshot)
     return snapshot
 

@@ -6,8 +6,7 @@ The acceptance contract of the run-diff engine:
   determinism surfaced as an explicit verdict);
 * two runs differing only in an injected solver-budget change are
   localised to the **exact** first divergent scheduler invocation
-  (index + simulated time), consistently by the offline plan diff and
-  the checkpoint bisection;
+  (index + simulated time) and the first divergent event;
 * every per-job delta waterfall sums exactly to that job's tardiness
   delta in integer microseconds;
 * the CLI exits 0 on identical, 1 on divergent, 2 on unreadable input.
@@ -22,7 +21,6 @@ from repro.cli import main
 from repro.ioutil import atomic_write_json, atomic_write_text
 from repro.obs.diff import (
     DIFF_SCHEMA,
-    bisect_divergence,
     capture_run_dir,
     default_diff_config,
     diff_runs,
@@ -92,33 +90,6 @@ def test_budget_change_localises_the_first_divergent_invocation(run_dirs):
     # the event stream forks at (or before) the divergent invocation
     fd = diff.alignment.first_divergence
     assert fd is not None and fd["sim_time"] <= diff.invocation["sim_time"]
-
-
-def test_bisection_agrees_with_the_offline_plan_diff(run_dirs):
-    baseline, _, perturbed = run_dirs
-    offline = diff_runs(baseline, perturbed)
-    result = bisect_divergence(
-        default_diff_config(),
-        default_diff_config(fail_limit=1),
-        every_events=20,
-    )
-    assert result.divergent
-    assert result.checkpoint_index is not None
-    assert result.state_changed, "bisection must name divergent state paths"
-    assert result.invocation["index"] == offline.invocation["index"]
-    assert result.invocation["sim_time"] == offline.invocation["sim_time"]
-    doc = result.as_dict()
-    assert doc["schema"] == DIFF_SCHEMA and doc["kind"] == "bisection"
-    json.dumps(doc)  # machine-readable end to end
-
-
-def test_bisection_of_identical_configs_is_clean():
-    result = bisect_divergence(
-        default_diff_config(), default_diff_config(), every_events=40
-    )
-    assert not result.divergent
-    assert result.checkpoint_index is None and result.invocation is None
-    assert result.checkpoints_compared > 0
 
 
 def test_delta_waterfalls_sum_exactly_to_each_jobs_delta(run_dirs):

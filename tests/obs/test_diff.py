@@ -6,7 +6,6 @@ import json
 import pytest
 
 from repro.obs.diff import (
-    DiffError,
     align_events,
     canonicalize_events,
     delta_waterfalls,
@@ -286,5 +285,5 @@ def test_diff_sweeps_per_cell_verdicts_and_unpaired(tmp_path):
 def test_diff_sweeps_rejects_wrong_schema(tmp_path):
     pa = tmp_path / "a.json"
     pa.write_text(json.dumps({"schema": "other/1"}))
-    with pytest.raises(DiffError, match="schema"):
+    with pytest.raises(ValueError, match="schema"):
         diff_sweeps(str(pa), str(pa))

@@ -33,6 +33,19 @@ SIM_SERIES_SHA = "6447474548204e3a65d798a3020b32a90f9b334e72810206e31e10ddade758
 SWEEP_REPORT_SHA = "a11e30bcb5fffb5cc4f7ad495cf678fd75aef4de5a615ae56f13e8ae70b4f798"
 DIFF_REPORT_SHA = "0cfa176ef3c930db7c07de32a49aefa1246ec3dcf285b443a8558ed8ad06c9ba"
 WALL_SERIES_SHA = "ea8f5c9e6e5806427361cb42e4697f078b467b70af3d968ac36a89cd41fbaf2a"
+ALERTS_SHA = "179426777c9003f05e41c2e98f2bd42e02f80d5b22be297b831900df1f87c2dc"
+SWEEP_SERIES_SHA = "a244234a737ce6efa1fd1e1fb1d1a922a9801fa2b6ce0701c5cee8582908a60f"
+#: The run directory ``capture_run_dir(default_diff_config(num_jobs=6))``
+#: writes; captured under a relative path, because the config fingerprint in
+#: ``run.json`` covers the trace output path.
+CAPTURE_SHAS = {
+    "forensics.json": "9fa4b88aa029adb3da15a210b29fd7402bc2fd407a895efa2420589d83354691",
+    "plans.json": "0e97ce8a226631ca8740e7f14b05af9024dce75003fad0128c3579428f58f71c",
+    "run.json": "59143107497b1891962481b5f5553105b8e1048244332f42dc5f5a66cb76ad39",
+    "series.jsonl": "9b1983438fb8c215e55a1904426634f1f4fcbd265971320d12f6ad940a00c724",
+    "trace.json": "603f690e4c0910b5d2f12a7b0b4a5ee03a0e7f75cadeb86f5f05a74a059a497e",
+    "trace.jsonl": "01ba5e815d973e522167b526f2d43a43cad19a85f9d7f00c63650dcac4000cd4",
+}
 
 
 def _sha(data: str) -> str:
@@ -122,6 +135,15 @@ def test_sim_series_jsonl_bytes(chaos_run, tmp_path):
     assert _sha(text) == SIM_SERIES_SHA
 
 
+def test_alerts_jsonl_bytes(chaos_run, tmp_path):
+    run, _ = chaos_run
+    path = tmp_path / "alerts.jsonl"
+    run.slo_monitor.write_alerts(str(path))
+    text = path.read_text(encoding="utf-8")
+    assert text.count("\n") == len(run.slo_monitor.alerts) == 3
+    assert _sha(text) == ALERTS_SHA
+
+
 def test_sweep_report_bytes(tmp_path):
     from repro.experiments.configs import figure_series
     from repro.experiments.pool import SweepSpec, build_sweep_report, run_sweep
@@ -140,6 +162,37 @@ def test_sweep_report_bytes(tmp_path):
     assert "Per-cell utilization" in document
     assert document.count("<svg") == len(spec.cells())
     assert _sha(document) == SWEEP_REPORT_SHA
+
+
+def test_sweep_series_jsonl_bytes(tmp_path):
+    from repro.experiments.configs import figure_series
+    from repro.experiments.pool import SweepSpec, run_sweep
+
+    spec = SweepSpec.from_series(
+        figure_series("fig7"),
+        replications=1,
+        root_seed=0,
+        deterministic=True,
+        telemetry=True,
+    )
+    out = tmp_path / "sweep"
+    run_sweep(spec, workers=1, out_dir=str(out))
+    text = (out / "sweep.series.jsonl").read_text(encoding="utf-8")
+    assert text.count("\n") == len(spec.cells()) + 1
+    assert _sha(text) == SWEEP_SERIES_SHA
+
+
+def test_capture_run_dir_bytes(tmp_path, monkeypatch):
+    from repro.obs.diff import capture_run_dir, default_diff_config
+
+    monkeypatch.chdir(tmp_path)
+    capture_run_dir(default_diff_config(num_jobs=6), "run", label="pin")
+    shas = {
+        name: _sha((tmp_path / "run" / name).read_text(encoding="utf-8"))
+        for name in sorted(CAPTURE_SHAS)
+    }
+    assert sorted(p.name for p in (tmp_path / "run").iterdir()) == sorted(shas)
+    assert shas == CAPTURE_SHAS
 
 
 def test_diff_report_bytes(tmp_path):

@@ -4,8 +4,6 @@ import pytest
 
 from repro.obs.structdiff import (
     DiffEntry,
-    diff_paths,
-    first_mismatch,
     format_entries,
     structural_diff,
 )
@@ -14,7 +12,7 @@ from repro.obs.structdiff import (
 def test_equal_values_yield_no_entries():
     value = {"a": [1, {"b": 2}], "c": None}
     assert structural_diff(value, value) == []
-    assert first_mismatch(value, value) is None
+    assert structural_diff(value, value, max_entries=1) == []
 
 
 def test_changed_leaf_reports_both_values():
@@ -59,12 +57,13 @@ def test_max_entries_bounds_the_walk():
     a = {str(i): i for i in range(50)}
     b = {str(i): i + 1 for i in range(50)}
     assert len(structural_diff(a, b, max_entries=3)) == 3
-    assert first_mismatch(a, b).path == "0"
+    [first] = structural_diff(a, b, max_entries=1)
+    assert first.path == "0"
 
 
 def test_diff_paths_renders_strings():
-    paths = diff_paths({"k": 1}, {"k": 2})
-    assert paths == ["k: a=1 b=2"]
+    entries = structural_diff({"k": 1}, {"k": 2}, max_entries=1)
+    assert [e.render() for e in entries] == ["k: a=1 b=2"]
 
 
 def test_format_entries_elides_past_the_limit():

@@ -182,7 +182,7 @@ def test_read_series_rejects_empty_and_wrong_schema(tmp_path):
 def test_read_series_rejects_non_json_meta_line(tmp_path):
     bad = tmp_path / "garbage.jsonl"
     bad.write_text("not json at all\n")
-    with pytest.raises(ValueError, match="non-JSON meta line"):
+    with pytest.raises(ValueError, match="line 1 is not JSON"):
         read_series_jsonl(str(bad))
 
 
@@ -196,7 +196,7 @@ def test_read_series_rejects_non_object_meta_line(tmp_path):
 def test_read_series_rejects_missing_schema_marker(tmp_path):
     bad = tmp_path / "nomarker.jsonl"
     bad.write_text(json.dumps({"interval": 5.0}) + "\n")
-    with pytest.raises(ValueError, match="no 'schema' marker"):
+    with pytest.raises(ValueError, match="schema None"):
         read_series_jsonl(str(bad))
 
 
@@ -212,5 +212,5 @@ def test_read_series_rejects_corrupt_sample_line(tmp_path):
     bad.write_text(
         json.dumps({"schema": SERIES_SCHEMA}) + "\n" + '{"seq": 0, "tru'
     )
-    with pytest.raises(ValueError, match="corrupt sample line"):
+    with pytest.raises(ValueError, match="line 2 is not JSON"):
         read_series_jsonl(str(bad))

@@ -11,11 +11,11 @@ from repro.bench import (
     DEFAULT_BASELINE,
     SCHEMA,
     compare,
-    load_result,
     main,
     run_suite,
     write_result,
 )
+from repro.ioutil import read_json
 
 
 @pytest.fixture(scope="module")
@@ -84,7 +84,7 @@ def test_schema_one_document_refused(suite_result):
 
 def test_committed_baseline_matches_current_behaviour(suite_result):
     """The pinned metrics must equal the committed BENCH_core.json."""
-    assert compare(suite_result, load_result(DEFAULT_BASELINE)) == []
+    assert compare(suite_result, read_json(DEFAULT_BASELINE)) == []
 
 
 def _all_keys(node):
@@ -99,7 +99,7 @@ def _all_keys(node):
 
 def test_committed_baseline_holds_no_timing():
     """Speed is perf/'s question: the baseline carries pins only."""
-    baseline = load_result(DEFAULT_BASELINE)
+    baseline = read_json(DEFAULT_BASELINE)
     assert baseline["schema"] == SCHEMA == "repro-bench/2"
     assert set(baseline) == {"schema", "suite", "env", "cases"}
     assert set(baseline["cases"]) == set(CASES)
@@ -119,7 +119,7 @@ def test_nondeterministic_case_raises(monkeypatch):
 def test_cli_replay_roundtrip(tmp_path, capsys):
     """`--replay` compares a written result without re-running the suite."""
     baseline = tmp_path / "baseline.json"
-    result = load_result(DEFAULT_BASELINE)
+    result = read_json(DEFAULT_BASELINE)
     write_result(str(baseline), result)
     replay = tmp_path / "current.json"
     write_result(str(replay), result)
@@ -129,7 +129,7 @@ def test_cli_replay_roundtrip(tmp_path, capsys):
 
 def test_cli_missing_baseline(tmp_path, capsys):
     replay = tmp_path / "current.json"
-    write_result(str(replay), load_result(DEFAULT_BASELINE))
+    write_result(str(replay), read_json(DEFAULT_BASELINE))
     missing = tmp_path / "nope.json"
     assert main(["--replay", str(replay), "--baseline", str(missing)]) == 2
     assert "not found" in capsys.readouterr().err
@@ -141,7 +141,7 @@ def test_cli_unreadable_file_exits_2(tmp_path, capsys, text, role):
     """A malformed baseline or replayed result is unreadable (exit 2), not a
     regression (exit 1), and the command says why."""
     good = tmp_path / "good.json"
-    write_result(str(good), load_result(DEFAULT_BASELINE))
+    write_result(str(good), read_json(DEFAULT_BASELINE))
     bad = tmp_path / "bad.json"
     bad.write_text(text)
     files = {"--baseline": str(good), "--replay": str(good), role: str(bad)}
@@ -149,7 +149,7 @@ def test_cli_unreadable_file_exits_2(tmp_path, capsys, text, role):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(bad) in err
     with pytest.raises(ValueError, match="bad.json"):
-        load_result(str(bad))
+        read_json(str(bad))
 
 
 def test_cli_update_writes_valid_json(tmp_path, suite_result, monkeypatch):
@@ -163,7 +163,7 @@ def test_cli_update_writes_valid_json(tmp_path, suite_result, monkeypatch):
 
 def test_cli_failure_names_case(tmp_path, capsys):
     baseline = tmp_path / "baseline.json"
-    result = load_result(DEFAULT_BASELINE)
+    result = read_json(DEFAULT_BASELINE)
     write_result(str(baseline), result)
     drifted = copy.deepcopy(result)
     case = next(iter(CASES))

@@ -91,6 +91,24 @@ def test_checkpoint_keep_must_be_positive(value, capsys):
     assert "--keep" in err and "must be >= 1" in err
 
 
+@pytest.mark.parametrize("snapshot", ["missing", "old_schema", "other_seed"])
+def test_checkpoint_restore_bad_snapshot_exits_2(tmp_path, capsys, snapshot):
+    """An unreadable, wrong-schema or mismatched snapshot is bad input:
+    one ``checkpoint failed`` line on stderr and exit 2, no traceback."""
+    path = tmp_path / "ckpt.json"
+    if snapshot == "old_schema":
+        path.write_text(json.dumps({"schema": "repro-ckpt/1"}))
+    elif snapshot == "other_seed":
+        out_dir = tmp_path / "ckpts"
+        args = ["checkpoint", "--out-dir", str(out_dir), "--kill-after", "1"]
+        assert main(args) == 0
+        path = sorted(out_dir.iterdir())[-1]
+    capsys.readouterr()
+    assert main(["checkpoint", "--restore", str(path), "--seed", "5"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("checkpoint failed: ") and err.count("\n") == 1
+
+
 def test_parser_requires_command():
     with pytest.raises(SystemExit):
         build_parser().parse_args([])
@@ -120,9 +138,10 @@ def test_report_command_with_faults(tmp_path, capsys):
 
 def test_bench_command_replay(tmp_path, capsys):
     """`mrcp-rm bench --replay` compares without re-running the suite."""
-    from repro.bench import DEFAULT_BASELINE, load_result, write_result
+    from repro.bench import DEFAULT_BASELINE, write_result
+    from repro.ioutil import read_json
 
-    result = load_result(DEFAULT_BASELINE)
+    result = read_json(DEFAULT_BASELINE)
     replay = tmp_path / "current.json"
     write_result(str(replay), result)
     assert main(["bench", "--replay", str(replay)]) == 0
