@@ -129,8 +129,8 @@ def generate_facebook_workload(
         for k_mp, k_rd, count in FACEBOOK_JOB_TYPES:
             copies = count * per_block + (count // 20) * remainder_blocks
             exact_sequence.extend([(k_mp, k_rd)] * copies)
-        order = types.gen.permutation(len(exact_sequence))
-        exact_sequence = [exact_sequence[int(i)] for i in order]
+        order = types.permutation(len(exact_sequence))
+        exact_sequence = [exact_sequence[i] for i in order]
 
     jobs: List[Job] = []
     now = 0.0

@@ -1,5 +1,6 @@
 """Random streams: reproducibility, independence, distribution sanity."""
 
+import json
 import math
 
 import pytest
@@ -96,3 +97,49 @@ def test_choice_argument_validation():
         d.choice(["a"], [1, 2])
     with pytest.raises(ValueError):
         d.choice(["a", "b"], [0, 0])
+
+
+def test_du_of_one_value_draws_nothing():
+    d = RandomStreams(4).distributions("x")
+    d.du(0, 9)  # a 32-bit draw: the other half word is now buffered
+    before = d.gen.state_dict()
+    assert [d.du(7, 7) for _ in range(10)] == [7] * 10
+    assert d.gen.state_dict() == before
+
+
+def test_du_rejects_ranges_beyond_int64():
+    d = RandomStreams(0).distributions("x")
+    with pytest.raises(ValueError):
+        d.du(-(2**63) - 1, 0)
+    with pytest.raises(ValueError):
+        d.du(0, 2**63)
+
+
+def test_negative_seed_rejected():
+    with pytest.raises(ValueError):
+        RandomStreams(-1).generator("x")
+
+
+@pytest.mark.parametrize("weights", [[1.0, -0.5, 2.0], [1.0, float("nan"), 1.0]])
+def test_choice_rejects_negative_or_nan_weights(weights):
+    d = RandomStreams(0).distributions("x")
+    with pytest.raises(ValueError):
+        d.choice(["a", "b", "c"], weights)
+
+
+def test_permutation_is_a_permutation():
+    d = RandomStreams(6).distributions("x")
+    order = d.permutation(500)
+    assert sorted(order) == list(range(500)) and order != list(range(500))
+    assert d.permutation(0) == [] and d.permutation(1) == [0]
+
+
+def test_state_dict_is_plain_json():
+    streams = RandomStreams(3)
+    streams.distributions("b").uniform(0.0, 1.0)
+    streams.distributions("a").du(1, 6)
+    state = streams.state_dict()
+    assert list(state) == ["a", "b"]
+    assert json.loads(json.dumps(state)) == state
+    assert state["a"]["bit_generator"] == "PCG64"
+    assert state["a"]["has_uint32"] == 1 and state["b"]["has_uint32"] == 0
