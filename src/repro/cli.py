@@ -18,9 +18,6 @@ Subcommands
 
       mrcp-rm sweep fig7 --workers 4 --replications 3 --out-dir out/
 
-* ``bench``  -- run the pinned behaviour suite and compare its metrics
-  exactly against the committed ``BENCH_core.json`` (nonzero exit on drift;
-  speed is ``perf/run.py``'s job).
 * ``checkpoint`` -- run a seeded scenario with crash-safe checkpoints,
   optionally killing it at a boundary, or restore from a snapshot file (a
   snapshot that is unreadable, of another schema or of another run exits
@@ -152,6 +149,14 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    """An argparse ``type``: a number > 0 (NaN refused)."""
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
     return value
 
 
@@ -316,12 +321,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
         chrome, jsonl = tracer.write(args.trace_out)
         print(f"trace written : {chrome} (+ {jsonl})")
     return 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.bench import run_bench_command
-
-    return run_bench_command(args)
 
 
 def _cmd_checkpoint(args: argparse.Namespace) -> int:
@@ -810,7 +809,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep_p.add_argument("--replications", type=_positive_int, default=3)
     sweep_p.add_argument(
-        "--workers", type=int, default=1,
+        "--workers", type=_positive_int, default=1,
         help="worker processes (1 = sequential reference run)",
     )
     sweep_p.add_argument(
@@ -847,15 +846,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--quiet", action="store_true")
     sweep_p.set_defaults(func=_cmd_sweep)
 
-    from repro.bench import add_bench_arguments
-
-    bench_p = sub.add_parser(
-        "bench",
-        help="run the behaviour pins against the committed baseline",
-    )
-    add_bench_arguments(bench_p)
-    bench_p.set_defaults(func=_cmd_bench)
-
     ckpt_p = sub.add_parser(
         "checkpoint",
         help="run a seeded scenario with crash-safe checkpoints / restore one",
@@ -863,7 +853,7 @@ def build_parser() -> argparse.ArgumentParser:
     ckpt_p.add_argument("--seed", type=int, default=0)
     ckpt_p.add_argument("--replication", type=int, default=0)
     ckpt_p.add_argument(
-        "--every-events", type=int, default=20,
+        "--every-events", type=_positive_int, default=20,
         help="checkpoint cadence in dispatched simulator events",
     )
     ckpt_p.add_argument(
@@ -915,7 +905,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     telemetry_p.add_argument("--seed", type=int, default=0)
     telemetry_p.add_argument(
-        "--interval", type=float, default=5.0,
+        "--interval", type=_positive_float, default=5.0,
         help="sampling cadence in seconds of simulated time",
     )
     telemetry_p.add_argument(
@@ -958,7 +948,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="write a wall-clock telemetry series JSONL on shutdown",
     )
     serve_p.add_argument(
-        "--series-interval", type=float, default=1.0,
+        "--series-interval", type=_positive_float, default=1.0,
         help="wall-clock sampling cadence in seconds",
     )
     serve_p.set_defaults(func=_cmd_serve)

@@ -26,7 +26,7 @@ merged artifacts, so ``run_sweep(spec, workers=4)`` writes byte-identical
 ``sweep.json`` / ``sweep.csv`` to ``run_sweep(spec, workers=1)``.  Byte
 identity additionally requires ``SweepSpec.deterministic`` (the default):
 each cell's solver budget is rewritten to be fail-limited rather than
-time-limited (the bench-suite trick) and the overhead metric O is measured
+time-limited (the behaviour pins' trick) and the overhead metric O is measured
 through a pinned virtual wall clock, making O a deterministic proxy (clock
 samples per invocation) instead of noisy real time.  Disable it
 (``deterministic=False``) to measure real wall-clock overhead; N/T/P then

@@ -1,7 +1,7 @@
 """The artifact codec: crash-safe writes and one read error contract.
 
-Every artifact the toolkit persists -- traces, HTML reports, bench
-baselines, sweep cells, checkpoints -- goes through the same atomic
+Every artifact the toolkit persists -- traces, HTML reports, run
+captures, sweep cells, checkpoints -- goes through the same atomic
 ``tmp + os.replace`` pattern: the payload is written to a sibling
 temporary file and renamed over the destination in one step.  A process
 killed mid-write leaves either the old complete file or no file, never a
@@ -42,11 +42,9 @@ def atomic_write_text(path: str, text: str) -> str:
     return path
 
 
-def atomic_write_json(path: str, payload: Any, sort_keys: bool = True) -> str:
-    """Write ``payload`` atomically as indented JSON plus a newline."""
-    return atomic_write_text(
-        path, json.dumps(payload, indent=2, sort_keys=sort_keys) + "\n"
-    )
+def atomic_write_json(path: str, payload: Any) -> str:
+    """Write ``payload`` atomically as indented, key-sorted JSON plus a newline."""
+    return atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def atomic_write_jsonl(

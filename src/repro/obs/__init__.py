@@ -31,7 +31,7 @@ Built on top of those:
 * :mod:`repro.obs.forensics` -- per-job lateness attribution (why was each
   late job late: contention vs solver vs faults vs execution).
 * :mod:`repro.obs.structdiff` -- shared leaf-level structural diff over
-  JSON-like values (checkpoint compare, bench deltas, run diffs).
+  JSON-like values (checkpoint compare, behaviour pins, run diffs).
 * :mod:`repro.obs.diff` -- the deterministic run-diff engine: event
   alignment and plan histories localise the first divergence; per-job
   delta waterfalls, sweep and series diffs explain it.

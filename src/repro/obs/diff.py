@@ -1,6 +1,6 @@
 """Differential observability: a deterministic run-diff engine.
 
-The repo's gates can *detect* drift -- the bench suite flags a changed
+The repo's gates can *detect* drift -- the behaviour pins flag a changed
 pinned metric, the checkpoint restore path flags a forked replay -- but
 could not *localise or explain* one.  This module closes that gap: it
 takes two runs (two seeds, two configs, or two code versions replaying

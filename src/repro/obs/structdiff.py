@@ -2,8 +2,8 @@
 
 Several subsystems need to answer "where exactly do these two nested
 structures differ?": the checkpoint restore path proves replayed state
-matches its snapshot, the bench gate compares pinned metrics against the
-committed baseline, and the run-diff engine (:mod:`repro.obs.diff`)
+matches its snapshot, the behaviour-pin test compares each case's metrics
+against its pinned table, and the run-diff engine (:mod:`repro.obs.diff`)
 localises drift between two runs.  They all share this core: a leaf-level
 walk of two JSON-like values (dicts, lists, scalars) producing one
 :class:`DiffEntry` per divergent path, in deterministic (sorted-key /

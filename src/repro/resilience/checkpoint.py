@@ -22,7 +22,7 @@ run.
 Determinism contract: byte-identical *O* additionally requires the run to
 be pinned -- a :class:`~repro.obs.clocks.PinnedClock` as the wall
 clock and a fail-limited deterministic solver budget, exactly the recipe
-the sweep pool and bench suite already use (LNS stays on when configured:
+the sweep pool and behaviour pins already use (LNS stays on when configured:
 it stops on counts, never on the clock);
 :func:`~repro.experiments.pool.deterministic_run_config` applies it.
 Unpinned runs still replay to identical N/T/P and identical structural

@@ -24,7 +24,7 @@ of the simulator and serves it against wall-clock traffic:
 
 Everything here runs on injectable clocks (:mod:`repro.obs.clocks`): a
 manual service clock plus a pinned wall clock make admission verdicts --
-and therefore the load-test bench cases -- byte-for-byte replayable.
+and therefore the load-test behaviour pin -- byte-for-byte replayable.
 """
 
 from repro.service.admission import AdmissionConfig, AdmissionController

@@ -91,8 +91,8 @@ class AdmissionController:
 
     The controller is synchronous and owns no clock of its own: callers
     hand in the candidate's service-time arrival.  ``wall_clock`` is only
-    used to measure per-quote solve latency and is injectable so bench
-    replays can pin it (:class:`repro.obs.clocks.PinnedClock`).
+    used to measure per-quote solve latency and is injectable so
+    deterministic replays can pin it (:class:`repro.obs.clocks.PinnedClock`).
     """
 
     def __init__(

@@ -7,7 +7,7 @@ Two drivers share one seeded arrival stream:
   arrival and the service's sync core is pumped directly, so the whole
   run is single-threaded and the admission verdicts depend only on
   (seed, profile, cluster, batching config).  This is what the
-  ``service_admission_latency`` bench case and the batching-determinism
+  ``service_admission_latency`` behaviour pin and the batching-determinism
   property test drive.
 * :func:`run_against_url` -- the end-to-end smoke driver behind
   ``mrcp-rm loadtest``: the same stream is POSTed to a live HTTP
@@ -17,7 +17,7 @@ Two drivers share one seeded arrival stream:
 Latency accounting is split on purpose: *solve* latency (inside the
 controller, wall clock, pinnable) versus *admission* latency as observed
 by the client (includes batching hold time).  The in-process report
-carries both; the bench baseline pins only the deterministic verdict
+carries both; the behaviour pins hold only the deterministic verdict
 digest, counts and service-time percentiles -- wall latency is measured
 by ``perf/``'s ``svc_quote_stream`` workload.
 """

@@ -108,24 +108,32 @@ class JobSpec:
         }
 
     @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "JobSpec":
+    def from_dict(cls, data: object) -> "JobSpec":
+        if not isinstance(data, dict):
+            raise ValidationError(f"job spec is a {type(data).__name__}, not an object")
         schema = data.get("schema", SERVICE_SCHEMA)
         if schema != SERVICE_SCHEMA:
             raise ValidationError(f"unsupported schema {schema!r}")
+        # int() overflows on the infinities that json.loads accepts.
         try:
             spec = cls(
                 job_id=str(data["job_id"]),
-                map_durations=tuple(int(d) for d in data.get("map_durations", [])),
-                reduce_durations=tuple(
-                    int(d) for d in data.get("reduce_durations", [])
-                ),
+                map_durations=_durations(data.get("map_durations", [])),
+                reduce_durations=_durations(data.get("reduce_durations", [])),
                 earliest_start=int(data.get("earliest_start", 0)),
                 deadline=int(data.get("deadline", 0)),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"malformed job spec: {exc}") from exc
         spec.validate()
         return spec
+
+
+def _durations(raw: object) -> Tuple[int, ...]:
+    """Integer durations from a JSON array; a string is not one."""
+    if not isinstance(raw, list):
+        raise TypeError(f"durations must be a list, not {type(raw).__name__}")
+    return tuple(int(d) for d in raw)
 
 
 @dataclass(frozen=True)
@@ -240,7 +248,7 @@ class JobStatus:
 def verdict_digest(quotes: Sequence[SlaQuote]) -> str:
     """A stable hex digest over canonical verdicts (order-insensitive).
 
-    The loadgen pins this into the bench baseline: any change in any
+    The behaviour pins hold the loadgen's digest: any change in any
     admission decision -- across code changes or batch-size choices --
     changes the digest.
     """

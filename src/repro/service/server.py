@@ -67,7 +67,7 @@ class SchedulerService:
     loadgen calls it from one thread.  All timing flows through the
     injectable ``clock`` (service time axis) and the controller's
     ``wall_clock`` (latency measurement), which is what makes load-test
-    bench cases replayable.
+    runs replayable.
     """
 
     def __init__(
@@ -381,7 +381,7 @@ class SchedulerService:
         if method == "POST" and path == "/submit":
             try:
                 payload = json.loads(body.decode() or "{}")
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # not UTF-8, or not JSON
                 return 400, {"error": f"bad JSON: {exc}"}
             quote = await self.submit(payload)
             return 200, quote.as_dict()

@@ -129,7 +129,7 @@ def _reference_lns(model, engine, incumbent, deadline, params, target, cap, trac
 
 
 def _micro_batch_model(seed):
-    """The ``solver_micro_lns`` bench batch, drawn with generator ``seed``."""
+    """The ``solver_micro_lns`` behaviour-pin batch, drawn with generator ``seed``."""
     params = SyntheticWorkloadParams(
         num_jobs=30,
         map_tasks_range=(1, 10),
@@ -164,7 +164,7 @@ def test_stop_only_truncates_the_parent_loop(seed, to_zero):
     """Same incumbent, iterations and fails as the old loop capped there.
 
     ``to_zero`` asks for 0 late jobs, which these batches cannot reach, so
-    the run ends by stagnation after at least one gain; otherwise the bench
+    the run ends by stagnation after at least one gain; otherwise the pinned
     target (a fifth below the warm start) ends it first.
     """
     params = LnsParams(seed=seed, fail_limit=50)
@@ -476,7 +476,7 @@ def test_fail_stop_never_fires_on_the_micro_lns_seeds(
     """On the ``solver_micro_lns`` batches the fail count is never due.
 
     The instances of :func:`test_stop_only_truncates_the_parent_loop`, and
-    the bench case itself (generator seed 5, LNS seed 0, the default fail
+    the pinned case itself (generator seed 5, LNS seed 0, the default fail
     limit).
     """
     params = LnsParams(seed=lns_seed, fail_limit=fail_limit)

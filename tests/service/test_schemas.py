@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.service.schemas import (
     SERVICE_SCHEMA,
@@ -88,6 +91,74 @@ class TestJobSpecConversion:
         data = spec(deadline=0).as_dict()
         with pytest.raises(ValidationError, match="deadline"):
             JobSpec.from_dict(data)
+
+    def test_from_dict_rejects_non_object_payload(self):
+        # Used to raise AttributeError ('list' object has no attribute 'get').
+        with pytest.raises(ValidationError, match="not an object"):
+            JobSpec.from_dict([1, 2])
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"job_id": "a", "map_durations": [Infinity], "deadline": 5}',
+            '{"job_id": "a", "map_durations": [1], "deadline": Infinity}',
+            '{"job_id": "a", "map_durations": [NaN], "deadline": 5}',
+        ],
+    )
+    def test_from_dict_rejects_non_finite_numbers(self, text):
+        # json.loads accepts these; int(inf) used to escape as OverflowError.
+        with pytest.raises(ValidationError):
+            JobSpec.from_dict(json.loads(text))
+
+    @pytest.mark.parametrize("durations", ["12", b"12"], ids=["str", "bytes"])
+    def test_from_dict_rejects_string_durations(self, durations):
+        # "12" used to be accepted as two tasks of 1 s and 2 s.
+        data = {"job_id": "a", "map_durations": durations, "deadline": 50}
+        with pytest.raises(ValidationError, match="must be a list"):
+            JobSpec.from_dict(data)
+
+
+_SPEC_KEYS = (
+    "schema",
+    "job_id",
+    "map_durations",
+    "reduce_durations",
+    "earliest_start",
+    "deadline",
+)
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=12,
+)
+_numbers = st.integers(-5, 100) | st.floats()
+_payloads = (
+    _json_values
+    | st.dictionaries(st.sampled_from(_SPEC_KEYS), _json_values)
+    | st.fixed_dictionaries(
+        {
+            "job_id": st.text(max_size=4),
+            "map_durations": st.lists(_numbers, max_size=3),
+            "deadline": _numbers,
+        },
+        optional={
+            "reduce_durations": st.lists(_numbers, max_size=3),
+            "earliest_start": _numbers,
+        },
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_payloads)
+def test_from_dict_on_any_json_value_returns_valid_spec_or_rejects(data):
+    """No decoded JSON value makes ``from_dict`` raise anything else."""
+    try:
+        parsed = JobSpec.from_dict(data)
+    except ValidationError:
+        return
+    parsed.validate()
 
 
 def quote(**overrides) -> SlaQuote:

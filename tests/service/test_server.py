@@ -57,6 +57,20 @@ class TestSyncCore:
         quote = service().submit_sync({"job_id": "bad", "map_durations": []})
         assert quote is not None and quote.reason == "invalid"
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            [1, 2],
+            {"job_id": "a", "map_durations": [float("inf")], "deadline": 5},
+            {"job_id": "a", "map_durations": [1], "deadline": float("inf")},
+            {"job_id": "a", "map_durations": "12", "deadline": 50},
+        ],
+    )
+    def test_malformed_payload_quoted_invalid_not_raised(self, payload):
+        quote = service().submit_sync(payload)
+        assert quote is not None and quote.reason == "invalid"
+        assert not quote.admitted
+
     def test_duplicate_of_queued_job_rejected(self):
         svc = service()
         assert svc.submit_sync(spec("a")) is None
@@ -275,6 +289,33 @@ class TestHttpEndpoint:
         assert results["shutdown"][1] == {"status": "shutting down"}
         # Clean shutdown: no orphan tasks survive the serve() return.
         assert leftovers == []
+
+
+def post_submit(body: bytes):
+    """(status, payload) of ``POST /submit``; a queued submission times out."""
+    route = service()._route("POST", "/submit", body)
+    return asyncio.run(asyncio.wait_for(route, timeout=5.0))
+
+
+class TestSubmitRoute:
+    def test_non_utf8_body_is_400(self):
+        # UnicodeDecodeError used to reach the 500 branch.
+        status, payload = post_submit(b"\xff")
+        assert status == 400 and "bad JSON" in payload["error"]
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            b"[1, 2]",
+            b'{"job_id": "a", "map_durations": [Infinity], "deadline": 5}',
+            b'{"job_id": "a", "map_durations": [1], "deadline": Infinity}',
+            b'{"job_id": "a", "map_durations": "12", "deadline": 50}',
+        ],
+    )
+    def test_malformed_submission_is_a_rejected_quote(self, body):
+        status, payload = post_submit(body)
+        assert status == 200
+        assert payload["reason"] == "invalid" and payload["admitted"] is False
 
 
 class TestJsonOverHttpParity:

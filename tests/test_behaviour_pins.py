@@ -1,43 +1,81 @@
-"""Behaviour pins: a small fixed suite, a committed baseline, exact comparison.
+"""Behaviour pins: nine seeded cases whose metrics must repeat exactly.
 
-``mrcp-rm bench`` (``python -m repro.bench``) runs nine pinned cases --
-three solver micro-cases, two figure experiments at smoke scale, a short
+Three solver micro-cases, two figure experiments at smoke scale, a short
 open run with LNS on, a parallel-sweep fan-out, the telemetry-on/off
-equality and an admission service load run -- and emits a schema-versioned
-JSON result that is compared *exactly* against the committed
-``BENCH_core.json``.  The suite pins seeds and runs the solver fail-limited
-with LNS off, except in two cases: ``solver_micro_lns`` runs LNS to a fixed
-target under a cap that never binds, and ``open_lns_small`` runs LNS under
-a time limit that never binds, stopping on its own counts.  So task counts,
-objectives, fails/branches, N/T/P and the digests are machine-independent
-and any drift is a behaviour change, not noise.  Each case runs twice; two
-runs that disagree are nondeterminism in a pinned case and raise.
+equality and an admission-service load run.  Seeds are fixed and the
+solver is fail-limited with LNS off, except in two cases:
+``solver_micro_lns`` runs LNS to a fixed target under a cap that never
+binds, and ``open_lns_small`` runs LNS under a time limit that never
+binds, stopping on its own counts.  So task counts, objectives,
+fails/branches, N/T/P and the digests are machine-independent, and any
+drift is a behaviour change, not noise.  Nothing here measures time: the
+overhead metric O is wall-clock and excluded; speed is judged by
+``perf/run.py`` alone.
 
-Nothing here measures time: the overhead metric O is wall-clock and is
-excluded from the pins, and speed is judged by the repo benchmark
-(``perf/run.py`` + ``perf/compare.py``) alone.
-
-``compare`` returns human-readable failure strings naming case, metric,
-baseline and current value; the CLI exits nonzero on any.  ``--replay``
-re-compares a previously written result file without re-running the suite.
+Re-pinning after an intended behaviour change means editing ``PINS``; a
+drift names the case, the metric and both values, e.g.
+``fig7_small.N: pinned=3.0 got=2.0``.
 """
 
 from __future__ import annotations
 
-import argparse
-import os
-import platform
-import sys
-from typing import Any, Callable, Dict, List, Optional
+import re
+from typing import Any, Callable, Dict, Optional
 
-from repro.ioutil import atomic_write_json, read_json
+import pytest
 
-SCHEMA = "repro-bench/2"
-DEFAULT_BASELINE = "BENCH_core.json"
+from repro.obs.structdiff import format_entries, structural_diff
 
-# --------------------------------------------------------------------------
-# Suite definition
-# --------------------------------------------------------------------------
+PINS: Dict[str, Dict[str, Any]] = {
+    "solver_micro_warm": {"tasks": 249, "warm_late": 4},
+    "solver_micro_solve": {
+        "objective": 20,
+        "has_solution": True,
+        "fails": 200,
+        "branches": 364,
+    },
+    "solver_micro_lns": {
+        "warm_objective": 22,
+        "objective": 18,
+        "iterations": 24,
+        "fails": 517,
+        "branches": 514,
+    },
+    "fig2_small": {"N": 2.0, "T": 636.0, "P": 20.0, "jobs": 10, "invocations": 10},
+    "fig7_small": {
+        "N": 3.0,
+        "T": 116.41666666666667,
+        "P": 25.0,
+        "jobs": 12,
+        "invocations": 12,
+    },
+    "open_lns_small": {
+        "N": 2.0,
+        "T": 105.66666666666667,
+        "P": 16.666666666666664,
+        "jobs": 12,
+        "invocations": 12,
+        "lns_iterations": 94,
+        "fails": 2394,
+    },
+    "sweep_pool": {"cells": 4, "ok": 4, "csv_sha256": "1c5681aac68ff6a2"},
+    "telemetry_overhead": {
+        "ontp_equal": True,
+        "samples": 136,
+        "alerts_fired": 2,
+        "N": 3.0,
+        "P": 25.0,
+    },
+    "service_admission_latency": {
+        "requests": 80,
+        "admitted": 18,
+        "rejected": 62,
+        "shed": 0,
+        "digest": "a63264941fe38e8d",
+        "held_p50": 0.05,
+        "held_p99": 0.05,
+    },
+}
 
 
 def _micro_batch(deadline_multiplier_max: float = 3.0):
@@ -81,7 +119,6 @@ def _deterministic_solver_params():
 
 
 def _case_solver_micro_warm() -> Dict[str, Any]:
-    """Model build + warm-start list scheduling on the 30-job batch."""
     from repro.core.formulation import build_model
     from repro.cp.heuristics import list_schedule
 
@@ -96,7 +133,6 @@ def _case_solver_micro_warm() -> Dict[str, Any]:
 
 
 def _case_solver_micro_solve() -> Dict[str, Any]:
-    """Full deterministic (fail-limited, LNS-off) solve of the 30-job batch."""
     from repro.core.formulation import build_model
     from repro.cp.solver import CpSolver
 
@@ -115,9 +151,8 @@ def _case_solver_micro_solve() -> Dict[str, Any]:
 def _case_solver_micro_lns() -> Dict[str, Any]:
     """LNS on the 30-job batch to a fifth below its warm start: fixed work.
 
-    Root propagation, ``best_warm_start``, then ``lns_improve`` until the
-    target; the cap is generous and never binds, so iterations, fails and
-    branches are exact and pin the search LNS runs, dive for dive.
+    The cap is generous and never binds, so iterations, fails and branches
+    are exact and pin the search LNS runs, dive for dive.
     """
     import time
 
@@ -150,12 +185,7 @@ def _case_solver_micro_lns() -> Dict[str, Any]:
 
 
 def _run_once_case(config, solver_counts: bool = False) -> Dict[str, Any]:
-    """Run one experiment config; report its deterministic metrics.
-
-    O (scheduling overhead) is wall-clock and excluded; N/T/P depend only
-    on the seeded workload and the deterministic solver.  ``solver_counts``
-    adds the run's LNS iterations and search fails.
-    """
+    """N/T/P and counts of one run; O is wall-clock and left out."""
     from repro.experiments.runner import run_once
 
     metrics = run_once(config)
@@ -174,7 +204,6 @@ def _run_once_case(config, solver_counts: bool = False) -> Dict[str, Any]:
 
 
 def _case_fig2_small() -> Dict[str, Any]:
-    """Figure 2 shape at smoke scale: Facebook workload through MRCP-RM."""
     from repro.core import MrcpRmConfig
     from repro.experiments.runner import RunConfig, SystemConfig
     from repro.workload import FacebookWorkloadParams
@@ -196,7 +225,6 @@ def _case_fig2_small() -> Dict[str, Any]:
 
 
 def _fig7_small_config():
-    """Figure 7 at smoke scale: a tight-deadline synthetic workload."""
     from repro.core import MrcpRmConfig
     from repro.experiments.runner import RunConfig, SystemConfig
     from repro.workload import SyntheticWorkloadParams
@@ -221,7 +249,6 @@ def _fig7_small_config():
 
 
 def _case_fig7_small() -> Dict[str, Any]:
-    """Figure 7 shape at smoke scale through MRCP-RM."""
     return _run_once_case(_fig7_small_config())
 
 
@@ -352,7 +379,7 @@ def _case_service_admission_latency() -> Dict[str, Any]:
     service clock, so every metric -- counts, the verdict digest (canonical
     verdicts exclude solve wall time), and the *service-time* latency
     percentiles (dominated by the batching hold bound) -- is exactly
-    reproducible; ``mrcp-rm bench --replay`` replays it byte-for-byte.
+    reproducible.
     """
     from repro.obs.metrics import MetricsRegistry
     from repro.service.batching import BatchingConfig
@@ -377,7 +404,6 @@ def _case_service_admission_latency() -> Dict[str, Any]:
     }
 
 
-#: The pinned suite: name -> case callable returning its metrics.
 CASES: Dict[str, Callable[[], Dict[str, Any]]] = {
     "solver_micro_warm": _case_solver_micro_warm,
     "solver_micro_solve": _case_solver_micro_solve,
@@ -391,170 +417,62 @@ CASES: Dict[str, Callable[[], Dict[str, Any]]] = {
 }
 
 
-# --------------------------------------------------------------------------
-# Running
-# --------------------------------------------------------------------------
+def judge(
+    name: str, case: Callable[[], Dict[str, Any]], pinned: Dict[str, Any]
+) -> Optional[str]:
+    """Run ``case`` twice; the failure message, or None if it holds its pin.
 
-
-def env_fingerprint() -> Dict[str, Any]:
-    """Where the result was produced (informational; never compared)."""
-    return {
-        "python": platform.python_version(),
-        "implementation": platform.python_implementation(),
-        "platform": platform.platform(),
-        "machine": platform.machine(),
-        "cpus": os.cpu_count(),
-    }
-
-
-def run_suite() -> Dict[str, Any]:
-    """Run every case twice and return the result document.
-
-    The second run exists only to catch nondeterminism: metrics that
-    differ between the two runs of a pinned case are an error, not a
-    result.
+    Two runs that disagree are nondeterminism in a pinned case, reported
+    before (and instead of) any comparison with the pin.
     """
-    cases: Dict[str, Any] = {}
-    for name, fn in CASES.items():
-        first, second = fn(), fn()
-        if first != second:
-            raise RuntimeError(
-                f"bench case {name!r} is nondeterministic: {first} != {second}"
-            )
-        cases[name] = {"metrics": first}
-    return {
-        "schema": SCHEMA,
-        "suite": "core",
-        "env": env_fingerprint(),
-        "cases": cases,
-    }
+    first, second = case(), case()
+    runs = structural_diff({name: first}, {name: second})
+    if runs:
+        shown = format_entries(runs, len(runs), "run1", "run2")
+        return f"nondeterministic: {shown}"
+    drift = structural_diff({name: pinned}, {name: first})
+    if drift:
+        return format_entries(drift, len(drift), "pinned", "got")
+    return None
 
 
-# --------------------------------------------------------------------------
-# Comparing
-# --------------------------------------------------------------------------
+@pytest.mark.parametrize("name", PINS)
+def test_behaviour_pin(name):
+    failure = judge(name, CASES[name], PINS[name])
+    if failure is not None:
+        pytest.fail(failure, pytrace=False)
 
 
-def compare(current: Dict[str, Any], baseline: Dict[str, Any]) -> List[str]:
-    """Compare a result against the baseline; return failure descriptions.
-
-    Every metric the baseline pins must match exactly.  An empty list
-    means no regression.
-    """
-    failures: List[str] = []
-    if current.get("schema") != SCHEMA or baseline.get("schema") != SCHEMA:
-        return [
-            f"schema mismatch: current={current.get('schema')!r} "
-            f"baseline={baseline.get('schema')!r} expected={SCHEMA!r}"
-        ]
-    cur_cases = current.get("cases", {})
-    for name, base in baseline.get("cases", {}).items():
-        cur = cur_cases.get(name)
-        if cur is None:
-            failures.append(f"{name}: case missing from current result")
-            continue
-        for key, expected in base["metrics"].items():
-            got = cur["metrics"].get(key)
-            if got != expected:
-                failures.append(
-                    f"{name}: metric {key!r} changed: "
-                    f"baseline={expected!r} current={got!r}"
-                )
-    return failures
+def test_every_case_is_pinned():
+    assert set(CASES) == set(PINS)
 
 
-def write_result(path: str, result: Dict[str, Any]) -> None:
-    """Write a bench result JSON file (stable key order, trailing newline)."""
-    atomic_write_json(path, result, sort_keys=False)
+def test_perturbed_pin_names_case_metric_and_values():
+    """A moved metric prints its case, its name and both values."""
+    perturbed = {**PINS["fig7_small"], "N": 2.0}
+    failure = judge("fig7_small", lambda: dict(PINS["fig7_small"]), perturbed)
+    assert failure == "fig7_small.N: pinned=2.0 got=3.0"
 
 
-# --------------------------------------------------------------------------
-# CLI
-# --------------------------------------------------------------------------
+def test_nondeterministic_case_fails():
+    """A case whose second run disagrees with its first is never compared."""
+    runs = iter(({"n": 1}, {"n": 2}))
+    failure = judge("flaky", lambda: next(runs), {"n": 1})
+    assert failure == "nondeterministic: flaky.n: run1=1 run2=2"
 
 
-def add_bench_arguments(parser: argparse.ArgumentParser) -> None:
-    """Install the ``repro bench`` options onto ``parser``."""
-    parser.add_argument(
-        "--baseline",
-        default=DEFAULT_BASELINE,
-        help=f"baseline JSON to compare against (default {DEFAULT_BASELINE})",
-    )
-    parser.add_argument(
-        "--out", default=None, help="also write the current result here"
-    )
-    parser.add_argument(
-        "--update",
-        action="store_true",
-        help="(re)write the baseline from this run instead of comparing",
-    )
-    parser.add_argument(
-        "--replay",
-        default=None,
-        metavar="RESULT_JSON",
-        help="compare this previously written result instead of re-running",
-    )
+def test_pins_record_real_effort():
+    """The solver cases must exercise the search, not trivially pass."""
+    solve = PINS["solver_micro_solve"]
+    assert solve["fails"] > 0 and solve["branches"] > 0
+    lns = PINS["solver_micro_lns"]
+    assert lns["objective"] < lns["warm_objective"]
+    assert lns["iterations"] > 1 and lns["fails"] > 0 and lns["branches"] > 0
+    assert PINS["fig7_small"]["N"] > 0
 
 
-def run_bench_command(args: argparse.Namespace) -> int:
-    """Execute ``repro bench``; returns the process exit code.
-
-    0 = no regression (or baseline updated); 1 = regression detected;
-    2 = baseline or replayed result missing/unreadable.
-    """
-    if args.replay is not None:
-        try:
-            current = read_json(args.replay)
-        except ValueError as exc:
-            return _unreadable(exc)
-        print(f"replaying result from {args.replay}")
-    else:
-        current = run_suite()
-        for name, case in current["cases"].items():
-            print(f"  {name:26s} metrics={case['metrics']}")
-    if args.out is not None and args.replay is None:
-        write_result(args.out, current)
-        print(f"wrote result to {args.out}")
-    if args.update:
-        write_result(args.baseline, current)
-        print(f"baseline updated: {args.baseline}")
-        return 0
-    if not os.path.exists(args.baseline):
-        print(
-            f"error: baseline {args.baseline} not found "
-            "(run with --update to create it)",
-            file=sys.stderr,
-        )
-        return 2
-    try:
-        baseline = read_json(args.baseline)
-    except ValueError as exc:
-        return _unreadable(exc)
-    failures = compare(current, baseline)
-    if failures:
-        print(f"REGRESSION: {len(failures)} failure(s)", file=sys.stderr)
-        for f in failures:
-            print(f"  - {f}", file=sys.stderr)
-        offending = sorted({f.split(":", 1)[0] for f in failures})
-        print(f"offending case(s): {', '.join(offending)}", file=sys.stderr)
-        return 1
-    print(f"ok: {len(baseline.get('cases', {}))} cases match the baseline")
-    return 0
-
-
-def _unreadable(exc: ValueError) -> int:
-    print(f"error: {exc}", file=sys.stderr)
-    return 2
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    """Standalone entry point (``python -m repro.bench``)."""
-    parser = argparse.ArgumentParser(
-        prog="repro-bench", description=__doc__.splitlines()[0]
-    )
-    add_bench_arguments(parser)
-    return run_bench_command(parser.parse_args(argv))
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+def test_pins_hold_no_timing():
+    """Speed is ``perf/``'s question: the table carries no wall time."""
+    timing = re.compile("wall|time|calibration|rounds|smoke")
+    keys = [key for case in PINS.values() for key in case]
+    assert [key for key in keys if timing.search(key)] == []

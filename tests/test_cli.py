@@ -91,6 +91,26 @@ def test_checkpoint_keep_must_be_positive(value, capsys):
     assert "--keep" in err and "must be >= 1" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["checkpoint", "--every-events", "0"],
+        ["sweep", "fig7", "--workers", "0"],
+        ["telemetry", "--interval", "0"],
+        ["telemetry", "--interval", "nan"],
+        ["serve", "--series-interval", "-1"],
+    ],
+)
+def test_non_positive_numeric_flag_is_a_usage_error(argv, capsys):
+    # These used to reach their config's ValueError: a traceback and exit 1.
+    # Parsing alone runs no command, so no worker or server can start.
+    with pytest.raises(SystemExit) as exit_info:
+        build_parser().parse_args(argv)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert argv[-2] in err and "must be >" in err
+
+
 @pytest.mark.parametrize("snapshot", ["missing", "old_schema", "other_seed"])
 def test_checkpoint_restore_bad_snapshot_exits_2(tmp_path, capsys, snapshot):
     """An unreadable, wrong-schema or mismatched snapshot is bad input:
@@ -134,22 +154,6 @@ def test_report_command_with_faults(tmp_path, capsys):
          "--faults"]
     ) == 0
     assert "fault-injected" in out_file.read_text()
-
-
-def test_bench_command_replay(tmp_path, capsys):
-    """`mrcp-rm bench --replay` compares without re-running the suite."""
-    from repro.bench import DEFAULT_BASELINE, write_result
-    from repro.ioutil import read_json
-
-    result = read_json(DEFAULT_BASELINE)
-    replay = tmp_path / "current.json"
-    write_result(str(replay), result)
-    assert main(["bench", "--replay", str(replay)]) == 0
-    assert "ok:" in capsys.readouterr().out
-    result["cases"]["solver_micro_solve"]["metrics"]["objective"] += 1
-    write_result(str(replay), result)
-    assert main(["bench", "--replay", str(replay)]) == 1
-    assert "solver_micro_solve" in capsys.readouterr().err
 
 
 def _shrink_synthetic(monkeypatch):
