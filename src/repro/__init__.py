@@ -11,8 +11,8 @@ Package map
 * :mod:`repro.cp` -- constraint-programming scheduling solver (the CP
   Optimizer substitute): interval variables, cumulative / alternative /
   barrier constraints, branch-and-bound + LNS search.
-* :mod:`repro.sim` -- discrete event simulation kernel, seeded random
-  streams, replication statistics.
+* :mod:`repro.sim` -- event-calendar simulation kernel, seeded random
+  streams, replication control by the paper's confidence-interval rule.
 * :mod:`repro.workload` -- MapReduce job/SLA entities; Table 3 synthetic and
   Table 4 Facebook workload generators.
 * :mod:`repro.core` -- MRCP-RM itself: the Table 1 formulation, the Table 2

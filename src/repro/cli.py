@@ -160,6 +160,14 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _non_negative_float(text: str) -> float:
+    """An argparse ``type``: a number >= 0 (NaN refused)."""
+    value = float(text)
+    if not value >= 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _cmd_faults(args: argparse.Namespace) -> int:
     from repro import quick_demo
     from repro.faults import FaultModel
@@ -746,7 +754,7 @@ def build_parser() -> argparse.ArgumentParser:
         "faults", help="end-to-end demo under fault injection"
     )
     faults_p.add_argument("--seed", type=int, default=0)
-    faults_p.add_argument("--jobs", type=int, default=10)
+    faults_p.add_argument("--jobs", type=_positive_int, default=10)
     faults_p.add_argument(
         "--failure-prob", type=float, default=0.15,
         help="per-attempt probability of a mid-execution task failure",
@@ -787,7 +795,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--out", default="report.html", help="output HTML path"
     )
     report_p.add_argument("--seed", type=int, default=42)
-    report_p.add_argument("--jobs", type=int, default=14)
+    report_p.add_argument("--jobs", type=_positive_int, default=14)
     report_p.add_argument(
         "--faults", action="store_true",
         help="inject failures/stragglers/outages into the reported run",
@@ -924,23 +932,23 @@ def build_parser() -> argparse.ArgumentParser:
         help="listening port (0 = pick a free one, printed at startup)",
     )
     serve_p.add_argument(
-        "--resources", type=int, default=4,
+        "--resources", type=_positive_int, default=4,
         help="uniform cluster size (2 map + 2 reduce slots each)",
     )
     serve_p.add_argument(
-        "--max-batch-size", type=int, default=8,
+        "--max-batch-size", type=_positive_int, default=8,
         help="arrivals coalesced into one planning pass",
     )
     serve_p.add_argument(
-        "--max-hold", type=float, default=0.05, metavar="SECONDS",
+        "--max-hold", type=_non_negative_float, default=0.05, metavar="SECONDS",
         help="longest a submission is held before its batch is planned",
     )
     serve_p.add_argument(
-        "--max-pending", type=int, default=256,
+        "--max-pending", type=_positive_int, default=256,
         help="queue ceiling; submissions above it are shed",
     )
     serve_p.add_argument(
-        "--overload-depth", type=int, default=32,
+        "--overload-depth", type=_positive_int, default=32,
         help="queue depth at which quotes start at the cp_limited rung",
     )
     serve_p.add_argument(
@@ -961,7 +969,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--url", default=None, metavar="URL",
         help="target a live endpoint (default: deterministic in-process run)",
     )
-    loadtest_p.add_argument("--requests", type=int, default=200)
+    loadtest_p.add_argument("--requests", type=_positive_int, default=200)
     loadtest_p.add_argument("--seed", type=int, default=0)
     loadtest_p.add_argument(
         "--arrival-rate", type=float, default=0.5,
@@ -973,11 +981,11 @@ def build_parser() -> argparse.ArgumentParser:
         "(compresses the stream)",
     )
     loadtest_p.add_argument(
-        "--max-batch-size", type=int, default=8,
+        "--max-batch-size", type=_positive_int, default=8,
         help="in-process mode: arrivals coalesced per planning pass",
     )
     loadtest_p.add_argument(
-        "--max-hold", type=float, default=0.05, metavar="SECONDS",
+        "--max-hold", type=_non_negative_float, default=0.05, metavar="SECONDS",
         help="in-process mode: longest hold before a batch is planned",
     )
     loadtest_p.add_argument(

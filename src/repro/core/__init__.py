@@ -7,8 +7,8 @@ The paper's primary contribution (Sections III-V):
   *combined* mode (one aggregated resource, Section V.D) or *joint* mode
   (per-resource alternatives, the plain Table 1 formulation).
 * :mod:`repro.core.matchmaking` -- the Section V.D decomposition: a combined
-  single-resource schedule is mapped onto unit-capacity slots with the
-  best-gap heuristic, then regrouped onto the physical resources.
+  single-resource schedule is mapped onto the physical resources'
+  unit-capacity slots with the best-gap heuristic.
 * :mod:`repro.core.mrcp_rm` -- the Table 2 incremental algorithm driving the
   whole loop inside the discrete event simulation, including the Section
   V.E earliest-start-time deferral optimisation.
@@ -30,11 +30,7 @@ from repro.core.formulation import (
     FormulationResult,
     build_model,
 )
-from repro.core.matchmaking import (
-    UnitSlot,
-    decompose_combined_schedule,
-    regroup_unit_resources,
-)
+from repro.core.matchmaking import UnitSlot, decompose_combined_schedule
 from repro.core.invocation import (
     InvocationOutcome,
     extract_assignments,
@@ -43,7 +39,7 @@ from repro.core.invocation import (
 )
 from repro.core.batch import BatchResult, schedule_batch
 from repro.core.executor import ScheduledExecutor
-from repro.core.gantt import render_executor_plan, render_gantt
+from repro.core.gantt import render_gantt
 from repro.core.mrcp_rm import MrcpRm, MrcpRmConfig, PlanRecord
 
 __all__ = [
@@ -57,7 +53,6 @@ __all__ = [
     "build_model",
     "UnitSlot",
     "decompose_combined_schedule",
-    "regroup_unit_resources",
     "ScheduledExecutor",
     "MrcpRm",
     "MrcpRmConfig",
@@ -67,7 +62,6 @@ __all__ = [
     "solve_formulation",
     "solve_invocation",
     "render_gantt",
-    "render_executor_plan",
     "schedule_batch",
     "BatchResult",
 ]

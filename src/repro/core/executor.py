@@ -136,10 +136,6 @@ class ScheduledExecutor:
         """Tasks that have started but not completed (the frozen set)."""
         return list(self._running.values())
 
-    def is_started(self, task_id: str) -> bool:
-        """Whether the task's start event has fired."""
-        return task_id in self._running or task_id in self._completed
-
     def is_completed(self, task_id: str) -> bool:
         """Whether the task's completion event has fired."""
         return task_id in self._completed
@@ -379,11 +375,6 @@ class ScheduledExecutor:
         if resource_id not in self.resource_by_id:
             raise SchedulingError(f"unknown resource {resource_id}")
         self._offline.discard(resource_id)
-
-    @property
-    def offline_resources(self) -> Set[int]:
-        """Ids of resources currently down."""
-        return set(self._offline)
 
     def abandon_job(self, job_id: int) -> None:
         """Drop a job's pending plan entries (the job was declared failed).

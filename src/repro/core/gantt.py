@@ -92,14 +92,3 @@ def render_gantt(
             f"{g}={tid}" for tid, g in glyph_of.items()
         ))
     return "\n".join(rows)
-
-
-def render_executor_plan(executor, width: int = 72) -> str:
-    """Render a :class:`~repro.core.executor.ScheduledExecutor`'s current
-    plan (started + pending assignments)."""
-    schedule = Schedule()
-    for a in executor.planned_unstarted():
-        schedule.add(a)
-    for a in executor.snapshot_running():
-        schedule.add(a)
-    return render_gantt(schedule, executor.resources, width=width)

@@ -9,9 +9,10 @@ maps that schedule onto physical resources:
    the free unit slot leaving the *smallest gap* between the slot's previous
    occupant and the task's start (the paper's best-gap rule, with its
    r1/r2 example reproduced in the tests).
-2. **Regrouping** -- unit slots belong to physical resources; the helper
-   :func:`regroup_unit_resources` reproduces the paper's redistribution of
-   slot totals over user-specified resource counts (nm/nr example).
+2. **Regrouping** -- unit slots are the physical resources' own slots, so
+   a placement is already an assignment to a resource.  The paper's step-2
+   redistribution of slot totals over chosen resource counts (its nm/nr
+   example) has no counterpart here.
 
 Placement books onto a :class:`FrozenBase` of committed work, one standing
 base per run -- the simulator's (synced to the executor's frozen set at each
@@ -285,41 +286,3 @@ def assign_slots_within_resources(
     """JOINT mode helper: the solver chose (task, start, resource); pick the
     slot index within each resource with the same best-gap rule."""
     return _placed(movable, frozen, resources, base, joint=True)
-
-
-def regroup_unit_resources(
-    total_map_slots: int,
-    total_reduce_slots: int,
-    num_map_resources: int,
-    num_reduce_resources: int,
-    first_resource_id: int = 0,
-) -> List[Resource]:
-    """The paper's V.D step 2: redistribute slot totals over resources.
-
-    ``max(nm, nr)`` resources are created; map slots are divided evenly over
-    the first ``nm``, reduce slots over the first ``nr`` (remainders spread
-    one extra slot at a time, from the tail -- reproducing the paper's
-    "20 of the 30 resources have 3 reduce slots and the remaining 10 have 4"
-    example for 100 slots over 30 resources).
-    """
-    if num_map_resources < 0 or num_reduce_resources < 0:
-        raise ValueError("resource counts must be non-negative")
-    if total_map_slots > 0 and num_map_resources == 0:
-        raise ValueError("map slots exist but no map resources requested")
-    if total_reduce_slots > 0 and num_reduce_resources == 0:
-        raise ValueError("reduce slots exist but no reduce resources requested")
-    n = max(num_map_resources, num_reduce_resources)
-    if n == 0:
-        return []
-
-    def spread(total: int, count: int) -> List[int]:
-        base, extra = divmod(total, count or 1)  # no resources, no slots
-        # The first (count - extra) resources get `base`, the next base + 1,
-        # the rest none.
-        return [base] * (count - extra) + [base + 1] * extra + [0] * (n - count)
-
-    map_caps = spread(total_map_slots, num_map_resources)
-    reduce_caps = spread(total_reduce_slots, num_reduce_resources)
-    return [
-        Resource(first_resource_id + i, map_caps[i], reduce_caps[i]) for i in range(n)
-    ]

@@ -707,10 +707,6 @@ class MrcpRm:
         return list(self._active.values())
 
     @property
-    def deferred_jobs(self) -> List[Job]:
-        return list(self._deferred.values())
-
-    @property
     def failed_jobs(self) -> List[int]:
         """Ids of jobs declared failed after exhausting their retries."""
         return sorted(self._failed_jobs)

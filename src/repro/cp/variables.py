@@ -159,20 +159,6 @@ class IntervalVar:
         """Latest completion time."""
         return self.start.max + self.length
 
-    @property
-    def start_fixed(self) -> bool:
-        return self.start.is_fixed
-
-    @property
-    def has_compulsory_part(self) -> bool:
-        """True when some execution window is occupied in *every* placement.
-
-        The compulsory part is ``[lst, ect)``; it is non-empty iff lst < ect.
-        Only *present* intervals contribute compulsory parts to cumulative
-        profiles.
-        """
-        return self.lst < self.ect
-
     def set_start_min(self, v: int, engine: "Engine") -> bool:
         """Raise the earliest start (est)."""
         return self.start.set_min(v, engine)

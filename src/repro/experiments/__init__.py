@@ -34,7 +34,7 @@ from repro.experiments.configs import (
     figure_series,
     list_figures,
 )
-from repro.experiments.reporting import format_series, run_series, series_rows
+from repro.experiments.reporting import format_series, run_series
 
 __all__ = [
     "RunConfig",
@@ -55,5 +55,4 @@ __all__ = [
     "list_figures",
     "format_series",
     "run_series",
-    "series_rows",
 ]

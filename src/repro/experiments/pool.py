@@ -422,10 +422,6 @@ class SweepResult:
     workers: int = 1
 
     @property
-    def ok_cells(self) -> List[CellOutcome]:
-        return [o for o in self.outcomes if o.status == "ok"]
-
-    @property
     def failed_cells(self) -> List[CellOutcome]:
         return [o for o in self.outcomes if o.status != "ok"]
 

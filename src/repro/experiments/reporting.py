@@ -1,13 +1,13 @@
 """Plain-text reporting of figure series.
 
-Formats the replicated metrics as the rows/series the paper's figures plot:
-one row per (factor value, scheduler), columns O (ms), T (s), P (%) with
-their confidence-interval half-widths.
+Formats the replicated metrics as the series the paper's figures plot: one
+row per (factor value, scheduler), columns O (ms), T (s), P (%) with their
+confidence-interval half-widths.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.experiments.configs import FigureSeries
 from repro.experiments.runner import run_replicated
@@ -37,31 +37,6 @@ def run_series(
             labeled.config, replications=replications, targets=targets
         )
     return results
-
-
-def series_rows(
-    series: FigureSeries,
-    results: Dict[str, ReplicationResult],
-    metrics: Optional[Sequence[str]] = None,
-) -> List[Dict[str, object]]:
-    """Tabular data: one dict per configuration with mean +/- half-width."""
-    metrics = list(metrics or series.metrics)
-    rows: List[Dict[str, object]] = []
-    for labeled in series.configs:
-        result = results[labeled.label]
-        row: Dict[str, object] = {
-            "label": labeled.label,
-            series.factor: labeled.factor_value,
-            "scheduler": labeled.scheduler,
-            "replications": result.replications,
-        }
-        for m in metrics:
-            mean = result.mean(m)
-            hw = result.half_width(m)
-            row[m] = mean
-            row[f"{m}_hw"] = hw
-        rows.append(row)
-    return rows
 
 
 def format_series(

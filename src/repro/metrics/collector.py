@@ -363,10 +363,6 @@ class MetricsCollector:
     def invocations(self) -> int:
         return self._invocations
 
-    def completion_time(self, job_id: int) -> Optional[int]:
-        """Completion time of ``job_id``, or None while running."""
-        return self._completed.get(job_id)
-
     def live_summary(self) -> Dict[str, float]:
         """The paper's O / N / T / P over the run *so far*, in O(1).
 

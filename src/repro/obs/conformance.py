@@ -120,11 +120,3 @@ def validate_trace_events(events: Iterable[Dict[str, Any]]) -> List[str]:
                 f"unclosed B events on pid={pid} tid={tid}: {stack[:5]}"
             )
     return problems
-
-
-def validate_trace_document(doc: Dict[str, Any]) -> List[str]:
-    """Validate a full Chrome trace JSON document (object form)."""
-    events = doc.get("traceEvents")
-    if not isinstance(events, list):
-        return ["document has no traceEvents array"]
-    return validate_trace_events(events)

@@ -234,33 +234,13 @@ class LatenessAttribution:
         return max(parts, key=lambda k: parts[k])
 
     def as_dict(self) -> Dict[str, Any]:
-        """JSON-safe rendering (round-trips via :func:`attribution_from_dict`).
+        """JSON-safe rendering (``LatenessAttribution(**row)`` rebuilds it).
 
         This is the shape persisted into a run directory's
         ``forensics.json`` so two runs can be diffed without re-parsing
         their traces (:mod:`repro.obs.diff`).
         """
         return asdict(self)
-
-
-def attribution_from_dict(row: Mapping[str, Any]) -> LatenessAttribution:
-    """Rebuild a :class:`LatenessAttribution` from its :meth:`as_dict` form."""
-    return LatenessAttribution(
-        job_id=int(row["job_id"]),
-        tardiness_us=int(row["tardiness_us"]),
-        contention_us=int(row["contention_us"]),
-        solver_us=int(row["solver_us"]),
-        fault_us=int(row["fault_us"]),
-        residual_us=int(row["residual_us"]),
-        raw_contention=float(row["raw_contention"]),
-        raw_solver=float(row["raw_solver"]),
-        raw_fault=float(row["raw_fault"]),
-        first_start=(
-            None if row.get("first_start") is None else float(row["first_start"])
-        ),
-        completion=float(row["completion"]),
-        degraded_plans=int(row.get("degraded_plans", 0)),
-    )
 
 
 def _first_starts(attempts: Sequence[AttemptRecord]) -> Dict[int, float]:

@@ -158,13 +158,6 @@ class CircuitBreaker:
             "opened_count": self.opened_count,
         }
 
-    def restore(self, snap: Dict[str, int | str]) -> None:
-        """Restore state captured by :meth:`snapshot`."""
-        self.state = str(snap["state"])
-        self.failures = int(snap["failures"])
-        self.cooldown_left = int(snap["cooldown_left"])
-        self.opened_count = int(snap["opened_count"])
-
 
 @dataclass
 class LadderOutcome:
@@ -333,14 +326,6 @@ class DegradationLadder:
         if self.config.chaos is not None:
             snap["chaos"] = dict(sorted(self._chaos_used.items()))
         return snap
-
-    def restore(self, snap: Dict[str, object]) -> None:
-        """Restore state captured by :meth:`snapshot`."""
-        for rung, state in dict(snap.get("breakers", {})).items():
-            if rung in self.breakers:
-                self.breakers[rung].restore(state)
-        if self.config.chaos is not None and "chaos" in snap:
-            self._chaos_used = {str(k): int(v) for k, v in snap["chaos"].items()}
 
     @property
     def opened_total(self) -> int:

@@ -114,26 +114,41 @@ class JobSpec:
         schema = data.get("schema", SERVICE_SCHEMA)
         if schema != SERVICE_SCHEMA:
             raise ValidationError(f"unsupported schema {schema!r}")
-        # int() overflows on the infinities that json.loads accepts.
+        job_id = data.get("job_id")
+        if not isinstance(job_id, str):
+            raise ValidationError(
+                f"job_id must be a non-empty string, not {type(job_id).__name__}"
+            )
         try:
             spec = cls(
-                job_id=str(data["job_id"]),
+                job_id=job_id,
                 map_durations=_durations(data.get("map_durations", [])),
                 reduce_durations=_durations(data.get("reduce_durations", [])),
-                earliest_start=int(data.get("earliest_start", 0)),
-                deadline=int(data.get("deadline", 0)),
+                earliest_start=_whole(data.get("earliest_start", 0)),
+                deadline=_whole(data.get("deadline", 0)),
             )
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except TypeError as exc:
             raise ValidationError(f"malformed job spec: {exc}") from exc
         spec.validate()
         return spec
 
 
+def _whole(value: object) -> int:
+    """A whole number from JSON: an int that is not a bool, or an integral
+    float.  Anything else -- a fraction, NaN, an infinity -- is refused
+    rather than truncated."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise TypeError(f"expected a whole number, got {value!r}")
+
+
 def _durations(raw: object) -> Tuple[int, ...]:
-    """Integer durations from a JSON array; a string is not one."""
+    """Whole-number durations from a JSON array; a string is not one."""
     if not isinstance(raw, list):
         raise TypeError(f"durations must be a list, not {type(raw).__name__}")
-    return tuple(int(d) for d in raw)
+    return tuple(_whole(d) for d in raw)
 
 
 @dataclass(frozen=True)

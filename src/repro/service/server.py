@@ -357,8 +357,10 @@ class SchedulerService:
             request = await _read_request(reader)
             if request is None:
                 return
-            method, path, body = request
-            status, payload = await self._route(method, path, body)
+            if request is _OVERLONG:
+                status, payload = 400, {"error": "request or header line too long"}
+            else:
+                status, payload = await self._route(*request)
             await _write_response(writer, status, payload)
         except (ConnectionError, asyncio.IncompleteReadError):
             pass
@@ -405,31 +407,42 @@ class SchedulerService:
 
 
 # ------------------------------------------------------------- HTTP helpers
+#: What :func:`_read_request` returns when a request or header line is over
+#: the reader's limit; the connection answers it with 400.
+_OVERLONG = ("", "", b"")
+
+
 async def _read_request(
     reader: asyncio.StreamReader,
 ) -> Optional[Tuple[str, str, bytes]]:
-    """Parse one HTTP/1.1 request: (method, path, body)."""
+    """Parse one HTTP/1.1 request: (method, path, body).
+
+    None means there is nothing to answer: the peer closed, or sent no
+    request line.
+    """
     try:
         request_line = await reader.readline()
-    except (ConnectionError, asyncio.LimitOverrunError):
+        if not request_line:
+            return None
+        parts = request_line.decode("latin-1").split()
+        if len(parts) < 2:
+            return None
+        method, path = parts[0].upper(), parts[1]
+        content_length = 0
+        while True:
+            line = await reader.readline()
+            if not line or line in (b"\r\n", b"\n"):
+                break
+            name, _, value = line.decode("latin-1").partition(":")
+            if name.strip().lower() == "content-length":
+                try:
+                    content_length = int(value.strip())
+                except ValueError:
+                    content_length = 0
+    except ConnectionError:
         return None
-    if not request_line:
-        return None
-    parts = request_line.decode("latin-1").split()
-    if len(parts) < 2:
-        return None
-    method, path = parts[0].upper(), parts[1]
-    content_length = 0
-    while True:
-        line = await reader.readline()
-        if not line or line in (b"\r\n", b"\n"):
-            break
-        name, _, value = line.decode("latin-1").partition(":")
-        if name.strip().lower() == "content-length":
-            try:
-                content_length = int(value.strip())
-            except ValueError:
-                content_length = 0
+    except ValueError:  # readline: a line over the reader's limit
+        return _OVERLONG
     body = b""
     if content_length > 0:
         body = await reader.readexactly(content_length)

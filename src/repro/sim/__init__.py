@@ -1,16 +1,14 @@
 """Discrete event simulation substrate.
 
-A compact SimPy-style kernel used to drive the open-system experiments of
-the paper (Section VI): Poisson job arrivals, event-driven scheduler
+A compact event-calendar kernel used to drive the open-system experiments
+of the paper (Section VI): Poisson job arrivals, event-driven scheduler
 invocations, and schedule-driven task execution.
 
 Components
 ----------
 * :class:`~repro.sim.kernel.Simulator` -- the event calendar: schedule
-  callbacks at absolute/relative simulated times, run to exhaustion or a
-  time bound.
-* :class:`~repro.sim.kernel.Event` / :class:`~repro.sim.kernel.Process` --
-  generator-coroutine processes for writing workload drivers naturally.
+  callbacks at absolute/relative simulated times, then run to exhaustion
+  or dispatch one event at a time.
 * :class:`~repro.sim.rng.RandomStreams` -- named, independently seeded
   random streams (arrivals, task sizes, deadlines...) so experiments are
   reproducible and factor-at-a-time runs share common random numbers.
@@ -19,30 +17,16 @@ Components
   within ±1% of the mean at 95% confidence).
 """
 
-from repro.sim.kernel import Event, EventHandle, Process, Simulator
+from repro.sim.kernel import EventHandle, Simulator
 from repro.sim.rng import Distributions, RandomStreams
-from repro.sim.stats import (
-    ReplicationResult,
-    RunningStats,
-    batch_means,
-    mean_ci,
-    relative_half_width,
-    run_replications,
-    trim_warmup,
-)
+from repro.sim.stats import ReplicationResult, mean_ci, run_replications
 
 __all__ = [
     "Simulator",
     "EventHandle",
-    "Event",
-    "Process",
     "RandomStreams",
     "Distributions",
     "ReplicationResult",
-    "RunningStats",
-    "batch_means",
     "mean_ci",
-    "relative_half_width",
     "run_replications",
-    "trim_warmup",
 ]

@@ -1,9 +1,8 @@
 """Event-calendar simulation kernel.
 
 The kernel is deliberately small: a binary-heap calendar of timestamped
-callbacks, plus an optional generator-coroutine layer (:class:`Process`)
-for writing drivers such as "draw inter-arrival time, submit job, repeat"
-in straight-line style.
+callbacks.  Drivers such as "draw inter-arrival time, submit job, repeat"
+are callbacks that schedule their own next event.
 
 Determinism: the calendar is a heap of ``(time, priority, seq, handle)``
 tuples, so events at equal times fire by priority and then in scheduling
@@ -14,7 +13,7 @@ compared), and a seeded run is exactly reproducible.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry
 
@@ -48,7 +47,6 @@ class Simulator:
         self._heap: List[Tuple[float, int, int, EventHandle]] = []
         self._seq = 0
         self._now = float(start_time)
-        self._stopped = False
         #: Number of events dispatched (for sanity checks / stats).
         self.dispatched = 0
         # Observability gauges (no-ops until attach_observability); synced
@@ -126,31 +124,16 @@ class Simulator:
         return handle
 
     # -------------------------------------------------------------- running
-    def run(self, until: Optional[float] = None) -> float:
-        """Dispatch events until the calendar empties or ``until`` is passed.
-
-        Returns the simulation time at exit.  Events scheduled exactly at
-        ``until`` still fire.
-        """
-        self._stopped = False
+    def run(self) -> float:
+        """Dispatch events until the calendar empties; returns the time at exit."""
         heap = self._heap
-        while heap and not self._stopped:
-            time, _priority, _seq, handle = heap[0]
+        while heap:
+            time, _priority, _seq, handle = heapq.heappop(heap)
             if handle.cancelled:
-                # Purge before the early-exit check (mirrors peek()): a
-                # cancelled head must not decide when the loop pauses.
-                heapq.heappop(heap)
                 continue
-            if until is not None and time > until:
-                self._now = until
-                self.sync_gauges()
-                return self._now
-            heapq.heappop(heap)
             self._now = time
             self.dispatched += 1
             handle.callback()
-        if until is not None and self._now < until:
-            self._now = until
         self.sync_gauges()
         return self._now
 
@@ -165,10 +148,6 @@ class Simulator:
             handle.callback()
             return True
         return False
-
-    def stop(self) -> None:
-        """Halt :meth:`run` after the current event completes."""
-        self._stopped = True
 
     def state_digest(self) -> Dict[str, float]:
         """The kernel's position, as comparable JSON-safe data.
@@ -194,72 +173,3 @@ class Simulator:
         while heap and heap[0][3].cancelled:
             heapq.heappop(heap)
         return heap[0][0] if heap else None
-
-    # ------------------------------------------------------------ processes
-    def process(self, generator: Generator) -> "Process":
-        """Start a generator coroutine as a simulation process."""
-        return Process(self, generator)
-
-    def timeout(self, delay: float, value: Any = None) -> "Event":
-        """An event that fires ``delay`` time units from now."""
-        ev = Event(self)
-        self.schedule(delay, lambda: ev.succeed(value))
-        return ev
-
-    def event(self) -> "Event":
-        """A fresh untriggered event bound to this simulator."""
-        return Event(self)
-
-
-class Event:
-    """A one-shot occurrence that processes can wait on."""
-
-    __slots__ = ("sim", "callbacks", "triggered", "value")
-
-    def __init__(self, sim: Simulator) -> None:
-        self.sim = sim
-        self.callbacks: List[Callable[["Event"], None]] = []
-        self.triggered = False
-        self.value: Any = None
-
-    def succeed(self, value: Any = None) -> "Event":
-        """Trigger the event, delivering ``value`` to waiting callbacks."""
-        if self.triggered:
-            raise RuntimeError("event already triggered")
-        self.triggered = True
-        self.value = value
-        callbacks, self.callbacks = self.callbacks, []
-        for cb in callbacks:
-            cb(self)
-        return self
-
-    def add_callback(self, cb: Callable[["Event"], None]) -> None:
-        """Run ``cb`` when the event triggers (immediately if it already has)."""
-        if self.triggered:
-            cb(self)
-        else:
-            self.callbacks.append(cb)
-
-
-class Process(Event):
-    """Drives a generator: each ``yield``ed Event resumes the generator."""
-
-    __slots__ = ("_gen",)
-
-    def __init__(self, sim: Simulator, generator: Generator) -> None:
-        super().__init__(sim)
-        self._gen = generator
-        # Start on a zero-delay event so creation order doesn't matter.
-        sim.schedule(0.0, lambda: self._resume(None))
-
-    def _resume(self, event: Optional[Event]) -> None:
-        try:
-            target = self._gen.send(None if event is None else event.value)
-        except StopIteration as stop:
-            self.succeed(getattr(stop, "value", None))
-            return
-        if not isinstance(target, Event):
-            raise TypeError(
-                f"process must yield Event instances, got {type(target).__name__}"
-            )
-        target.add_callback(self._resume)

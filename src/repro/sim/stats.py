@@ -14,39 +14,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 
-class RunningStats:
-    """Welford's online mean/variance accumulator."""
-
-    __slots__ = ("n", "_mean", "_m2")
-
-    def __init__(self) -> None:
-        self.n = 0
-        self._mean = 0.0
-        self._m2 = 0.0
-
-    def add(self, x: float) -> None:
-        """Fold one observation into the running mean/variance."""
-        self.n += 1
-        delta = x - self._mean
-        self._mean += delta / self.n
-        self._m2 += delta * (x - self._mean)
-
-    @property
-    def mean(self) -> float:
-        return self._mean
-
-    @property
-    def variance(self) -> float:
-        """Sample variance (n-1 denominator)."""
-        if self.n < 2:
-            return 0.0
-        return self._m2 / (self.n - 1)
-
-    @property
-    def std(self) -> float:
-        return math.sqrt(self.variance)
-
-
 def _beta_cf(a: float, b: float, x: float) -> float:
     """Continued fraction of the incomplete beta function (modified Lentz)."""
     tiny = 1e-300
@@ -114,16 +81,6 @@ def mean_ci(data: Sequence[float], confidence: float = 0.95) -> tuple:
     se = math.sqrt(var / n)
     t = student_t_quantile(0.5 + confidence / 2.0, n - 1)
     return mean, t * se
-
-
-def relative_half_width(data: Sequence[float], confidence: float = 0.95) -> float:
-    """CI half-width as a fraction of the mean (inf when the mean is ~0)."""
-    mean, hw = mean_ci(data, confidence)
-    if hw == 0.0:
-        return 0.0
-    if abs(mean) < 1e-12:
-        return float("inf")
-    return hw / abs(mean)
 
 
 @dataclass
@@ -200,24 +157,3 @@ def run_replications(
             result.converged = True
             break
     return result
-
-
-def trim_warmup(values: Sequence[float], fraction: float = 0.1) -> List[float]:
-    """Drop the first ``fraction`` of observations (transient removal)."""
-    if not 0.0 <= fraction < 1.0:
-        raise ValueError(f"fraction {fraction} outside [0, 1)")
-    k = int(len(values) * fraction)
-    return list(values[k:])
-
-
-def batch_means(values: Sequence[float], batches: int = 10) -> List[float]:
-    """Split a single long run into batch means (steady-state CI helper)."""
-    n = len(values)
-    if batches < 1:
-        raise ValueError("batches must be >= 1")
-    if n < batches:
-        raise ValueError(f"cannot form {batches} batches from {n} values")
-    size = n // batches
-    return [
-        sum(values[i * size : (i + 1) * size]) / size for i in range(batches)
-    ]

@@ -19,7 +19,6 @@ from repro.workload.entities import (
     Task,
     TaskKind,
     cluster_capacities,
-    make_heterogeneous_cluster,
     make_uniform_cluster,
     minimum_execution_time,
 )
@@ -34,7 +33,7 @@ from repro.workload.facebook import (
     FacebookWorkloadParams,
     generate_facebook_workload,
 )
-from repro.workload.traces import jobs_from_json, jobs_to_json, load_trace, save_trace
+from repro.workload.traces import jobs_to_json, save_trace
 from repro.workload.validate import validate_jobs
 from repro.workload.workflows import (
     Stage,
@@ -51,7 +50,6 @@ __all__ = [
     "Job",
     "Resource",
     "cluster_capacities",
-    "make_heterogeneous_cluster",
     "make_uniform_cluster",
     "minimum_execution_time",
     "SyntheticWorkloadParams",
@@ -62,9 +60,7 @@ __all__ = [
     "MAP_TIME_LOGNORMAL",
     "REDUCE_TIME_LOGNORMAL",
     "jobs_to_json",
-    "jobs_from_json",
     "save_trace",
-    "load_trace",
     "validate_jobs",
     "Stage",
     "WorkflowJob",

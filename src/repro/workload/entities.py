@@ -84,14 +84,6 @@ class Job:
         return self.map_tasks + self.reduce_tasks
 
     @property
-    def num_map_tasks(self) -> int:
-        return len(self.map_tasks)
-
-    @property
-    def num_reduce_tasks(self) -> int:
-        return len(self.reduce_tasks)
-
-    @property
     def total_map_work(self) -> int:
         return sum(t.duration for t in self.map_tasks)
 
@@ -102,14 +94,6 @@ class Job:
     @property
     def total_work(self) -> int:
         return self.total_map_work + self.total_reduce_work
-
-    @property
-    def last_stage_tasks(self) -> List[Task]:
-        """The tasks whose completion defines the job's completion time.
-
-        Map-only jobs (common in the Facebook mix) complete with their maps.
-        """
-        return self.reduce_tasks if self.reduce_tasks else self.map_tasks
 
     def laxity(self) -> int:
         """Slack: ``d_j - s_j - sum(e_t)`` (paper, Section VI.B)."""
@@ -189,23 +173,6 @@ def make_uniform_cluster(
         raise ValueError(f"need at least one resource, got {num_resources}")
     return [
         Resource(i, map_capacity, reduce_capacity) for i in range(num_resources)
-    ]
-
-
-def make_heterogeneous_cluster(
-    slot_spec: Sequence[Tuple[int, int]],
-) -> List[Resource]:
-    """A cluster from explicit per-resource (map slots, reduce slots) pairs.
-
-    The paper's model allows non-uniform resources (Section III.A defines
-    per-resource capacities); the evaluation only uses uniform clusters, but
-    the joint formulation and the V.D regrouping handle mixed shapes --
-    e.g. ``[(4, 0), (0, 4), (2, 2)]`` for specialised map/reduce machines.
-    """
-    if not slot_spec:
-        raise ValueError("need at least one resource")
-    return [
-        Resource(i, int(mp), int(rd)) for i, (mp, rd) in enumerate(slot_spec)
     ]
 
 

@@ -176,11 +176,6 @@ class WorkflowJob:
     def pending_tasks(self) -> List[Task]:
         return [t for t in self.tasks if not t.is_completed]
 
-    @property
-    def last_stage_tasks(self) -> List[Task]:
-        terminal = set(self.terminal_stage_names())
-        return [t for s in self.stages if s.name in terminal for t in s.tasks]
-
     def laxity(self) -> int:
         """Slack: deadline - earliest start - total work (paper VI.B)."""
         return self.deadline - self.earliest_start - self.total_work

@@ -8,7 +8,7 @@ from repro.metrics import MetricsCollector
 from repro.sim import Simulator
 from repro.workload.entities import Resource
 
-from tests.conftest import make_job
+from tests.conftest import make_job, run_until
 
 
 def test_start_task_occupies_and_releases():
@@ -116,7 +116,7 @@ def test_scheduler_honours_earliest_start():
     sched = SlotScheduler(sim, [Resource(0, 1, 1)], _GreedyPolicy(), metrics)
     job = make_job(0, (5,), arrival=0, earliest_start=20, deadline=100)
     sim.schedule_at(0, lambda: sched.submit(job))
-    sim.run(until=10)
+    run_until(sim, 10)
     assert sched.cluster.running_count() == 0
     sim.run()
     assert metrics.finalize().makespan == 25

@@ -43,6 +43,13 @@ def make_job(
     )
 
 
+def run_until(sim, time: float) -> None:
+    """Dispatch every event due at or before ``time``; the clock stays at
+    the last one dispatched."""
+    while (due := sim.peek()) is not None and due <= time:
+        sim.step()
+
+
 def two_job_single_machine_model(horizon: int = 100) -> CpModel:
     """Two unit-capacity jobs competing for one slot; one must be late."""
     m = CpModel(horizon=horizon)

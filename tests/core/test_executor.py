@@ -8,7 +8,7 @@ from repro.metrics import MetricsCollector
 from repro.sim import Simulator
 from repro.workload.entities import Resource
 
-from tests.conftest import make_job
+from tests.conftest import make_job, run_until
 
 
 def _setup(resources=None):
@@ -35,7 +35,7 @@ def test_tasks_start_at_planned_times():
     ])
     sim.run()
     assert job.is_completed
-    assert metrics.completion_time(job.id) == 10
+    assert metrics.finalize().turnarounds[job.id] == 10
     ex.assert_quiescent()
 
 
@@ -61,14 +61,14 @@ def test_replan_moves_unstarted_tasks():
         _assign(job.map_tasks[0], 0, 0, start=0),
         _assign(job.map_tasks[1], 0, 0, start=20),
     ])
-    sim.run(until=10)
+    run_until(sim, 10)
     # task 0 started and finished; re-plan task 1 earlier
     ex.install([
         _assign(job.map_tasks[0], 0, 0, start=0),  # frozen pass-through
         _assign(job.map_tasks[1], 0, 1, start=12),
     ])
     sim.run()
-    assert metrics.completion_time(job.id) == 17
+    assert metrics.finalize().turnarounds[job.id] == 17
 
 
 def test_replan_cannot_move_started_tasks():
@@ -78,12 +78,12 @@ def test_replan_cannot_move_started_tasks():
     ex.register_job(job)
     original = _assign(job.map_tasks[0], 0, 0, start=0)
     ex.install([original])
-    sim.run(until=5)
-    assert ex.is_started(job.map_tasks[0].id)
+    run_until(sim, 5)
+    assert [a.task.id for a in ex.snapshot_running()] == [job.map_tasks[0].id]
     # attempt to move it: silently ignored (frozen)
     ex.install([_assign(job.map_tasks[0], 0, 1, start=50)])
     sim.run()
-    assert metrics.completion_time(job.id) == 10
+    assert metrics.finalize().turnarounds[job.id] == 10
 
 
 def test_snapshot_running():
@@ -95,7 +95,7 @@ def test_snapshot_running():
         _assign(job.map_tasks[0], 0, 0, start=0),
         _assign(job.reduce_tasks[0], 0, 0, start=10),
     ])
-    sim.run(until=5)
+    run_until(sim, 5)
     running = ex.snapshot_running()
     assert [a.task.id for a in running] == [job.map_tasks[0].id]
     assert job.map_tasks[0].is_prev_scheduled
@@ -118,8 +118,8 @@ def test_each_task_is_in_exactly_one_state():
     ex.install(plan)
     planned = {a.task.id for a in plan}
     seen = []
-    for until in (1, 3, 5, 8, 10, None):
-        sim.run(until=until)
+    for until in (1, 3, 5, 8, 10, float("inf")):
+        run_until(sim, until)
         state = ex.resilience_state()
         pending, running = set(state["pending"]), set(state["running"])
         completed = set(state["completed"])
@@ -170,7 +170,7 @@ def test_back_to_back_on_same_slot_ok():
         _assign(job.map_tasks[1], 0, 0, start=5),  # starts as the first ends
     ])
     sim.run()
-    assert metrics.completion_time(job.id) == 10
+    assert metrics.finalize().turnarounds[job.id] == 10
 
 
 def test_unknown_resource_rejected_at_start():
@@ -196,7 +196,7 @@ def test_quiescence_detects_pending_tasks():
     job = make_job(0, (5,))
     ex.register_job(job)
     ex.install([_assign(job.map_tasks[0], 0, 0, start=50)])
-    sim.run(until=10)
+    run_until(sim, 10)
     with pytest.raises(SchedulingError, match="never started"):
         ex.assert_quiescent()
 

@@ -31,6 +31,11 @@ class _ScriptedInjector(FaultInjector):
         )
 
 
+def _started(ex, task_id):
+    state = ex.resilience_state()
+    return task_id in state["running"] or task_id in state["completed"]
+
+
 def _setup(outcomes=None, resources=None, **hooks):
     sim = Simulator()
     metrics = MetricsCollector()
@@ -64,7 +69,7 @@ def test_mid_execution_failure_frees_slot_and_bumps_attempts():
     assert failed == [("t0_m0", "failure")]
     assert sim.now == pytest.approx(5.0)  # healthy sibling still finished
     assert job.map_tasks[0].attempts == 1
-    assert not ex.is_started("t0_m0")  # re-queued as unstarted
+    assert not _started(ex, "t0_m0")  # re-queued as unstarted
     assert ex.is_completed("t0_m1")
     assert metrics.failures_injected == 1
     # The failed task is in no map until the next install re-plans it.
@@ -125,13 +130,13 @@ def test_outage_kills_running_and_cancels_pending_on_node():
     assert failed == [("t0_m0", "outage")]
     assert job.map_tasks[0].attempts == 1
     assert metrics.tasks_killed == 1
-    assert ex.offline_resources == {0}
+    assert ex.resilience_state()["offline"] == [0]
     assert ex.is_completed("t0_m1")
-    assert not ex.is_started("t0_m2")  # pending entry was cancelled
+    assert not _started(ex, "t0_m2")  # pending entry was cancelled
     assert ex.planned_unstarted() == []
     # Recovery: the node accepts work again.
     ex.restore_resource(0)
-    assert ex.offline_resources == set()
+    assert ex.resilience_state()["offline"] == []
     now = sim.now
     ex.install([
         _assign(job.map_tasks[0], 0, 0, start=now),
@@ -168,6 +173,6 @@ def test_abandon_job_drops_pending_but_lets_running_finish():
     sim.schedule_at(2, lambda: ex.abandon_job(job.id))
     sim.run()
     assert ex.is_completed("t0_m0")      # running attempt ran to completion
-    assert not ex.is_started("t0_m1")    # pending entry dropped
+    assert not _started(ex, "t0_m1")    # pending entry dropped
     assert ex.is_completed("t1_m0")      # unrelated job unaffected
     ex.assert_quiescent()

@@ -2,10 +2,8 @@
 
 import pytest
 
-from repro.core.executor import ScheduledExecutor
-from repro.core.gantt import render_executor_plan, render_gantt
+from repro.core.gantt import render_gantt
 from repro.core.schedule import Schedule, TaskAssignment
-from repro.sim import Simulator
 from repro.workload.entities import Resource
 
 from tests.conftest import make_job
@@ -67,18 +65,3 @@ def test_width_validation():
     s, _ = _schedule()
     with pytest.raises(ValueError):
         render_gantt(s, [Resource(0, 2, 1)], width=4)
-
-
-def test_render_executor_plan():
-    sim = Simulator()
-    ex = ScheduledExecutor(sim, [Resource(0, 2, 1)])
-    job = make_job(0, (10,), (4,), deadline=100)
-    ex.register_job(job)
-    ex.install([
-        TaskAssignment(job.map_tasks[0], 0, 0, 0),
-        TaskAssignment(job.reduce_tasks[0], 0, 0, 10),
-    ])
-    sim.run(until=5)  # map running, reduce pending
-    out = render_executor_plan(ex, width=28)
-    assert "r0.map0" in out
-    assert job.map_tasks[0].id in out  # legend carries task ids

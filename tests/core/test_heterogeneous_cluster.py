@@ -7,7 +7,7 @@ from repro.core.formulation import FormulationMode
 from repro.cp.solver import SolverParams
 from repro.metrics import MetricsCollector
 from repro.sim import Simulator
-from repro.workload import make_heterogeneous_cluster
+from repro.workload.entities import Resource
 
 from tests.conftest import make_job
 
@@ -16,8 +16,12 @@ from tests.conftest import make_job
 SPEC = [(4, 0), (0, 4), (2, 2)]
 
 
+def _cluster():
+    return [Resource(i, maps, reduces) for i, (maps, reduces) in enumerate(SPEC)]
+
+
 def _run(jobs, mode):
-    resources = make_heterogeneous_cluster(SPEC)
+    resources = _cluster()
     sim = Simulator()
     metrics = MetricsCollector()
     rm = MrcpRm(
@@ -30,13 +34,6 @@ def _run(jobs, mode):
     sim.run()
     rm.executor.assert_quiescent()
     return metrics.finalize()
-
-
-def test_helper_validates():
-    cluster = make_heterogeneous_cluster(SPEC)
-    assert [(r.map_capacity, r.reduce_capacity) for r in cluster] == SPEC
-    with pytest.raises(ValueError):
-        make_heterogeneous_cluster([])
 
 
 @pytest.mark.parametrize(
@@ -61,7 +58,7 @@ def test_reduce_only_node_never_gets_maps():
 
     jobs = [make_job(0, (5, 5), (3,), deadline=500)]
     result = build_model(
-        jobs, make_heterogeneous_cluster(SPEC), now=0,
+        jobs, _cluster(), now=0,
         mode=FormulationMode.JOINT,
     )
     for option, rid in result.resource_of_option.items():

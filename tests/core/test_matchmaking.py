@@ -6,7 +6,6 @@ from repro.core.matchmaking import (
     UnitSlot,
     assign_slots_within_resources,
     decompose_combined_schedule,
-    regroup_unit_resources,
 )
 from repro.core.schedule import (
     Schedule,
@@ -137,36 +136,3 @@ def test_assign_slots_unknown_resource():
         assign_slots_within_resources(
             [(job.map_tasks[0], 0, 9)], [], [Resource(0, 1, 0)]
         )
-
-
-# ----------------------------------------------------- regrouping (V.D #2)
-def test_regroup_paper_example():
-    """100 map slots over nm=50, 100 reduce slots over nr=30: 50 resources;
-    20 with 3 reduce slots and 10 with 4."""
-    resources = regroup_unit_resources(100, 100, 50, 30)
-    assert len(resources) == 50
-    assert all(r.map_capacity == 2 for r in resources)
-    reduce_caps = sorted(r.reduce_capacity for r in resources)
-    assert reduce_caps.count(0) == 20
-    assert reduce_caps.count(3) == 20
-    assert reduce_caps.count(4) == 10
-    assert sum(r.reduce_capacity for r in resources) == 100
-
-
-def test_regroup_even_division():
-    resources = regroup_unit_resources(8, 4, 4, 4)
-    assert [r.map_capacity for r in resources] == [2, 2, 2, 2]
-    assert [r.reduce_capacity for r in resources] == [1, 1, 1, 1]
-
-
-def test_regroup_zero_everything():
-    assert regroup_unit_resources(0, 0, 0, 0) == []
-
-
-def test_regroup_slots_without_resources_rejected():
-    with pytest.raises(ValueError):
-        regroup_unit_resources(4, 0, 0, 0)
-    with pytest.raises(ValueError):
-        regroup_unit_resources(0, 4, 1, 0)
-    with pytest.raises(ValueError):
-        regroup_unit_resources(1, 1, -1, 1)

@@ -7,7 +7,7 @@ from repro.metrics import MetricsCollector
 from repro.sim import Simulator
 from repro.workload.entities import Resource, make_uniform_cluster
 
-from tests.conftest import make_job
+from tests.conftest import make_job, run_until
 
 
 def _run(jobs, resources=None, config=None):
@@ -51,7 +51,6 @@ def test_open_stream_all_jobs_complete():
 def test_earliest_start_respected():
     job = make_job(0, (5,), arrival=0, earliest_start=50, deadline=200)
     metrics, rm = _run([job])
-    ct = metrics.completion_time(0) if hasattr(metrics, "completion_time") else None
     assert metrics.makespan == 55  # starts exactly at its EST
     # turnaround is measured from the SLA earliest start, not arrival
     assert metrics.avg_turnaround == 5
@@ -68,8 +67,8 @@ def test_est_deferral_queues_future_jobs():
     )
     job = make_job(0, (5,), arrival=0, earliest_start=40, deadline=100)
     sim.schedule_at(0, lambda: rm.submit(job))
-    sim.run(until=10)
-    assert rm.deferred_jobs == [job]
+    run_until(sim, 10)
+    assert rm.resilience_state()["deferred"] == [job.id]
     assert rm.active_jobs == []
     sim.run()
     assert metrics.finalize().jobs_completed == 1
@@ -86,8 +85,8 @@ def test_deferral_disabled_schedules_immediately():
     )
     job = make_job(0, (5,), arrival=0, earliest_start=40, deadline=100)
     sim.schedule_at(0, lambda: rm.submit(job))
-    sim.run(until=1)
-    assert rm.deferred_jobs == []
+    run_until(sim, 1)
+    assert rm.resilience_state()["deferred"] == []
     assert rm.active_jobs == [job]
     sim.run()
     assert metrics.finalize().makespan == 45

@@ -115,7 +115,7 @@ def test_self_notification_when_compulsory_part_appears():
     eng, _ = _setup([a, b, c], [1, 1, 1], 1)
     eng.propagate()
     assert b.est == 10
-    assert b.has_compulsory_part
+    assert b.lst < b.ect
     assert c.est == 18
 
 

@@ -199,11 +199,11 @@ def test_search_unwinds_to_the_level_it_was_entered_at():
     result = tree_search(m, engine, brancher, SearchLimits.from_budget(fail_limit=50))
     assert result.best is not None and result.best.starts[pinned] == value
     assert engine.trail.level == level
-    assert pinned.start_fixed and pinned.est == value
-    assert not other.start_fixed  # the search's own fixes are undone
+    assert pinned.start.is_fixed and pinned.est == value
+    assert not other.start.is_fixed  # the search's own fixes are undone
     assert not engine._queue_high and not engine._queue_low
     engine.trail.pop_level()
-    assert not pinned.start_fixed
+    assert not pinned.start.is_fixed
 
     # Root-infeasible exit: the caller's pin overlaps a frozen task.
     m = CpModel(horizon=30)
@@ -220,5 +220,5 @@ def test_search_unwinds_to_the_level_it_was_entered_at():
     )
     assert result.best is None and result.exhausted and result.stats.fails == 1
     assert engine.trail.level == level
-    assert a.start_fixed and a.est == 5
+    assert a.start.is_fixed and a.est == 5
     assert not engine._queue_high and not engine._queue_low

@@ -139,7 +139,7 @@ def test_mrcp_rm_plans_stay_stable_with_hints():
     from repro.metrics import MetricsCollector
     from repro.sim import Simulator
     from repro.workload import make_uniform_cluster
-    from tests.conftest import make_job
+    from tests.conftest import make_job, run_until
 
     sim = Simulator()
     metrics = MetricsCollector()
@@ -152,7 +152,7 @@ def test_mrcp_rm_plans_stay_stable_with_hints():
     j1 = make_job(0, (10, 10, 10), deadline=1000)
     j2 = make_job(1, (5,), arrival=2, earliest_start=2, deadline=1000)
     sim.schedule_at(0, lambda: rm.submit(j1))
-    sim.run(until=1)
+    run_until(sim, 1)
     plan_before = {
         a.task.id: a.start for a in rm.executor.planned_unstarted()
     }

@@ -19,7 +19,7 @@ def test_interval_time_accessors():
     iv = IntervalVar(2, 8, 5, name="t")
     assert iv.est == 2 and iv.lst == 8
     assert iv.ect == 7 and iv.lct == 13
-    assert not iv.start_fixed
+    assert not iv.start.is_fixed
 
 
 def test_negative_length_rejected():
@@ -33,11 +33,11 @@ def test_empty_window_rejected():
 
 
 def test_compulsory_part():
-    # lst < ect  <=>  8 < est+5 -> est > 3
+    # The compulsory part is [lst, ect), non-empty iff lst < ect.
     iv = IntervalVar(4, 6, 5)
-    assert iv.has_compulsory_part  # [6, 9)
+    assert (iv.lst, iv.ect) == (6, 9)
     iv2 = IntervalVar(0, 6, 5)
-    assert not iv2.has_compulsory_part
+    assert (iv2.lst, iv2.ect) == (6, 5)  # empty
 
 
 def test_mandatory_interval_presence():
@@ -83,7 +83,7 @@ def test_fix_start():
     eng = _Engine()
     iv = IntervalVar(0, 10, 4)
     iv.fix_start(3, eng)
-    assert iv.start_fixed and iv.est == 3 and iv.ect == 7
+    assert iv.start.is_fixed and iv.est == 3 and iv.ect == 7
 
 
 def test_boolvar():

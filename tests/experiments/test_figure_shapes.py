@@ -14,13 +14,34 @@ from dataclasses import replace
 import pytest
 
 from repro.experiments.configs import SCALED, figure_series
-from repro.experiments.reporting import run_series, series_rows
+from repro.experiments.reporting import run_series
 
 pytestmark = pytest.mark.slow
 
 #: Jobs per run and replications per point: the whole module stays ~10 s.
 NUM_JOBS = 25
 REPLICATIONS = 2
+
+
+def series_rows(series, results, metrics=None):
+    """Tabular data: one dict per configuration with mean +/- half-width."""
+    metrics = list(metrics or series.metrics)
+    rows = []
+    for labeled in series.configs:
+        result = results[labeled.label]
+        row = {
+            "label": labeled.label,
+            series.factor: labeled.factor_value,
+            "scheduler": labeled.scheduler,
+            "replications": result.replications,
+        }
+        for m in metrics:
+            mean = result.mean(m)
+            hw = result.half_width(m)
+            row[m] = mean
+            row[f"{m}_hw"] = hw
+        rows.append(row)
+    return rows
 
 
 def run_figure(figure):

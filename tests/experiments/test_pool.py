@@ -215,7 +215,7 @@ def test_failed_cell_marks_only_itself_and_exhausts_retries():
         label="bad", factor_value=1.0, scheduler="minedf-wc", config=bad
     )
     result = run_sweep(spec, workers=1, retries=2)
-    assert len(result.ok_cells) == 1
+    assert len(result.outcomes) - len(result.failed_cells) == 1
     (failed,) = result.failed_cells
     assert failed.label == "bad"
     assert failed.attempts == 3  # retries + 1

@@ -3,7 +3,9 @@
 from dataclasses import replace
 
 from repro.experiments.configs import SCALED, figure_series
-from repro.experiments.reporting import format_series, run_series, series_rows
+from repro.experiments.reporting import format_series, run_series
+
+from tests.experiments.test_figure_shapes import series_rows
 
 
 def _small_series():

@@ -118,7 +118,7 @@ def test_worker_raise_fails_only_its_cell():
     assert (failed.label, failed.replication) == ("hi", 0)
     assert failed.attempts == 2  # retries + 1
     assert "injected worker failure" in failed.error
-    assert len(result.ok_cells) == 3
+    assert len(result.outcomes) - len(result.failed_cells) == 3
 
 
 def test_worker_death_fails_only_its_cell():
@@ -130,7 +130,7 @@ def test_worker_death_fails_only_its_cell():
     assert (failed.label, failed.replication) == ("hi", 0)
     assert "died" in failed.error
     assert failed.attempts == 2  # retries + 1
-    assert len(result.ok_cells) == 3
+    assert len(result.outcomes) - len(result.failed_cells) == 3
 
 
 def test_failed_cells_present_in_artifacts(tmp_path):
@@ -144,7 +144,8 @@ def test_failed_cells_present_in_artifacts(tmp_path):
     doc = json.load(open(tmp_path / "sweep.json"))
     statuses = {(c["label"], c["replication"]): c["status"] for c in doc["cells"]}
     assert statuses[("hi", 0)] == "failed"
-    assert sum(1 for s in statuses.values() if s == "ok") == len(result.ok_cells)
+    ok = len(result.outcomes) - len(result.failed_cells)
+    assert sum(1 for s in statuses.values() if s == "ok") == ok
     csv_text = (tmp_path / "sweep.csv").read_text()
     assert "failed" in csv_text
 

@@ -3,13 +3,7 @@
 import pytest
 
 from repro.core.schedule import TaskAssignment
-from repro.metrics import MetricsCollector
-from repro.metrics.analysis import (
-    offered_load,
-    percentile,
-    slot_utilization,
-    tardiness_stats,
-)
+from repro.metrics.analysis import offered_load, slot_utilization
 from repro.workload.entities import Resource
 
 from tests.conftest import make_job
@@ -55,45 +49,3 @@ def test_offered_load():
     assert rho == pytest.approx(0.2)
     assert offered_load([], [Resource(0, 1, 1)]) == 0.0
     assert offered_load([jobs[0]], [Resource(0, 1, 1)]) == float("inf")
-
-
-def test_tardiness_stats():
-    collector = MetricsCollector()
-    on_time = make_job(0, (5,), deadline=50)
-    late1 = make_job(1, (5,), deadline=20)
-    late2 = make_job(2, (5,), deadline=20)
-    for j in (on_time, late1, late2):
-        collector.job_arrived(j)
-    collector.job_completed(on_time, 30)
-    collector.job_completed(late1, 25)  # tardiness 5
-    collector.job_completed(late2, 40)  # tardiness 20
-    stats = tardiness_stats(
-        collector.finalize(), [on_time, late1, late2]
-    )
-    assert stats.late_jobs == 2
-    assert stats.tardiness_by_job == {1: 5, 2: 20}
-    assert stats.mean_tardiness == 12.5
-    assert stats.max_tardiness == 20
-    assert stats.total_tardiness == 25
-
-
-def test_tardiness_no_late_jobs():
-    collector = MetricsCollector()
-    j = make_job(0, (5,), deadline=50)
-    collector.job_arrived(j)
-    collector.job_completed(j, 10)
-    stats = tardiness_stats(collector.finalize(), [j])
-    assert stats.late_jobs == 0
-    assert stats.mean_tardiness == 0.0
-
-
-def test_percentile_nearest_rank():
-    data = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10]
-    assert percentile(data, 50) == 5
-    assert percentile(data, 90) == 9
-    assert percentile(data, 100) == 10
-    assert percentile(data, 0) == 1
-    with pytest.raises(ValueError):
-        percentile([], 50)
-    with pytest.raises(ValueError):
-        percentile(data, 101)

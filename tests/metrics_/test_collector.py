@@ -145,3 +145,13 @@ def test_no_late_jobs_no_tardiness():
     assert m.tardiness_percentile(95) == 0
     verbose = m.as_dict(verbose=True)
     assert verbose.get("tardiness_mean", 0.0) == 0.0
+
+
+def test_overhead_sim_times_align_with_series():
+    c = MetricsCollector()
+    c.record_overhead(0.25, sim_time=12.0)
+    c.record_overhead(0.5)  # no timeline: its sim time stays None
+    m = c.finalize()
+    assert m.overhead_series == [0.25, 0.5]
+    assert m.overhead_sim_times == [12.0, None]
+    assert sum(m.overhead_series) == m.total_sched_overhead

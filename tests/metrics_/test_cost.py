@@ -12,7 +12,7 @@ from repro.metrics.cost import (
 )
 from repro.workload.entities import Resource
 
-from tests.conftest import make_job
+from tests.conftest import make_job, run_until
 
 
 def _assignments():
@@ -98,7 +98,7 @@ def test_track_execution_records_started_tasks():
     ex.register_job(job)
     executed = track_execution(ex)
     ex.install(assignments)
-    sim.run(until=5)
+    run_until(sim, 5)
     assert len(executed) == 2  # the two maps started, the reduce has not
     sim.run()
     assert len(executed) == 3

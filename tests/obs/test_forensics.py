@@ -229,11 +229,11 @@ def test_outage_window_recovery_without_begin_is_ignored():
 def test_attribution_round_trips_through_dict():
     import json
 
-    from repro.obs.forensics import attribution_from_dict
+    from repro.obs.forensics import LatenessAttribution
 
     job = make_job(7, arrival=0, earliest_start=0, deadline=10)
     events = [_task_span("t7_m0", 7, ts=20.0, dur=15.0)]
     [a] = attribute_lateness(_metrics({7: 25}, {7: 35}), [job], events)
     row = a.as_dict()
     assert json.loads(json.dumps(row)) == row  # JSON-safe
-    assert attribution_from_dict(row) == a
+    assert LatenessAttribution(**row) == a

@@ -58,18 +58,6 @@ def test_failed_probe_reopens_successful_probe_closes():
     assert b.failures == 0
 
 
-def test_breaker_snapshot_restore_round_trip():
-    b = CircuitBreaker("cp_full", threshold=1, cooldown=3)
-    b.record(False)
-    b.allow()
-    snap = b.snapshot()
-    fresh = CircuitBreaker("cp_full", threshold=1, cooldown=3)
-    fresh.restore(snap)
-    assert fresh.snapshot() == snap
-    assert fresh.state == OPEN
-    assert fresh.cooldown_left == b.cooldown_left
-
-
 # ------------------------------------------------------ injected failures
 class _SolvingSolver:
     """Solver stub whose every solve succeeds (no model needed)."""
@@ -104,18 +92,6 @@ def test_injected_failures_repr_stable_across_consumption():
     assert ladder.snapshot()["chaos"] == {"cp_full": 1}
     assert repr(chaos) == before
     assert chaos == InjectedSolverFailures(counts={"cp_full": 1})
-
-
-def test_injected_failures_state_restore_round_trip():
-    counts = {"cp_full": 3, "cp_limited": 1, "edf": 1, "greedy": 1}
-    ladder = _chaos_ladder(counts)
-    assert ladder.solve(model=None).rung == "none"  # every rung forced
-    snap = ladder.snapshot()
-    fresh = _chaos_ladder(counts)
-    fresh.restore(snap)
-    assert fresh.snapshot()["chaos"] == snap["chaos"] == {r: 1 for r in counts}
-    # cp_limited's one forced failure was spent in the restored state.
-    assert fresh.solve(model=None).rung == "cp_limited"
 
 
 # ------------------------------------------------------------------- ladder
@@ -261,17 +237,3 @@ def test_budget_exhaustion_does_trip_the_breaker():
     ladder.solve(model=None)
     assert ladder.breakers["cp_full"].state == OPEN
     assert ladder.breakers["cp_limited"].state == OPEN
-
-
-def test_ladder_snapshot_restore_round_trip():
-    ladder = _chaos_ladder({"cp_full": 5}, failure_threshold=1)
-    assert ladder.solve(model=None).rung == "cp_limited"
-    snap = ladder.snapshot()
-
-    fresh = _chaos_ladder({"cp_full": 5}, failure_threshold=1)
-    fresh.restore(snap)
-    assert fresh.snapshot() == snap
-    assert fresh.breakers["cp_full"].state == OPEN
-    assert fresh.snapshot()["chaos"] == {"cp_full": 1}
-    # Restoring fills the ladder, never the shared config.
-    assert fresh.config.chaos == InjectedSolverFailures(counts={"cp_full": 5})

@@ -117,6 +117,43 @@ class TestJobSpecConversion:
         with pytest.raises(ValidationError, match="must be a list"):
             JobSpec.from_dict(data)
 
+    def test_from_dict_rejects_bool_durations(self):
+        # [true, 2] used to be accepted as durations (1, 2).
+        data = {"job_id": "a", "map_durations": [True, 2], "deadline": 5}
+        with pytest.raises(ValidationError, match="whole number"):
+            JobSpec.from_dict(data)
+
+    def test_from_dict_rejects_fractional_durations(self):
+        # 2.9 used to be truncated to 2.
+        data = {"job_id": "a", "map_durations": [1, 2.9], "deadline": 5}
+        with pytest.raises(ValidationError, match="whole number"):
+            JobSpec.from_dict(data)
+
+    def test_from_dict_rejects_fractional_deadline(self):
+        # 5.99 used to be truncated to 5.
+        data = {"job_id": "a", "map_durations": [1], "deadline": 5.99}
+        with pytest.raises(ValidationError, match="whole number"):
+            JobSpec.from_dict(data)
+
+    def test_from_dict_rejects_fractional_earliest_start(self):
+        data = {"job_id": "a", "map_durations": [1], "earliest_start": 0.5,
+                "deadline": 5}
+        with pytest.raises(ValidationError, match="whole number"):
+            JobSpec.from_dict(data)
+
+    @pytest.mark.parametrize("job_id", [["x"], 7], ids=["list", "int"])
+    def test_from_dict_rejects_non_string_job_id(self, job_id):
+        # ["x"] and 7 used to become the ids "['x']" and "7".
+        data = {"job_id": job_id, "map_durations": [1], "deadline": 5}
+        with pytest.raises(ValidationError, match="job_id"):
+            JobSpec.from_dict(data)
+
+    def test_from_dict_accepts_integral_floats(self):
+        data = {"job_id": "a", "map_durations": [2.0], "deadline": 5.0}
+        parsed = JobSpec.from_dict(data)
+        assert parsed == JobSpec("a", (2,), deadline=5)
+        assert type(parsed.deadline) is int
+
 
 _SPEC_KEYS = (
     "schema",
@@ -132,7 +169,7 @@ _json_values = st.recursive(
     | st.dictionaries(st.text(max_size=6), children, max_size=4),
     max_leaves=12,
 )
-_numbers = st.integers(-5, 100) | st.floats()
+_numbers = st.integers(-5, 100) | st.floats(-5, 100) | st.floats()
 _payloads = (
     _json_values
     | st.dictionaries(st.sampled_from(_SPEC_KEYS), _json_values)
@@ -153,12 +190,31 @@ _payloads = (
 @settings(max_examples=300, deadline=None)
 @given(_payloads)
 def test_from_dict_on_any_json_value_returns_valid_spec_or_rejects(data):
-    """No decoded JSON value makes ``from_dict`` raise anything else."""
+    """No decoded JSON value makes ``from_dict`` raise anything else, and an
+    accepted spec holds exactly the values it was given: nothing truncated."""
     try:
         parsed = JobSpec.from_dict(data)
     except ValidationError:
         return
     parsed.validate()
+    written = parsed.as_dict()
+    for key in _SPEC_KEYS[1:]:
+        if key in data:
+            assert _same(data[key], written[key]), key
+
+
+def _same(given, kept) -> bool:
+    """Equal, and of the same JSON type -- except that an integral float
+    may come back as the int it equals."""
+    if isinstance(given, list):
+        return (
+            isinstance(kept, list)
+            and len(given) == len(kept)
+            and all(map(_same, given, kept))
+        )
+    if isinstance(given, float):
+        return type(kept) is int and given == kept
+    return type(given) is type(kept) and given == kept
 
 
 def quote(**overrides) -> SlaQuote:

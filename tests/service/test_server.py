@@ -6,6 +6,7 @@ import asyncio
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.obs.clocks import ManualServiceClock
 from repro.obs.export import validate_openmetrics
@@ -14,7 +15,7 @@ from repro.service.admission import AdmissionConfig
 from repro.service.batching import BatchingConfig
 from repro.service.loadgen import _http_json
 from repro.service.schemas import JobSpec
-from repro.service.server import SchedulerService, ServiceConfig
+from repro.service.server import SchedulerService, ServiceConfig, _read_request
 from repro.workload.entities import make_uniform_cluster
 
 
@@ -328,3 +329,89 @@ class TestJsonOverHttpParity:
         assert SlaQuote.from_dict(
             json.loads(json.dumps(quote.as_dict()))
         ).verdict_key() == quote.verdict_key()
+
+
+class _Writer:
+    """The slice of ``asyncio.StreamWriter`` a connection handler uses."""
+
+    def __init__(self):
+        self.data = b""
+
+    def write(self, data):
+        self.data += data
+
+    async def drain(self):
+        pass
+
+    def close(self):
+        pass
+
+    async def wait_closed(self):
+        pass
+
+
+def _fed(data: bytes, limit: int = 2**16) -> asyncio.StreamReader:
+    """A reader holding ``data`` then EOF (call inside a running loop)."""
+    reader = asyncio.StreamReader(limit=limit)
+    reader.feed_data(data)
+    reader.feed_eof()
+    return reader
+
+
+class TestReadRequest:
+    @pytest.mark.parametrize(
+        "request_bytes",
+        [
+            b"GET /" + b"x" * 2**16 + b" HTTP/1.1\r\n\r\n",
+            b"GET /health HTTP/1.1\r\nX-Pad: " + b"x" * 2**16 + b"\r\n\r\n",
+        ],
+        ids=["request_line", "header_line"],
+    )
+    def test_overlong_line_is_a_400(self, request_bytes):
+        # readline turns the overrun into ValueError, which used to reach
+        # the 500 branch.
+        async def run():
+            writer = _Writer()
+            await service()._handle_connection(_fed(request_bytes), writer)
+            return writer.data
+
+        response = asyncio.run(run())
+        assert response.startswith(b"HTTP/1.1 400 Bad Request\r\n")
+        assert b"too long" in response
+
+
+_request_like = st.builds(
+    lambda method, path, headers, body: (
+        f"{method} {path} HTTP/1.1\r\n".encode("latin-1")
+        + b"".join(h + b"\r\n" for h in headers)
+        + b"\r\n"
+        + body
+    ),
+    st.sampled_from(["GET", "POST", "get", ""]),
+    st.text(st.characters(max_codepoint=255), max_size=8).map(lambda t: "/" + t),
+    st.lists(
+        st.one_of(
+            st.integers(-5, 40).map(lambda n: b"Content-Length: %d" % n),
+            st.binary(max_size=20),
+        ),
+        max_size=3,
+    ),
+    st.binary(max_size=30),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.binary(max_size=120) | _request_like, st.sampled_from([8, 32, 2**16]))
+def test_read_request_on_any_bytes_returns_a_request_or_none(data, limit):
+    """Whatever a peer sends, reading it yields None or a request tuple, or
+    IncompleteReadError for a body cut short; all of them are handled."""
+
+    async def read():
+        return await _read_request(_fed(data, limit))
+
+    try:
+        request = asyncio.run(read())
+    except asyncio.IncompleteReadError:
+        return
+    if request is not None:
+        assert [type(part) for part in request] == [str, str, bytes]

@@ -1,4 +1,4 @@
-"""Simulation kernel: ordering, cancellation, priorities, processes."""
+"""Simulation kernel: ordering, cancellation, priorities."""
 
 import pytest
 
@@ -8,6 +8,8 @@ from repro.sim.kernel import (
     PRIORITY_RELEASE,
     Simulator,
 )
+
+from tests.conftest import run_until
 
 
 def test_events_fire_in_time_order():
@@ -63,37 +65,6 @@ def test_cancelled_events_do_not_fire():
     assert log == []
 
 
-def test_run_until_pauses_clock():
-    sim = Simulator()
-    log = []
-    sim.schedule(5, lambda: log.append("early"))
-    sim.schedule(15, lambda: log.append("late"))
-    assert sim.run(until=10) == 10
-    assert log == ["early"]
-    sim.run()
-    assert log == ["early", "late"]
-
-
-def test_run_until_includes_boundary():
-    sim = Simulator()
-    log = []
-    sim.schedule(10, lambda: log.append("x"))
-    sim.run(until=10)
-    assert log == ["x"]
-
-
-def test_stop_halts_run():
-    sim = Simulator()
-    log = []
-    sim.schedule(1, lambda: log.append("a"))
-    sim.schedule(2, sim.stop)
-    sim.schedule(3, lambda: log.append("b"))
-    sim.run()
-    assert log == ["a"]
-    sim.run()
-    assert log == ["a", "b"]
-
-
 def test_events_scheduled_during_run():
     sim = Simulator()
     log = []
@@ -128,106 +99,15 @@ def test_pending_count_excludes_cancelled():
     assert sim.pending == 1
 
 
-def test_process_coroutine():
-    sim = Simulator()
-    log = []
-
-    def worker():
-        log.append(("start", sim.now))
-        yield sim.timeout(5)
-        log.append(("mid", sim.now))
-        yield sim.timeout(3)
-        log.append(("end", sim.now))
-        return 42
-
-    proc = sim.process(worker())
-    sim.run()
-    assert log == [("start", 0), ("mid", 5), ("end", 8)]
-    assert proc.triggered and proc.value == 42
-
-
-def test_process_waits_on_event():
-    sim = Simulator()
-    log = []
-    gate = None
-
-    def opener():
-        yield sim.timeout(10)
-        gate.succeed("opened")
-
-    def waiter():
-        value = yield gate
-        log.append((value, sim.now))
-
-    gate = sim.event()
-    sim.process(opener())
-    sim.process(waiter())
-    sim.run()
-    assert log == [("opened", 10)]
-
-
-def test_process_must_yield_events():
-    sim = Simulator()
-
-    def bad():
-        yield 42
-
-    sim.process(bad())
-    with pytest.raises(TypeError):
-        sim.run()
-
-
-def test_event_double_trigger_rejected():
-    sim = Simulator()
-    ev = sim.event()
-    ev.succeed()
-    with pytest.raises(RuntimeError):
-        ev.succeed()
-
-
-def test_callback_on_already_triggered_event_fires_immediately():
-    sim = Simulator()
-    ev = sim.event()
-    ev.succeed("v")
-    log = []
-    ev.add_callback(lambda e: log.append(e.value))
-    assert log == ["v"]
-
-
-def test_run_until_skips_cancelled_head():
-    """A cancelled event beyond ``until`` must not pause the loop early:
-    the head is purged first (mirrors peek()), so a live later event still
-    decides the exit time."""
-    sim = Simulator()
-    log = []
-    h = sim.schedule_at(5, lambda: log.append("cancelled"))
-    sim.schedule_at(8, lambda: log.append("live"))
-    h.cancel()
-    assert sim.run(until=6) == 6
-    assert log == []
-    assert sim.run(until=10) == 10
-    assert log == ["live"]
-
-
-def test_run_until_with_only_cancelled_events_advances_clock():
-    sim = Simulator()
-    h1 = sim.schedule_at(3, lambda: None)
-    h2 = sim.schedule_at(7, lambda: None)
-    h1.cancel()
-    h2.cancel()
-    assert sim.run(until=5) == 5
-    assert sim.pending == 0
-
-
 def test_peek_after_cancel_matches_run_behaviour():
-    """peek() and run(until=...) must agree on which event is next."""
+    """peek() and step() must agree on which event is next."""
     sim = Simulator()
     log = []
     h = sim.schedule_at(2, lambda: log.append("a"))
     sim.schedule_at(4, lambda: log.append("b"))
     h.cancel()
     assert sim.peek() == 4
-    sim.run(until=sim.peek())
+    assert sim.step() and sim.now == 4
     assert log == ["b"]
     assert sim.peek() is None
 
@@ -237,11 +117,11 @@ def test_cancel_between_run_segments():
     log = []
     sim.schedule_at(1, lambda: log.append(1))
     later = sim.schedule_at(10, lambda: log.append(10))
-    sim.run(until=5)
+    assert sim.step()
     later.cancel()
     sim.run()
     assert log == [1]
-    assert sim.now == 5  # nothing live remained; clock stays put
+    assert sim.now == 1  # nothing live remained; clock stays put
 
 
 def test_same_time_and_priority_fire_in_scheduling_order():
@@ -282,7 +162,7 @@ def test_cancelled_head_at_the_same_instant_does_not_fire_or_decide_run():
     far = sim.schedule_at(20, lambda: log.append("far"))
     head.cancel()
     far.cancel()
-    assert sim.run(until=10) == 10
+    assert sim.run() == 3
     assert log == ["live"]
     assert sim.pending == 0 and sim.peek() is None
 
@@ -318,5 +198,5 @@ def test_state_digest_of_a_scripted_run():
     cancelled = sim.schedule_at(4, lambda: None)
     sim.schedule_at(2, lambda: sim.schedule(10, lambda: None))
     cancelled.cancel()
-    sim.run(until=5)
+    run_until(sim, 5)
     assert sim.state_digest() == {"now": 5, "dispatched": 5, "seq": 8, "pending": 2}

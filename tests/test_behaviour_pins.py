@@ -334,7 +334,7 @@ def _case_sweep_pool() -> Dict[str, Any]:
     csv_digest = hashlib.sha256(result.to_csv().encode("utf-8")).hexdigest()
     return {
         "cells": len(result.outcomes),
-        "ok": len(result.ok_cells),
+        "ok": len(result.outcomes) - len(result.failed_cells),
         "csv_sha256": csv_digest[:16],
     }
 

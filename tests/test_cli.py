@@ -99,6 +99,17 @@ def test_checkpoint_keep_must_be_positive(value, capsys):
         ["telemetry", "--interval", "0"],
         ["telemetry", "--interval", "nan"],
         ["serve", "--series-interval", "-1"],
+        ["loadtest", "--requests", "0"],
+        ["loadtest", "--max-batch-size", "0"],
+        ["loadtest", "--max-hold", "-1"],
+        ["loadtest", "--max-hold", "nan"],
+        ["faults", "--jobs", "0"],
+        ["report", "--jobs", "0"],
+        ["serve", "--resources", "0"],
+        ["serve", "--max-batch-size", "0"],
+        ["serve", "--max-hold", "-0.5"],
+        ["serve", "--max-pending", "0"],
+        ["serve", "--overload-depth", "0"],
     ],
 )
 def test_non_positive_numeric_flag_is_a_usage_error(argv, capsys):
@@ -109,6 +120,12 @@ def test_non_positive_numeric_flag_is_a_usage_error(argv, capsys):
     assert exit_info.value.code == 2
     err = capsys.readouterr().err
     assert argv[-2] in err and "must be >" in err
+
+
+@pytest.mark.parametrize("command", ["serve", "loadtest"])
+def test_zero_hold_is_accepted(command):
+    # A zero hold plans each batch at once; only negatives and NaN are refused.
+    assert build_parser().parse_args([command, "--max-hold", "0"]).max_hold == 0.0
 
 
 @pytest.mark.parametrize("snapshot", ["missing", "old_schema", "other_seed"])

@@ -1,4 +1,4 @@
-"""Every knob has a caller: no config option exists only for its own tests.
+"""Every knob and every name has a caller: nothing exists only for its tests.
 
 For each ``@dataclass`` under ``src/repro`` whose name ends in ``Config`` or
 ``Params``, every field with a default must be set by keyword (``name=...``)
@@ -11,6 +11,9 @@ A keyword sets the class a call builds (``Cls(...)``), the class a
 ``replace`` is known to act on, or -- for any other call, which may route
 keywords on -- every class with a field of that name.  A keyword that only
 hands on a value the option already holds sets nothing.
+
+The second rule, below, asks the same of every function, class, method and
+property (:func:`test_every_definition_has_a_caller_or_a_reason`).
 """
 
 import ast
@@ -150,3 +153,106 @@ def test_the_scan_sees_the_config_classes():
     assert {"MrcpRmConfig", "SolverParams", "ObsConfig", "RunConfig"} <= set(classes)
     assert {"CheckpointConfig", "LadderConfig", "TelemetryConfig"} <= set(classes)
     assert classes["RunConfig"][1]["obs"] == ("ObsConfig", True)
+
+
+# ---------------------------------------------------------------- callers
+#
+# The same rule for code: every function, class, method and property defined
+# under ``src/repro`` is referenced from ``src/``, ``perf/`` or ``examples/``
+# outside its own body -- or sits on :data:`UNCALLED` with the reason it stays.
+# A reference is a ``Name``, an attribute, or an identifier-shaped string
+# constant (dispatch tables such as ``perf/trace.py``'s ``TARGETS`` name
+# methods by string); ``__all__`` entries and imports are not.  The rule
+# matches names, not objects, so any same-named reference keeps a definition
+# alive: it is a floor, not a proof.
+
+#: Qualified name (module path below ``repro``) -> why it stays uncalled.
+UNCALLED = {
+    "cp.brute.brute_force_min_late": "brute-force oracle the solver is checked against",
+    "cp.profile.TimetableProfile.height_at": "instant-by-instant profile oracle",
+    "workload.workflows.from_mapreduce": "MapReduce-to-workflow equivalence oracle",
+    "service.server.SchedulerService.bound_port": "the port serve(port=0) bound",
+}
+
+_IDENTIFIER = re.compile(r"[A-Za-z_]\w*\Z")
+
+
+def definitions():
+    """``(qualified name, name, path, first line, last line)`` of every def."""
+    out = []
+    for path in sorted(SOURCE.rglob("*.py")):
+        module = ".".join(path.relative_to(SOURCE).with_suffix("").parts)
+        stack = [(module, ast.parse(path.read_text(), str(path)).body)]
+        while stack:
+            prefix, body = stack.pop()
+            for node in body:
+                if not isinstance(
+                    node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+                ):
+                    continue
+                qualified = f"{prefix}.{node.name}"
+                if isinstance(node, ast.ClassDef):
+                    stack.append((qualified, node.body))
+                if not (node.name.startswith("__") and node.name.endswith("__")):
+                    out.append(
+                        (qualified, node.name, path, node.lineno, node.end_lineno)
+                    )
+    return out
+
+
+def references():
+    """Name -> ``[(path, line)]`` of every reference in the caller dirs."""
+    out = {}
+    for directory in CALLER_DIRS:
+        for path in sorted((ROOT / directory).rglob("*.py")):
+            tree = ast.parse(path.read_text(), str(path))
+            skip = set()  # ``__all__`` entries; imports hold no Name nodes
+            for node in ast.walk(tree):
+                if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                    targets = getattr(node, "targets", [getattr(node, "target", None)])
+                    if any(_name(t) == "__all__" for t in targets):
+                        skip.update(ast.walk(node))
+            for node in ast.walk(tree):
+                if node in skip:
+                    continue
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    if not _IDENTIFIER.match(node.value):
+                        continue
+                    name = node.value
+                else:
+                    continue
+                out.setdefault(name, []).append((path, node.lineno))
+    return out
+
+
+def uncalled():
+    """Qualified names of every definition nothing outside its body reaches."""
+    refs = references()
+    return sorted(
+        qualified
+        for qualified, name, path, first, last in definitions()
+        if not any(
+            p != path or not first <= line <= last for p, line in refs.get(name, ())
+        )
+    )
+
+
+def test_every_definition_has_a_caller_or_a_reason():
+    dead = set(uncalled())
+    assert sorted(dead - set(UNCALLED)) == []
+    # Exact like ALLOWLIST: an entry that gained a caller or was deleted goes.
+    assert sorted(set(UNCALLED) - dead) == []
+
+
+def test_the_caller_scan_sees_methods_and_not_reexports():
+    assert {"sim.kernel.Simulator.run", "sim.kernel.Simulator.pending"} <= {
+        qualified for qualified, *_ in definitions()
+    }
+    # sim/__init__.py imports run_replications and lists it in __all__:
+    # neither is a reference.
+    package = SOURCE / "sim" / "__init__.py"
+    assert all(path != package for path, _ in references()["run_replications"])

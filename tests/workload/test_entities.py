@@ -15,8 +15,8 @@ from tests.conftest import make_job, make_task
 
 def test_job_derived_properties():
     job = make_job(1, map_durations=(5, 7), reduce_durations=(3,), deadline=100)
-    assert job.num_map_tasks == 2
-    assert job.num_reduce_tasks == 1
+    assert len(job.map_tasks) == 2
+    assert len(job.reduce_tasks) == 1
     assert job.total_map_work == 12
     assert job.total_reduce_work == 3
     assert job.total_work == 15
@@ -27,13 +27,6 @@ def test_laxity():
     job = make_job(1, map_durations=(5,), reduce_durations=(5,),
                    earliest_start=10, deadline=40)
     assert job.laxity() == 40 - 10 - 10
-
-
-def test_last_stage_tasks_map_only_job():
-    job = make_job(2, map_durations=(5, 5))
-    assert job.last_stage_tasks == job.map_tasks
-    job2 = make_job(3, map_durations=(5,), reduce_durations=(2,))
-    assert job2.last_stage_tasks == job2.reduce_tasks
 
 
 def test_completion_and_reset():

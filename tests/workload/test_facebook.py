@@ -28,23 +28,21 @@ def test_job_shapes_come_from_table4():
     jobs = generate_facebook_workload(params, seed=2)
     shapes = {(k, r) for k, r, _ in FACEBOOK_JOB_TYPES}
     for j in jobs:
-        assert (j.num_map_tasks, j.num_reduce_tasks) in shapes
+        assert (len(j.map_tasks), len(j.reduce_tasks)) in shapes
 
 
 def test_map_only_jobs_exist_and_have_no_reduces():
     params = FacebookWorkloadParams(num_jobs=200, scale=1.0)
     jobs = generate_facebook_workload(params, seed=3)
-    map_only = [j for j in jobs if j.num_reduce_tasks == 0]
+    map_only = [j for j in jobs if len(j.reduce_tasks) == 0]
     assert map_only  # 74% of the mix is map-only
-    for j in map_only:
-        assert j.last_stage_tasks == j.map_tasks
 
 
 def test_type_mix_roughly_matches_weights():
     params = FacebookWorkloadParams(num_jobs=2000, scale=1.0)
     jobs = generate_facebook_workload(params, seed=4)
     single_map = sum(
-        1 for j in jobs if (j.num_map_tasks, j.num_reduce_tasks) == (1, 0)
+        1 for j in jobs if (len(j.map_tasks), len(j.reduce_tasks)) == (1, 0)
     )
     # expected 38%; allow generous sampling noise
     assert 0.30 <= single_map / len(jobs) <= 0.46
@@ -66,8 +64,8 @@ def test_scale_shrinks_counts_but_preserves_shape():
     params = FacebookWorkloadParams(num_jobs=200, scale=0.01)
     jobs = generate_facebook_workload(params, seed=6)
     for j in jobs:
-        assert j.num_map_tasks >= 1  # never scaled to zero maps
-        assert j.num_map_tasks <= max(1, math.ceil(4800 * 0.01) + 1)
+        assert len(j.map_tasks) >= 1  # never scaled to zero maps
+        assert len(j.map_tasks) <= max(1, math.ceil(4800 * 0.01) + 1)
 
 
 def test_earliest_start_equals_arrival():
@@ -94,8 +92,8 @@ def test_exact_mix_reproduces_table4_composition():
     jobs = generate_facebook_workload(params, seed=10)
     counts = {}
     for j in jobs:
-        counts[(j.num_map_tasks, j.num_reduce_tasks)] = (
-            counts.get((j.num_map_tasks, j.num_reduce_tasks), 0) + 1
+        counts[(len(j.map_tasks), len(j.reduce_tasks))] = (
+            counts.get((len(j.map_tasks), len(j.reduce_tasks)), 0) + 1
         )
     for k_mp, k_rd, expected in FACEBOOK_JOB_TYPES:
         assert counts[(k_mp, k_rd)] == expected
@@ -106,7 +104,7 @@ def test_exact_mix_small_multiple_of_50():
     jobs = generate_facebook_workload(params, seed=11)
     counts = {}
     for j in jobs:
-        key = (j.num_map_tasks, j.num_reduce_tasks)
+        key = (len(j.map_tasks), len(j.reduce_tasks))
         counts[key] = counts.get(key, 0) + 1
     for k_mp, k_rd, expected in FACEBOOK_JOB_TYPES:
         assert counts[(k_mp, k_rd)] == expected // 20
@@ -122,8 +120,8 @@ def test_exact_mix_order_is_shuffled_and_deterministic():
     params = FacebookWorkloadParams(num_jobs=100, scale=1.0, exact_mix=True)
     a = generate_facebook_workload(params, seed=12)
     b = generate_facebook_workload(params, seed=12)
-    shapes_a = [(j.num_map_tasks, j.num_reduce_tasks) for j in a]
-    shapes_b = [(j.num_map_tasks, j.num_reduce_tasks) for j in b]
+    shapes_a = [(len(j.map_tasks), len(j.reduce_tasks)) for j in a]
+    shapes_b = [(len(j.map_tasks), len(j.reduce_tasks)) for j in b]
     assert shapes_a == shapes_b  # deterministic
     assert shapes_a != sorted(shapes_a)  # not grouped by type
 

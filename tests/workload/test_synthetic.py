@@ -51,8 +51,8 @@ def test_seeds_differ():
 def test_task_count_ranges_respected():
     jobs = generate_synthetic_workload(_params(num_jobs=100), seed=3)
     for j in jobs:
-        assert 1 <= j.num_map_tasks <= 10
-        assert 1 <= j.num_reduce_tasks <= 10
+        assert 1 <= len(j.map_tasks) <= 10
+        assert 1 <= len(j.reduce_tasks) <= 10
 
 
 def test_map_durations_respect_e_max():
@@ -65,7 +65,7 @@ def test_map_durations_respect_e_max():
 def test_reduce_durations_follow_formula():
     jobs = generate_synthetic_workload(_params(num_jobs=40), seed=5)
     for j in jobs:
-        base = round(3.0 * j.total_map_work / j.num_reduce_tasks)
+        base = round(3.0 * j.total_map_work / len(j.reduce_tasks))
         for t in j.reduce_tasks:
             assert base + 1 <= t.duration <= base + 10
 
@@ -117,8 +117,8 @@ def test_scale_shrinks_task_counts():
     params.scale = 0.1
     jobs = generate_synthetic_workload(params, seed=11)
     for j in jobs:
-        assert j.num_map_tasks <= 10
-        assert j.num_reduce_tasks <= 10
+        assert len(j.map_tasks) <= 10
+        assert len(j.reduce_tasks) <= 10
 
 
 def test_first_job_id_offset():
@@ -146,4 +146,4 @@ def test_shared_streams_are_factor_stable():
     a = generate_synthetic_workload(_params(e_max=5), seed=13)
     b = generate_synthetic_workload(_params(e_max=50), seed=13)
     assert [j.arrival_time for j in a] == [j.arrival_time for j in b]
-    assert [j.num_map_tasks for j in a] == [j.num_map_tasks for j in b]
+    assert [len(j.map_tasks) for j in a] == [len(j.map_tasks) for j in b]

@@ -1,14 +1,11 @@
-"""Trace persistence round-trips."""
+"""Trace export: the written JSON carries the job stream."""
+
+import json
 
 import pytest
 
 from repro.workload.synthetic import SyntheticWorkloadParams, generate_synthetic_workload
-from repro.workload.traces import (
-    jobs_from_json,
-    jobs_to_json,
-    load_trace,
-    save_trace,
-)
+from repro.workload.traces import TRACE_FORMAT_VERSION, jobs_to_json, save_trace
 
 
 def _jobs():
@@ -26,17 +23,19 @@ def _jobs():
 
 def test_json_round_trip_is_lossless():
     jobs = _jobs()
-    restored = jobs_from_json(jobs_to_json(jobs))
-    assert len(restored) == len(jobs)
-    for a, b in zip(jobs, restored):
-        assert (a.id, a.arrival_time, a.earliest_start, a.deadline) == (
-            b.id,
-            b.arrival_time,
-            b.earliest_start,
-            b.deadline,
+    written = json.loads(jobs_to_json(jobs))
+    assert written["version"] == TRACE_FORMAT_VERSION
+    assert len(written["jobs"]) == len(jobs)
+    for job, row in zip(jobs, written["jobs"]):
+        assert (job.id, job.arrival_time, job.earliest_start, job.deadline) == (
+            row["id"],
+            row["arrival_time"],
+            row["earliest_start"],
+            row["deadline"],
         )
-        assert [(t.id, t.duration, t.kind) for t in a.tasks] == [
-            (t.id, t.duration, t.kind) for t in b.tasks
+        assert [(t.id, t.duration, t.kind.value) for t in job.tasks] == [
+            (t["id"], t["duration"], t["kind"])
+            for t in row["map_tasks"] + row["reduce_tasks"]
         ]
 
 
@@ -44,55 +43,40 @@ def test_file_round_trip(tmp_path):
     jobs = _jobs()
     path = tmp_path / "trace.json"
     save_trace(jobs, path)
-    restored = load_trace(path)
-    assert [j.id for j in restored] == [j.id for j in jobs]
+    assert [j["id"] for j in json.loads(path.read_text())["jobs"]] == [
+        j.id for j in jobs
+    ]
 
 
 def test_runtime_state_not_persisted():
     jobs = _jobs()
     jobs[0].map_tasks[0].is_completed = True
-    restored = jobs_from_json(jobs_to_json(jobs))
-    assert not restored[0].map_tasks[0].is_completed
-
-
-def test_unknown_version_rejected():
-    with pytest.raises(ValueError):
-        jobs_from_json('{"version": 99, "jobs": []}')
+    task = json.loads(jobs_to_json(jobs))["jobs"][0]["map_tasks"][0]
+    assert set(task) == {"id", "job_id", "kind", "duration", "demand"}
 
 
 def test_workflow_trace_round_trip(tmp_path):
-    from repro.workload.traces import (
-        load_workflow_trace,
-        save_workflow_trace,
-        workflows_from_json,
-        workflows_to_json,
-    )
+    from repro.workload.traces import save_workflow_trace, workflows_to_json
     from repro.workload.workflows import (
         WorkflowWorkloadParams,
         generate_workflow_workload,
-        validate_workflows,
     )
 
     wfs = generate_workflow_workload(
         WorkflowWorkloadParams(num_jobs=5, stages_range=(2, 4)), seed=7
     )
-    restored = workflows_from_json(workflows_to_json(wfs))
-    assert validate_workflows(restored) == []
-    assert workflows_to_json(restored) == workflows_to_json(wfs)
-    for a, b in zip(wfs, restored):
-        assert a.edges == b.edges
-        assert [s.name for s in a.stages] == [s.name for s in b.stages]
+    written = json.loads(workflows_to_json(wfs))
+    assert written["kind"] == "workflow"
+    for wf, row in zip(wfs, written["workflows"], strict=True):
+        assert [tuple(e) for e in row["edges"]] == wf.edges
+        assert [s["name"] for s in row["stages"]] == [s.name for s in wf.stages]
+        assert [[t["id"] for t in s["tasks"]] for s in row["stages"]] == [
+            [t.id for t in s.tasks] for s in wf.stages
+        ]
 
     path = tmp_path / "wf.json"
     save_workflow_trace(wfs, path)
-    assert [w.id for w in load_workflow_trace(path)] == [w.id for w in wfs]
-
-
-def test_workflow_trace_rejects_plain_job_trace():
-    from repro.workload.traces import workflows_from_json
-
-    with pytest.raises(ValueError, match="workflow"):
-        workflows_from_json('{"version": 1, "jobs": []}')
+    assert path.read_text() == workflows_to_json(wfs)
 
 
 def _workflows():

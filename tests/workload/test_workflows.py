@@ -143,7 +143,7 @@ def test_job_compatible_interface():
     assert len(wf.pending_tasks) == 5
     assert wf.total_work == 25
     assert wf.laxity() == 1000 - 0 - 25
-    assert [t.id for t in wf.last_stage_tasks] == ["w0_d0"]
+    assert wf.terminal_stage_names() == ["D"]
     for t in wf.tasks:
         t.is_completed = True
     assert wf.is_completed
