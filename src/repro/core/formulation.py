@@ -25,7 +25,8 @@ import enum
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.cp.model import CpModel
+from repro.cp.heuristics import walk_groups
+from repro.cp.model import CpModel, Group
 from repro.cp.profile import TimetableProfile
 from repro.cp.variables import BoolVar, IntervalVar
 from repro.core.matchmaking import FrozenBase
@@ -116,6 +117,78 @@ def build_model(
     if indicators:
         model.minimize_sum(indicators)
     return result
+
+
+def direct_attempts(jobs, resources, now, running, base, hints):
+    """The COMBINED warm start as :meth:`CpSolver.solve_direct` attempts.
+
+    What :func:`build_model` and the solver's phase 2 would place, with no
+    model: a group per job with unfinished tasks (running ones where they
+    run) against per-kind profiles of ``base``'s load plus the running
+    tasks, within the model's horizon.  An attempt gives up at its first
+    late job or broken barrier.  None where :func:`build_model` would raise.
+    """
+    capacity = {
+        TaskKind.MAP: sum(r.map_capacity for r in resources),
+        TaskKind.REDUCE: sum(r.reduce_capacity for r in resources),
+    }
+    groups, tasks = [], {}
+    for job in jobs:
+        stages, preds, delays, _terminal = _stage_structure(job)
+        stages = [[t for t in stage if not t.is_completed] for stage in stages]
+        if any(stages):
+            release = max(job.earliest_start, now)
+            group = Group("", stages, preds, release, job.deadline, None, delays)
+            groups.append(group)
+            tasks.update((t.id, (t, release)) for stage in stages for t in stage)
+    if any(capacity[t.kind] <= 0 for t, _ in tasks.values()):
+        return None
+    horizon = _compute_horizon(jobs, running, max(now, base.end()) if base else now)
+    load = {kind: TimetableProfile() for kind in capacity}
+    if base is not None:
+        load.update((kind, p.copy()) for kind, p in base.profiles.items())
+    for a in running:
+        load[a.task.kind].add(a.start, a.end, a.task.demand)
+    frozen = {a.task.id: a.start for a in running}
+
+    def attempt(order, use_hint):
+        profiles = {kind: profile.copy() for kind, profile in load.items()}
+        starts = dict(frozen)
+
+        def place(task, est, lst=horizon):
+            s = profiles[task.kind].place_earliest(
+                est,
+                min(lst, horizon - task.duration),
+                task.duration,
+                task.demand,
+                capacity[task.kind],
+            )
+            if s is not None:
+                starts[task.id] = s
+            return s
+
+        def late(index, ends):
+            group = groups[index]
+            # Hinted and running tasks kept their starts: recheck barriers.
+            for i, stage in enumerate(group.stages):
+                for p, d in zip(group.stage_preds[i], group.stage_pred_delays[i]):
+                    if stage and group.stages[p]:
+                        if min(starts[t.id] for t in stage) < ends[p] + d:
+                            return True
+            # Barriers hold, so the last stage end is the job's completion.
+            return max(ends) > group.deadline
+
+        for start, task_id in sorted((s, t) for t, s in hints.items() if use_hint):
+            task, release = tasks[task_id]
+            if task_id not in frozen and (
+                start < release or place(task, start, start) is None
+            ):
+                return None
+        if not walk_groups(groups, order, lambda t: starts.get(t.id), place, late):
+            return None
+        return [(tasks[t][0], s) for t, s in starts.items() if t not in frozen]
+
+    return attempt, bool(hints)
 
 
 def _stage_structure(

@@ -2,29 +2,29 @@
 
 :class:`~repro.core.mrcp_rm.MrcpRm` runs Table 2 inside the discrete event
 simulation; the online admission front-end (:mod:`repro.service`) runs the
-same solve against wall-clock arrivals.  Both need the identical core --
-build the Table 1 model, solve it (plain solver with EDF fallback, or
-through the resilience degradation ladder), and map the solution back onto
-physical resources -- so that core lives here, caller-agnostic:
-
-* :func:`solve_formulation` -- solve an already-built formulation and
-  report *everything* the caller's metric/observability envelope needs
-  (CP result, ladder rung, attempts, fallback flag).  It never raises on
-  "no solution": callers decide whether that is a crash (the simulator
-  loop) or a rejection (admission control).
-* :func:`extract_assignments` -- decompose a solution into
-  :class:`~repro.core.schedule.TaskAssignment` lists for either
-  formulation mode (Section V.D combined decomposition or joint slots).
-* :func:`solve_invocation` -- the one-stop build + solve + extract used by
-  the service path.
+same solve against wall-clock arrivals.  Both plan through
+:func:`solve_invocation`: in COMBINED mode the warm start first runs
+straight on the slot profiles, and a schedule with no late job is the
+answer; otherwise the Table 1 model is built and solved
+(:func:`solve_formulation`: plain solver with EDF fallback, or the
+resilience degradation ladder).  The outcome reports everything the
+caller's metric envelope needs and never raises on "no solution": the
+simulator crashes, admission control rejects.  :func:`extract_assignments`
+maps the answer onto physical resources (Section V.D decomposition or
+joint slots).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.formulation import FormulationMode, FormulationResult, build_model
+from repro.core.formulation import (
+    FormulationMode,
+    FormulationResult,
+    build_model,
+    direct_attempts,
+)
 from repro.core.matchmaking import (
     FrozenBase,
     assign_slots_within_resources,
@@ -32,6 +32,7 @@ from repro.core.matchmaking import (
 )
 from repro.core.schedule import SchedulingError, TaskAssignment
 from repro.cp.heuristics import list_schedule
+from repro.cp.model import CpModel
 from repro.cp.solution import Solution, SolveResult
 from repro.cp.solver import CpSolver
 from repro.workload.entities import Job, Resource
@@ -46,7 +47,8 @@ class InvocationOutcome:
     :class:`SchedulingError` messages, verbatim).
     """
 
-    #: The schedule, or None when every strategy came back empty.
+    #: The model's schedule, a direct answer's movable (task, start) pairs,
+    #: or None when every strategy came back empty.
     solution: Optional[Solution]
     #: Ladder rung that produced the solution ("cp_full" on the plain
     #: path, "none" when nothing did).
@@ -79,23 +81,23 @@ class InvocationOutcome:
 
 
 def solve_formulation(
-    formulation: FormulationResult,
+    formulate: Callable[[], Tuple[CpModel, Optional[Dict]]],
     *,
     solver: CpSolver,
     ladder=None,
-    hint: Optional[Dict] = None,
     start_rung: str = "cp_full",
+    direct: Optional[Callable[..., Optional[Tuple[object, SolveResult]]]] = None,
 ) -> InvocationOutcome:
-    """Solve a built formulation through the configured strategy stack.
+    """Solve one invocation through the configured strategy stack.
 
-    With ``ladder`` set the solve walks the degradation rungs (the ladder
-    owns ``solver`` as its cp_full rung) beginning at ``start_rung`` --
-    the admission service starts at ``cp_limited`` when overloaded;
-    otherwise it is one budgeted CP solve with an EDF list-schedule
-    fallback (``start_rung`` is ignored without a ladder).
+    ``direct(**solver overrides)`` answers first where it can; ``formulate()``
+    builds the model and hint only where it does not.  With ``ladder`` the
+    solve walks the rungs from ``start_rung`` (the service starts at
+    ``cp_limited`` when overloaded); otherwise it is one budgeted CP solve
+    with an EDF list-schedule fallback.
     """
     if ladder is not None:
-        outcome = ladder.solve(formulation.model, hint=hint, start_rung=start_rung)
+        outcome = ladder.solve(formulate, start_rung=start_rung, direct=direct)
         return InvocationOutcome(
             solution=outcome.solution,
             rung=outcome.rung,
@@ -103,14 +105,18 @@ def solve_formulation(
             fallback=outcome.rung == "edf",
             attempts=list(outcome.attempts),
         )
-    result = solver.solve(formulation.model, hint=hint)
+    answer = direct() if direct is not None else None
+    if answer is not None:
+        return InvocationOutcome(solution=answer[0], result=answer[1])
+    model, hint = formulate()
+    result = solver.solve(model, hint=hint)
     if result:
         return InvocationOutcome(solution=result.solution, result=result)
     # Graceful degradation: the budgeted CP solve came back empty (e.g. a
     # forced timeout).  The EDF list schedule satisfies every hard
     # constraint -- deadline misses just show up in N -- so the run
     # continues instead of crashing.
-    solution = list_schedule(formulation.model, "edf")
+    solution = list_schedule(model, "edf")
     if solution is not None:
         return InvocationOutcome(solution=solution, result=result, fallback=True)
     return InvocationOutcome(solution=None, result=result)
@@ -127,8 +133,12 @@ def extract_assignments(
 
     Returns the complete assignment list: frozen ``running`` entries pass
     through unchanged, movable tasks get fresh slot placements -- or, with
-    the standing ``base`` the model was built on, are booked on it.
+    the standing ``base`` the model was built on, are booked on it.  A
+    direct answer has no formulation (None): its ``solution`` is already
+    the movable (task, start) pairs.
     """
+    if formulation is None:
+        return decompose_combined_schedule(solution, running, resources, base)
     frozen_ids = {a.task.id for a in running}
     combined = formulation.mode is FormulationMode.COMBINED
     movable: List[tuple] = []
@@ -161,31 +171,40 @@ def solve_invocation(
     ladder=None,
     hint_starts: Optional[Dict[str, int]] = None,
     start_rung: str = "cp_full",
-) -> Tuple[InvocationOutcome, FormulationResult]:
-    """Build + solve one invocation (the service admission entry point).
+) -> Tuple[InvocationOutcome, Optional[FormulationResult]]:
+    """Plan one invocation: the entry point of both callers.
 
     ``running`` and ``base`` are :func:`~repro.core.formulation.build_model`'s.
     ``hint_starts`` maps task ids (not interval variables -- those are
     per-model objects) to previous-plan start times; entries for tasks
-    absent from the fresh model or starting in the past are dropped.
+    absent from this plan or starting in the past are dropped.
+
+    In COMBINED mode the warm start first runs straight on the slot
+    profiles (:func:`~repro.core.formulation.direct_attempts`): if it
+    closes, that is the answer and the returned formulation is None.  Only
+    otherwise is the Table 1 model built and solved.
     """
-    formulation = build_model(
-        jobs, resources, now=now, running=running, mode=mode, base=base
-    )
-    hint = None
-    if hint_starts:
-        hint = {}
-        for task_id, start in hint_starts.items():
-            iv = formulation.interval_of.get(task_id)
-            if iv is not None and start >= now:
-                hint[iv] = start
-        if not hint:
-            hint = None
+    live = {t.id for job in jobs for t in job.tasks if not t.is_completed}
+    hints = {t: s for t, s in (hint_starts or {}).items() if t in live and s >= now}
+    attempts = None
+    if mode is FormulationMode.COMBINED:
+        attempts = direct_attempts(jobs, resources, now, running, base, hints)
+    formulation: Optional[FormulationResult] = None
+
+    def formulate() -> Tuple[CpModel, Optional[Dict]]:
+        nonlocal formulation
+        if formulation is None:
+            formulation = build_model(jobs, resources, now, running, mode, base)
+        hint = {formulation.interval_of[t]: s for t, s in hints.items()}
+        return formulation.model, hint or None
+
+    def direct(**overrides):
+        # Once the model is built, the warm start has already fallen through.
+        if attempts is not None and formulation is None:
+            return solver.solve_direct(*attempts, **overrides)
+        return None
+
     outcome = solve_formulation(
-        formulation,
-        solver=solver,
-        ladder=ladder,
-        hint=hint,
-        start_rung=start_rung,
+        formulate, solver=solver, ladder=ladder, start_rung=start_rung, direct=direct
     )
     return outcome, formulation

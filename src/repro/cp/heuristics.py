@@ -157,6 +157,43 @@ class _PlacementState:
         return s
 
 
+def walk_groups(groups, order: str, fixed, place, late=None) -> bool:
+    """The list-scheduling loop of both warm starts (model and direct).
+
+    Groups go in ``order``, stages in topological order, each released when
+    its predecessor stages have ended (plus delay).  Items ``fixed`` gives a
+    start keep it; the rest go longest first where ``place(item, release)``
+    puts them.  ``late(index in groups, stage ends)`` after each group stops
+    the walk when true.  False when an item did not fit or ``late`` stopped.
+    """
+    ordered = sorted(enumerate(groups), key=lambda p: group_sort_key(order, *p))
+    for index, group in ordered:
+        stage_end = [0] * len(group.stages)
+        for idx, stage in enumerate(group.stages):
+            release = group.release
+            for p, d in zip(group.stage_preds[idx], group.stage_pred_delays[idx]):
+                release = max(release, stage_end[p] + d)
+            end = 0
+            movable = []
+            for item in stage:
+                s = fixed(item)
+                if s is None:
+                    movable.append(item)
+                else:
+                    end = max(end, s + item.length)
+            # Longest-processing-time first within a stage reduces makespan.
+            movable.sort(key=lambda item: -item.length)
+            for item in movable:
+                s = place(item, release)
+                if s is None:
+                    return False
+                end = max(end, s + item.length)
+            stage_end[idx] = end
+        if late is not None and late(index, stage_end):
+            return False
+    return True
+
+
 def list_schedule(
     model: CpModel,
     order: str = "edf",
@@ -220,36 +257,10 @@ def list_schedule(
                     return None
         frozen_set = frozen_set | {iv for iv, _ in hinted}
 
-    # 2. Job groups in the requested order; within a group, stages run in
-    #    topological order and each stage is released when its predecessor
-    #    stages have completed (the generalised barrier).
-    ordered = sorted(
-        enumerate(model.groups), key=lambda p: group_sort_key(order, p[0], p[1])
-    )
-    for _, group in ordered:
-        stage_end = [0] * len(group.stages)
-        delays = group.stage_pred_delays or [
-            [0] * len(ps) for ps in group.stage_preds
-        ]
-        for idx, stage in enumerate(group.stages):
-            release = group.release
-            for p, d in zip(group.stage_preds[idx], delays[idx]):
-                release = max(release, stage_end[p] + d)
-            end = 0
-            for iv in stage:
-                if iv in frozen_set:
-                    # frozen or hinted: use the actual committed start
-                    placed_at = state.starts.get(iv, iv.est)
-                    end = max(end, placed_at + iv.length)
-            movable_stage = [iv for iv in stage if iv not in frozen_set]
-            # Longest-processing-time first within a stage reduces makespan.
-            movable_stage.sort(key=lambda iv: -iv.length)
-            for iv in movable_stage:
-                s = state.place_master(iv, est=release)
-                if s is None:
-                    return None
-                end = max(end, s + iv.length)
-            stage_end[idx] = end
+    # 2. Job groups in the requested order (frozen and hinted tasks keep
+    #    their committed starts).
+    if not walk_groups(model.groups, order, state.starts.get, state.place_master):
+        return None
 
     # 3. Any interval outside the groups (generic library use).
     leftovers = [

@@ -20,13 +20,18 @@ variables, and treat "no solution" as an exceptional condition.  The phases:
    stops it.
 
 Whatever phase produced it, the solution returned has passed
-``check_solution``; there is no switch to turn that off.
+``check_solution``; there is no switch to turn that off.  The exception
+is :meth:`CpSolver.solve_direct`, phase 2 run by a caller on its own
+input with no model at all (MRCP-RM's COMBINED invocations): it answers
+only with a schedule of 0 late jobs, which has no search to check, and the
+caller validates the plan it installs.
 
 Observability: each phase is timed into :class:`SearchStats`
 (``propagate_time`` / ``warm_start_time`` / ``tree_time`` / ``lns_time``)
 and, when a :class:`~repro.obs.trace.Tracer` is attached, emitted as a span
 (``cp.propagate`` / ``cp.warm_start`` / ``cp.search`` / ``cp.lns``; phases
-the solve never entered appear as zero-duration spans marked ``skipped``).
+the solve never entered appear as zero-duration spans marked ``skipped``;
+a direct answer emits none).
 With profiling on (``SolverParams.profile`` or an enabled tracer) the
 returned :class:`~repro.cp.solution.SolveResult` carries a
 :class:`~repro.cp.solution.SolveProfile` with per-propagator-class effort
@@ -49,6 +54,7 @@ from repro.cp.model import CpModel
 from repro.cp.search import SearchLimits, SetTimesBrancher, tree_search
 from repro.cp.solution import (
     SearchStats,
+    Solution,
     SolveProfile,
     SolveResult,
     SolveStatus,
@@ -96,6 +102,34 @@ class CpSolver:
     ) -> None:
         self.params = params or SolverParams()
         self.tracer = tracer if tracer is not None else NULL_TRACER
+
+    def solve_direct(self, attempt, hinted=False, **overrides):
+        """Phase 2 alone, on the caller's own list schedules: no model.
+
+        ``attempt(order, use_hint)`` returns the caller's schedule in one
+        ordering (the hinted one first when ``hinted``) if no job is late.
+        The first is optimal, 0 being the objective's floor: ``(schedule,
+        result)``, OPTIMAL at objective 0 with no search effort and, when
+        profiling, ``solved_by`` ``"hint"`` or ``"warm_start"``.  None where
+        phase 2 would not close the solve or no budget is left.  No span.
+        """
+        params = replace(self.params, **overrides) if overrides else self.params
+        if params.time_limit <= 0:
+            return None  # :meth:`solve` would stop before its warm start
+        t_start = time.perf_counter()
+        orders = params.warm_start_orders
+        tries = ([(orders[0], True)] if hinted else []) + [(o, False) for o in orders]
+        for order, use_hint in tries:
+            schedule = attempt(order, use_hint)
+            if schedule is not None:
+                dt = time.perf_counter() - t_start
+                stats = SearchStats(solutions=1, wall_time=dt, warm_start_time=dt)
+                result = SolveResult(SolveStatus.OPTIMAL, Solution({}, {}, 0), stats)
+                if params.profile or self.tracer.enabled:
+                    by = "hint" if use_hint else "warm_start"
+                    result.profile = SolveProfile(0, 0, by)
+                return schedule, result
+        return None
 
     def solve(self, model: CpModel, hint=None, **overrides) -> SolveResult:
         """Solve ``model``; keyword overrides patch :class:`SolverParams`.

@@ -31,11 +31,10 @@ forensics and the HTML report can attribute degraded decisions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.cp.checker import check_solution
 from repro.cp.heuristics import list_schedule
-from repro.cp.model import CpModel
 from repro.cp.solution import SolveResult, Solution
 from repro.cp.solver import CpSolver
 from repro.obs.logs import get_logger, kv
@@ -48,9 +47,12 @@ _LOG = get_logger("resilience.breaker")
 #: state itself is infeasible.
 RUNGS = ("cp_full", "cp_limited", "edf", "greedy")
 
-#: Budget of the ``cp_limited`` rung: seconds and tree fails.
-LIMITED_TIME_LIMIT = 0.1
-LIMITED_FAIL_LIMIT = 100
+#: Solver overrides of each CP rung: ``cp_limited`` is a warm-started
+#: 0.1 s, 100-fail solve without LNS.
+CP_RUNG_LIMITS: Dict[str, Dict[str, object]] = {
+    "cp_full": {},
+    "cp_limited": {"time_limit": 0.1, "tree_fail_limit": 100, "use_lns": False},
+}
 
 #: Breaker states (the textbook three-state machine).
 CLOSED = "closed"
@@ -206,9 +208,10 @@ class DegradationLadder:
     # ------------------------------------------------------------- solving
     def solve(
         self,
-        model: CpModel,
+        model,
         hint: Optional[Dict] = None,
         start_rung: str = "cp_full",
+        direct: Optional[Callable] = None,
     ) -> LadderOutcome:
         """One ladder-mediated solve: walk the rungs, remember failures.
 
@@ -216,6 +219,11 @@ class DegradationLadder:
         the ladder *for this invocation only* (the admission service does
         this when its arrival queue backs up): rungs above it are neither
         attempted nor charged against their breakers.
+
+        A CP rung the walk attempts first asks ``direct(**its solver
+        overrides)``, the caller's warm start without a model: a
+        ``(schedule, result)`` is the rung's success.  ``model`` may be a
+        callable returning ``(model, hint)``, called when a rung needs it.
         """
         if start_rung not in RUNGS:
             raise ValueError(
@@ -229,7 +237,7 @@ class DegradationLadder:
             if breaker is not None and not breaker.allow():
                 continue  # breaker open: skip straight to the next rung
             with tracer.span("resilience.rung", "resilience", {"rung": rung}) as span:
-                solution, result = self._attempt(rung, model, hint)
+                solution, result = self._attempt(rung, model, hint, direct)
                 if tracer.enabled:
                     span.add(success=solution is not None)
             if result is not None:
@@ -259,21 +267,19 @@ class DegradationLadder:
         return LadderOutcome(None, "none", last_result, attempts)
 
     def _attempt(
-        self, rung: str, model: CpModel, hint: Optional[Dict]
+        self, rung: str, model, hint: Optional[Dict], direct
     ) -> Tuple[Optional[Solution], Optional[SolveResult]]:
         if self._inject_failure(rung):
             return None, None
-        if rung == "cp_full":
-            result = self.solver.solve(model, hint=hint)
-            return result.solution, result
-        if rung == "cp_limited":
-            result = self.solver.solve(
-                model,
-                hint=hint,
-                time_limit=LIMITED_TIME_LIMIT,
-                tree_fail_limit=LIMITED_FAIL_LIMIT,
-                use_lns=False,
-            )
+        limits = CP_RUNG_LIMITS.get(rung)
+        if limits is not None and direct is not None:
+            answer = direct(**limits)
+            if answer is not None:
+                return answer
+        if callable(model):
+            model, hint = model()
+        if limits is not None:
+            result = self.solver.solve(model, hint=hint, **limits)
             return result.solution, result
         if rung == "edf":
             return list_schedule(model, "edf"), None

@@ -6,12 +6,14 @@ open job on each arrival (Table 2), the service quotes each candidate
 
 1. retire committed assignments that ended at or before the candidate's
    arrival tick (their slots are free again);
-2. solve the Table 1 model of **the candidate alone** on top of the
-   committed plan (a :class:`~repro.core.matchmaking.FrozenBase` kept for
-   the controller's lifetime) through the degradation ladder with a tight
-   fail limit, and place it on the base's slots.  Committed work mostly
-   starts in the *future*, where best-gap placement can fail on a
-   capacity-feasible schedule: the quote is then ``infeasible``;
+2. plan **the candidate alone** on top of the committed plan (a
+   :class:`~repro.core.matchmaking.FrozenBase` kept for the controller's
+   lifetime) through the degradation ladder with a tight fail limit --
+   straight on the base's slot profiles when the warm start closes there,
+   else by solving its Table 1 model -- place it on the base's slots and
+   validate it.  Committed work mostly starts in the *future*, where
+   best-gap placement can fail on a capacity-feasible schedule: the quote
+   is then ``infeasible``, as it is for a plan that fails validation;
 3. admit iff the predicted completion meets the deadline: the placement
    stays booked, so later quotes plan around it; otherwise it is released.
 
@@ -37,7 +39,8 @@ from typing import Callable, Dict, List, Optional, Sequence
 from repro.core.formulation import FormulationMode
 from repro.core.invocation import solve_invocation, extract_assignments
 from repro.core.matchmaking import FrozenBase
-from repro.core.schedule import SchedulingError, TaskAssignment
+from repro.core.schedule import Schedule, SchedulingError, TaskAssignment
+from repro.core.schedule import validate_schedule
 from repro.cp.solver import CpSolver, SolverParams
 from repro.obs.logs import get_logger, kv
 from repro.obs.metrics import MetricsRegistry, NULL_REGISTRY
@@ -169,8 +172,15 @@ class AdmissionController:
             mine = extract_assignments(
                 formulation, outcome.solution, (), self.resources, self._base
             )
+            # The base refused overlap with committed work; the candidate's
+            # own constraints are checked here, whichever rung planned it.
+            plan = Schedule({a.task.id: a for a in mine})
+            problems = validate_schedule(plan, [candidate], self.resources, now)
+            if problems:
+                self._base.remove(mine)
+                raise SchedulingError(f"invalid plan: {problems[0]}")
         except SchedulingError as exc:
-            _LOG.warning("decomposition failed %s", kv(job=job_id, err=str(exc)))
+            _LOG.warning("plan refused %s", kv(job=job_id, err=str(exc)))
             return self._finish(
                 job_id, False, "infeasible", None, None, outcome.rung, now, t0
             )

@@ -49,6 +49,11 @@ class Task:
     nominal_duration: Optional[int] = None
 
     @property
+    def length(self) -> int:
+        """The duration, named as on an interval (list scheduling walks both)."""
+        return self.duration
+
+    @property
     def is_map(self) -> bool:
         return self.kind is TaskKind.MAP
 

@@ -122,6 +122,9 @@ class _DeadSolver:
 
         return SolveResult(SolveStatus.UNKNOWN, None, SearchStats())
 
+    def solve_direct(self, attempt, hinted=False, **kw):
+        return None  # its warm start closes nothing either
+
 
 def test_solver_failure_surfaces_as_scheduling_error(monkeypatch):
     """When the CP solve and the EDF list schedule both come back empty, the

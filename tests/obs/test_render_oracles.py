@@ -27,11 +27,14 @@ from repro.obs.report import render_report
 from repro.obs.timeseries import TelemetryConfig, WallSeriesSampler
 from repro.resilience.chaos import default_chaos_config, escalation_ladder
 
-#: sha256 of each artifact's bytes.
-RUN_REPORT_SHA = "b27d74c58172f251fdf89550e06e674348c64310f8973233614b37a9d164b572"
-SIM_SERIES_SHA = "6447474548204e3a65d798a3020b32a90f9b334e72810206e31e10ddade75851"
-SWEEP_REPORT_SHA = "a11e30bcb5fffb5cc4f7ad495cf678fd75aef4de5a615ae56f13e8ae70b4f798"
-DIFF_REPORT_SHA = "0cfa176ef3c930db7c07de32a49aefa1246ec3dcf285b443a8558ed8ad06c9ba"
+#: sha256 of each artifact's bytes.  A solve the warm start closes without a
+#: model records no ``cp.*`` phase spans, so every artifact of a traced run
+#: that carries those spans or the pinned-clock O (which counts clock reads)
+#: moved when that path landed; N/T/P, plans and verdicts did not.
+RUN_REPORT_SHA = "d5151d7299e10bbaffa63e9aa7445392d0699ea06f395d18aea5df3b99c2685f"
+SIM_SERIES_SHA = "b718ab0991999e4155ba3ea3a92265c0c9d7a9c0a0249ae8fdaf53600c07d74c"
+SWEEP_REPORT_SHA = "b5836e63b59c43bb5dbe5ea303c39ac1fe78ccd8bf7dc91384632ce8ebf70e1b"
+DIFF_REPORT_SHA = "26f409b0cfbefe8a2d55b6ccbd4a958a7f0b3d27e22acef2be1b0aa20d6f8cea"
 WALL_SERIES_SHA = "ea8f5c9e6e5806427361cb42e4697f078b467b70af3d968ac36a89cd41fbaf2a"
 ALERTS_SHA = "179426777c9003f05e41c2e98f2bd42e02f80d5b22be297b831900df1f87c2dc"
 SWEEP_SERIES_SHA = "a244234a737ce6efa1fd1e1fb1d1a922a9801fa2b6ce0701c5cee8582908a60f"
@@ -39,12 +42,12 @@ SWEEP_SERIES_SHA = "a244234a737ce6efa1fd1e1fb1d1a922a9801fa2b6ce0701c5cee8582908
 #: writes; captured under a relative path, because the config fingerprint in
 #: ``run.json`` covers the trace output path.
 CAPTURE_SHAS = {
-    "forensics.json": "9fa4b88aa029adb3da15a210b29fd7402bc2fd407a895efa2420589d83354691",
-    "plans.json": "0e97ce8a226631ca8740e7f14b05af9024dce75003fad0128c3579428f58f71c",
-    "run.json": "59143107497b1891962481b5f5553105b8e1048244332f42dc5f5a66cb76ad39",
-    "series.jsonl": "9b1983438fb8c215e55a1904426634f1f4fcbd265971320d12f6ad940a00c724",
-    "trace.json": "603f690e4c0910b5d2f12a7b0b4a5ee03a0e7f75cadeb86f5f05a74a059a497e",
-    "trace.jsonl": "01ba5e815d973e522167b526f2d43a43cad19a85f9d7f00c63650dcac4000cd4",
+    "forensics.json": "32550a027fd86cda9775d993c7b8af51b7026fd87a41827571311e16641cc4db",
+    "plans.json": "f43ee963385b7febb9c206382b32cb8df1ef6c2544cf4751d5c35ef922d7dea8",
+    "run.json": "c197449789434ef35b0daeeff294374ab754f318fde18854bf690e49d3fca657",
+    "series.jsonl": "74a17f19eaad4418ca579c588959d80c435a56d0d6a9ff4958c3e31f7feec1d6",
+    "trace.json": "7eb1cdadb4243e1d76cb18a90fff6161f9f093412c4414b1017f97025af0c374",
+    "trace.jsonl": "967d2cd797bfb3a60297f2b2d577f4baa4fffa9c7f77e50ab60a54277db5d4e2",
 }
 
 

@@ -97,6 +97,26 @@ class TestQuoting:
         assert q.admitted
         assert q.rung == "cp_limited"
 
+    @pytest.mark.parametrize("rung", ["edf", "greedy"])
+    def test_unchecked_rung_plan_breaking_the_barrier_is_not_admitted(
+        self, rung, monkeypatch, caplog
+    ):
+        """The heuristic rungs hand back list schedules no checker saw; the
+        quote validates the candidate's plan before it is kept."""
+        import repro.resilience.breaker as breaker
+        from repro.cp.solution import Solution
+
+        def every_task_at_its_release(model, order="edf", preplaced=None):
+            return Solution({iv: iv.est for iv in model.intervals}, objective=0)
+
+        monkeypatch.setattr(breaker, "list_schedule", every_task_at_its_release)
+        c = controller()
+        q = c.quote(spec("a", maps=(10,), reduces=(5,)), 0.0, start_rung=rung)
+        assert not q.admitted and q.reason == "infeasible" and q.rung == rung
+        assert "invalid plan" in caplog.text
+        assert base_snapshot(c) == base_snapshot(controller())
+        assert c.quote(spec("b"), 0.0).admitted  # nothing stayed booked
+
 
 class TestCancellation:
     def test_cancel_frees_committed_slots(self):
