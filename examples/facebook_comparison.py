@@ -17,44 +17,56 @@ from dataclasses import replace
 
 from repro.experiments.configs import (
     SCALED,
+    LabeledConfig,
     default_facebook_params,
     default_facebook_system,
     default_mrcp_config,
 )
-from repro.experiments.runner import RunConfig, run_once
+from repro.experiments.pool import SweepSpec, run_sweep
+from repro.experiments.runner import RunConfig
 
 
 def main() -> None:
     lambdas = [0.0001, 0.0003, 0.0005]
-    replications = 3
+    schedulers = ("mrcp-rm", "minedf-wc")
+    configs = [
+        LabeledConfig(
+            label=f"{lam:g}/{scheduler}",
+            factor_value=lam,
+            scheduler=scheduler,
+            config=RunConfig(
+                scheduler=scheduler,
+                workload="facebook",
+                facebook=replace(
+                    default_facebook_params(SCALED), arrival_rate=lam, num_jobs=40
+                ),
+                system=default_facebook_system(SCALED),
+                mrcp=default_mrcp_config(SCALED),
+            ),
+        )
+        for lam in lambdas
+        for scheduler in schedulers
+    ]
+    spec = SweepSpec(
+        name="facebook-comparison",
+        configs=configs,
+        factor="lambda",
+        replications=3,
+        root_seed=17,
+        deterministic=False,
+    )
+    summary = run_sweep(spec).summary()
 
     print(f"{'lambda':>8} | {'scheduler':>10} | {'P (%)':>8} | {'T (s)':>10}")
     print("-" * 48)
-    for lam in lambdas:
-        for scheduler in ("mrcp-rm", "minedf-wc"):
-            p_total, t_total = 0.0, 0.0
-            for rep in range(replications):
-                config = RunConfig(
-                    scheduler=scheduler,
-                    workload="facebook",
-                    facebook=replace(
-                        default_facebook_params(SCALED),
-                        arrival_rate=lam,
-                        num_jobs=40,
-                    ),
-                    system=default_facebook_system(SCALED),
-                    mrcp=default_mrcp_config(SCALED),
-                    seed=17,
-                )
-                metrics = run_once(config, replication=rep)
-                p_total += metrics.percent_late
-                t_total += metrics.avg_turnaround
-            print(
-                f"{lam:>8g} | {scheduler:>10} | "
-                f"{p_total / replications:>8.2f} | "
-                f"{t_total / replications:>10.1f}"
-            )
-        print("-" * 48)
+    for labeled in configs:
+        stats = summary[labeled.label]
+        print(
+            f"{labeled.factor_value:>8g} | {labeled.scheduler:>10} | "
+            f"{stats['P']:>8.2f} | {stats['T']:>10.1f}"
+        )
+        if labeled.scheduler == schedulers[-1]:
+            print("-" * 48)
 
 
 if __name__ == "__main__":

@@ -3,14 +3,15 @@
 
 Varies the deadline multiplier d_UL (Figure 7) and the arrival rate lambda
 (Figure 8) on the scaled Table 3 workload, printing the O / T / P series the
-paper plots.  All other parameters sit at their defaults; workload streams
-use common random numbers so only the studied factor changes.
+paper plots.  All other parameters sit at their defaults; every point of a
+replication draws the same random stream (common random numbers), so only
+the studied factor changes.  Each figure runs as ``mrcp-rm run`` does: its
+sweep on one worker, on the wall clock.
 
 Run:  python examples/factor_at_a_time.py
 """
 
-from repro.experiments import SCALED, figure_series, format_series
-from repro.experiments.reporting import run_series
+from repro.experiments import SCALED, SweepSpec, figure_series, format_series, run_sweep
 
 
 def main() -> None:
@@ -18,8 +19,8 @@ def main() -> None:
         series = figure_series(figure, SCALED)
         print(f"running {figure} ({len(series.configs)} points, "
               f"3 replications each)...")
-        results = run_series(series, replications=3)
-        print(format_series(series, results))
+        spec = SweepSpec.from_series(series, replications=3, deterministic=False)
+        print(format_series(series, run_sweep(spec)))
         print()
 
 

@@ -5,8 +5,8 @@ Runs the Figure 7 (deadline-tightness) sweep at smoke scale twice -- once
 sequentially (``workers=1``, the reference) and once over a process pool --
 and proves the determinism contract from docs/SWEEPS.md: the merged
 ``sweep.json`` / ``sweep.csv`` artifacts are byte-identical regardless of
-worker count, because every cell's seed derives from its semantic
-coordinates and the merge is a pure sort by cell index.
+worker count, because every cell's stream depends only on the root seed
+and its replication, and the merge is a pure sort by cell index.
 
 Run:  python examples/sweep_run.py
       python examples/sweep_run.py --workers 8 --replications 3

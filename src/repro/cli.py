@@ -3,7 +3,8 @@
 Subcommands
 -----------
 * ``list``  -- available figures and ablations.
-* ``run``   -- regenerate one figure's data series, e.g.::
+* ``run``   -- regenerate one figure's data series: the figure's sweep on
+  one worker, on the wall clock, printing the series table, e.g.::
 
       mrcp-rm run fig2 --profile scaled --replications 3
 
@@ -14,7 +15,8 @@ Subcommands
 * ``report`` -- run a seeded scenario and write a self-contained HTML run
   report (Gantt, utilization, lateness attribution, solver tables).
 * ``sweep``  -- run a figure's (configuration x replication) grid over a
-  process pool with deterministic fan-out, e.g.::
+  process pool with deterministic fan-out and print the same table as
+  ``run``, e.g.::
 
       mrcp-rm sweep fig7 --workers 4 --replications 3 --out-dir out/
 
@@ -59,7 +61,6 @@ from repro.experiments import (
     format_series,
     list_figures,
 )
-from repro.experiments.reporting import run_series
 
 
 def _cmd_list(_args: argparse.Namespace) -> int:
@@ -70,17 +71,52 @@ def _cmd_list(_args: argparse.Namespace) -> int:
     return 0
 
 
+def _sweep_progress(total: int, quiet: bool):
+    """A ``run_sweep`` progress callback printing one line per cell."""
+
+    def progress(outcome) -> None:
+        if quiet:
+            return
+        mark = "ok" if outcome.status == "ok" else "FAILED"
+        detail = f" ({outcome.error})" if outcome.error else ""
+        print(
+            f"  [{outcome.index + 1:3d}/{total}] {outcome.label} "
+            f"rep {outcome.replication}: {mark}{detail}"
+        )
+
+    return progress
+
+
+def _report_failed_cells(result) -> int:
+    """Name each failed cell on stderr; the exit code ``run``/``sweep`` return."""
+    for cell in result.failed_cells:
+        print(
+            f"  cell {cell.index} ({cell.label} rep {cell.replication}) "
+            f"FAILED: {cell.error}",
+            file=sys.stderr,
+        )
+    if result.failed_cells:
+        print(f"  {len(result.failed_cells)} cell(s) FAILED", file=sys.stderr)
+        return 1
+    return 0
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
+    from repro.experiments.pool import SweepSpec, run_sweep
+
     series = figure_series(args.figure, args.profile)
+    spec = SweepSpec.from_series(
+        series, replications=args.replications, deterministic=False
+    )
     print(f"running {series.figure} [{args.profile} profile] "
-          f"({len(series.configs)} configurations x up to "
+          f"({len(series.configs)} configurations x "
           f"{args.replications} replications)")
-    results = run_series(
-        series, replications=args.replications, verbose=not args.quiet
+    result = run_sweep(
+        spec, progress=_sweep_progress(len(spec.cells()), args.quiet)
     )
     print()
-    print(format_series(series, results))
-    return 0
+    print(format_series(series, result))
+    return _report_failed_cells(result)
 
 
 def _make_tracer(args: argparse.Namespace):
@@ -664,38 +700,19 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         f"{len(series.configs)} configurations x {args.replications} "
         f"replications = {len(cells)} cells over {args.workers} worker(s)"
     )
-
-    def progress(outcome) -> None:
-        if args.quiet:
-            return
-        mark = "ok" if outcome.status == "ok" else "FAILED"
-        detail = f" ({outcome.error})" if outcome.error else ""
-        print(
-            f"  [{outcome.index + 1:3d}/{len(cells)}] {outcome.label} "
-            f"rep {outcome.replication}: {mark}{detail}"
-        )
-
     result = run_sweep(
         spec,
         workers=args.workers,
         retries=args.retries,
         out_dir=args.out_dir,
         resume=args.resume,
-        progress=progress,
+        progress=_sweep_progress(len(cells), args.quiet),
     )
 
     print()
-    print(f"sweep {result.name} ({series.factor}):")
-    width = max(len(label) for label in result.summary())
-    for label, stats in result.summary().items():
-        line = f"  {label:{width}s}  ok {int(stats['ok'])}/{int(stats['cells'])}"
-        if "O" in stats:
-            line += (
-                f"  O={stats['O'] * 1000:.2f}ms N={stats['N']:.2f} "
-                f"T={stats['T']:.1f}s P={stats['P']:.2f}%"
-            )
-        print(line)
-    print(f"  wall {result.wall:.2f}s over {result.workers} worker(s)")
+    print(format_series(series, result))
+    print(f"sweep {result.name}: wall {result.wall:.2f}s over "
+          f"{result.workers} worker(s)")
     if args.out_dir is not None:
         print(f"  artifacts: {args.out_dir}/sweep.json, sweep.csv")
         if args.telemetry:
@@ -703,10 +720,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         if args.report:
             path = build_sweep_report(result, spec, args.out_dir)
             print(f"  report   : {path}")
-    if result.failed_cells:
-        print(f"  {len(result.failed_cells)} cell(s) FAILED", file=sys.stderr)
-        return 1
-    return 0
+    return _report_failed_cells(result)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,29 +1,28 @@
 """Experiment harness: the paper's evaluation (Section VI) as code.
 
-* :mod:`repro.experiments.runner` -- run one configuration (workload x
-  system x scheduler) for one or more replications and collect O/N/T/P.
+* :mod:`repro.experiments.runner` -- run one replication of one
+  configuration (workload x system x scheduler) and collect O/N/T/P.
 * :mod:`repro.experiments.configs` -- the per-figure experiment definitions
   (Figures 2-9), each in a laptop-sized *scaled* profile and the paper's
   original *paper* profile.
-* :mod:`repro.experiments.pool` -- parallel sweep engine: fan a
-  (configuration x replication) grid out over worker processes with
-  deterministic per-cell seeding and order-independent merging.
-* :mod:`repro.experiments.reporting` -- plain-text series/tables matching
-  the figures' data.
+* :mod:`repro.experiments.pool` -- the one experiment driver: fan a
+  (configuration x replication) grid out over worker processes under one
+  seeding rule (common random numbers per replication) with
+  order-independent merging.  ``mrcp-rm run`` is a one-worker sweep.
+* :mod:`repro.experiments.reporting` -- the plain-text series table both
+  ``run`` and ``sweep`` print.
 """
 
 from repro.experiments.runner import (
     RunConfig,
     SystemConfig,
     run_once,
-    run_replicated,
 )
 from repro.experiments.pool import (
     CellOutcome,
     SweepCell,
     SweepResult,
     SweepSpec,
-    cell_seed,
     run_sweep,
 )
 from repro.experiments.configs import (
@@ -34,18 +33,16 @@ from repro.experiments.configs import (
     figure_series,
     list_figures,
 )
-from repro.experiments.reporting import format_series, run_series
+from repro.experiments.reporting import format_series
 
 __all__ = [
     "RunConfig",
     "SystemConfig",
     "run_once",
-    "run_replicated",
     "CellOutcome",
     "SweepCell",
     "SweepResult",
     "SweepSpec",
-    "cell_seed",
     "run_sweep",
     "SCALED",
     "PAPER",
@@ -54,5 +51,4 @@ __all__ = [
     "figure_series",
     "list_figures",
     "format_series",
-    "run_series",
 ]

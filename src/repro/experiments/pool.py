@@ -5,13 +5,14 @@ figure is a grid of (configuration x replication) cells, each an independent
 simulation run.  :func:`run_sweep` fans such a grid out over a
 ``ProcessPoolExecutor`` while keeping three guarantees:
 
-**Deterministic seeding.**  Every cell's seed derives from the sweep's root
-seed through a stable hash of the cell's *semantic coordinates* -- the
-workload parameters and the replication index -- never from worker identity,
-submission order, or completion order (:func:`cell_seed`).  Two cells with
-identical workload parameters (e.g. the mrcp-rm and minedf-wc arms of
-Figure 2, or the on/off arms of an ablation) share a seed and therefore face
-the *identical* job stream, preserving the paper's paired comparisons.
+**One seeding rule.**  Every cell runs ``run_once(replace(config,
+seed=root_seed), replication)``, the rule every other run applies too: the
+cell's random stream is :func:`~repro.experiments.runner.replication_seed`
+``(root_seed, replication)``, never a function of worker identity,
+submission order or completion order.  Every point, scheduler and ablation
+arm of one replication therefore faces the *same* stream (common random
+numbers), which keeps the paper's paired and factor-at-a-time comparisons
+free of between-stream noise.  ``mrcp-rm run`` is this sweep on one worker.
 
 **Crash isolation with bounded retry.**  A cell whose worker raises -- or
 whose worker process dies outright -- marks only that cell failed; the sweep
@@ -39,7 +40,6 @@ re-reads finished cells instead of re-running them.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import time
@@ -50,7 +50,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.cp.solver import SolverParams
 from repro.experiments.configs import FigureSeries, LabeledConfig
-from repro.experiments.runner import RunConfig, run_once
+from repro.experiments.runner import RunConfig, replication_seed, run_once
 from repro.ioutil import (
     atomic_write_json,
     atomic_write_jsonl,
@@ -81,48 +81,8 @@ _CSV_COUNTS = (
 
 
 # --------------------------------------------------------------------------
-# Deterministic seeding
+# Deterministic budgets
 # --------------------------------------------------------------------------
-
-
-def stable_hash(text: str) -> int:
-    """A 63-bit integer hash of ``text``, stable across processes/machines.
-
-    ``hash()`` is salted per process (PYTHONHASHSEED); sha256 is not.
-    """
-    digest = hashlib.sha256(text.encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big") & ((1 << 63) - 1)
-
-
-def workload_key(config: RunConfig) -> str:
-    """The cell coordinate that identifies a config's *job stream*.
-
-    Mirrors :func:`repro.experiments.runner._generate_jobs`: the workload
-    depends on the generator parameters with the system's slot totals
-    substituted in, and on nothing else.  Scheduler choice and solver knobs
-    deliberately stay out, so competing schedulers (and ablation arms) over
-    the same workload share a seed and face identical jobs.
-    """
-    params = getattr(config, config.workload, None)
-    if params is None:
-        # Invalid configs must still produce *a* key: validation errors are
-        # reported by the worker as a failed cell, not a parent crash.
-        return f"{config.workload}:<missing>"
-    params = replace(
-        params,
-        total_map_slots=config.system.total_map_slots,
-        total_reduce_slots=config.system.total_reduce_slots,
-    )
-    return f"{config.workload}:{params!r}"
-
-
-def cell_seed(root_seed: int, config: RunConfig, replication: int) -> int:
-    """Derive one cell's seed from the root seed and its coordinates.
-
-    The hash covers (root seed, workload coordinates, replication) only --
-    worker identity and completion order can never leak in.
-    """
-    return stable_hash(f"{root_seed}|{workload_key(config)}|{replication}")
 
 
 def deterministic_solver_params(params: SolverParams) -> SolverParams:
@@ -156,12 +116,6 @@ def deterministic_run_config(config: RunConfig) -> RunConfig:
     )
 
 
-def _canonical_config(config: RunConfig, seed: int, deterministic: bool) -> RunConfig:
-    """The exact config a cell runs: derived seed, optionally pinned."""
-    cfg = replace(config, seed=seed)
-    return deterministic_run_config(cfg) if deterministic else cfg
-
-
 # --------------------------------------------------------------------------
 # Spec and cells
 # --------------------------------------------------------------------------
@@ -169,7 +123,11 @@ def _canonical_config(config: RunConfig, seed: int, deterministic: bool) -> RunC
 
 @dataclass(frozen=True)
 class SweepCell:
-    """One (configuration x replication) grid point of a sweep."""
+    """One (configuration x replication) grid point of a sweep.
+
+    ``config`` carries the sweep's root seed; ``seed`` is the stream the
+    cell's replication draws from (:func:`replication_seed`).
+    """
 
     index: int
     figure: str
@@ -237,8 +195,11 @@ class SweepSpec:
         self.validate()
         out: List[SweepCell] = []
         for labeled in self.configs:
+            # The exact config every replication of this label runs.
+            config = replace(labeled.config, seed=self.root_seed)
+            if self.deterministic:
+                config = deterministic_run_config(config)
             for rep in range(self.replications):
-                seed = cell_seed(self.root_seed, labeled.config, rep)
                 out.append(
                     SweepCell(
                         index=len(out),
@@ -247,10 +208,8 @@ class SweepSpec:
                         scheduler=labeled.scheduler,
                         factor_value=labeled.factor_value,
                         replication=rep,
-                        seed=seed,
-                        config=_canonical_config(
-                            labeled.config, seed, self.deterministic
-                        ),
+                        seed=replication_seed(self.root_seed, rep),
+                        config=config,
                     )
                 )
         return out
@@ -382,7 +341,7 @@ def execute_cell(job: CellJob) -> CellOutcome:
         config = replace(config, obs=obs)
     t0 = time.perf_counter()
     try:
-        metrics = run_once(config, replication=0)
+        metrics = run_once(config, replication=cell.replication)
     except Exception as exc:  # noqa: BLE001 -- isolation is the point
         outcome.error = _one_line(f"{type(exc).__name__}: {exc}")
     else:
@@ -425,27 +384,35 @@ class SweepResult:
     def failed_cells(self) -> List[CellOutcome]:
         return [o for o in self.outcomes if o.status != "ok"]
 
+    def samples(self) -> Dict[str, Dict[str, List[float]]]:
+        """label -> metric -> its values over the label's ok cells, in
+        cell-index (replication) order."""
+        out: Dict[str, Dict[str, List[float]]] = {}
+        for o in self.outcomes:
+            values = out.setdefault(o.label, {})
+            if o.status == "ok":
+                for metric, value in o.metrics.items():
+                    values.setdefault(metric, []).append(value)
+        return out
+
     def summary(self) -> Dict[str, Dict[str, float]]:
         """Per-label means of O/N/T/P over the ok replications.
 
         Sums run in replication order (cell-index order), so the floats --
         and the serialised artifacts -- are independent of completion order.
         """
-        grouped: Dict[str, List[CellOutcome]] = {}
-        for o in self.outcomes:
-            grouped.setdefault(o.label, []).append(o)
         out: Dict[str, Dict[str, float]] = {}
-        for label, cells in grouped.items():
-            ok = [c for c in cells if c.status == "ok"]
+        for label, values in self.samples().items():
+            cells = [o for o in self.outcomes if o.label == label]
+            ok = sum(o.status == "ok" for o in cells)
             entry: Dict[str, float] = {
                 "cells": float(len(cells)),
-                "ok": float(len(ok)),
-                "failed": float(len(cells) - len(ok)),
+                "ok": float(ok),
+                "failed": float(len(cells) - ok),
             }
             for m in _CSV_METRICS:
-                values = [c.metrics[m] for c in ok if m in c.metrics]
-                if values:
-                    entry[m] = sum(values) / len(values)
+                if values.get(m):
+                    entry[m] = sum(values[m]) / len(values[m])
             out[label] = entry
         return out
 

@@ -1,54 +1,45 @@
-"""Plain-text reporting of figure series.
+"""Plain-text reporting of figure series: the one table ``run`` and ``sweep`` print.
 
-Formats the replicated metrics as the series the paper's figures plot: one
-row per (factor value, scheduler), columns O (ms), T (s), P (%) with their
-confidence-interval half-widths.
+Formats a sweep's cells as the series the paper's figures plot: one row
+per (factor value, scheduler), columns O, T (s), P (%) as the mean over the
+label's ok replications with its Student-t 95 % confidence half-width.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.experiments.configs import FigureSeries
-from repro.experiments.runner import run_replicated
-from repro.sim.stats import ReplicationResult
+from repro.experiments.pool import SweepResult
+from repro.sim.stats import mean_ci
 
-#: Display scaling and units per metric.
+#: Display title and scaling per metric.  O's unit depends on the clock the
+#: cells ran on (see :func:`format_series`).
 _METRIC_FORMAT = {
-    "O": ("O (ms/job)", 1000.0),
     "T": ("T (s)", 1.0),
     "P": ("P (%)", 1.0),
     "N": ("N (jobs)", 1.0),
 }
 
 
-def run_series(
-    series: FigureSeries,
-    replications: int = 3,
-    targets: Optional[Dict[str, float]] = None,
-    verbose: bool = False,
-) -> Dict[str, ReplicationResult]:
-    """Execute every configuration of a figure; returns label -> result."""
-    results: Dict[str, ReplicationResult] = {}
-    for labeled in series.configs:
-        if verbose:
-            print(f"  running {labeled.label} ...", flush=True)
-        results[labeled.label] = run_replicated(
-            labeled.config, replications=replications, targets=targets
-        )
-    return results
-
-
 def format_series(
     series: FigureSeries,
-    results: Dict[str, ReplicationResult],
+    result: SweepResult,
     metrics: Optional[Sequence[str]] = None,
 ) -> str:
-    """Human-readable table for one figure."""
+    """Human-readable table for one figure.
+
+    O is milliseconds per job when the cells ran on the wall clock
+    (``deterministic=False``); under the pinned clock it counts clock
+    samples (1 ms ticks) per job, which is not a time.
+    """
     metrics = list(metrics or series.metrics)
+    o_title = "O (pinned ticks/job)" if result.deterministic else "O (ms/job)"
+    formats = {"O": (o_title, 1000.0), **_METRIC_FORMAT}
+    samples = result.samples()
     header_cells = [f"{series.factor:>16}", f"{'scheduler':>10}"]
     for m in metrics:
-        title, _ = _METRIC_FORMAT.get(m, (m, 1.0))
+        title, _ = formats.get(m, (m, 1.0))
         header_cells.append(f"{title:>22}")
     lines = [
         f"== {series.figure}: {series.title} ==",
@@ -58,16 +49,18 @@ def format_series(
     lines.append(" | ".join(header_cells))
     lines.append("-" * len(lines[-1]))
     for labeled in series.configs:
-        result = results[labeled.label]
+        values = samples.get(labeled.label, {})
         cells = [
             f"{labeled.factor_value:>16g}",
             f"{labeled.scheduler:>10}",
         ]
         for m in metrics:
-            _, scale = _METRIC_FORMAT.get(m, (m, 1.0))
-            mean = result.mean(m) * scale
-            hw = result.half_width(m) * scale
-            hw_text = "inf" if hw == float("inf") else f"{hw:.3g}"
-            cells.append(f"{mean:>12.4g} ± {hw_text:>7}")
+            if not values.get(m):
+                cells.append(f"{'no ok cell':>22}")
+                continue
+            _, scale = formats.get(m, (m, 1.0))
+            mean, hw = mean_ci(values[m])
+            hw_text = "inf" if hw == float("inf") else f"{hw * scale:.3g}"
+            cells.append(f"{mean * scale:>12.4g} ± {hw_text:>7}")
         lines.append(" | ".join(cells))
     return "\n".join(lines)

@@ -1,20 +1,23 @@
-"""Single-run and replicated experiment execution.
+"""Single-run experiment execution.
 
 One :func:`run_once` call = one simulated open system: a workload stream is
 generated, submitted to the chosen resource manager inside a fresh
 discrete-event simulation, run to drain, and summarised as
 :class:`~repro.metrics.collector.RunMetrics`.
 
-Replication seeds derive deterministically from the base seed, and the
-workload depends only on (workload params, seed) -- never on the scheduler
--- so competing schedulers face the *identical* job stream, as the paper's
-MRCP-RM vs MinEDF-WC comparison requires.
+Replication ``r`` of a config with seed ``s`` runs on the stream seeded
+:func:`replication_seed` ``(s, r) = s * 10_007 + r``.  The workload depends
+only on (workload params, that seed) -- never on the scheduler or a solver
+knob -- so every point, scheduler and ablation arm of one replication faces
+the *same* random stream (common random numbers), as the paper's MRCP-RM vs
+MinEDF-WC comparison requires.  Replications and sweeps are
+:func:`repro.experiments.pool.run_sweep`'s job.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional
+from typing import Optional
 
 from repro.baselines import (
     EdfPolicy,
@@ -30,7 +33,6 @@ from repro.obs.slo import SloMonitor, default_slos
 from repro.obs.timeseries import NULL_SAMPLER
 from repro.obs.trace import NULL_TRACER
 from repro.sim import RandomStreams, Simulator
-from repro.sim.stats import ReplicationResult, run_replications
 from repro.workload import (
     FacebookWorkloadParams,
     SyntheticWorkloadParams,
@@ -193,31 +195,26 @@ class LiveRun:
                 f"{result.jobs_arrived - result.jobs_completed - result.jobs_failed}"
                 f" jobs never completed (scheduler {self.config.scheduler})"
             )
-        tracer = self.tracer
-        if tracer.enabled and self.config.obs.trace_out is not None:
-            tracer.write(
-                _trace_path(self.config.obs.trace_out, self.replication)
-            )
+        if self.tracer.enabled and self.config.obs.trace_out is not None:
+            self.tracer.write(self.config.obs.trace_out)
         telemetry = self.config.obs.telemetry
         if self.sampler.enabled and telemetry is not None:
             if telemetry.series_out is not None:
-                self.sampler.write_series(
-                    _trace_path(telemetry.series_out, self.replication)
-                )
-            if (
-                telemetry.alerts_out is not None
-                and self.slo_monitor is not None
-            ):
-                self.slo_monitor.write_alerts(
-                    _trace_path(telemetry.alerts_out, self.replication)
-                )
+                self.sampler.write_series(telemetry.series_out)
+            if telemetry.alerts_out is not None and self.slo_monitor is not None:
+                self.slo_monitor.write_alerts(telemetry.alerts_out)
         return result
+
+
+def replication_seed(seed: int, replication: int) -> int:
+    """The random-stream seed of replication ``replication`` of ``seed``."""
+    return seed * 10_007 + replication
 
 
 def build_live_run(config: RunConfig, replication: int = 0) -> LiveRun:
     """Wire up one replication without running it (see :class:`LiveRun`)."""
     config.validate()
-    seed = config.seed * 10_007 + replication
+    seed = replication_seed(config.seed, replication)
     jobs = _generate_jobs(config, seed)
     resources = make_uniform_cluster(
         config.system.num_resources,
@@ -293,53 +290,6 @@ def run_once(config: RunConfig, replication: int = 0) -> RunMetrics:
     return build_live_run(config, replication).finish()
 
 
-def _trace_path(path: str, replication: int) -> str:
-    """Replication-suffixed trace path: ``trace.json`` -> ``trace.rep2.json``.
-
-    Replication 0 keeps the configured path unchanged, so single runs and
-    the first replication write exactly where the user asked.
-    """
-    if replication == 0:
-        return path
-    root, dot, ext = path.rpartition(".")
-    if dot:
-        return f"{root}.rep{replication}.{ext}"
-    return f"{path}.rep{replication}"
-
-
-def run_replicated(
-    config: RunConfig,
-    replications: int = 5,
-    min_replications: int = 3,
-    targets: Optional[Dict[str, float]] = None,
-    keep_runs: bool = False,
-) -> ReplicationResult:
-    """Run up to ``replications`` replications with CI-based stopping.
-
-    Default target mirrors the paper: T within ±1% (here relaxed to ±5% for
-    the scaled profile's shorter runs; override via ``targets``).
-    """
-    if targets is None:
-        targets = {"T": 0.05}
-    runs: List[RunMetrics] = []
-
-    def one(rep: int) -> Dict[str, float]:
-        metrics = run_once(config, rep)
-        if keep_runs:
-            runs.append(metrics)
-        return metrics.as_dict()
-
-    result = run_replications(
-        one,
-        targets=targets,
-        min_replications=min(min_replications, replications),
-        max_replications=replications,
-    )
-    if keep_runs:
-        result.runs = runs  # type: ignore[attr-defined]
-    return result
-
-
 # Parallel fan-out lives in repro.experiments.pool; re-exported lazily (PEP
 # 562) so callers keep one entry point for the single-run and sweep APIs
 # while pool can import run_once from here without a cycle.
@@ -352,7 +302,7 @@ __all__ = [
     "LiveRun",
     "build_live_run",
     "run_once",
-    "run_replicated",
+    "replication_seed",
     *_POOL_EXPORTS,
 ]
 

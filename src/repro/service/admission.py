@@ -44,6 +44,7 @@ from repro.core.schedule import validate_schedule
 from repro.cp.solver import CpSolver, SolverParams
 from repro.obs.logs import get_logger, kv
 from repro.obs.metrics import MetricsRegistry, NULL_REGISTRY
+from repro.obs.trace import Tracer
 from repro.resilience.breaker import DegradationLadder, LadderConfig
 from repro.service.schemas import (
     ADMITTED,
@@ -112,7 +113,9 @@ class AdmissionController:
         self.registry = registry if registry is not None else NULL_REGISTRY
         self.wall_clock = wall_clock or time.perf_counter
         self._solver = CpSolver(self.config.solver_params)
-        self._ladder = DegradationLadder(self.config.ladder, self._solver)
+        self._ladder = DegradationLadder(
+            self.config.ladder, self._solver, Tracer(registry=self.registry)
+        )
         #: The committed plan: every admitted, uncancelled, unretired task.
         self._base = FrozenBase(
             self.resources, self.config.mode is FormulationMode.JOINT

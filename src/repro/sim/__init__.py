@@ -12,21 +12,18 @@ Components
 * :class:`~repro.sim.rng.RandomStreams` -- named, independently seeded
   random streams (arrivals, task sizes, deadlines...) so experiments are
   reproducible and factor-at-a-time runs share common random numbers.
-* :mod:`repro.sim.stats` -- replication control with Student-t confidence
-  intervals, matching the paper's stopping rule (repeat until the CI of T is
-  within ±1% of the mean at 95% confidence).
+* :mod:`repro.sim.stats` -- Student-t confidence intervals for the
+  replicated metrics the figure tables print.
 """
 
 from repro.sim.kernel import EventHandle, Simulator
 from repro.sim.rng import Distributions, RandomStreams
-from repro.sim.stats import ReplicationResult, mean_ci, run_replications
+from repro.sim.stats import mean_ci
 
 __all__ = [
     "Simulator",
     "EventHandle",
     "RandomStreams",
     "Distributions",
-    "ReplicationResult",
     "mean_ci",
-    "run_replications",
 ]

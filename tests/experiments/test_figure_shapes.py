@@ -5,8 +5,9 @@ substrate is a simulator plus a from-scratch CP solver, not the authors'
 CPLEX testbed): who wins, which direction a metric moves, where the big
 jumps are.  Each test runs one figure's full series at a reduced scaled
 profile and asserts the direction the paper reports, tolerantly enough to
-survive small-sample noise.  Paper scale is ``mrcp-rm run <figure>
---profile paper``.
+survive small-sample noise.  Each series runs the way ``mrcp-rm run``
+does: the figure's sweep on one worker, on the wall clock.  Paper scale is
+``mrcp-rm run <figure> --profile paper``.
 """
 
 from dataclasses import replace
@@ -14,7 +15,8 @@ from dataclasses import replace
 import pytest
 
 from repro.experiments.configs import SCALED, figure_series
-from repro.experiments.reporting import run_series
+from repro.experiments.pool import SweepSpec, run_sweep
+from repro.sim.stats import mean_ci
 
 pytestmark = pytest.mark.slow
 
@@ -23,21 +25,21 @@ NUM_JOBS = 25
 REPLICATIONS = 2
 
 
-def series_rows(series, results, metrics=None):
+def series_rows(series, result, metrics=None):
     """Tabular data: one dict per configuration with mean +/- half-width."""
     metrics = list(metrics or series.metrics)
+    samples = result.samples()
     rows = []
     for labeled in series.configs:
-        result = results[labeled.label]
+        values = samples[labeled.label]
         row = {
             "label": labeled.label,
             series.factor: labeled.factor_value,
             "scheduler": labeled.scheduler,
-            "replications": result.replications,
+            "replications": len(values["T"]),
         }
         for m in metrics:
-            mean = result.mean(m)
-            hw = result.half_width(m)
+            mean, hw = mean_ci(values[m])
             row[m] = mean
             row[f"{m}_hw"] = hw
         rows.append(row)
@@ -53,8 +55,10 @@ def run_figure(figure):
             config.synthetic = replace(config.synthetic, num_jobs=NUM_JOBS)
         if config.facebook is not None:
             config.facebook = replace(config.facebook, num_jobs=NUM_JOBS)
-    results = run_series(series, replications=REPLICATIONS)
-    return series_rows(series, results, metrics=("O", "T", "P", "N"))
+    spec = SweepSpec.from_series(series, REPLICATIONS, deterministic=False)
+    result = run_sweep(spec, workers=1)
+    assert result.failed_cells == []
+    return series_rows(series, result, metrics=("O", "T", "P", "N"))
 
 
 def values_of(rows, factor, metric, scheduler=None):

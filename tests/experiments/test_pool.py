@@ -18,15 +18,19 @@ from repro.experiments.pool import (
     CellOutcome,
     PinnedClock,
     SweepSpec,
-    cell_seed,
+    build_sweep_report,
+    deterministic_run_config,
     deterministic_solver_params,
     execute_cell,
     merge_outcomes,
     run_sweep,
-    stable_hash,
-    workload_key,
 )
-from repro.experiments.runner import RunConfig, SystemConfig
+from repro.experiments.runner import (
+    RunConfig,
+    SystemConfig,
+    replication_seed,
+    run_once,
+)
 from repro.workload import SyntheticWorkloadParams
 
 
@@ -77,36 +81,43 @@ def _spec(name="unit", labels=("a", "b"), replications=2, root_seed=0, **kw):
 # ------------------------------------------------------------------ seeding
 
 
-def test_stable_hash_is_process_independent():
-    # sha256-backed: these values must never change across runs/machines.
-    assert stable_hash("") == 7183457195969485844
-    assert stable_hash("0|synthetic:x|0") == stable_hash("0|synthetic:x|0")
-    assert stable_hash("a") != stable_hash("b")
+def test_a_cell_is_run_once_of_its_config_under_the_root_seed():
+    """The one seeding rule: cell (label, rep) == run_once(root seed, rep)."""
+    spec = _spec(root_seed=5)
+    result = run_sweep(spec, workers=1)
+    assert [(o.label, o.replication) for o in result.outcomes] == [
+        ("a", 0), ("a", 1), ("b", 0), ("b", 1)
+    ]
+    by_label = {c.label: c.config for c in spec.configs}
+    for outcome in result.outcomes:
+        config = deterministic_run_config(replace(by_label[outcome.label], seed=5))
+        metrics = run_once(config, outcome.replication)
+        assert outcome.status == "ok"
+        for m in ("N", "T", "P"):
+            assert outcome.metrics[m] == metrics.as_dict()[m], (outcome.label, m)
+        assert outcome.counts == {
+            "jobs_arrived": metrics.jobs_arrived,
+            "jobs_completed": metrics.jobs_completed,
+            "jobs_failed": metrics.jobs_failed,
+            "scheduler_invocations": metrics.scheduler_invocations,
+            "makespan": metrics.makespan,
+        }
 
 
-def test_cell_seed_depends_on_coordinates_only():
-    cfg = _config()
-    assert cell_seed(0, cfg, 0) == cell_seed(0, cfg, 0)
-    assert cell_seed(0, cfg, 0) != cell_seed(0, cfg, 1)
-    assert cell_seed(0, cfg, 0) != cell_seed(1, cfg, 0)
-    different_wl = _config(arrival_rate=0.9)
-    assert cell_seed(0, cfg, 0) != cell_seed(0, different_wl, 0)
-
-
-def test_cell_seed_ignores_scheduler_and_solver_knobs():
-    # Paired comparisons (mrcp-rm vs minedf-wc over one workload) must face
-    # the identical job stream, so the seed ignores non-workload knobs.
-    a, b = _config("mrcp-rm"), _config("minedf-wc")
-    b.mrcp.solver.time_limit = 99.0
-    assert workload_key(a) == workload_key(b)
-    assert cell_seed(7, a, 1) == cell_seed(7, b, 1)
-
-
-def test_workload_key_substitutes_system_slots():
-    small = _config()
-    big = _config()
-    big.system = SystemConfig(num_resources=8, map_slots=2, reduce_slots=2)
-    assert workload_key(small) != workload_key(big)
+def test_one_replication_carries_one_seed_across_points_and_schedulers():
+    """Common random numbers: factor values and schedulers of one replication
+    share a stream; different replications draw different ones."""
+    spec = _spec(labels=("a", "b"), replications=3, root_seed=2)
+    spec.configs.append(
+        LabeledConfig(
+            label="edf", factor_value=0.0, scheduler="edf", config=_config("edf")
+        )
+    )
+    seeds = {}
+    for cell in spec.cells():
+        seeds.setdefault(cell.replication, set()).add(cell.seed)
+    assert all(len(s) == 1 for s in seeds.values())
+    assert len({s for (s,) in seeds.values()}) == 3
 
 
 def test_spec_cells_are_deterministic_and_indexed():
@@ -288,8 +299,6 @@ def test_resume_ignores_foreign_or_failed_cell_files(tmp_path):
 def test_non_object_json_reads_as_unreadable(tmp_path, reader):
     """Valid JSON that is not an object is treated like an unreadable file:
     resume re-executes the cell, and the report skips its strip."""
-    from repro.experiments.pool import build_sweep_report
-
     spec = _spec(replications=1, capture=True)
     result = run_sweep(spec, workers=1, out_dir=str(tmp_path))
     if reader == "resume":
@@ -335,8 +344,6 @@ def test_run_sweep_validates_arguments():
 
 
 def test_build_sweep_report_renders_summary_and_strips(tmp_path):
-    from repro.experiments.pool import build_sweep_report
-
     spec = _spec(replications=1, capture=True)
     result = run_sweep(spec, workers=1, out_dir=str(tmp_path))
     path = build_sweep_report(result, spec, str(tmp_path))
@@ -346,3 +353,30 @@ def test_build_sweep_report_renders_summary_and_strips(tmp_path):
     assert "Per-cell utilization" in html
     assert "<script" not in html  # self-contained, no JS
     assert os.path.basename(path) == "sweep.html"
+
+
+def test_captured_replications_write_where_the_sweep_reads(tmp_path):
+    """Every cell of a multi-replication captured, telemetry-on sweep leaves
+    its trace and series at the cell's own path, and the report draws one
+    strip per cell."""
+    spec = _spec(replications=2, capture=True, telemetry=True)
+    result = run_sweep(spec, workers=1, out_dir=str(tmp_path))
+    cells = spec.cells()
+    assert [c.replication for c in cells] == [0, 1, 0, 1]
+    for cell in cells:
+        stem = tmp_path / "cells" / f"cell-{cell.index:04d}"
+        assert json.load(open(f"{stem}.trace.json"))["traceEvents"]
+        assert os.path.getsize(f"{stem}.series.jsonl") > 0
+    rows = [json.loads(line) for line in open(tmp_path / "sweep.series.jsonl")]
+    assert all(row["series"] is not None for row in rows[1:])
+    assert sorted(tmp_path.joinpath("cells").iterdir()) == sorted(
+        tmp_path / "cells" / f"cell-{c.index:04d}{ext}"
+        for c in cells
+        for ext in (".json", ".trace.json", ".trace.jsonl", ".series.jsonl")
+    )
+    html = open(build_sweep_report(result, spec, str(tmp_path))).read()
+    assert html.count("<svg") == len(cells)
+    for cell in cells:
+        seed = replication_seed(spec.root_seed, cell.replication)
+        label = f"{cell.label} (rep {cell.replication}, seed {seed})"
+        assert f"cell {cell.index}: {label}" in html

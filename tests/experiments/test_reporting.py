@@ -1,9 +1,10 @@
-"""Series execution and text reporting."""
+"""The series table ``run`` and ``sweep`` print, over a sweep's cells."""
 
 from dataclasses import replace
 
 from repro.experiments.configs import SCALED, figure_series
-from repro.experiments.reporting import format_series, run_series
+from repro.experiments.pool import SweepSpec, run_sweep
+from repro.experiments.reporting import format_series
 
 from tests.experiments.test_figure_shapes import series_rows
 
@@ -21,10 +22,14 @@ def _small_series():
     return series
 
 
-def test_run_series_and_rows():
+def _sweep(series, deterministic=False):
+    spec = SweepSpec.from_series(series, 2, deterministic=deterministic)
+    return run_sweep(spec, workers=1)
+
+
+def test_sweep_series_and_rows():
     series = _small_series()
-    results = run_series(series, replications=2)
-    rows = series_rows(series, results)
+    rows = series_rows(series, _sweep(series))
     assert len(rows) == 2
     for row in rows:
         assert row["scheduler"] == "mrcp-rm"
@@ -35,11 +40,27 @@ def test_run_series_and_rows():
 
 def test_format_series_renders_table():
     series = _small_series()
-    results = run_series(series, replications=2)
-    text = format_series(series, results)
+    text = format_series(series, _sweep(series))
     assert "fig7" in text
     assert "O (ms/job)" in text
     assert "P (%)" in text
     assert "mrcp-rm" in text
     # one line per configuration plus headers
     assert len(text.splitlines()) >= 2 + len(series.configs)
+
+
+def test_o_column_names_the_clock_the_cells_ran_on():
+    series = _small_series()
+    pinned = format_series(series, _sweep(series, deterministic=True))
+    assert "O (pinned ticks/job)" in pinned and "ms/job" not in pinned
+    wall = format_series(series, _sweep(series, deterministic=False))
+    assert "O (ms/job)" in wall and "ticks" not in wall
+
+
+def test_a_label_without_an_ok_cell_says_so():
+    series = _small_series()
+    result = _sweep(series)
+    for outcome in result.outcomes[:2]:
+        outcome.status = "failed"
+    text = format_series(series, result)
+    assert text.splitlines()[-2].count("no ok cell") == len(series.metrics)

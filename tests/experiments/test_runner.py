@@ -1,4 +1,4 @@
-"""Experiment runner: configs, replication, scheduler parity."""
+"""Experiment runner: configs, replications, scheduler parity."""
 
 import pytest
 
@@ -7,7 +7,6 @@ from repro.experiments.runner import (
     SystemConfig,
     _generate_jobs,
     run_once,
-    run_replicated,
 )
 from repro.workload import SyntheticWorkloadParams
 
@@ -84,14 +83,15 @@ def test_run_once_deterministic():
     assert m0.late_jobs == m1.late_jobs
 
 
-def test_run_replicated_aggregates():
-    result = run_replicated(
-        _config("fcfs"), replications=3, min_replications=2,
-        targets={"T": 0.9}, keep_runs=True
-    )
-    assert 2 <= result.replications <= 3
-    assert "T" in result.samples and "P" in result.samples
-    assert len(result.runs) == result.replications
+def test_a_replication_writes_its_trace_where_it_is_told(tmp_path):
+    from dataclasses import replace
+
+    from repro.obs import ObsConfig
+
+    path = tmp_path / "trace.json"
+    config = replace(_config("mrcp-rm"), obs=ObsConfig(trace_out=str(path)))
+    run_once(config, replication=1)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["trace.json", "trace.jsonl"]
 
 
 def test_workflow_workload_through_runner():

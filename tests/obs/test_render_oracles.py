@@ -30,14 +30,20 @@ from repro.resilience.chaos import default_chaos_config, escalation_ladder
 #: sha256 of each artifact's bytes.  A solve the warm start closes without a
 #: model records no ``cp.*`` phase spans, so every artifact of a traced run
 #: that carries those spans or the pinned-clock O (which counts clock reads)
-#: moved when that path landed; N/T/P, plans and verdicts did not.
+#: moved when that path landed; N/T/P, plans and verdicts did not.  The two
+#: sweep artifacts moved when sweep cells took the one seeding rule (root
+#: seed, replication): only the cells' seeds and those seeds' metrics moved.
+#: The wall series moved when the admission ladder's rung and breaker
+#: counters started counting into the service registry the sampler reads:
+#: each sample gained the ``resilience.*`` counters; no ``service.*`` value
+#: moved.
 RUN_REPORT_SHA = "d5151d7299e10bbaffa63e9aa7445392d0699ea06f395d18aea5df3b99c2685f"
 SIM_SERIES_SHA = "b718ab0991999e4155ba3ea3a92265c0c9d7a9c0a0249ae8fdaf53600c07d74c"
-SWEEP_REPORT_SHA = "b5836e63b59c43bb5dbe5ea303c39ac1fe78ccd8bf7dc91384632ce8ebf70e1b"
+SWEEP_REPORT_SHA = "e80de58f6a7ec20fccb053efa5e0f349d82e057de1b832d2441a0bc8b7372e2a"
 DIFF_REPORT_SHA = "26f409b0cfbefe8a2d55b6ccbd4a958a7f0b3d27e22acef2be1b0aa20d6f8cea"
-WALL_SERIES_SHA = "ea8f5c9e6e5806427361cb42e4697f078b467b70af3d968ac36a89cd41fbaf2a"
+WALL_SERIES_SHA = "65b78c94f3ece29d94fff242370ee10215004b76df4880cb5ab7b4d047dd0922"
 ALERTS_SHA = "179426777c9003f05e41c2e98f2bd42e02f80d5b22be297b831900df1f87c2dc"
-SWEEP_SERIES_SHA = "a244234a737ce6efa1fd1e1fb1d1a922a9801fa2b6ce0701c5cee8582908a60f"
+SWEEP_SERIES_SHA = "097371c488f3d09e92288bf0aab7d406df049e540dc416f7fd99f7cfa5b05f6f"
 #: The run directory ``capture_run_dir(default_diff_config(num_jobs=6))``
 #: writes; captured under a relative path, because the config fingerprint in
 #: ``run.json`` covers the trace output path.

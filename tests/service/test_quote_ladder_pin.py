@@ -10,16 +10,11 @@ state, the same rung counts and the same verdicts.
 from __future__ import annotations
 
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import Tracer
-from repro.resilience.breaker import (
-    RUNGS,
-    DegradationLadder,
-    InjectedSolverFailures,
-    LadderConfig,
-)
+from repro.resilience.breaker import RUNGS, InjectedSolverFailures, LadderConfig
 from repro.service.admission import AdmissionConfig, AdmissionController
 from repro.service.loadgen import LoadProfile, generate_request_stream
 from repro.service.schemas import verdict_digest
+from repro.service.server import SchedulerService
 from repro.workload.entities import make_uniform_cluster
 
 PINNED_SNAPSHOT = {
@@ -58,20 +53,14 @@ def run_stream():
             chaos=InjectedSolverFailures({"cp_full": 2, "cp_limited": 1}),
         )
     )
-    controller = AdmissionController(resources, config)
-    registry = MetricsRegistry()
-    # The controller's own ladder counts into the null registry; this one
-    # counts where the test can read it.
-    controller._ladder = DegradationLadder(
-        config.ladder, controller._solver, Tracer(registry=registry)
-    )
+    controller = AdmissionController(resources, config, registry=MetricsRegistry())
     stream = generate_request_stream(LoadProfile(requests=60, seed=3), (8, 8))
     quotes = [
         controller.quote(spec, arrival, "cp_limited" if i % 7 == 3 else "cp_full")
         for i, (arrival, spec) in enumerate(stream)
     ]
     rungs = {
-        rung: registry.counter(f"resilience.rung_used.{rung}").value
+        rung: controller.registry.counter(f"resilience.rung_used.{rung}").value
         for rung in RUNGS
     }
     return controller._ladder.snapshot(), rungs, quotes
@@ -82,3 +71,11 @@ def test_chaos_quote_stream_ladder_accounting_is_pinned():
     assert snapshot == PINNED_SNAPSHOT
     assert rungs == PINNED_RUNGS
     assert verdict_digest(quotes) == PINNED_DIGEST
+
+
+def test_service_metrics_expose_the_ladder_counters():
+    """The controller's ladder counts into the registry the server exports."""
+    service = SchedulerService(make_uniform_cluster(4))
+    text = service.metrics_text()
+    assert "# TYPE resilience_rung_used" in text
+    assert "resilience_breaker_opened" in text

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.sim.stats import mean_ci, run_replications, student_t_quantile
+from repro.sim.stats import mean_ci, student_t_quantile
 
 
 def test_mean_ci_known_values():
@@ -48,56 +48,3 @@ def test_mean_ci_single_sample_infinite():
 def test_mean_ci_empty_rejected():
     with pytest.raises(ValueError):
         mean_ci([])
-
-
-def test_run_replications_stops_when_converged():
-    # constant metric: converges at min_replications
-    result = run_replications(
-        lambda rep: {"T": 100.0},
-        targets={"T": 0.01},
-        min_replications=3,
-        max_replications=20,
-    )
-    assert result.converged
-    assert result.replications == 3
-
-
-def test_run_replications_hits_max_when_noisy():
-    values = iter([1.0, 100.0, 1.0, 100.0, 1.0, 100.0])
-    result = run_replications(
-        lambda rep: {"T": next(values)},
-        targets={"T": 0.001},
-        min_replications=2,
-        max_replications=6,
-    )
-    assert not result.converged
-    assert result.replications == 6
-
-
-def test_run_replications_zero_mean_metric_continues():
-    # P = 0 everywhere: half-width 0 -> converged despite zero mean
-    result = run_replications(
-        lambda rep: {"P": 0.0},
-        targets={"P": 0.05},
-        min_replications=3,
-        max_replications=10,
-    )
-    assert result.converged
-
-
-def test_run_replications_collects_all_metrics():
-    result = run_replications(
-        lambda rep: {"T": float(rep), "P": 1.0},
-        targets={},
-        min_replications=2,
-        max_replications=5,
-    )
-    assert result.samples["T"] == [0.0, 1.0]
-    assert result.mean("P") == 1.0
-
-
-def test_run_replications_argument_validation():
-    with pytest.raises(ValueError):
-        run_replications(lambda rep: {}, min_replications=0)
-    with pytest.raises(ValueError):
-        run_replications(lambda rep: {}, min_replications=5, max_replications=2)

@@ -66,6 +66,27 @@ def test_run_command_end_to_end(capsys, monkeypatch):
     assert "P (%)" in out
 
 
+def test_run_command_names_a_failed_cell_and_exits_1(capsys, monkeypatch):
+    """`mrcp-rm run` is the one-worker sweep: a failed cell is reported, the
+    other cells still print, and the exit code says so."""
+    import repro.experiments.pool as pool
+
+    _shrink_synthetic(monkeypatch)
+    execute = pool.execute_cell
+
+    def fail_first(job):
+        outcome = execute(job)
+        if job.cell.index == 0:
+            outcome.status, outcome.error = "failed", "RuntimeError: injected"
+        return outcome
+
+    monkeypatch.setattr(pool, "execute_cell", fail_first)
+    assert main(["run", "fig7", "--replications", "1", "--quiet"]) == 1
+    captured = capsys.readouterr()
+    assert "cell 0 (d_UL=2 rep 0) FAILED: RuntimeError: injected" in captured.err
+    assert "O (ms/job)" in captured.out and "no ok cell" in captured.out
+
+
 def test_run_rejects_unknown_figure():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["run", "fig99"])

@@ -252,7 +252,7 @@ def test_the_caller_scan_sees_methods_and_not_reexports():
     assert {"sim.kernel.Simulator.run", "sim.kernel.Simulator.pending"} <= {
         qualified for qualified, *_ in definitions()
     }
-    # sim/__init__.py imports run_replications and lists it in __all__:
-    # neither is a reference.
+    # sim/__init__.py imports mean_ci and lists it in __all__: neither is a
+    # reference.
     package = SOURCE / "sim" / "__init__.py"
-    assert all(path != package for path, _ in references()["run_replications"])
+    assert all(path != package for path, _ in references()["mean_ci"])
