@@ -15,37 +15,24 @@ Run:  python examples/facebook_comparison.py
 
 from dataclasses import replace
 
-from repro.experiments.configs import (
-    SCALED,
-    LabeledConfig,
-    default_facebook_params,
-    default_facebook_system,
-    default_mrcp_config,
-)
+from repro.experiments.configs import SCALED, figure_series
 from repro.experiments.pool import SweepSpec, run_sweep
-from repro.experiments.runner import RunConfig
 
 
 def main() -> None:
     lambdas = [0.0001, 0.0003, 0.0005]
     schedulers = ("mrcp-rm", "minedf-wc")
+    # Figure 2's own configurations, cut to three rates and 40 jobs.
     configs = [
-        LabeledConfig(
-            label=f"{lam:g}/{scheduler}",
-            factor_value=lam,
-            scheduler=scheduler,
-            config=RunConfig(
-                scheduler=scheduler,
-                workload="facebook",
-                facebook=replace(
-                    default_facebook_params(SCALED), arrival_rate=lam, num_jobs=40
-                ),
-                system=default_facebook_system(SCALED),
-                mrcp=default_mrcp_config(SCALED),
+        replace(
+            labeled,
+            config=replace(
+                labeled.config,
+                facebook=replace(labeled.config.facebook, num_jobs=40),
             ),
         )
-        for lam in lambdas
-        for scheduler in schedulers
+        for labeled in figure_series("fig2", SCALED).configs
+        if labeled.factor_value in lambdas
     ]
     spec = SweepSpec(
         name="facebook-comparison",

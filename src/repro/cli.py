@@ -111,8 +111,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print(f"running {series.figure} [{args.profile} profile] "
           f"({len(series.configs)} configurations x "
           f"{args.replications} replications)")
+    # No retry: a failed cell is reported, not re-run.
     result = run_sweep(
-        spec, progress=_sweep_progress(len(spec.cells()), args.quiet)
+        spec,
+        retries=0,
+        progress=_sweep_progress(len(spec.cells()), args.quiet),
     )
     print()
     print(format_series(series, result))

@@ -35,7 +35,9 @@ stay reproducible only while the solver's real time limit never binds.
 
 Workers write their own per-cell JSON (and, with ``capture=True``, a Chrome
 trace) under ``<out_dir>/cells/``; the parent merges them and ``--resume``
-re-reads finished cells instead of re-running them.
+re-reads finished cells instead of re-running them.  A cell file records its
+config fingerprint, so resuming into a directory written under another
+configuration (another profile, job count or slot total) re-runs the cells.
 """
 
 from __future__ import annotations
@@ -304,11 +306,25 @@ def _outcome_skeleton(cell: SweepCell, attempt: int) -> CellOutcome:
     )
 
 
-def _write_cell_file(out_dir: str, outcome: CellOutcome) -> None:
-    """Atomically persist one cell outcome (rename over partial writes)."""
+def _cell_fingerprint(cell: SweepCell) -> str:
+    """The cell's config fingerprint, as checkpoints record it."""
+    # Deferred: repro.resilience.checkpoint imports repro.experiments.
+    from repro.resilience.checkpoint import config_fingerprint
+
+    return config_fingerprint(cell.config, cell.replication)
+
+
+def _write_cell_file(out_dir: str, cell: SweepCell, outcome: CellOutcome) -> None:
+    """Atomically persist one cell outcome (rename over partial writes).
+
+    The file also carries the cell's config fingerprint, which resume checks
+    (:func:`_load_resumable`); neither it nor ``wall`` reaches the merged
+    artifacts.
+    """
     path = cell_json_path(out_dir, outcome.index)
     payload = dict(outcome.row())
     payload["wall"] = outcome.wall
+    payload["fingerprint"] = _cell_fingerprint(cell)
     atomic_write_json(path, payload)
 
 
@@ -356,7 +372,7 @@ def execute_cell(job: CellJob) -> CellOutcome:
         }
     outcome.wall = time.perf_counter() - t0
     if job.out_dir is not None:
-        _write_cell_file(job.out_dir, outcome)
+        _write_cell_file(job.out_dir, cell, outcome)
     return outcome
 
 
@@ -581,8 +597,11 @@ def merge_outcomes(
 def _load_resumable(out_dir: str, cell: SweepCell) -> Optional[CellOutcome]:
     """A previously persisted *ok* outcome for this exact cell, if any.
 
-    The file must match the cell's identity (figure/label/replication/seed):
-    a results directory from a different sweep or root seed never poisons a
+    The file must match the cell's identity (figure/label/replication/seed)
+    and its config fingerprint.  The seed depends only on the root seed and
+    the replication, and labels repeat across profiles (``d_UL=2`` in both
+    ``scaled`` and ``paper``), so only the fingerprint tells a cell of a
+    differently configured sweep apart: such a directory never poisons a
     resumed run -- its cells simply re-execute.
     """
     try:
@@ -591,6 +610,8 @@ def _load_resumable(out_dir: str, cell: SweepCell) -> Optional[CellOutcome]:
         return None
     identity = ("figure", "label", "replication", "seed")
     if any(payload.get(k) != getattr(cell, k) for k in identity):
+        return None
+    if payload.get("fingerprint") != _cell_fingerprint(cell):
         return None
     if payload.get("status") != "ok":
         return None
@@ -623,7 +644,7 @@ def _safe_run(runner: Callable[[CellJob], CellOutcome], job: CellJob) -> CellOut
         outcome = _outcome_skeleton(job.cell, job.attempt)
         outcome.error = _one_line(f"{type(exc).__name__}: {exc}")
         if job.out_dir is not None:
-            _write_cell_file(job.out_dir, outcome)
+            _write_cell_file(job.out_dir, job.cell, outcome)
         return outcome
 
 

@@ -295,6 +295,43 @@ def test_resume_ignores_foreign_or_failed_cell_files(tmp_path):
     assert sorted(calls) == [0, 1]  # only the poisoned cells re-ran
 
 
+def test_resume_reruns_cells_of_a_changed_configuration(tmp_path):
+    """Seeds and labels do not see the configuration (a scaled and a paper
+    sweep share both), so the cell file's config fingerprint must: resuming
+    after a config field changed re-runs every cell."""
+    spec = _spec(replications=2)
+    run_sweep(spec, workers=1, out_dir=str(tmp_path))
+    changed = replace(
+        spec,
+        configs=[
+            replace(
+                lc,
+                config=replace(
+                    lc.config, synthetic=replace(lc.config.synthetic, num_jobs=5)
+                ),
+            )
+            for lc in spec.configs
+        ],
+    )
+    assert [c.seed for c in changed.cells()] == [c.seed for c in spec.cells()]
+
+    calls = []
+
+    def counting_runner(job):
+        calls.append(job.cell.index)
+        return execute_cell(job)
+
+    resumed = run_sweep(
+        changed,
+        workers=1,
+        out_dir=str(tmp_path),
+        resume=True,
+        runner=counting_runner,
+    )
+    assert sorted(calls) == [0, 1, 2, 3]
+    assert all(o.counts["jobs_arrived"] == 5 for o in resumed.outcomes)
+
+
 @pytest.mark.parametrize("reader", ["resume", "report"])
 def test_non_object_json_reads_as_unreadable(tmp_path, reader):
     """Valid JSON that is not an object is treated like an unreadable file:
