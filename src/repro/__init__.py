@@ -37,6 +37,7 @@ from typing import Optional
 from repro.core import MrcpRm, MrcpRmConfig
 from repro.faults import FaultModel, OutageWindow
 from repro.metrics import MetricsCollector, RunMetrics
+from repro.obs import ObsConfig
 from repro.sim import Simulator
 from repro.workload import (
     FacebookWorkloadParams,
@@ -74,42 +75,33 @@ def quick_demo(
     seed: int = 0,
     num_jobs: int = 10,
     faults: Optional[FaultModel] = None,
-    tracer=None,
+    obs: Optional[ObsConfig] = None,
 ) -> RunMetrics:
     """Run a small MRCP-RM open system end to end; returns its metrics.
 
     Pass a :class:`FaultModel` to subject the run to task failures,
     stragglers, and resource outages; the default (``None``) is the
-    fault-free happy path.  Pass a :class:`repro.obs.trace.Tracer` to
-    capture a trace of the run (the caller writes it out afterwards).
+    fault-free happy path.  The fault draws are seeded from ``seed`` (the
+    model's own ``seed`` is replaced), like the workload's.  Pass a
+    :class:`repro.obs.ObsConfig` to trace the run (``trace_out`` names the
+    file the trace is written to) or to inject a wall clock.
     """
-    params = SyntheticWorkloadParams(
-        num_jobs=num_jobs,
-        map_tasks_range=(1, 8),
-        reduce_tasks_range=(1, 4),
-        e_max=10,
-        ar_probability=0.3,
-        s_max=200,
-        deadline_multiplier_max=3.0,
-        arrival_rate=0.05,
-        total_map_slots=8,
-        total_reduce_slots=8,
-    )
-    jobs = generate_synthetic_workload(params, seed=seed)
-    resources = make_uniform_cluster(4, 2, 2)
-    sim = Simulator()
-    metrics = MetricsCollector()
-    if tracer is not None:
-        from repro.obs.trace import NULL_TRACER
+    from repro.experiments.runner import RunConfig, SystemConfig, build_live_run
 
-        if tracer is not NULL_TRACER:  # never mutate the shared null tracer
-            tracer.bind_sim_clock(lambda: sim.now)
-        sim.attach_observability(tracer.registry)
-    manager = MrcpRm(
-        sim, resources, MrcpRmConfig(faults=faults), metrics, tracer=tracer
+    config = RunConfig(
+        synthetic=SyntheticWorkloadParams(
+            num_jobs=num_jobs,
+            map_tasks_range=(1, 8),
+            reduce_tasks_range=(1, 4),
+            e_max=10,
+            ar_probability=0.3,
+            s_max=200,
+            deadline_multiplier_max=3.0,
+            arrival_rate=0.05,
+        ),
+        system=SystemConfig(num_resources=4),
+        faults=faults,
+        obs=obs or ObsConfig(),
     )
-    for job in jobs:
-        sim.schedule_at(job.arrival_time, lambda j=job: manager.submit(j))
-    sim.run()
-    manager.executor.assert_quiescent()
-    return metrics.finalize()
+    # Replication r of a seed-0 config draws the stream seeded r.
+    return build_live_run(config, replication=seed).finish()

@@ -205,7 +205,7 @@ class SlotScheduler:
     ) -> None:
         self.sim = sim
         self.policy = policy
-        self.metrics = metrics
+        self.metrics = metrics or MetricsCollector()
         self.cluster = SlotCluster(
             sim, resources, on_task_complete=self._task_done
         )
@@ -217,8 +217,7 @@ class SlotScheduler:
     def submit(self, job: Job) -> None:
         """A user submits a job at the current simulation time."""
         now = self.sim.now
-        if self.metrics is not None:
-            self.metrics.job_arrived(job)
+        self.metrics.job_arrived(job)
         self._jobs[job.id] = job
         self._arrival_order.append(job.id)
         if job.earliest_start > now:
@@ -236,8 +235,7 @@ class SlotScheduler:
         job = self._jobs[task.job_id]
         if job.is_completed:
             self._active.pop(job.id, None)
-            if self.metrics is not None:
-                self.metrics.job_completed(job, self.sim.now)
+            self.metrics.job_completed(job, self.sim.now)
         self._dispatch()
 
     # ------------------------------------------------------------- dispatch
@@ -251,10 +249,9 @@ class SlotScheduler:
         placements = self.policy.select(self.cluster, jobs, self.sim.now)
         for task, rid in placements:
             self.cluster.start_task(task, rid)
-        if self.metrics is not None:
-            self.metrics.record_overhead(
-                _time.perf_counter() - t0, sim_time=self.sim.now
-            )
+        self.metrics.record_overhead(
+            _time.perf_counter() - t0, sim_time=self.sim.now
+        )
 
     @property
     def active_jobs(self) -> List[Job]:

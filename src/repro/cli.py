@@ -122,24 +122,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return _report_failed_cells(result)
 
 
-def _make_tracer(args: argparse.Namespace):
-    """Build a tracer from a subcommand's ``--trace-out`` (None when unset)."""
-    trace_out = getattr(args, "trace_out", None)
-    if trace_out is None:
-        return None
-    from repro.obs import ObsConfig
-
-    return ObsConfig(trace_out=trace_out).make_tracer()
-
-
-def _write_trace(tracer, args: argparse.Namespace) -> None:
-    """Write the captured trace and report the output paths."""
-    if tracer is None:
-        return
-    chrome, jsonl = tracer.write(args.trace_out)
-    print(f"  trace written          : {chrome} (+ {jsonl})")
-
-
 def _print_tardiness(metrics, indent: str = "  ") -> None:
     """Print tardiness severity (mean/p95/max) when any job was late."""
     if not metrics.late_jobs:
@@ -154,9 +136,9 @@ def _print_tardiness(metrics, indent: str = "  ") -> None:
 
 def _cmd_demo(args: argparse.Namespace) -> int:
     from repro import quick_demo
+    from repro.obs import ObsConfig
 
-    tracer = _make_tracer(args)
-    metrics = quick_demo(seed=args.seed, tracer=tracer)
+    metrics = quick_demo(seed=args.seed, obs=ObsConfig(trace_out=args.trace_out))
     print("quick demo (MRCP-RM on a 4-resource cluster):")
     print(f"  jobs arrived/completed : {metrics.jobs_arrived}/{metrics.jobs_completed}")
     print(f"  late jobs (N)          : {metrics.late_jobs}")
@@ -164,8 +146,16 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     print(f"  avg turnaround (T)     : {metrics.avg_turnaround:.1f} s")
     print(f"  avg overhead (O)       : {metrics.avg_sched_overhead * 1000:.2f} ms/job")
     _print_tardiness(metrics)
-    _write_trace(tracer, args)
+    _print_trace_paths(args.trace_out)
     return 0
+
+
+def _print_trace_paths(trace_out: Optional[str]) -> None:
+    """Name the files a ``--trace-out`` run wrote (nothing when unset)."""
+    if trace_out is not None:
+        from repro.obs.trace import jsonl_path
+
+        print(f"  trace written          : {trace_out} (+ {jsonl_path(trace_out)})")
 
 
 def _parse_outage(spec: str):
@@ -210,6 +200,7 @@ def _non_negative_float(text: str) -> float:
 def _cmd_faults(args: argparse.Namespace) -> int:
     from repro import quick_demo
     from repro.faults import FaultModel
+    from repro.obs import ObsConfig
 
     model = FaultModel(
         task_failure_prob=args.failure_prob,
@@ -218,9 +209,11 @@ def _cmd_faults(args: argparse.Namespace) -> int:
         outages=tuple(args.outage or ()),
         seed=args.seed,
     )
-    tracer = _make_tracer(args)
     metrics = quick_demo(
-        seed=args.seed, num_jobs=args.jobs, faults=model, tracer=tracer
+        seed=args.seed,
+        num_jobs=args.jobs,
+        faults=model,
+        obs=ObsConfig(trace_out=args.trace_out),
     )
     print("fault-injected demo (MRCP-RM on a 4-resource cluster):")
     print(f"  jobs arrived/completed/failed : "
@@ -236,7 +229,7 @@ def _cmd_faults(args: argparse.Namespace) -> int:
     print(f"  replans on failure            : {metrics.replans_on_failure}")
     print(f"  fallback solves               : {metrics.fallback_solves}")
     _print_tardiness(metrics)
-    _write_trace(tracer, args)
+    _print_trace_paths(args.trace_out)
     return 0
 
 
@@ -277,71 +270,29 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    from repro.core import MrcpRm, MrcpRmConfig
-    from repro.cp.solver import SolverParams
+    from dataclasses import replace
+
+    from repro.experiments.configs import default_report_config
+    from repro.experiments.runner import build_live_run
     from repro.ioutil import atomic_write_text
-    from repro.metrics import MetricsCollector
     from repro.obs import ObsConfig
     from repro.obs.forensics import attribute_lateness, format_attributions
     from repro.obs.report import render_report
-    from repro.obs.slo import SloMonitor, default_slos
-    from repro.obs.timeseries import TelemetryConfig, TimeSeriesSampler
-    from repro.sim import RandomStreams, Simulator
-    from repro.workload import (
-        SyntheticWorkloadParams,
-        generate_synthetic_workload,
-        make_uniform_cluster,
-    )
+    from repro.obs.timeseries import TelemetryConfig
 
-    params = SyntheticWorkloadParams(
-        num_jobs=args.jobs,
-        total_map_slots=8,
-        total_reduce_slots=8,
-        deadline_multiplier_max=1.4,
-        scale=0.1,
-    )
-    jobs = generate_synthetic_workload(params, streams=RandomStreams(args.seed))
-    resources = make_uniform_cluster(4, 2, 2)
-    sim = Simulator()
-    metrics = MetricsCollector()
-    tracer = ObsConfig(trace=True, plan_history=True).make_tracer()
-    tracer.bind_sim_clock(lambda: sim.now)
-    sim.attach_observability(tracer.registry)
-    faults = None
-    if args.faults:
-        from repro.faults import FaultModel
-
-        faults = FaultModel(
-            task_failure_prob=0.15,
-            straggler_prob=0.2,
-            straggler_factor=2.0,
-            outage_rate=0.002,
-            outage_duration_range=(30.0, 90.0),
-            outage_horizon=2000.0,
-            seed=args.seed,
-        )
-    config = MrcpRmConfig(
-        faults=faults,
-        record_plan_history=True,
-        solver=SolverParams(time_limit=0.5, tree_fail_limit=200, use_lns=False),
-    )
-    manager = MrcpRm(sim, resources, config, metrics, tracer=tracer)
-    for job in jobs:
-        sim.schedule_at(job.arrival_time, lambda j=job: manager.submit(j))
+    config = default_report_config(num_jobs=args.jobs, faults=args.faults)
     # Live telemetry rides along so the report gets its timeline strips.
-    sampler = TimeSeriesSampler(TelemetryConfig(enabled=True, interval=5.0))
-    sampler.attach(sim, collector=metrics, registry=tracer.registry)
-    manager.attach_telemetry(sampler)
-    monitor = SloMonitor(default_slos(), tracer=tracer)
-    monitor.subscribe(sampler)
-    sampler.start()
-    sim.run()
-    manager.executor.assert_quiescent()
-    sampler.finalize()
-    result = metrics.finalize()
-    events = tracer.recorder.events
+    obs = ObsConfig(
+        trace=True,
+        trace_out=args.trace_out,
+        telemetry=TelemetryConfig(enabled=True, interval=5.0),
+    )
+    run = build_live_run(replace(config, obs=obs), replication=args.seed)
+    result = run.finish()
+    events = run.tracer.recorder.events
+    plan_history = run.manager.plan_history
     attributions = attribute_lateness(
-        result, jobs, events, plan_history=manager.plan_history
+        result, run.jobs, events, plan_history=plan_history
     )
     title = (
         f"MRCP-RM run report (seed {args.seed}, {args.jobs} jobs"
@@ -349,12 +300,12 @@ def _cmd_report(args: argparse.Namespace) -> int:
     )
     document = render_report(
         result,
-        resources=resources,
+        resources=run.resources,
         events=events,
         attributions=attributions,
-        plan_history=manager.plan_history,
-        series=sampler.store.samples,
-        alerts=[alert.as_dict() for alert in monitor.alerts],
+        plan_history=plan_history,
+        series=run.sampler.store.samples,
+        alerts=[alert.as_dict() for alert in run.slo_monitor.alerts],
         title=title,
     )
     atomic_write_text(args.out, document)
@@ -365,8 +316,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
         print(format_attributions(attributions))
     print(f"report written: {args.out}")
     if args.trace_out is not None:
-        chrome, jsonl = tracer.write(args.trace_out)
-        print(f"trace written : {chrome} (+ {jsonl})")
+        from repro.obs.trace import jsonl_path
+
+        print(f"trace written : {args.trace_out} (+ {jsonl_path(args.trace_out)})")
     return 0
 
 

@@ -67,7 +67,7 @@ class ScheduledExecutor:
         self.sim = sim
         self.resources = list(resources)
         self.resource_by_id = {r.id: r for r in self.resources}
-        self.metrics = metrics
+        self.metrics = metrics or MetricsCollector()
         #: Observability: task lifecycle counters plus, with tracing on, one
         #: sim-timeline span per completed attempt (row = resource id).
         self.tracer = tracer if tracer is not None else NULL_TRACER
@@ -233,10 +233,7 @@ class ScheduledExecutor:
                 # and let the manager repair the now-stale plan suffix.
                 if a.task.nominal_duration is None:
                     a.task.nominal_duration = duration
-                if (
-                    self.metrics is not None
-                    and outcome.duration > duration
-                ):
+                if outcome.duration > duration:
                     self.metrics.task_straggled()
                 a.task.duration = outcome.duration
                 duration = outcome.duration
@@ -298,8 +295,7 @@ class ScheduledExecutor:
             self.on_task_complete(a)
         job = self._jobs.get(a.task.job_id)
         if job is not None and job.is_completed:
-            if self.metrics is not None:
-                self.metrics.job_completed(job, self.sim.now)
+            self.metrics.job_completed(job, self.sim.now)
             if self.on_job_complete is not None:
                 self.on_job_complete(job)
 
@@ -342,8 +338,7 @@ class ScheduledExecutor:
                 },
                 sim_track=True,
             )
-        if self.metrics is not None:
-            self.metrics.task_failed(reason)
+        self.metrics.task_failed(reason)
         if self.on_task_failed is not None:
             self.on_task_failed(a, reason)
 

@@ -152,7 +152,7 @@ class MrcpRm:
         self.sim = sim
         self.resources = list(resources)
         self.config = config or MrcpRmConfig()
-        self.metrics = metrics
+        self.metrics = metrics or MetricsCollector()
         #: Observability front-end (the shared disabled tracer by default).
         #: Overhead O is measured through ``tracer.wall_clock`` so tests can
         #: inject a deterministic clock with or without tracing.
@@ -177,7 +177,7 @@ class MrcpRm:
         self.executor = ScheduledExecutor(
             sim,
             self.resources,
-            metrics=metrics,
+            metrics=self.metrics,
             on_job_complete=self._job_done,
             fault_injector=self.fault_injector,
             on_task_failed=(
@@ -219,8 +219,7 @@ class MrcpRm:
         #: ``config.record_plan_history``); consumed by forensics/reports.
         self.plan_history: List[PlanRecord] = []
         if self.fault_injector is not None:
-            if metrics is not None:
-                metrics.enable_fault_tracking()
+            self.metrics.enable_fault_tracking()
             for w in self.fault_injector.outage_windows():
                 sim.schedule_at(
                     w.start, lambda rid=w.resource_id: self._resource_down(rid)
@@ -282,8 +281,7 @@ class MrcpRm:
     def submit(self, job: Job) -> None:
         """A user submits a job at the current simulation time."""
         now = math.ceil(self.sim.now)
-        if self.metrics is not None:
-            self.metrics.job_arrived(job)
+        self.metrics.job_arrived(job)
         self.executor.register_job(job)
         self._effective_est[job.id] = max(job.earliest_start, now)
         if (
@@ -336,8 +334,7 @@ class MrcpRm:
         elapsed = self._clock() - t0
         self._m_invocations.inc()
         self._m_overhead.observe(elapsed)
-        if self.metrics is not None:
-            self.metrics.record_overhead(elapsed, sim_time=self.sim.now)
+        self.metrics.record_overhead(elapsed, sim_time=self.sim.now)
         if self.config.record_plan_history:
             self.plan_history.append(
                 PlanRecord(
@@ -486,62 +483,28 @@ class MrcpRm:
     ) -> None:
         """Fold one invocation's solve outcome into the metric contract.
 
-        Preserves the historical semantics of both paths: CP stats/profile
-        are recorded whenever a CP strategy actually ran, a ladder solve
-        that lands on the ``edf`` rung still counts as one
-        ``fallback_solves`` (the same degradation PR 1 introduced, now
-        breaker-managed), and the plain path's fallback logs its warning.
+        CP stats and profile count whenever a CP strategy ran; a plan from
+        the EDF list schedule -- the plain path's fallback or the ladder's
+        ``edf`` rung -- counts as one ``fallback_solves``.
         """
         metrics = self.metrics
+        if outcome.result is not None:
+            metrics.record_solve(outcome.result)
         if self.ladder is not None:
-            if metrics is not None:
-                if outcome.result is not None:
-                    metrics.record_solve_profile(outcome.result.profile)
-                    if outcome.result:
-                        self._record_solver_stats(outcome.result)
-                for _ in range(self.ladder.opened_total - opened_before):
-                    metrics.breaker_opened()
-            if outcome.solution is None:
-                return
-            self._last_rung = outcome.rung
-            if metrics is not None:
+            for _ in range(self.ladder.opened_total - opened_before):
+                metrics.breaker_opened()
+            if outcome.solution is not None:
+                self._last_rung = outcome.rung
                 metrics.ladder_solve(outcome.rung)
-            if outcome.rung == "edf":
-                # Same semantics as the non-ladder EDF degradation.
-                self._m_fallbacks.inc()
-                if metrics is not None:
-                    metrics.fallback_solve()
-            return
-        if metrics is not None and outcome.result is not None:
-            metrics.record_solve_profile(outcome.result.profile)
-        if outcome.result and not outcome.fallback:
-            self._record_solver_stats(outcome.result)
         if outcome.fallback and outcome.solution is not None:
             self._m_fallbacks.inc()
-            status = (
-                outcome.result.status.value if outcome.result else "none"
-            )
-            _LOG.warning(
-                "fallback solve %s",
-                kv(t=now, status=status, jobs=len(jobs)),
-            )
-            if metrics is not None:
-                metrics.fallback_solve()
-
-    def _record_solver_stats(self, result) -> None:
-        """Fold one successful CP solve's search effort into the metrics."""
-        if self.metrics is None:
-            return
-        self.metrics.record_solver_stats(
-            result.stats.branches,
-            result.stats.fails,
-            result.stats.lns_iterations,
-            propagations=result.stats.propagations,
-            propagate_time=result.stats.propagate_time,
-            warm_start_time=result.stats.warm_start_time,
-            tree_time=result.stats.tree_time,
-            lns_time=result.stats.lns_time,
-        )
+            metrics.fallback_solve()
+            if self.ladder is None:  # the ladder logs its degraded solves
+                status = outcome.result.status.value if outcome.result else "none"
+                _LOG.warning(
+                    "fallback solve %s",
+                    kv(t=now, status=status, jobs=len(jobs)),
+                )
 
     def _planned_starts_by_job(self) -> Dict[int, int]:
         """Earliest (planned or actual) start per job in the current plan."""
@@ -600,8 +563,7 @@ class MrcpRm:
                 attempts=a.task.attempts,
             ),
         )
-        if self.metrics is not None:
-            self.metrics.task_retry()
+        self.metrics.task_retry()
         self._schedule_fault_replan(self.config.retry_backoff)
 
     def _task_perturbed(self, a: TaskAssignment) -> None:
@@ -623,8 +585,7 @@ class MrcpRm:
         self._deferred.pop(job.id, None)
         self._effective_est.pop(job.id, None)
         self.executor.abandon_job(job.id)
-        if self.metrics is not None:
-            self.metrics.job_failed(job, self.sim.now)
+        self.metrics.job_failed(job, self.sim.now)
         # Remaining jobs inherit the freed capacity at the next re-plan.
         self._schedule_fault_replan(0.0)
 
@@ -652,8 +613,7 @@ class MrcpRm:
             "recovery replan %s",
             kv(t=self.sim.now, active=len(self._active)),
         )
-        if self.metrics is not None:
-            self.metrics.replan_on_failure()
+        self.metrics.replan_on_failure()
         self._run_scheduler(
             trigger_jobs=list(self._active.values()), trigger="recovery"
         )
@@ -673,8 +633,7 @@ class MrcpRm:
             args={"resource": resource_id},
             sim_track=True,
         )
-        if self.metrics is not None:
-            self.metrics.outage_started()
+        self.metrics.outage_started()
         self.executor.fail_resource(resource_id)
         self._base = None
         # Even with no running victims, pending plan entries on the node

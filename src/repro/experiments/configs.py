@@ -31,6 +31,7 @@ from repro.core.formulation import FormulationMode
 from repro.core.mrcp_rm import MrcpRmConfig
 from repro.cp.solver import SolverParams
 from repro.experiments.runner import RunConfig, SystemConfig
+from repro.faults import FaultModel
 from repro.workload import (
     FacebookWorkloadParams,
     SyntheticWorkloadParams,
@@ -423,3 +424,34 @@ def figure_series(figure: str, profile: str = SCALED) -> FigureSeries:
             f"unknown figure {figure!r}; available: {', '.join(_FIGURES)}"
         ) from None
     return _series(figure, *builder(profile))
+
+
+def default_report_config(num_jobs: int = 14, faults: bool = False) -> RunConfig:
+    """The run ``mrcp-rm report`` renders: late jobs, with plan history.
+
+    Tight deadlines on a four-resource cluster leave late jobs for the
+    report's slack waterfall to explain; ``faults`` adds task failures,
+    stragglers and random outages.  The config's seed is 0, so replication
+    ``r`` draws the workload and fault streams seeded ``r``.
+    """
+    fault_model = None
+    if faults:
+        fault_model = FaultModel(
+            task_failure_prob=0.15,
+            straggler_prob=0.2,
+            straggler_factor=2.0,
+            outage_rate=0.002,
+            outage_duration_range=(30.0, 90.0),
+            outage_horizon=2000.0,
+        )
+    return RunConfig(
+        synthetic=SyntheticWorkloadParams(
+            num_jobs=num_jobs, deadline_multiplier_max=1.4, scale=0.1
+        ),
+        system=SystemConfig(num_resources=4),
+        mrcp=MrcpRmConfig(
+            record_plan_history=True,
+            solver=SolverParams(time_limit=0.5, tree_fail_limit=200, use_lns=False),
+        ),
+        faults=fault_model,
+    )

@@ -59,6 +59,7 @@ from repro.ioutil import (
     atomic_write_text,
     read_json,
 )
+from repro.metrics.collector import COUNT_KEYS
 from repro.obs.clocks import PinnedClock
 from repro.obs.timeseries import TelemetryConfig, read_series_jsonl
 
@@ -73,13 +74,6 @@ _DETERMINISTIC_FAIL_LIMIT = 300
 
 #: Ordered CSV columns of the deterministic per-cell metrics.
 _CSV_METRICS = ("O", "N", "T", "P")
-_CSV_COUNTS = (
-    "jobs_arrived",
-    "jobs_completed",
-    "jobs_failed",
-    "scheduler_invocations",
-    "makespan",
-)
 
 
 # --------------------------------------------------------------------------
@@ -363,13 +357,7 @@ def execute_cell(job: CellJob) -> CellOutcome:
     else:
         outcome.status = "ok"
         outcome.metrics = {k: float(v) for k, v in metrics.as_dict().items()}
-        outcome.counts = {
-            "jobs_arrived": metrics.jobs_arrived,
-            "jobs_completed": metrics.jobs_completed,
-            "jobs_failed": metrics.jobs_failed,
-            "scheduler_invocations": metrics.scheduler_invocations,
-            "makespan": metrics.makespan,
-        }
+        outcome.counts = metrics.counts()
     outcome.wall = time.perf_counter() - t0
     if job.out_dir is not None:
         _write_cell_file(job.out_dir, cell, outcome)
@@ -454,7 +442,7 @@ class SweepResult:
 
     def to_csv(self) -> str:
         """One row per cell, in cell-index order, ``repr``-exact floats."""
-        value_cols = ",".join(_CSV_METRICS + _CSV_COUNTS)
+        value_cols = ",".join(_CSV_METRICS + COUNT_KEYS)
         header = (
             "index,figure,label,scheduler,factor_value,replication,seed,"
             f"status,attempts,{value_cols}"
@@ -476,7 +464,7 @@ class SweepResult:
                 repr(o.metrics[m]) if m in o.metrics else ""
                 for m in _CSV_METRICS
             ]
-            cells += [str(o.counts[c]) if c in o.counts else "" for c in _CSV_COUNTS]
+            cells += [str(o.counts[c]) if c in o.counts else "" for c in COUNT_KEYS]
             lines.append(",".join(cells))
         return "\n".join(lines) + "\n"
 

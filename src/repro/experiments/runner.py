@@ -240,8 +240,6 @@ def build_live_run(config: RunConfig, replication: int = 0) -> LiveRun:
             # so replications see independent fault draws while staying
             # exactly reproducible.
             mrcp = replace(mrcp, faults=replace(config.faults, seed=seed))
-        if config.obs.plan_history and not mrcp.record_plan_history:
-            mrcp = replace(mrcp, record_plan_history=True)
         manager = MrcpRm(sim, resources, mrcp, metrics, tracer=tracer)
         submit = manager.submit
         quiescent = manager.executor.assert_quiescent

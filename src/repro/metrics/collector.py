@@ -24,6 +24,16 @@ SOLVER_WALL_TIME_KEYS = (
     "solver_lns_time",
 )
 
+#: The integer counts of a run reported beside O/N/T/P (sweep cells and
+#: captured run directories), in column order.
+COUNT_KEYS = (
+    "jobs_arrived",
+    "jobs_completed",
+    "jobs_failed",
+    "scheduler_invocations",
+    "makespan",
+)
+
 
 @dataclass
 class RunMetrics:
@@ -126,6 +136,10 @@ class RunMetrics:
     def max_tardiness(self) -> int:
         """Largest single deadline miss, in simulated seconds."""
         return max(self.tardiness_by_job.values(), default=0)
+
+    def counts(self) -> Dict[str, int]:
+        """The run's :data:`COUNT_KEYS` values, in that order."""
+        return {key: getattr(self, key) for key in COUNT_KEYS}
 
     def as_dict(self, verbose: bool = False) -> Dict[str, float]:
         """The paper's four metrics keyed O / N / T / P.
@@ -253,50 +267,36 @@ class MetricsCollector:
         self._overhead_times.append(sim_time)
         self._invocations += 1
 
-    def record_solver_stats(
-        self,
-        branches: int,
-        fails: int,
-        lns: int,
-        propagations: int = 0,
-        propagate_time: float = 0.0,
-        warm_start_time: float = 0.0,
-        tree_time: float = 0.0,
-        lns_time: float = 0.0,
-    ) -> None:
-        """Accumulate CP search effort counters across invocations.
+    def record_solve(self, result) -> None:
+        """Fold one CP solve's :class:`~repro.cp.solution.SolveResult` in.
 
-        The three positional counters match the original signature; the
-        keyword phase timings are reported when the resource manager passes
-        extended :class:`~repro.cp.solution.SearchStats` through.
+        The profile, when the solver ran with profiling on, always counts:
+        per-propagator-class counters and which phase produced the plan
+        (``solved_by``).  The search effort (branches, fails, LNS
+        iterations, propagations, phase wall times) counts only when the
+        result holds a solution.
         """
-        self.solver_branches += branches
-        self.solver_fails += fails
-        self.solver_lns_iterations += lns
-        self.solver_propagations += propagations
-        self.solver_propagate_time += propagate_time
-        self.solver_warm_start_time += warm_start_time
-        self.solver_tree_time += tree_time
-        self.solver_lns_time += lns_time
-
-    def record_solve_profile(self, profile) -> None:
-        """Fold one solve's :class:`~repro.cp.solution.SolveProfile` in.
-
-        Accumulates per-propagator-class counters and tallies which phase
-        produced the plan (``solved_by``).  Accepts ``None`` so callers can
-        pass ``result.profile`` unconditionally.
-        """
-        if profile is None:
-            return
-        self._solves_by_phase[profile.solved_by] = (
-            self._solves_by_phase.get(profile.solved_by, 0) + 1
-        )
-        for name, counts in profile.propagators.items():
-            mine = self._solver_propagators.setdefault(
-                name, {"runs": 0, "prunes": 0, "fails": 0}
+        profile = result.profile
+        if profile is not None:
+            self._solves_by_phase[profile.solved_by] = (
+                self._solves_by_phase.get(profile.solved_by, 0) + 1
             )
-            for key in ("runs", "prunes", "fails"):
-                mine[key] += counts.get(key, 0)
+            for name, counts in profile.propagators.items():
+                mine = self._solver_propagators.setdefault(
+                    name, {"runs": 0, "prunes": 0, "fails": 0}
+                )
+                for key in ("runs", "prunes", "fails"):
+                    mine[key] += counts.get(key, 0)
+        if result:
+            stats = result.stats
+            self.solver_branches += stats.branches
+            self.solver_fails += stats.fails
+            self.solver_lns_iterations += stats.lns_iterations
+            self.solver_propagations += stats.propagations
+            self.solver_propagate_time += stats.propagate_time
+            self.solver_warm_start_time += stats.warm_start_time
+            self.solver_tree_time += stats.tree_time
+            self.solver_lns_time += stats.lns_time
 
     # ------------------------------------------------------- fault events
     def enable_fault_tracking(self) -> None:

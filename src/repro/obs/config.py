@@ -2,7 +2,7 @@
 
 :class:`ObsConfig` is the declarative surface the CLI and
 :class:`~repro.experiments.runner.RunConfig` expose: where to write the
-trace, whether to keep a plan history, which wall clock to read, and --
+trace, which wall clock to read, and --
 via :class:`~repro.obs.timeseries.TelemetryConfig` -- whether to sample a
 live telemetry series with SLO burn-rate alerting.  Logging is the CLI's
 to install (:func:`repro.obs.logs.configure_logging`); the solver's
@@ -37,10 +37,6 @@ class ObsConfig:
     #: Collect trace events in memory even without a ``trace_out`` path
     #: (tests and notebooks inspect ``tracer.recorder.events`` directly).
     trace: bool = False
-    #: Record one :class:`~repro.core.mrcp_rm.PlanRecord` per scheduler
-    #: invocation (MRCP-RM only).  Forensics -- per-job lateness
-    #: attribution -- and the HTML run report consume the history.
-    plan_history: bool = False
     #: Injectable wall-clock source (None = ``time.perf_counter``).  Tests
     #: inject a deterministic clock here to pin the overhead metric O; a
     #: :class:`PinnedClock` is a template -- each run counts on its own copy.

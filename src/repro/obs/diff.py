@@ -503,14 +503,15 @@ def capture_run_dir(
         config.obs,
         trace=True,
         trace_out=os.path.join(out_dir, "trace.json"),
-        plan_history=True,
         telemetry=TelemetryConfig(
             enabled=True,
             interval=interval,
             series_out=os.path.join(out_dir, "series.jsonl"),
         ),
     )
-    config = replace(config, obs=obs)
+    config = replace(
+        config, obs=obs, mrcp=replace(config.mrcp, record_plan_history=True)
+    )
 
     run = build_live_run(config, replication)
     metrics = run.finish()
@@ -535,13 +536,7 @@ def capture_run_dir(
             for k, v in metrics.as_dict(verbose=True).items()
             if k not in QUARANTINED_METRIC_KEYS
         },
-        "counts": {
-            "jobs_arrived": metrics.jobs_arrived,
-            "jobs_completed": metrics.jobs_completed,
-            "jobs_failed": metrics.jobs_failed,
-            "scheduler_invocations": metrics.scheduler_invocations,
-            "makespan": metrics.makespan,
-        },
+        "counts": metrics.counts(),
         "jobs": [
             {
                 "id": job.id,
@@ -799,7 +794,6 @@ def default_diff_config(
         ),
         system=SystemConfig(num_resources=2, map_slots=2, reduce_slots=2),
         mrcp=MrcpRmConfig(
-            record_plan_history=True,
             solver=SolverParams(
                 time_limit=30.0,
                 tree_fail_limit=fail_limit if fail_limit is not None else 200,

@@ -336,14 +336,17 @@ class Tracer:
         if not self.enabled:
             raise RuntimeError("cannot write a disabled tracer's trace")
         snapshot = self.registry.as_dict()
-        jsonl = (
-            path[: -len(".json")] + ".jsonl"
-            if path.endswith(".json")
-            else path + ".jsonl"
-        )
+        jsonl = jsonl_path(path)
         self.recorder.write_chrome(path, metrics=snapshot)
         self.recorder.write_jsonl(jsonl, metrics=snapshot)
         return path, jsonl
+
+
+def jsonl_path(path: str) -> str:
+    """The JSONL event log :meth:`Tracer.write` puts beside trace ``path``."""
+    if path.endswith(".json"):
+        return path[: -len(".json")] + ".jsonl"
+    return path + ".jsonl"
 
 
 #: Process-wide disabled tracer: the default for every instrumented layer.

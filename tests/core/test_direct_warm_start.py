@@ -134,7 +134,6 @@ def _chaos():
         obs=replace(
             config.obs,
             trace=True,
-            plan_history=True,
             telemetry=TelemetryConfig(enabled=True, interval=5.0),
         ),
         mrcp=replace(config.mrcp, record_plan_history=True),

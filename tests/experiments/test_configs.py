@@ -17,11 +17,11 @@ from repro.experiments.configs import (
 #: sha256 over ``repr(figure_series(f, p))`` concatenated for every figure
 #: in ``list_figures()`` order x (scaled, paper).  Any change to a figure's
 #: configs -- a value, a value's type, a default -- moves it.  Last moved
-#: when four unused options left the configs: the previous text (sha256
-#: 768f7b03...009e52) equals this one once ``fallback_to_heuristic=True, ``,
-#: ``log_level=None, ``, ``profile_solver=False, `` and ``, slo=None`` are
-#: deleted, each at all of its 116 occurrences.
-FIGURE_REPR_SHA256 = "a736b9f990b371788e9950773638933add4bee46803ffa12a7d28b81f28ab6aa"
+#: when ``ObsConfig.plan_history`` (a copy of
+#: ``MrcpRmConfig.record_plan_history``) left the configs: the previous text
+#: (sha256 a736b9f9...8ab6aa) equals this one once `` plan_history=False,``
+#: is deleted from each of its 116 ``ObsConfig(...)`` occurrences.
+FIGURE_REPR_SHA256 = "f5cbec9c6ac3e3cb6369174b8f04828372051c91924c7d022731fe23812c70bc"
 
 
 def test_all_figures_listed():

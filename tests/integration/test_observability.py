@@ -5,7 +5,7 @@ import json
 from repro import quick_demo
 from repro.experiments.runner import RunConfig, SystemConfig, run_once
 from repro.obs import ObsConfig
-from repro.obs.trace import TraceRecorder, Tracer
+from repro.obs.forensics import load_trace_events
 from repro.workload import SyntheticWorkloadParams
 
 SEED = 7
@@ -16,12 +16,12 @@ def _clock():
     return 0.0
 
 
-def _demo_pair(seed=SEED):
+def _demo_pair(seed=SEED, trace_out=None):
     """Same-seed quick_demo metrics with tracing off and on."""
-    untraced = quick_demo(seed=seed, tracer=Tracer(None, wall_clock=_clock))
-    tracer = Tracer(TraceRecorder(), wall_clock=_clock)
-    traced = quick_demo(seed=seed, tracer=tracer)
-    return untraced, traced, tracer
+    untraced = quick_demo(seed=seed, obs=ObsConfig(wall_clock=_clock))
+    traced_obs = ObsConfig(trace=True, trace_out=trace_out, wall_clock=_clock)
+    traced = quick_demo(seed=seed, obs=traced_obs)
+    return untraced, traced
 
 
 #: Verbose keys that are genuine wall-clock measurements -- everything else
@@ -37,7 +37,7 @@ _WALL_TIME_KEYS = frozenset(
 
 
 def test_tracing_does_not_change_any_metric():
-    untraced, traced, _ = _demo_pair()
+    untraced, traced = _demo_pair()
     assert untraced.as_dict() == traced.as_dict()
     v0 = untraced.as_dict(verbose=True)
     v1 = traced.as_dict(verbose=True)
@@ -49,7 +49,7 @@ def test_tracing_does_not_change_any_metric():
 
 
 def test_happy_path_dict_stays_exactly_ontp():
-    untraced, _, _ = _demo_pair()
+    untraced, _ = _demo_pair()
     assert set(untraced.as_dict()) == {"O", "N", "T", "P"}
     verbose = untraced.as_dict(verbose=True)
     assert set(verbose) > {"O", "N", "T", "P"}
@@ -65,14 +65,13 @@ def test_happy_path_dict_stays_exactly_ontp():
     } <= set(verbose)
 
 
-def test_one_span_per_scheduler_invocation():
-    _, traced, tracer = _demo_pair()
-    names = [e["name"] for e in tracer.recorder.events]
+def test_one_span_per_scheduler_invocation(tmp_path):
+    _, traced = _demo_pair(trace_out=str(tmp_path / "trace.json"))
+    events = load_trace_events(str(tmp_path / "trace.jsonl"))
+    names = [e["name"] for e in events]
     assert names.count("scheduler.invocation") == traced.scheduler_invocations
     # every task execution shows up on the sim timeline
-    task_spans = [
-        e for e in tracer.recorder.events if e.get("cat") == "task"
-    ]
+    task_spans = [e for e in events if e.get("cat") == "task"]
     assert len(task_spans) > 0
 
 

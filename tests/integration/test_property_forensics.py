@@ -43,7 +43,7 @@ def _run(seed: int, with_faults: bool):
     resources = make_uniform_cluster(4, 2, 2)
     sim = Simulator()
     metrics = MetricsCollector()
-    tracer = ObsConfig(trace=True, plan_history=True).make_tracer()
+    tracer = ObsConfig(trace=True).make_tracer()
     tracer.bind_sim_clock(lambda: sim.now)
     sim.attach_observability(tracer.registry)
     faults = None

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cp.solution import SearchStats, SolveProfile, SolveResult, SolveStatus
 from repro.metrics import MetricsCollector
 
 from tests.conftest import make_job
@@ -91,13 +92,20 @@ def test_as_dict_exports_paper_metrics():
 
 
 def test_solver_stats_accumulate():
+    def result(status, branches, fails, lns):
+        stats = SearchStats(branches=branches, fails=fails, lns_iterations=lns)
+        return SolveResult(status, None, stats, SolveProfile(solved_by="tree"))
+
     c = MetricsCollector()
-    c.record_solver_stats(10, 5, 2)
-    c.record_solver_stats(3, 1, 0)
+    c.record_solve(result(SolveStatus.FEASIBLE, 10, 5, 2))
+    c.record_solve(result(SolveStatus.OPTIMAL, 3, 1, 0))
+    # An empty solve counts its profile, not its search effort.
+    c.record_solve(result(SolveStatus.UNKNOWN, 100, 100, 100))
     m = c.finalize()
     assert m.solver_branches == 13
     assert m.solver_fails == 6
     assert m.solver_lns_iterations == 2
+    assert m.solves_by_phase == {"tree": 3}
 
 
 def test_tardiness_by_job_and_stats():

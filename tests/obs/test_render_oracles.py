@@ -50,7 +50,7 @@ SWEEP_SERIES_SHA = "097371c488f3d09e92288bf0aab7d406df049e540dc416f7fd99f7cfa5b0
 CAPTURE_SHAS = {
     "forensics.json": "32550a027fd86cda9775d993c7b8af51b7026fd87a41827571311e16641cc4db",
     "plans.json": "f43ee963385b7febb9c206382b32cb8df1ef6c2544cf4751d5c35ef922d7dea8",
-    "run.json": "c197449789434ef35b0daeeff294374ab754f318fde18854bf690e49d3fca657",
+    "run.json": "d0e010d061b96a4893bf1db97dd2c9e82d9fc2aca832623445f5a53e4f41ed48",
     "series.jsonl": "74a17f19eaad4418ca579c588959d80c435a56d0d6a9ff4958c3e31f7feec1d6",
     "trace.json": "7eb1cdadb4243e1d76cb18a90fff6161f9f093412c4414b1017f97025af0c374",
     "trace.jsonl": "967d2cd797bfb3a60297f2b2d577f4baa4fffa9c7f77e50ab60a54277db5d4e2",
@@ -83,7 +83,6 @@ def chaos_run():
         obs=replace(
             config.obs,
             trace=True,
-            plan_history=True,
             telemetry=TelemetryConfig(enabled=True, interval=5.0),
         ),
         mrcp=replace(config.mrcp, record_plan_history=True),

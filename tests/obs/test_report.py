@@ -5,19 +5,19 @@ import pytest
 from repro import quick_demo
 from repro.ioutil import atomic_write_text
 from repro.obs import ObsConfig
-from repro.obs.forensics import attribute_lateness
+from repro.obs.forensics import attribute_lateness, load_trace_events
 from repro.obs.report import render_report
 from repro.workload import make_uniform_cluster
 
 
 @pytest.fixture(scope="module")
-def traced_run():
+def traced_run(tmp_path_factory):
     """One traced quick-demo run shared across the module's tests."""
-    tracer = ObsConfig(trace=True).make_tracer()
-    metrics = quick_demo(seed=3, tracer=tracer)
+    out = tmp_path_factory.mktemp("trace")
+    metrics = quick_demo(seed=3, obs=ObsConfig(trace_out=str(out / "trace.json")))
     # quick_demo builds exactly this cluster internally
     resources = make_uniform_cluster(4, 2, 2)
-    return metrics, resources, tracer.recorder.events
+    return metrics, resources, load_trace_events(str(out / "trace.jsonl"))
 
 
 def test_report_is_self_contained(traced_run, tmp_path):

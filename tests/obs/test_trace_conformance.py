@@ -9,6 +9,7 @@ from repro.obs.conformance import (
     VALID_PHASES,
     validate_trace_events,
 )
+from repro.obs.forensics import load_trace_events
 
 
 def _span(name="work", ts=0, dur=10, pid=1, tid=1, **extra):
@@ -102,10 +103,9 @@ def test_unserialisable_args_rejected():
 # ---------------------------------------------------------------------------
 
 
-def test_real_run_trace_is_conformant():
-    tracer = ObsConfig(trace=True).make_tracer()
-    quick_demo(seed=3, tracer=tracer)
-    events = tracer.recorder.events
+def test_real_run_trace_is_conformant(tmp_path):
+    quick_demo(seed=3, obs=ObsConfig(trace_out=str(tmp_path / "trace.json")))
+    events = load_trace_events(str(tmp_path / "trace.jsonl"))
     assert events
     assert validate_trace_events(events) == []
     # the headline int64 requirements, asserted directly as well
@@ -121,8 +121,6 @@ def test_real_run_trace_is_conformant():
 
 def test_written_trace_file_is_conformant(tmp_path):
     out = tmp_path / "trace.json"
-    tracer = ObsConfig(trace_out=str(out)).make_tracer()
-    quick_demo(seed=5, tracer=tracer)
-    tracer.write(str(out))
+    quick_demo(seed=5, obs=ObsConfig(trace_out=str(out)))
     doc = json.loads(out.read_text())
     assert validate_trace_events(doc["traceEvents"]) == []
