@@ -12,7 +12,7 @@ Package map
   Optimizer substitute): interval variables, cumulative / alternative /
   barrier constraints, branch-and-bound + LNS search.
 * :mod:`repro.sim` -- event-calendar simulation kernel, seeded random
-  streams, replication control by the paper's confidence-interval rule.
+  streams, confidence intervals over a fixed number of replications.
 * :mod:`repro.workload` -- MapReduce job/SLA entities; Table 3 synthetic and
   Table 4 Facebook workload generators.
 * :mod:`repro.core` -- MRCP-RM itself: the Table 1 formulation, the Table 2

@@ -25,16 +25,34 @@ Incrementality
 The profile starts as a copy of the fixed ``base`` load and is *trailed*,
 not rebuilt: each interval's cached compulsory part is re-derived only when
 its start bounds or presence changed since the last run (the dirty tokens
-of :meth:`IntDomain.watch`), and every profile delta pushes an undo record
-so backtracking restores the profile in lock-step with the domains.  A version counter -- bumped on every profile
-mutation, including undo -- decides how much filtering a run owes: when the
-profile is untouched since the last completed run, previously filtered
-bounds are still at their fixpoint, so only the dirty intervals are swept
-and the overload check is skipped; any profile delta triggers the full
-overload check plus a sweep of every candidate, exactly what the
-from-scratch propagator did on every run.
+of :meth:`IntDomain.watch`).  A changed part moves by the deltas at its two
+ends, not by a remove and an add, and every change pushes an undo record so
+backtracking restores the profile in lock-step with the domains.
 
-The candidates of that sweep are the tasks with *no* compulsory part (one
+What a run owes is a changed-window *envelope*: the ``[lo, hi)`` hull of
+the profile pieces that *grew* since the last full pass, or "everything"
+after a reset.  A part that shrinks or vanishes owes nothing -- a lower
+profile neither overloads nor moves a fit that stood.  With an empty
+envelope only the dirty tasks are swept; otherwise the overload check runs
+and each candidate is swept unless its fits provably did not move: a
+present candidate's bounds are fits, so it is skipped when the envelope
+misses both ``[smin, smin + length)`` and ``[smax, smax + length)``; an
+optional one is only known to fit *somewhere*, so it is skipped when the
+envelope misses its whole window ``[smin, smax + length)``.
+
+The envelope is trailed too: the first part record of each trail level (a
+stamp against :attr:`Trail.magic`, as in ``IntDomain._save``) carries a
+snapshot of it, so popping a level restores the envelope the level was
+pushed with and an undo owes no filtering.  Riding inside the part record
+keeps the trail at one entry per part change.  This is sound because every
+level is pushed at a fixpoint (``tree_search``'s decisions and its entry
+after the solver's root propagation, LNS's pinned level and ``relax``),
+where the envelope is empty.  A level that is not (a failed node, a fresh
+reset) is re-primed before it propagates: ``schedule_all`` calls
+:meth:`on_reset`, which marks every task dirty and the envelope
+"everything".
+
+The candidates of a sweep are the tasks with *no* compulsory part (one
 with a part is never bounds-filtered, see above).  They are kept as a set,
 ``_free``, written at the two places the cached parts are -- the sync and
 the trail undo -- so a sweep visits them in index order without walking the
@@ -59,8 +77,43 @@ if TYPE_CHECKING:  # pragma: no cover
 #: Cached compulsory part: (start, end) of the trailed profile pulse.
 _Part = Optional[Tuple[int, int]]
 
+#: The filtering a run owes: (everything, envelope lo, envelope hi).
+_Owed = Tuple[bool, int, int]
+
 #: Sentinel bound for an empty changed-window envelope.
 _HUGE = 1 << 62
+
+
+def _shift(profile: TimetableProfile, old: _Part, new: _Part, d: int) -> _Part:
+    """Move a ``d``-high pulse from ``old`` to ``new`` by its changed ends.
+
+    Returns the hull of the pieces that grew (None when none did).
+    """
+    if new is None:
+        if old is not None:
+            profile.add(old[0], old[1], -d)
+        return None
+    if old is None or new[0] >= old[1] or old[0] >= new[1]:
+        if old is not None:
+            profile.add(old[0], old[1], -d)
+        profile.add(new[0], new[1], d)
+        return new
+    a, b = old
+    c, e = new
+    lo = hi = None
+    if c < a:
+        profile.add(c, a, d)
+        lo, hi = c, a
+    elif c > a:
+        profile.add(a, c, -d)
+    if e > b:
+        profile.add(b, e, d)
+        if lo is None:
+            lo = b
+        hi = e
+    elif e < b:
+        profile.add(e, b, -d)
+    return None if lo is None else (lo, hi)
 
 
 class CumulativePropagator(Propagator):
@@ -76,11 +129,10 @@ class CumulativePropagator(Propagator):
         "_parts",
         "_free",
         "_profile",
-        "_version",
-        "_filtered_version",
         "_chg_all",
         "_chg_lo",
         "_chg_hi",
+        "_stamp",
     )
 
     def __init__(
@@ -118,17 +170,16 @@ class CumulativePropagator(Propagator):
         #: sweep can filter.  Written wherever :attr:`_parts` is.
         self._free: Set[int] = set(range(len(self._tasks)))
         self._profile = base.copy() if base is not None else TimetableProfile()
-        #: Bumped on every profile mutation (sync *and* backtrack undo).
-        self._version = 0
-        #: :attr:`_version` as of the last completed filtering pass.
-        self._filtered_version = -1
-        #: Envelope [lo, hi) hull of all profile regions mutated since the
-        #: last full filtering pass (sync, undo); a candidate whose window
-        #: does not overlap it -- and whose own bounds did not change -- has
-        #: provably unchanged fit queries, so the sweep skips it.
+        #: The filtering owed (see the module docstring): every candidate
+        #: (:attr:`_chg_all`), or those whose fits meet the envelope
+        #: ``[_chg_lo, _chg_hi)`` of the pieces grown since the last pass;
+        #: nothing when the envelope is empty.  Trailed per level.
         self._chg_all = True  # first run: everything is new
         self._chg_lo = _HUGE
         self._chg_hi = -_HUGE
+        #: ``Trail.magic`` of the level whose first part record carried the
+        #: envelope snapshot.
+        self._stamp = 0
         self._dirty.update(range(len(self._tasks)))
 
     def watches(self) -> Iterable[Tuple["IntDomain", int, object]]:
@@ -138,38 +189,26 @@ class CumulativePropagator(Propagator):
                 yield pres, FIX_EVENT, k
 
     def on_reset(self, engine: "Engine") -> None:
-        # pop_all rewinds the trailed profile/parts, but the untrailed dirty
-        # set was consumed by past runs: re-prime so the first fixpoint
-        # re-derives every compulsory part from the pristine domains.
+        # The dirty set is not trailed and the level being primed is not at
+        # a fixpoint: re-derive every compulsory part and sweep everything.
         self._dirty.update(range(len(self._tasks)))
-        self._version += 1
         self._chg_all = True
 
-    def _widen(self, part: _Part) -> None:
-        """Grow the changed-window envelope to cover a mutated pulse."""
-        if part is not None:
-            if part[0] < self._chg_lo:
-                self._chg_lo = part[0]
-            if part[1] > self._chg_hi:
-                self._chg_hi = part[1]
+    def _restore(self, state: Tuple[int, _Part, _Part, Optional[_Owed]]) -> None:
+        """Trail undo: revert one compulsory-part change (LIFO with domains).
 
-    def _restore(self, state: Tuple[int, _Part, _Part]) -> None:
-        """Trail undo: revert one compulsory-part delta (LIFO with domains)."""
-        k, old, new = state
-        _iv, _start, _pres, d, _length = self._tasks[k]
-        profile = self._profile
-        if new is not None:
-            profile.remove(new[0], new[1], d)
-        if old is not None:
-            profile.add(old[0], old[1], d)
+        The level's first record also puts back the envelope the level was
+        pushed with; an undo itself owes no filtering.
+        """
+        k, old, new, owed = state
+        _shift(self._profile, new, old, self._tasks[k][3])
         self._parts[k] = old
         if old is None:
             self._free.add(k)
         else:
             self._free.discard(k)
-        self._version += 1
-        self._widen(old)
-        self._widen(new)
+        if owed is not None:
+            self._chg_all, self._chg_lo, self._chg_hi = owed
 
     # ----------------------------------------------------------------- body
     def propagate(self, engine: "Engine") -> None:
@@ -198,30 +237,31 @@ class CumulativePropagator(Propagator):
                     new = None
                 old = parts[k]
                 if new != old:
-                    if old is not None:
-                        profile.remove(old[0], old[1], d)
-                    if new is not None:
-                        profile.add(new[0], new[1], d)
+                    owed: Optional[_Owed] = None
+                    if self._stamp != trail.magic:
+                        self._stamp = trail.magic
+                        owed = (self._chg_all, self._chg_lo, self._chg_hi)
+                    trail.record(self, (k, old, new, owed))
                     parts[k] = new
                     if new is None:
                         free.add(k)
                     else:
                         free.discard(k)
-                    trail.record(self, (k, old, new))
-                    self._version += 1
-                    self._widen(old)
-                    self._widen(new)
+                    grown = _shift(profile, old, new, d)
+                    if grown is not None:
+                        if grown[0] < self._chg_lo:
+                            self._chg_lo = grown[0]
+                        if grown[1] > self._chg_hi:
+                            self._chg_hi = grown[1]
 
-        # How much filtering does this run owe?  An untouched profile means
-        # every previously swept bound is still at its fixpoint: only the
-        # tasks whose own windows changed need re-sweeping, and the overload
-        # check would reproduce its previous verdict.  When the profile did
-        # change, only candidates whose placement window overlaps the
-        # changed-window envelope (plus the dirty ones) can see a different
-        # fit query result; everyone else is still at its fixpoint.
-        env_lo = env_hi = None
+        # How much filtering does this run owe?  Nothing grown means every
+        # previously swept bound is still at its fixpoint: only the tasks
+        # whose own windows changed need re-sweeping, and the overload check
+        # would reproduce its previous verdict.  Otherwise a candidate is
+        # swept when its fits meet the envelope or its own bounds changed.
+        env_lo = env_hi = 0
         tset: frozenset = frozenset()
-        if self._version != self._filtered_version:
+        if self._chg_all or self._chg_lo < self._chg_hi:
             if profile.max_height() > cap:
                 raise Infeasible(
                     f"{self.name}: compulsory demand "
@@ -232,7 +272,6 @@ class CumulativePropagator(Propagator):
                 env_lo = self._chg_lo
                 env_hi = self._chg_hi
                 tset = frozenset(touched)
-            self._filtered_version = self._version
             self._chg_all = False
             self._chg_lo = _HUGE
             self._chg_hi = -_HUGE
@@ -252,10 +291,14 @@ class CumulativePropagator(Propagator):
             smax = start._max
             if present and smax < smin + length:
                 continue  # own contribution is inside the profile; skip
-            if env_lo is not None and (
-                smin >= env_hi or smax + length <= env_lo
-            ) and k not in tset:
-                continue  # window misses every changed region: fits unchanged
+            if env_lo < env_hi and k not in tset:
+                if present:
+                    if (smin >= env_hi or smin + length <= env_lo) and (
+                        smax >= env_hi or smax + length <= env_lo
+                    ):
+                        continue  # neither fit's placement grew: both stand
+                elif smin >= env_hi or smax + length <= env_lo:
+                    continue  # window misses every grown piece: a fit stands
             bounds = profile.fit_bounds(smin, smax, length, d, cap)
             if bounds is None:
                 if pres is not None and not present:

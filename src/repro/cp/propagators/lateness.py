@@ -54,28 +54,33 @@ class DeadlineIndicatorPropagator(Propagator):
 
     def propagate(self, engine: "Engine") -> None:
         d = self.deadline
-        completion_min = max(iv.start._min + iv.length for iv in self.tasks)
-        completion_max = max(iv.start._max + iv.length for iv in self.tasks)
-
-        if completion_min > d:
-            # The job cannot finish on time in any extension of this node.
-            self.indicator.set_true(engine)
-        if completion_max <= d:
-            # The job is on time in every extension.
-            self.indicator.set_false(engine)
-
-        if self.indicator.is_fixed:
-            if self.indicator.value == 0:
-                # On-time: every last-stage task must end by the deadline.
-                for iv in self.tasks:
-                    iv.set_end_max(d, engine)
+        indicator = self.indicator.domain
+        if indicator._min != indicator._max:
+            if max(iv.start._min + iv.length for iv in self.tasks) > d:
+                # The job cannot finish on time in any extension of this node.
+                self.indicator.set_true(engine)
+            elif max(iv.start._max + iv.length for iv in self.tasks) <= d:
+                # The job is on time in every extension.
+                self.indicator.set_false(engine)
             else:
-                # Late: at least one task must end after the deadline.
-                can_be_late = [iv for iv in self.tasks if iv.lct > d]
-                if not can_be_late:
-                    raise Infeasible(
-                        f"{self.name}: indicator forced true but no task "
-                        f"can end after {d}"
-                    )
-                if len(can_be_late) == 1:
-                    can_be_late[0].set_end_min(d + 1, engine)
+                return
+        # The indicator is decided: the completion bounds can only agree
+        # with it or contradict it, and a contradiction fails below too.
+        if indicator._max == 0:
+            # On-time: every last-stage task must end by the deadline.
+            for iv in self.tasks:
+                iv.set_end_max(d, engine)
+            return
+        # Late: at least one task must end after the deadline.
+        can_be_late = None
+        for iv in self.tasks:
+            if iv.lct > d:
+                if can_be_late is not None:
+                    return  # two candidates: nothing to infer
+                can_be_late = iv
+        if can_be_late is None:
+            raise Infeasible(
+                f"{self.name}: indicator forced true but no task "
+                f"can end after {d}"
+            )
+        can_be_late.set_end_min(d + 1, engine)

@@ -38,15 +38,13 @@ class SumBoolBoundPropagator(Propagator):
         for b in self.bools:
             yield b.domain, MIN_EVENT, None
 
-    def lower_bound(self) -> int:
-        """Current lower bound of the objective under this node's domains."""
-        return sum(b.domain.min for b in self.bools)
-
     def propagate(self, engine: "Engine") -> None:
         bound = engine.objective_bound
         if bound is None:
             return
-        lb = self.lower_bound()
+        lb = 0
+        for b in self.bools:
+            lb += b.domain._min
         if lb > bound:
             raise Infeasible(
                 f"{self.name}: objective lower bound {lb} exceeds cut {bound}"

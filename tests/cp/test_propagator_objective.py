@@ -49,9 +49,11 @@ def test_bound_zero_forces_all_false():
     assert all(b.is_fixed and b.value == 0 for b in bools)
 
 
-def test_lower_bound_helper():
-    eng, bools, prop = _setup(3)
-    assert prop.lower_bound() == 0
+def test_lower_bound_counts_only_true_indicators():
+    """The cut sums the indicators' lower bounds: a false one adds nothing."""
+    eng, bools, _ = _setup(3)
     bools[0].set_true(eng)
     bools[1].set_false(eng)
-    assert prop.lower_bound() == 1
+    eng.objective_bound = 1
+    eng.propagate()  # lower bound 1 meets the cut without exceeding it
+    assert bools[2].is_fixed and bools[2].value == 0
