@@ -20,6 +20,15 @@ Design notes
   suppressing self-wakes changes how the fixpoint is *reached*, never the
   fixpoint itself.  Dirty tokens are still recorded for suppressed wakes --
   an incremental propagator must see its own prunes as deltas next run.
+* Dirty tokens are *not* trailed; :meth:`Engine.clear_queue` drops them with
+  the queue.  Every caller has just popped back to a level pushed at a
+  fixpoint (``tree_search``'s backtrack and exit, LNS's return to its pinned
+  level), is about to pop (a failed ``propagate``), or resets, so a token
+  left from a popped or failed subtree names a task whose restored bounds
+  already sit at the fixpoint.  A level that is *not* at one -- a
+  ``_PinnedLevel`` whose pins failed, a reset -- is re-primed by
+  :meth:`Engine.schedule_all` (each propagator's ``on_reset``) before it
+  propagates.
 * ``objective_bound`` is deliberately *not* trailed: during branch-and-bound
   it only ever tightens, so a bound installed deep in the tree remains valid
   after backtracking.
@@ -61,6 +70,8 @@ class Engine:
         self.active: Optional["Propagator"] = None
         self._root_ready = False
         self._subscribed = False
+        #: Propagators with dirty tokens (see :meth:`clear_queue`).
+        self._tokened: List["Propagator"] = []
 
     # ------------------------------------------------------------- building
     def register(self, prop: "Propagator") -> None:
@@ -80,8 +91,12 @@ class Engine:
     def _subscribe_all(self) -> None:
         self._subscribed = True
         for prop in self.propagators:
+            tokened = False
             for dom, events, token in prop.watches():
                 dom.watch(prop, events, token)
+                tokened |= token is not None
+            if tokened:
+                self._tokened.append(prop)
 
     def seal(self) -> None:
         """Freeze the propagator set and mark the pristine state.
@@ -163,10 +178,16 @@ class Engine:
                 self._queue_low.append(prop)
 
     def clear_queue(self) -> None:
-        """Drop all pending propagator activations (used after a failure)."""
+        """Drop all pending propagator activations and every dirty token.
+
+        Used after a failure and after backtracking; why the tokens owe
+        nothing there is in the module docstring.
+        """
         for q in (self._queue_high, self._queue_low):
             while q:
                 q.popleft().queued = False
+        for prop in self._tokened:
+            prop._dirty.clear()
 
     def on_bound_tightened(self, bound: int) -> None:
         """Install a new objective upper bound and re-arm its propagator."""

@@ -7,12 +7,24 @@ resource's capacity is consumed at each instant, plus an *earliest fit* query
 extra ``demand`` still fits under ``capacity``?").
 
 The profile is kept as a sorted list of breakpoints; pieces between
-consecutive breakpoints have constant height.  Fit queries bisect to the
-piece containing the candidate start and sweep only the pieces overlapping
-the placement window, against a prefix-sum ``_heights`` array that the first
-query materialises (one C-speed :func:`itertools.accumulate`) and that
-:meth:`~TimetableProfile.add` / :meth:`~TimetableProfile.remove` then patch
-in place, touching only the pieces under the changed interval.
+consecutive breakpoints have constant height, read from a prefix-sum
+``_heights`` array that the first query materialises (one C-speed
+:func:`itertools.accumulate`) and that :meth:`~TimetableProfile.add` /
+:meth:`~TimetableProfile.remove` then patch in place, touching only the
+pieces under the changed interval.
+
+:meth:`~TimetableProfile.fit_bounds` -- the cumulative propagator's sweep,
+asked many times between two changes of its profile -- does not walk the
+pieces.  It reads a *blocked-run index*: for the limit ``capacity -
+demand``, the sorted maximal runs of pieces with ``h != 0 and h > limit``.
+Each step bisects for the one run that can overlap the placement window and
+jumps past it, so a query costs the runs it clears, not the pieces it
+crosses.  The index is built on first use per limit and dropped by every
+:meth:`~TimetableProfile.add`; :meth:`~TimetableProfile.copy` starts without
+one.  :meth:`~TimetableProfile.earliest_fit` and
+:meth:`~TimetableProfile.place_earliest` keep the piece-by-piece sweep: list
+scheduling adds to the profile between any two queries, so an index would
+be rebuilt for every placement and read once.
 
 The whole surface is ``add`` / ``remove`` (mutation), ``copy``,
 ``height_at`` / ``max_height`` (reading) and ``earliest_fit`` /
@@ -22,14 +34,14 @@ The whole surface is ``add`` / ``remove`` (mutation), ``copy``,
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from itertools import accumulate
-from typing import List, Optional, Tuple
+from itertools import accumulate, islice
+from typing import Dict, List, Optional, Tuple
 
 
 class TimetableProfile:
     """A mutable step function built from half-open usage intervals."""
 
-    __slots__ = ("_times", "_deltas", "_heights")
+    __slots__ = ("_times", "_deltas", "_heights", "_runs")
 
     def __init__(self) -> None:
         self._times: List[int] = []
@@ -38,6 +50,10 @@ class TimetableProfile:
         #: ``[_times[i], _times[i+1])``); built by the first query, patched
         #: in place by :meth:`add` from then on.
         self._heights: Optional[List[int]] = None
+        #: Blocked-run index of :meth:`fit_bounds`, per ``capacity - demand``
+        #: limit: ``(starts, ends)`` of the maximal runs of blocking pieces.
+        #: Built lazily, dropped by every :meth:`add`.
+        self._runs: Optional[Dict[int, Tuple[List[int], List[int]]]] = None
 
     def copy(self) -> "TimetableProfile":
         """An independent profile with the same step function."""
@@ -56,6 +72,7 @@ class TimetableProfile:
         """
         if end <= start or demand == 0:
             return
+        self._runs = None
         times = self._times
         deltas = self._deltas
         h = self._heights
@@ -171,6 +188,30 @@ class TimetableProfile:
                 i += 1
         return s if s <= lst else None
 
+    def _blocked_runs(self, limit: int) -> Tuple[List[int], List[int]]:
+        """``(starts, ends)`` of the maximal runs of pieces with
+        ``h != 0 and h > limit``, cached in :attr:`_runs`."""
+        runs = self._runs
+        if runs is None:
+            runs = self._runs = {}
+        else:
+            cached = runs.get(limit)
+            if cached is not None:
+                return cached
+        times = self._times
+        starts: List[int] = []
+        ends: List[int] = []
+        # zip stops before the open piece [times[-1], inf), which is empty.
+        for t0, t1, h in zip(times, islice(times, 1, None), self._height_array()):
+            if h != 0 and h > limit:
+                if ends and ends[-1] == t0:
+                    ends[-1] = t1
+                else:
+                    starts.append(t0)
+                    ends.append(t1)
+        cached = runs[limit] = (starts, ends)
+        return cached
+
     def fit_bounds(
         self,
         est: int,
@@ -182,60 +223,42 @@ class TimetableProfile:
         """``(earliest, latest)`` feasible start in ``[est, lst]``, or None.
 
         ``earliest`` is exactly :meth:`earliest_fit`; ``latest`` is its
-        mirror image swept right-to-left, sharing the bisect setup (this is
-        the cumulative propagator's hot loop).  Returns None when no
+        mirror image.  Both jump run to run over the blocked-run index (this
+        is the cumulative propagator's hot loop).  Returns None when no
         placement fits (both sweeps fail together: a feasible placement
         exists iff either finds one).
         """
-        if length == 0 or demand == 0:
+        if length == 0 or demand == 0 or not self._times:
             return est, lst
-        times = self._times
-        n = len(times)
-        if not n:
-            return est, lst
-        heights = self._heights
-        if heights is None:
-            heights = self._heights = list(accumulate(self._deltas))
-        limit = capacity - demand
+        starts, ends = self._blocked_runs(capacity - demand)
+        # Earliest: while the last run starting before s + length ends after
+        # s, no start before its end fits.
         s = est
-        i = bisect_right(times, s) - 1
-        if i < 0:
-            i = 0
-        last = n - 1
-        while i < last:
-            if times[i] >= s + length:
+        while True:
+            j = bisect_left(starts, s + length) - 1
+            if j < 0 or ends[j] <= s:
                 break
-            h = heights[i]
-            if h != 0 and h > limit:
-                b = times[i + 1]
-                if b > s:
-                    s = b
-                    if s > lst:
-                        return None
-            i += 1
+            s = ends[j]
+            if s > lst:
+                return None
         if s > lst:
             return None
         early = s
+        # Latest: while the first run ending after s starts before
+        # s + length, no start after its start - length fits.
         s = lst
-        i = bisect_left(times, s + length) - 1
-        if i > n - 2:
-            i = n - 2
-        while i >= 0:
-            if times[i] >= s + length:
-                i -= 1
-                continue
-            if times[i + 1] <= s:
+        n = len(ends)
+        while True:
+            j = bisect_right(ends, s)
+            if j == n or starts[j] >= s + length:
                 break
-            h = heights[i]
-            if h != 0 and h > limit:
-                s = times[i] - length
-                if s < est:
-                    # Unreachable when the earliest sweep succeeded (a
-                    # feasible placement bounds the latest sweep from
-                    # below); surface the inverted window to the caller
-                    # rather than masking it as "no placement".
-                    return early, s
-            i -= 1
+            s = starts[j] - length
+            if s < est:
+                # Unreachable when the earliest sweep succeeded (a feasible
+                # placement bounds the latest sweep from below); surface the
+                # inverted window to the caller rather than masking it as
+                # "no placement".
+                return early, s
         return early, s
 
     def place_earliest(

@@ -52,6 +52,16 @@ reset) is re-primed before it propagates: ``schedule_all`` calls
 :meth:`on_reset`, which marks every task dirty and the envelope
 "everything".
 
+The dirty set is not trailed, so tokens are dropped where they owe
+nothing.  ``Engine.clear_queue`` clears it with the queue: its callers have
+just popped back to a level pushed at a fixpoint, are about to pop, or
+reset, so a token left by a popped or failed subtree names a task whose
+restored bounds are already its fits.  A run also drops the token of a
+task it pruned without giving it a compulsory part: the new bounds are its
+fits on the current profile, and it has no part to sync.  A prune that
+does create a part keeps its token, and the run re-schedules itself to
+fold the part in.
+
 The candidates of a sweep are the tasks with *no* compulsory part (one
 with a part is never bounds-filtered, see above).  They are kept as a set,
 ``_free``, written at the two places the cached parts are -- the sync and
@@ -323,7 +333,12 @@ class CumulativePropagator(Propagator):
             if present:
                 changed = start.set_min(fit, engine)
                 changed |= start.set_max(late_fit, engine)
-                if changed and start._max < start._min + length:
-                    # The interval gained a compulsory part: re-run so the
-                    # profile (and other tasks) see it.
-                    engine.schedule(self)
+                if changed:
+                    if start._max < start._min + length:
+                        # The interval gained a compulsory part: re-run so
+                        # the profile (and other tasks) see it.
+                        engine.schedule(self)
+                    else:
+                        # Its new bounds are its fits on this profile, and
+                        # it has no part to sync: the token owes nothing.
+                        dirty.discard(k)

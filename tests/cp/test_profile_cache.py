@@ -1,14 +1,62 @@
-"""Coherence of TimetableProfile's in-place-patched heights (property-based).
+"""Coherence of TimetableProfile's caches (property-based).
 
 The first query materialises the prefix-sum ``_heights`` array; from then on
 ``add`` / ``remove`` patch it in place instead of rebuilding it.  These tests
 pin that a patched profile can never answer differently from one rebuilt from
 scratch, and that ``fit_bounds`` agrees with brute force.
+
+``fit_bounds`` also reads a blocked-run index that ``add`` drops; it must
+answer exactly as the per-piece sweep below, which walks the step function
+one piece at a time and keeps no index, whatever ``add`` / ``remove`` /
+``copy`` came between the queries.
 """
+
+from bisect import bisect_left, bisect_right
 
 from hypothesis import given, settings, strategies as st
 
 from repro.cp.profile import TimetableProfile
+
+
+def _per_piece_fit_bounds(profile, est, lst, length, demand, capacity):
+    """``fit_bounds`` as a piece-by-piece sweep of the step function."""
+    if length == 0 or demand == 0:
+        return est, lst
+    times = profile._times
+    n = len(times)
+    if not n:
+        return est, lst
+    heights = profile._height_array()
+    limit = capacity - demand
+    s = est
+    i = max(bisect_right(times, s) - 1, 0)
+    while i < n - 1:
+        if times[i] >= s + length:
+            break
+        h = heights[i]
+        if h != 0 and h > limit and times[i + 1] > s:
+            s = times[i + 1]
+            if s > lst:
+                return None
+        i += 1
+    if s > lst:
+        return None
+    early = s
+    s = lst
+    i = min(bisect_left(times, s + length) - 1, n - 2)
+    while i >= 0:
+        if times[i] >= s + length:
+            i -= 1
+            continue
+        if times[i + 1] <= s:
+            break
+        h = heights[i]
+        if h != 0 and h > limit:
+            s = times[i] - length
+            if s < est:
+                return early, s
+        i -= 1
+    return early, s
 
 
 def _rebuilt(live):
@@ -149,3 +197,54 @@ def test_fit_bounds_equals_brute_force(blocks, est, span, length, demand):
     assert p.earliest_fit(est, lst, length, demand, capacity) == (
         want[0] if want else None
     )
+
+
+_INDEX_OPS = st.one_of(
+    st.tuples(st.just("add"), st.integers(0, 40), st.integers(1, 10), st.integers(1, 3)),
+    st.tuples(st.just("remove"), st.integers(0, 30), st.just(0), st.just(0)),
+    st.tuples(st.just("copy"), st.just(0), st.just(0), st.just(0)),
+    # est and length (0 included); every demand is asked
+    st.tuples(st.just("query"), st.integers(0, 50), st.integers(0, 8), st.just(0)),
+)
+
+
+@given(st.lists(_INDEX_OPS, min_size=1, max_size=40), st.integers(0, 12))
+@settings(max_examples=300, deadline=None)
+def test_blocked_run_index_answers_like_the_per_piece_sweep(ops, span):
+    """Interleave add / remove / copy with queries; the index-driven
+    ``fit_bounds`` must equal the per-piece sweep on every query.
+
+    Gaps between intervals are zero-height pieces; ``demand > capacity``
+    blocks every non-zero piece; ``span == 0`` is ``est == lst``."""
+    capacity = 3
+    profile = TimetableProfile()
+    live = []
+    for kind, x, length, demand in ops:
+        if kind == "add":
+            profile.add(x, x + length, demand)
+            live.append((x, x + length, demand))
+        elif kind == "remove":
+            if live:
+                profile.remove(*live.pop(x % len(live)))
+        elif kind == "copy":
+            profile = profile.copy()
+            assert profile._runs is None  # a copy starts without an index
+        else:
+            for demand in range(1, capacity + 3):
+                for lst in (x + span, x):
+                    args = (x, lst, length, demand, capacity)
+                    assert profile.fit_bounds(*args) == _per_piece_fit_bounds(
+                        profile, *args
+                    ), args
+
+
+def test_add_drops_the_blocked_run_index():
+    p = TimetableProfile()
+    p.add(0, 4, 1)
+    assert p.fit_bounds(0, 20, 3, 1, 1) == (4, 20)  # builds the index
+    assert p._runs is not None
+    p.add(6, 9, 1)  # a new blocked run the stale index would not know
+    assert p._runs is None
+    assert p.fit_bounds(0, 20, 3, 1, 1) == (9, 20)
+    p.remove(0, 4, 1)
+    assert p.fit_bounds(0, 20, 3, 1, 1) == (0, 20)

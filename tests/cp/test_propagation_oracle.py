@@ -8,13 +8,17 @@ rule prunes nothing and finds no overload.  The models are small, sit on a
 frozen base, include optional intervals and share tasks between two
 resources; the operations are the search's (a decision one level down,
 propagate, pop back) plus LNS's relaxation (``widen`` one level down) and
-resets.
+resets.  Three work cases pin what a run owes nothing for: a popped level,
+a failed subtree's leftover tokens, and the cumulative's own prunes that
+leave their task without a compulsory part -- none of them calls
+``fit_bounds``.
 
 ``DeadlineIndicatorPropagator`` short-circuits once its indicator is
 decided; it must prune exactly what the full reification prunes, or fail
 where that fails.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cp.engine import Engine
@@ -238,6 +242,18 @@ def test_cumulative_fixpoints_match_from_scratch_time_table(model, ops):
         _assert_fixpoint(tasks, specs, props)
 
 
+def _count_fits(monkeypatch):
+    calls = []
+    fit_bounds = TimetableProfile.fit_bounds
+
+    def counted(self, *args):
+        calls.append(args)
+        return fit_bounds(self, *args)
+
+    monkeypatch.setattr(TimetableProfile, "fit_bounds", counted)
+    return calls
+
+
 def test_pop_then_repropagate_calls_no_fit(monkeypatch):
     """A backtrack restores the envelope: re-propagating owes no sweep."""
     a = IntervalVar(0, 10, 5, "a")
@@ -249,14 +265,7 @@ def test_pop_then_repropagate_calls_no_fit(monkeypatch):
     engine.seal()
     engine.propagate()
 
-    calls = []
-    fit_bounds = TimetableProfile.fit_bounds
-
-    def counted(self, *args):
-        calls.append(args)
-        return fit_bounds(self, *args)
-
-    monkeypatch.setattr(TimetableProfile, "fit_bounds", counted)
+    calls = _count_fits(monkeypatch)
     engine.trail.push_level()
     a.fix_start(2, engine)  # a grows a compulsory part [2, 7)
     engine.propagate()
@@ -268,6 +277,51 @@ def test_pop_then_repropagate_calls_no_fit(monkeypatch):
     engine.propagate()
     assert calls == []
     assert (a.est, a.lst, b.est, b.lst, c.est, c.lst) == (0, 10, 0, 20, 0, 30)
+
+
+def test_failed_subtree_leaves_no_tokens_to_sweep(monkeypatch):
+    """A decision that fails in one cumulative leaves the other's tokens
+    unswept; the pop restores a fixpoint, so they owe nothing."""
+    full = TimetableProfile()
+    full.add(5, 8, 1)
+    a = IntervalVar(0, 10, 3, "a")  # fits before or after ``full``'s run
+    c = IntervalVar(0, 20, 2, "c")
+    engine = Engine()
+    failing = CumulativePropagator([a], [1], 1, base=full)
+    other = CumulativePropagator([a, c], [1, 1], 2)
+    engine.register(failing)  # woken first, so it fails before ``other`` runs
+    engine.register(other)
+    engine.seal()
+    engine.propagate()
+    calls = _count_fits(monkeypatch)
+    engine.trail.push_level()
+    a.fix_start(4, engine)  # [4, 7) overloads ``failing``'s base
+    with pytest.raises(Infeasible):
+        engine.propagate()
+    engine.trail.pop_level()
+    engine.clear_queue()
+    engine.schedule(other)
+    engine.propagate()
+    assert calls == []
+    assert (a.est, a.lst, c.est, c.lst) == (0, 10, 0, 20)
+
+
+def test_prunes_without_a_part_owe_no_sweep(monkeypatch):
+    """A prune that leaves its task without a compulsory part sets the task
+    to its fits on the profile: the next run with nothing new sweeps none."""
+    base = TimetableProfile()
+    base.add(0, 5, 1)
+    a = IntervalVar(0, 20, 3, "a")
+    engine = Engine()
+    prop = CumulativePropagator([a], [1], 1, base=base)
+    engine.register(prop)
+    engine.seal()
+    engine.propagate()
+    assert (a.est, a.lst) == (5, 20)  # pruned, still no compulsory part
+    calls = _count_fits(monkeypatch)
+    engine.schedule(prop)
+    engine.propagate()
+    assert calls == []
 
 
 def test_growth_inside_an_optional_window_is_swept():

@@ -33,15 +33,15 @@ from repro.resilience.chaos import default_chaos_config, escalation_ladder
 #: moved when that path landed; N/T/P, plans and verdicts did not.  The two
 #: sweep artifacts moved when sweep cells took the one seeding rule (root
 #: seed, replication): only the cells' seeds and those seeds' metrics moved.
-#: The wall series moved when the admission ladder's rung and breaker
-#: counters started counting into the service registry the sampler reads:
-#: each sample gained the ``resilience.*`` counters; no ``service.*`` value
-#: moved.
+#: The wall series pins the sampler's layout with each sample's ``counters``
+#: projected onto :data:`WALL_SERIES_COUNTERS`, the ``service.*`` keys the
+#: test drives, so a counter added elsewhere on the service's path does not
+#: move it.
 RUN_REPORT_SHA = "d5151d7299e10bbaffa63e9aa7445392d0699ea06f395d18aea5df3b99c2685f"
 SIM_SERIES_SHA = "b718ab0991999e4155ba3ea3a92265c0c9d7a9c0a0249ae8fdaf53600c07d74c"
 SWEEP_REPORT_SHA = "e80de58f6a7ec20fccb053efa5e0f349d82e057de1b832d2441a0bc8b7372e2a"
 DIFF_REPORT_SHA = "26f409b0cfbefe8a2d55b6ccbd4a958a7f0b3d27e22acef2be1b0aa20d6f8cea"
-WALL_SERIES_SHA = "65b78c94f3ece29d94fff242370ee10215004b76df4880cb5ab7b4d047dd0922"
+WALL_SERIES_SHA = "ea8f5c9e6e5806427361cb42e4697f078b467b70af3d968ac36a89cd41fbaf2a"
 ALERTS_SHA = "179426777c9003f05e41c2e98f2bd42e02f80d5b22be297b831900df1f87c2dc"
 SWEEP_SERIES_SHA = "097371c488f3d09e92288bf0aab7d406df049e540dc416f7fd99f7cfa5b05f6f"
 #: The run directory ``capture_run_dir(default_diff_config(num_jobs=6))``
@@ -55,6 +55,24 @@ CAPTURE_SHAS = {
     "trace.json": "7eb1cdadb4243e1d76cb18a90fff6161f9f093412c4414b1017f97025af0c374",
     "trace.jsonl": "967d2cd797bfb3a60297f2b2d577f4baa4fffa9c7f77e50ab60a54277db5d4e2",
 }
+
+#: The ``service.*`` registry keys the wall-series hash covers.
+WALL_SERIES_COUNTERS = (
+    "service.admitted",
+    "service.batches",
+    "service.committed_jobs",
+    "service.pending",
+    "service.rejected",
+    "service.requests",
+    "service.shed",
+)
+#: Ladder counters the wall-series run leaves at zero; asserted, not hashed.
+LADDER_ZERO_COUNTERS = (
+    "resilience.breaker_opened",
+    "resilience.rung_used.cp_limited",
+    "resilience.rung_used.edf",
+    "resilience.rung_used.greedy",
+)
 
 
 def _sha(data: str) -> str:
@@ -253,6 +271,17 @@ def test_wall_series_jsonl_bytes(tmp_path):
         svc.pump()
     svc.drain()
     sampler.sample(clock.now(), final=True)
+    samples = sampler.store.samples
+    # The ladder's counters share the registry; their values here are pinned
+    # below, not by the hash (their accounting is pinned on a chaos stream in
+    # tests/service/test_quote_ladder_pin.py).
+    rungs = [s["counters"]["resilience.rung_used.cp_full"] for s in samples]
+    assert rungs == [0, 2, 6, 8, 12]
+    for name in LADDER_ZERO_COUNTERS:
+        assert [s["counters"][name] for s in samples] == [0] * len(samples), name
+    for sample in samples:
+        counters = sample["counters"]
+        sample["counters"] = {name: counters[name] for name in WALL_SERIES_COUNTERS}
     path = tmp_path / "series.jsonl"
     sampler.write_series(str(path))
     text = path.read_text(encoding="utf-8")
