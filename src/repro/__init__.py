@@ -86,6 +86,7 @@ def quick_demo(
     :class:`repro.obs.ObsConfig` to trace the run (``trace_out`` names the
     file the trace is written to) or to inject a wall clock.
     """
+    from repro.core import MrcpRmConfig
     from repro.experiments.runner import RunConfig, SystemConfig, build_live_run
 
     config = RunConfig(
@@ -100,7 +101,7 @@ def quick_demo(
             arrival_rate=0.05,
         ),
         system=SystemConfig(num_resources=4),
-        faults=faults,
+        mrcp=MrcpRmConfig(faults=faults),
         obs=obs or ObsConfig(),
     )
     # Replication r of a seed-0 config draws the stream seeded r.

@@ -114,46 +114,26 @@ class SlotPolicy:
     def eligible_tasks(job: Job) -> List[Task]:
         """Pending tasks that may start now.
 
-        MapReduce jobs: maps always, reduces only once every map has
-        completed (the barrier).  DAG workflows: a stage's tasks become
-        eligible when every predecessor stage has fully completed.
-        Workflows with data-transfer delays are not supported by the
-        slot-pull execution model (the scheduler has no wake-up for "ready
-        in d seconds"); route those through MRCP-RM.
+        A stage's tasks become eligible when every predecessor stage has
+        fully completed: for a MapReduce job, maps always and reduces once
+        every map has completed (the barrier).  Transfer delays are not
+        supported by the slot-pull execution model (the scheduler has no
+        wake-up for "ready in d seconds"); route those through MRCP-RM.
         """
-        if hasattr(job, "topological_structure"):
-            stages, preds, delays = job.topological_structure()
-            if any(d for ds in delays for d in ds):
-                raise ValueError(
-                    f"workflow {job.id}: slot-based schedulers do not "
-                    f"support transfer delays; use MRCP-RM"
-                )
-            eligible: List[Task] = []
-            for i, stage in enumerate(stages):
-                if any(
-                    not t.is_completed
-                    for p in preds[i]
-                    for t in stages[p].tasks
-                ):
-                    continue  # some predecessor stage still running/pending
-                eligible.extend(
-                    t
-                    for t in stage.tasks
-                    if not t.is_completed and not t.is_prev_scheduled
-                )
-            return eligible
-        pending_maps = [
-            t for t in job.map_tasks if not t.is_completed and not t.is_prev_scheduled
-        ]
-        if pending_maps:
-            return pending_maps
-        if any(not t.is_completed for t in job.map_tasks):
-            return []  # maps all dispatched but still running: barrier holds
-        return [
-            t
-            for t in job.reduce_tasks
-            if not t.is_completed and not t.is_prev_scheduled
-        ]
+        stages, preds, delays, *_ = job.topological_structure()
+        if any(d for ds in delays for d in ds):
+            raise ValueError(
+                f"workflow {job.id}: slot-based schedulers do not "
+                f"support transfer delays; use MRCP-RM"
+            )
+        eligible: List[Task] = []
+        for i, stage in enumerate(stages):
+            if any(not t.is_completed for p in preds[i] for t in stages[p].tasks):
+                continue  # some predecessor stage still running/pending
+            eligible.extend(
+                t for t in stage.tasks if not t.is_completed and not t.is_prev_scheduled
+            )
+        return eligible
 
     @staticmethod
     def place_tasks(

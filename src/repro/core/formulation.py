@@ -32,7 +32,10 @@ from repro.cp.variables import BoolVar, IntervalVar
 from repro.core.matchmaking import FrozenBase
 from repro.core.schedule import SchedulingError, TaskAssignment
 from repro.workload.entities import Job, Resource, Task, TaskKind
-from repro.workload.workflows import WorkflowJob
+
+
+#: Per-stage predecessor indices, or the transfer delays aligned with them.
+Edges = Sequence[Sequence[int]]
 
 
 class FormulationMode(enum.Enum):
@@ -69,10 +72,8 @@ def _compute_horizon(
         base = max(base, job.earliest_start)
         for t in job.pending_tasks:
             total += t.duration
-        # workflow edges may add data-transfer gaps on the critical path
-        delays = getattr(job, "edge_delays", None)
-        if delays:
-            total += sum(delays.values())
+        if job.edge_delays:  # transfer gaps on the critical path
+            total += sum(job.edge_delays.values())
     for a in running:
         base = max(base, a.end)
     return base + total + 1
@@ -191,32 +192,12 @@ def direct_attempts(jobs, resources, now, running, base, hints):
     return attempt, bool(hints)
 
 
-def _stage_structure(
-    job,
-) -> Tuple[List[List[Task]], List[List[int]], List[List[int]], List[int]]:
+def _stage_structure(job) -> Tuple[List[List[Task]], Edges, Edges, Sequence[int]]:
     """Per-job stage decomposition: (stage task lists in topological order,
     predecessor indices per stage, per-predecessor transfer delays,
-    terminal stage indices).
-
-    A MapReduce :class:`Job` is the two-stage chain maps -> reduces; a
-    :class:`WorkflowJob` supplies its own DAG (the Section VII
-    generalisation), optionally with communication delays on edges.
-    """
-    if isinstance(job, WorkflowJob):
-        stages, preds, delays = job.topological_structure()
-        terminal_names = set(job.terminal_stage_names())
-        terminal = [
-            i for i, s in enumerate(stages) if s.name in terminal_names
-        ]
-        return [list(s.tasks) for s in stages], preds, delays, terminal
-    stage_tasks: List[List[Task]] = [list(job.map_tasks)]
-    preds: List[List[int]] = [[]]
-    delays: List[List[int]] = [[]]
-    if job.reduce_tasks:
-        stage_tasks.append(list(job.reduce_tasks))
-        preds.append([0])
-        delays.append([0])
-    return stage_tasks, preds, delays, [len(stage_tasks) - 1]
+    terminal stage indices), read off the job's stage DAG."""
+    stages, preds, delays, terminal, _ = job.topological_structure()
+    return [s.tasks for s in stages], preds, delays, terminal
 
 
 def _make_task_intervals(
@@ -225,9 +206,7 @@ def _make_task_intervals(
     job,
     now: int,
     running_by_id: Dict[str, TaskAssignment],
-) -> Tuple[
-    List[List[IntervalVar]], List[List[int]], List[List[int]], List[int]
-]:
+) -> Tuple[List[List[IntervalVar]], Edges, Edges, Sequence[int]]:
     """Create master intervals for a job's unfinished tasks, stage by stage.
 
     Completed tasks are omitted (Table 2, lines 13-16); running tasks are
@@ -271,9 +250,9 @@ def _add_job_structure(
     result: FormulationResult,
     job,
     stage_ivs: List[List[IntervalVar]],
-    preds: List[List[int]],
-    delays: List[List[int]],
-    terminal: List[int],
+    preds: Edges,
+    delays: Edges,
+    terminal: Sequence[int],
     now: int,
 ) -> None:
     """Barriers, lateness indicator, and LNS/heuristic grouping for one job."""

@@ -16,7 +16,6 @@ joint slots).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.formulation import (
@@ -35,49 +34,8 @@ from repro.cp.heuristics import list_schedule
 from repro.cp.model import CpModel
 from repro.cp.solution import Solution, SolveResult
 from repro.cp.solver import CpSolver
+from repro.resilience.breaker import InvocationOutcome
 from repro.workload.entities import Job, Resource
-
-
-@dataclass
-class InvocationOutcome:
-    """What one scheduler invocation's solve produced.
-
-    ``solution is None`` means every strategy failed; ``describe_failure``
-    renders the caller-facing error text (the historical
-    :class:`SchedulingError` messages, verbatim).
-    """
-
-    #: The model's schedule, a direct answer's movable (task, start) pairs,
-    #: or None when every strategy came back empty.
-    solution: Optional[Solution]
-    #: Ladder rung that produced the solution ("cp_full" on the plain
-    #: path, "none" when nothing did).
-    rung: str = "cp_full"
-    #: The last CP solve result, when a CP strategy actually ran.
-    result: Optional[SolveResult] = None
-    #: Whether the plain path degraded to the EDF list schedule.
-    fallback: bool = False
-    #: Ladder rungs attempted, in order, with success flags (empty on the
-    #: plain path).
-    attempts: List[Tuple[str, bool]] = field(default_factory=list)
-
-    def __bool__(self) -> bool:
-        return self.solution is not None
-
-    def describe_failure(self, now: int, jobs: Sequence[Job], running_count: int) -> str:
-        """The error text for a failed invocation (caller raises it)."""
-        if self.attempts:
-            tried = ", ".join(r for r, _ in self.attempts) or "none"
-            return (
-                f"degradation ladder exhausted at t={now} ({len(jobs)} jobs; "
-                f"rungs tried: {tried})"
-            )
-        status = self.result.status.value if self.result is not None else "none"
-        return (
-            f"CP solver returned {status} at t={now} "
-            f"({len(jobs)} jobs, {running_count} running tasks) and no "
-            f"heuristic fallback schedule exists"
-        )
 
 
 def solve_formulation(
@@ -97,14 +55,7 @@ def solve_formulation(
     with an EDF list-schedule fallback.
     """
     if ladder is not None:
-        outcome = ladder.solve(formulate, start_rung=start_rung, direct=direct)
-        return InvocationOutcome(
-            solution=outcome.solution,
-            rung=outcome.rung,
-            result=outcome.result,
-            fallback=outcome.rung == "edf",
-            attempts=list(outcome.attempts),
-        )
+        return ladder.solve(formulate, start_rung=start_rung, direct=direct)
     answer = direct() if direct is not None else None
     if answer is not None:
         return InvocationOutcome(solution=answer[0], result=answer[1])

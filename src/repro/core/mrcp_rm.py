@@ -523,8 +523,7 @@ class MrcpRm:
         """A shallow view of the job with the clamped effective EST.
 
         The SLA's ``earliest_start`` is preserved for metrics; the model
-        sees ``max(s_j, now)`` per Table 2 lines 1-4.  Works for both
-        MapReduce jobs and DAG workflows (duck-typed).
+        sees ``max(s_j, now)`` per Table 2 lines 1-4.
         """
         est = self._effective_est.get(job.id, max(job.earliest_start, now))
         return job.with_earliest_start(est)

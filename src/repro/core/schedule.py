@@ -164,37 +164,16 @@ def validate_schedule(
                 problems.append(
                     f"task {a.task.id}: starts {a.start} in the past (now={now})"
                 )
-        # stage barriers: constraint (3) for MapReduce, per-edge for DAGs
-        # (including data-transfer delays on workflow edges)
-        for pred_tasks, succ_tasks, delay, tag in _stage_edges(job):
-            pred_ends = [of[t.id].end for t in pred_tasks if t.id in of]
-            succ_starts = [of[t.id].start for t in succ_tasks if t.id in of]
+        # stage barriers: constraint (3), one per DAG edge, with its
+        # data-transfer delay
+        for pred, succ, delay in job.topological_structure().barriers:
+            pred_ends = [of[t.id].end for t in pred.tasks if t.id in of]
+            succ_starts = [of[t.id].start for t in succ.tasks if t.id in of]
             if pred_ends and succ_starts and min(succ_starts) < max(pred_ends) + delay:
                 problems.append(
-                    f"job {job.id} {tag}: successor stage starts "
+                    f"job {job.id} {pred.name}->{succ.name}: successor stage starts "
                     f"{min(succ_starts)} before predecessor ends "
                     f"{max(pred_ends)} (+ delay {delay})"
                 )
     return problems
 
-
-def _stage_edges(job):
-    """Yield (pred tasks, succ tasks, transfer delay, label) per barrier edge.
-
-    MapReduce jobs expose the single map -> reduce edge (delay 0); workflow
-    jobs (anything with ``topological_structure``) expose one edge per DAG
-    arc with its data-transfer delay.
-    """
-    if hasattr(job, "topological_structure"):
-        stages, preds, delays = job.topological_structure()
-        for i, ps in enumerate(preds):
-            for p, d in zip(ps, delays[i]):
-                yield (
-                    stages[p].tasks,
-                    stages[i].tasks,
-                    d,
-                    f"{stages[p].name}->{stages[i].name}",
-                )
-        return
-    if job.map_tasks and job.reduce_tasks:
-        yield job.map_tasks, job.reduce_tasks, 0, "map->reduce"

@@ -452,6 +452,6 @@ def default_report_config(num_jobs: int = 14, faults: bool = False) -> RunConfig
         mrcp=MrcpRmConfig(
             record_plan_history=True,
             solver=SolverParams(time_limit=0.5, tree_fail_limit=200, use_lns=False),
+            faults=fault_model,
         ),
-        faults=fault_model,
     )

@@ -26,7 +26,6 @@ from repro.baselines import (
     SlotScheduler,
 )
 from repro.core import MrcpRm, MrcpRmConfig
-from repro.faults import FaultModel
 from repro.metrics import MetricsCollector, RunMetrics
 from repro.obs import ObsConfig
 from repro.obs.slo import SloMonitor, default_slos
@@ -42,7 +41,6 @@ from repro.workload import (
     generate_workflow_workload,
     make_uniform_cluster,
     validate_jobs,
-    validate_workflows,
 )
 
 SCHEDULERS = ("mrcp-rm", "minedf-wc", "edf", "fcfs")
@@ -79,10 +77,9 @@ class RunConfig:
     facebook: Optional[FacebookWorkloadParams] = None
     workflow: Optional[WorkflowWorkloadParams] = None
     system: SystemConfig = field(default_factory=SystemConfig)
+    #: The manager's knobs; its fault scenario (``mrcp.faults``) is
+    #: re-seeded per replication, like the workload.
     mrcp: MrcpRmConfig = field(default_factory=MrcpRmConfig)
-    #: Fault scenario injected into the run (None = happy path).  The
-    #: model's seed is re-derived per replication, like the workload's.
-    faults: Optional[FaultModel] = None
     #: Observability: tracing, logging, solver profiling, injectable clock.
     #: All off by default -- the run is byte-identical to an unobserved one.
     obs: ObsConfig = field(default_factory=ObsConfig)
@@ -94,11 +91,8 @@ class RunConfig:
             raise ValueError(
                 f"unknown scheduler {self.scheduler!r}; expected {SCHEDULERS}"
             )
-        if (
-            self.faults is not None
-            and self.faults.enabled
-            and self.scheduler != "mrcp-rm"
-        ):
+        faults = self.mrcp.faults
+        if faults is not None and faults.enabled and self.scheduler != "mrcp-rm":
             raise ValueError(
                 f"fault injection is a plan-driven (mrcp-rm) feature; "
                 f"scheduler {self.scheduler!r} does not support it"
@@ -130,7 +124,6 @@ def _generate_jobs(config: RunConfig, seed: int):
             total_reduce_slots=config.system.total_reduce_slots,
         )
         jobs = generate_synthetic_workload(params, streams=streams)
-        problems = validate_jobs(jobs)
     elif config.workload == "facebook":
         assert config.facebook is not None
         params = replace(
@@ -139,7 +132,6 @@ def _generate_jobs(config: RunConfig, seed: int):
             total_reduce_slots=config.system.total_reduce_slots,
         )
         jobs = generate_facebook_workload(params, streams=streams)
-        problems = validate_jobs(jobs)
     else:
         assert config.workflow is not None
         params = replace(
@@ -148,7 +140,7 @@ def _generate_jobs(config: RunConfig, seed: int):
             total_reduce_slots=config.system.total_reduce_slots,
         )
         jobs = generate_workflow_workload(params, streams=streams)
-        problems = validate_workflows(jobs)
+    problems = validate_jobs(jobs)
     if problems:
         raise ValueError("generated workload invalid:\n  " + "\n  ".join(problems))
     return jobs
@@ -235,11 +227,11 @@ def build_live_run(config: RunConfig, replication: int = 0) -> LiveRun:
     manager: Optional[MrcpRm] = None
     if config.scheduler == "mrcp-rm":
         mrcp = config.mrcp
-        if config.faults is not None and config.faults.enabled:
+        if mrcp.faults is not None and mrcp.faults.enabled:
             # Re-seed the fault model per replication (like the workload)
             # so replications see independent fault draws while staying
             # exactly reproducible.
-            mrcp = replace(mrcp, faults=replace(config.faults, seed=seed))
+            mrcp = replace(mrcp, faults=replace(mrcp.faults, seed=seed))
         manager = MrcpRm(sim, resources, mrcp, metrics, tracer=tracer)
         submit = manager.submit
         quiescent = manager.executor.assert_quiescent

@@ -24,7 +24,6 @@ from repro.resilience.breaker import (
     DegradationLadder,
     InjectedSolverFailures,
     LadderConfig,
-    LadderOutcome,
 )
 
 __all__ = [
@@ -33,7 +32,6 @@ __all__ = [
     "DegradationLadder",
     "InjectedSolverFailures",
     "LadderConfig",
-    "LadderOutcome",
     # lazy (PEP 562):
     "CheckpointConfig",
     "CheckpointError",

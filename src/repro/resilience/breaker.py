@@ -31,7 +31,7 @@ forensics and the HTML report can attribute degraded decisions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.cp.checker import check_solution
 from repro.cp.heuristics import list_schedule
@@ -162,21 +162,46 @@ class CircuitBreaker:
 
 
 @dataclass
-class LadderOutcome:
-    """What one ladder-mediated solve produced."""
+class InvocationOutcome:
+    """What one scheduler invocation's solve produced, ladder or not.
 
+    ``solution is None`` means every strategy failed; ``describe_failure``
+    renders the caller-facing error text (the historical
+    :class:`~repro.core.schedule.SchedulingError` messages, verbatim).
+    """
+
+    #: The model's schedule, a direct answer's movable (task, start) pairs,
+    #: or None when every strategy came back empty.
     solution: Optional[Solution]
-    #: The rung that produced ``solution`` ("none" when every rung failed).
-    rung: str
-    #: The CP solve result when a CP rung ran last (None for heuristics).
-    result: Optional[SolveResult]
-    #: Rungs attempted this invocation, in order, with success flags.
+    #: Ladder rung that produced the solution ("cp_full" on the plain
+    #: path, "none" when nothing did).
+    rung: str = "cp_full"
+    #: The last CP solve result, when a CP strategy actually ran.
+    result: Optional[SolveResult] = None
+    #: Whether the plan is the EDF list schedule: the plain path's
+    #: fallback, or the ladder's ``edf`` rung.
+    fallback: bool = False
+    #: Ladder rungs attempted, in order, with success flags (empty on the
+    #: plain path).
     attempts: List[Tuple[str, bool]] = field(default_factory=list)
 
-    @property
-    def degraded(self) -> bool:
-        """Whether the plan came from anything below the full CP solve."""
-        return self.rung != "cp_full"
+    def __bool__(self) -> bool:
+        return self.solution is not None
+
+    def describe_failure(self, now: int, jobs: Sequence, running_count: int) -> str:
+        """The error text for a failed invocation (caller raises it)."""
+        if self.attempts:
+            tried = ", ".join(r for r, _ in self.attempts) or "none"
+            return (
+                f"degradation ladder exhausted at t={now} ({len(jobs)} jobs; "
+                f"rungs tried: {tried})"
+            )
+        status = self.result.status.value if self.result is not None else "none"
+        return (
+            f"CP solver returned {status} at t={now} "
+            f"({len(jobs)} jobs, {running_count} running tasks) and no "
+            f"heuristic fallback schedule exists"
+        )
 
 
 class DegradationLadder:
@@ -212,7 +237,7 @@ class DegradationLadder:
         hint: Optional[Dict] = None,
         start_rung: str = "cp_full",
         direct: Optional[Callable] = None,
-    ) -> LadderOutcome:
+    ) -> InvocationOutcome:
         """One ladder-mediated solve: walk the rungs, remember failures.
 
         ``start_rung`` lets an overloaded caller skip the expensive top of
@@ -263,8 +288,10 @@ class DegradationLadder:
                         "degraded solve %s",
                         kv(rung=rung, tried=len(attempts)),
                     )
-                return LadderOutcome(solution, rung, last_result, attempts)
-        return LadderOutcome(None, "none", last_result, attempts)
+                return InvocationOutcome(
+                    solution, rung, last_result, rung == "edf", attempts
+                )
+        return InvocationOutcome(None, "none", last_result, False, attempts)
 
     def _attempt(
         self, rung: str, model, hint: Optional[Dict], direct

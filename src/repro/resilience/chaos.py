@@ -31,6 +31,7 @@ import os
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
 
+from repro.core import MrcpRmConfig
 from repro.experiments.configs import LabeledConfig
 from repro.experiments.pool import (
     CellJob,
@@ -182,11 +183,9 @@ def default_chaos_config(
             arrival_rate=arrival_rate,
         ),
         system=SystemConfig(num_resources=2, map_slots=2, reduce_slots=2),
-        faults=fault_model,
+        mrcp=MrcpRmConfig(faults=fault_model, resilience=ladder),
         seed=seed,
     )
-    if ladder is not None:
-        config = replace(config, mrcp=replace(config.mrcp, resilience=ladder))
     return deterministic_run_config(config)
 
 

@@ -36,7 +36,6 @@ from dataclasses import dataclass, field
 from math import ceil
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.core.formulation import FormulationMode
 from repro.core.invocation import solve_invocation, extract_assignments
 from repro.core.matchmaking import FrozenBase
 from repro.core.schedule import Schedule, SchedulingError, TaskAssignment
@@ -66,10 +65,11 @@ ADMISSION_LATENCY_BUCKETS_MS = (1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 5000)
 
 @dataclass(frozen=True)
 class AdmissionConfig:
-    """Knobs of the quoting solve (not of the batching stage)."""
+    """Knobs of the quoting solve (not of the batching stage).
 
-    #: Formulation mode for quote solves (combined = Section V.D path).
-    mode: FormulationMode = FormulationMode.COMBINED
+    Quotes are solved on the Section V.D combined formulation.
+    """
+
     #: Solver budget per quote.  Deliberately tight: a quote must be fast,
     #: and the ladder's lower rungs catch the hard instances.
     solver_params: SolverParams = field(
@@ -117,9 +117,7 @@ class AdmissionController:
             self.config.ladder, self._solver, Tracer(registry=self.registry)
         )
         #: The committed plan: every admitted, uncancelled, unretired task.
-        self._base = FrozenBase(
-            self.resources, self.config.mode is FormulationMode.JOINT
-        )
+        self._base = FrozenBase(self.resources)
         self._jobs: Dict[str, _CommittedJob] = {}
         self.committed_count = 0
         self._rejected: Dict[str, SlaQuote] = {}
@@ -155,7 +153,6 @@ class AdmissionController:
                 [candidate],
                 self.resources,
                 now,
-                mode=self.config.mode,
                 base=self._base,
                 solver=self._solver,
                 ladder=self._ladder,

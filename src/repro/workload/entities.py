@@ -1,5 +1,9 @@
 """Job, Task and Resource entities (paper Sections III.A and V.A).
 
+A job is an SLA over a DAG of task stages (:class:`StagedJob`); a MapReduce
+:class:`Job` is the two-stage chain maps -> reduces, and TE
+(:func:`minimum_execution_time`) is the critical path of that DAG.
+
 All times are integer simulated seconds: the CP formulation reasons over
 integer start times (CP Optimizer does the same without discretising time;
 our solver uses integral bounds), and second-level granularity matches the
@@ -11,7 +15,7 @@ from __future__ import annotations
 import enum
 import heapq
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import ClassVar, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 
 class TaskKind(enum.Enum):
@@ -61,44 +65,139 @@ class Task:
     def is_reduce(self) -> bool:
         return self.kind is TaskKind.REDUCE
 
-    def reset_runtime_state(self) -> None:
-        """Clear execution flags so the task can be re-run (new replication)."""
-        self.is_completed = False
-        self.is_prev_scheduled = False
-        self.completed_at = None
-        self.attempts = 0
-        if self.nominal_duration is not None:
-            self.duration = self.nominal_duration
-            self.nominal_duration = None
+
+@dataclass(slots=True)
+class Stage:
+    """A set of parallel tasks forming one node of a job's DAG."""
+
+    name: str
+    tasks: List[Task] = field(default_factory=list)
 
 
-@dataclass
-class Job:
-    """A MapReduce job with an SLA (earliest start, execution times, deadline)."""
+class StageGraph(NamedTuple):
+    """A job's stages in topological order and the edges between them."""
 
-    id: int
-    arrival_time: int  # v_j
-    earliest_start: int  # s_j  (>= arrival time)
-    deadline: int  # d_j
-    map_tasks: List[Task] = field(default_factory=list)
-    reduce_tasks: List[Task] = field(default_factory=list)
+    stages: Tuple[Stage, ...]
+    #: Predecessor stage indices, per stage.
+    preds: Tuple[Tuple[int, ...], ...]
+    #: Transfer delay of each predecessor edge, aligned with ``preds``.
+    delays: Tuple[Tuple[int, ...], ...]
+    #: Stages no stage depends on: their tasks complete the job.
+    terminal: Tuple[int, ...]
+    #: (pred stage, succ stage, transfer delay) per edge, in stage order.
+    barriers: Tuple[Tuple[Stage, Stage, int], ...]
 
-    # -------------------------------------------------------------- derived
-    @property
-    def tasks(self) -> List[Task]:
-        return self.map_tasks + self.reduce_tasks
 
-    @property
-    def total_map_work(self) -> int:
-        return sum(t.duration for t in self.map_tasks)
+class StagedJob:
+    """An SLA over a DAG of task stages: what every job shape shares.
 
-    @property
-    def total_reduce_work(self) -> int:
-        return sum(t.duration for t in self.reduce_tasks)
+    A stage's tasks run in parallel; an edge ``A -> B`` means every task
+    of B starts after every task of A completes, plus the edge's transfer
+    delay (the MapReduce barrier, per edge).  A subclass holds ``id``,
+    ``arrival_time``, ``earliest_start`` (s_j), ``deadline`` (d_j),
+    ``tasks``, ``stages``, ``edges`` and ``edge_delays``.
+    """
+
+    _graph: Optional[StageGraph] = None
+
+    def topological_structure(self) -> StageGraph:
+        """The stage DAG: every consumer of a job's precedence reads this.
+
+        Built on first use and shared by every :meth:`with_earliest_start`
+        view; a job's stages and edges do not change once it is planned.
+        """
+        graph = self._graph
+        if graph is None:
+            graph = self._graph = self._build_graph()
+        return graph
+
+    def _build_graph(self) -> StageGraph:
+        """Stages by Kahn generations; a cycle is a ``ValueError``.
+
+        Roots in stage order, then generation by generation, each stage
+        where it reached in-degree zero while its parents' children were
+        visited in first-occurrence edge order (duplicate edges collapse).
+        Model variable order follows this order, so it is pinned.
+        """
+        by_name = {s.name: s for s in self.stages}
+        children: Dict[str, Dict[str, None]] = {name: {} for name in by_name}
+        for a, b in self.edges:
+            children[a][b] = None
+        indegree = dict.fromkeys(children, 0)
+        for succs in children.values():
+            for b in succs:
+                indegree[b] += 1
+        order: List[str] = []
+        generation = [name for name, d in indegree.items() if d == 0]
+        while generation:
+            order += generation
+            released = []
+            for name in generation:
+                for child in children[name]:
+                    indegree[child] -= 1
+                    if indegree[child] == 0:
+                        released.append(child)
+            generation = released
+        if len(order) < len(children):
+            stuck = [name for name, d in indegree.items() if d > 0]
+            raise ValueError(
+                f"job {self.id}: precedence cycle among stages {stuck}"
+            )
+        index = {name: i for i, name in enumerate(order)}
+        into: List[List[Tuple[int, int]]] = [[] for _ in order]
+        for a, b in self.edges:
+            into[index[b]].append((index[a], self.edge_delays.get((a, b), 0)))
+        has_successor = {index[a] for a, _ in self.edges}
+        stages = tuple(by_name[name] for name in order)
+        preds = tuple(tuple(p for p, _ in sorted(edges)) for edges in into)
+        delays = tuple(tuple(d for _, d in sorted(edges)) for edges in into)
+        return StageGraph(
+            stages,
+            preds,
+            delays,
+            tuple(i for i in range(len(order)) if i not in has_successor),
+            tuple(
+                (stages[p], stage, d)
+                for stage, ps, ds in zip(stages, preds, delays)
+                for p, d in zip(ps, ds)
+            ),
+        )
+
+    def structure_problems(self) -> List[str]:
+        """Structural hygiene: unique stages, known edges, acyclic,
+        non-empty stages, delays on known edges and non-negative."""
+        stages, edges = self.stages, self.edges
+        names = {s.name for s in stages}
+        if len(names) != len(stages):
+            return [f"job {self.id}: duplicate stage names"]
+        if not names:
+            return [f"job {self.id}: no stages"]
+        for a, b in edges:
+            if a not in names or b not in names:
+                return [f"job {self.id}: edge ({a}, {b}) references an unknown stage"]
+            if a == b:
+                return [f"job {self.id}: self-edge on {a}"]
+        problems = []
+        try:
+            self._build_graph()  # as the job stands now, not as cached
+        except ValueError as exc:
+            problems.append(str(exc))
+        problems += [
+            f"job {self.id}: stage {s.name} has no tasks"
+            for s in stages
+            if not s.tasks
+        ]
+        edge_set = set(map(tuple, edges))
+        for edge, delay in self.edge_delays.items():
+            if tuple(edge) not in edge_set:
+                problems.append(f"job {self.id}: delay on unknown edge {edge}")
+            elif delay < 0:
+                problems.append(f"job {self.id}: negative delay on edge {edge}")
+        return problems
 
     @property
     def total_work(self) -> int:
-        return self.total_map_work + self.total_reduce_work
+        return sum(t.duration for t in self.tasks)
 
     def laxity(self) -> int:
         """Slack: ``d_j - s_j - sum(e_t)`` (paper, Section VI.B)."""
@@ -112,28 +211,73 @@ class Job:
     def pending_tasks(self) -> List[Task]:
         return [t for t in self.tasks if not t.is_completed]
 
-    def reset_runtime_state(self) -> None:
-        """Clear every task's execution flags (new replication)."""
-        for t in self.tasks:
-            t.reset_runtime_state()
-
-    def with_earliest_start(self, earliest_start: int) -> "Job":
+    def with_earliest_start(self, earliest_start: int) -> "StagedJob":
         """A shallow view with a clamped effective EST (Table 2 lines 1-4).
 
-        The task lists are shared -- only the SLA field differs -- so the
-        resource manager can feed the clamped value to the CP model while
-        the metrics keep using the original ``earliest_start``.
+        The tasks and the stage graph are shared -- only the SLA field
+        differs -- so the resource manager can feed the clamped value to
+        the CP model while the metrics keep using the original
+        ``earliest_start``.
         """
         if earliest_start == self.earliest_start:
             return self
-        return Job(
-            id=self.id,
-            arrival_time=self.arrival_time,
-            earliest_start=earliest_start,
-            deadline=self.deadline,
-            map_tasks=self.map_tasks,
-            reduce_tasks=self.reduce_tasks,
-        )
+        self.topological_structure()
+        view = object.__new__(type(self))
+        view.__dict__.update(self.__dict__)
+        view.earliest_start = earliest_start
+        return view
+
+
+@dataclass
+class Job(StagedJob):
+    """A MapReduce job with an SLA: a ``map`` stage, then -- when reduces
+    exist -- a ``reduce`` stage behind one zero-delay edge (the barrier)."""
+
+    id: int
+    arrival_time: int  # v_j
+    earliest_start: int  # s_j  (>= arrival time)
+    deadline: int  # d_j
+    map_tasks: List[Task] = field(default_factory=list)
+    reduce_tasks: List[Task] = field(default_factory=list)
+
+    #: Intermediate data ships with the reduce tasks' read: no link delay.
+    edge_delays: ClassVar[Dict[Tuple[str, str], int]] = {}
+
+    @property
+    def tasks(self) -> List[Task]:
+        return self.map_tasks + self.reduce_tasks
+
+    @property
+    def stages(self) -> List[Stage]:
+        stages = [Stage("map", self.map_tasks)]
+        if self.reduce_tasks:
+            stages.append(Stage("reduce", self.reduce_tasks))
+        return stages
+
+    @property
+    def edges(self) -> List[Tuple[str, str]]:
+        return [("map", "reduce")] if self.reduce_tasks else []
+
+    def _build_graph(self) -> StageGraph:
+        """The two-stage chain, without a topological sort to find it."""
+        stages = tuple(self.stages)
+        if len(stages) == 1:
+            return StageGraph(stages, ((),), ((),), (0,), ())
+        return StageGraph(stages, ((), (0,)), ((), (0,)), (1,), ((*stages, 0),))
+
+    def structure_problems(self) -> List[str]:
+        """The DAG's hygiene, and each stage holding tasks of its kind."""
+        problems = super().structure_problems()
+        for kind, tasks in (
+            (TaskKind.MAP, self.map_tasks),
+            (TaskKind.REDUCE, self.reduce_tasks),
+        ):
+            problems += [
+                f"task {t.id}: in {kind.value} stage but kind {t.kind}"
+                for t in tasks
+                if t.kind is not kind
+            ]
+        return problems
 
     def copy(self) -> "Job":
         """Deep copy with fresh runtime state (for re-running replications)."""
@@ -206,17 +350,24 @@ def _phase_makespan(durations: Iterable[int], slots: int) -> int:
 
 
 def minimum_execution_time(
-    job: Job, total_map_slots: int, total_reduce_slots: int
+    job: StagedJob, total_map_slots: int, total_reduce_slots: int
 ) -> int:
     """``TE``: the job's minimum completion time on an empty system (Table 3).
 
-    Maps run first (LPT on all map slots), then -- because of the barrier --
-    reduces (LPT on all reduce slots).
+    The critical path of the stage DAG, with transfer delays: each stage
+    runs its maps (LPT on all map slots), then its reduces (LPT on all
+    reduce slots), once every predecessor stage has finished.
     """
-    map_span = _phase_makespan(
-        (t.duration for t in job.map_tasks), total_map_slots
-    )
-    reduce_span = _phase_makespan(
-        (t.duration for t in job.reduce_tasks), total_reduce_slots
-    )
-    return map_span + reduce_span
+    stages, preds, delays, *_ = job.topological_structure()
+    finish: List[int] = []
+    for stage, ps, ds in zip(stages, preds, delays):
+        tasks = stage.tasks
+        start = max((finish[p] + d for p, d in zip(ps, ds)), default=0)
+        finish.append(
+            start
+            + _phase_makespan([t.duration for t in tasks if t.is_map], total_map_slots)
+            + _phase_makespan(
+                [t.duration for t in tasks if t.is_reduce], total_reduce_slots
+            )
+        )
+    return max(finish)

@@ -1,18 +1,19 @@
-"""Workload sanity validation.
+"""Workload sanity validation, for MapReduce jobs and DAG workflows alike.
 
 Catches generator bugs (and malformed hand-written traces) before they turn
-into confusing scheduler behaviour: SLA ordering (arrival <= earliest start
-< deadline), positive durations, task/job id consistency, and unique ids.
+into confusing scheduler behaviour: the stage DAG's hygiene, SLA ordering
+(arrival <= earliest start < deadline), positive durations and demands,
+task/job id consistency, and unique ids.
 """
 
 from __future__ import annotations
 
 from typing import List, Sequence
 
-from repro.workload.entities import Job, TaskKind
+from repro.workload.entities import StagedJob
 
 
-def validate_jobs(jobs: Sequence[Job]) -> List[str]:
+def validate_jobs(jobs: Sequence[StagedJob]) -> List[str]:
     """Return a list of problems (empty = workload is well-formed)."""
     problems: List[str] = []
     seen_job_ids = set()
@@ -33,10 +34,7 @@ def validate_jobs(jobs: Sequence[Job]) -> List[str]:
                 f"job {job.id}: deadline {job.deadline} not after earliest "
                 f"start {job.earliest_start}"
             )
-        if not job.map_tasks and not job.reduce_tasks:
-            problems.append(f"job {job.id}: has no tasks")
-        if job.reduce_tasks and not job.map_tasks:
-            problems.append(f"job {job.id}: reduces without maps")
+        problems += job.structure_problems()
 
         for task in job.tasks:
             if task.id in seen_task_ids:
@@ -52,14 +50,6 @@ def validate_jobs(jobs: Sequence[Job]) -> List[str]:
                 )
             if task.demand < 1:
                 problems.append(f"task {task.id}: non-positive demand {task.demand}")
-        for task in job.map_tasks:
-            if task.kind is not TaskKind.MAP:
-                problems.append(f"task {task.id}: in map list but kind {task.kind}")
-        for task in job.reduce_tasks:
-            if task.kind is not TaskKind.REDUCE:
-                problems.append(
-                    f"task {task.id}: in reduce list but kind {task.kind}"
-                )
 
     arrivals = [j.arrival_time for j in jobs]
     if arrivals != sorted(arrivals):

@@ -8,13 +8,18 @@ from repro.cp.solver import SolverParams
 from repro.metrics import MetricsCollector
 from repro.sim import Simulator
 from repro.workload import make_uniform_cluster
-from repro.workload.entities import Resource, Task, TaskKind
+from repro.workload.entities import (
+    Resource,
+    Task,
+    TaskKind,
+    minimum_execution_time,
+)
+from repro.workload.validate import validate_jobs
 from repro.workload.workflows import (
     Stage,
     WorkflowJob,
     WorkflowWorkloadParams,
     generate_workflow_workload,
-    validate_workflows,
 )
 
 
@@ -49,7 +54,7 @@ def test_delay_on_unknown_edge_rejected():
 def test_critical_path_includes_delay():
     wf = _chain_with_delay(delay=7)
     # A(5) + transfer(7) + B(5)
-    assert wf.critical_path_time(4, 4) == 17
+    assert minimum_execution_time(wf, 4, 4) == 17
 
 
 def test_executed_schedule_honours_delay():
@@ -85,7 +90,7 @@ def test_generator_draws_delays():
         num_jobs=10, stages_range=(2, 3), transfer_delay_range=(1, 5)
     )
     wfs = generate_workflow_workload(params, seed=4)
-    assert validate_workflows(wfs) == []
+    assert validate_jobs(wfs) == []
     assert any(w.edge_delays for w in wfs)
     for w in wfs:
         for d in w.edge_delays.values():

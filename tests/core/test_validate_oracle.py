@@ -19,7 +19,6 @@ from repro.core.schedule import (
     Schedule,
     SlotKind,
     TaskAssignment,
-    _stage_edges,
     validate_schedule,
 )
 from repro.cp.profile import TimetableProfile
@@ -95,20 +94,20 @@ def reference_validate(
                 problems.append(
                     f"task {a.task.id}: starts {a.start} in the past (now={now})"
                 )
-        for pred_tasks, succ_tasks, delay, tag in _stage_edges(job):
+        for pred, succ, delay in job.topological_structure().barriers:
             pred_ends = [
                 schedule.get(t.id).end
-                for t in pred_tasks
+                for t in pred.tasks
                 if schedule.get(t.id) is not None
             ]
             succ_starts = [
                 schedule.get(t.id).start
-                for t in succ_tasks
+                for t in succ.tasks
                 if schedule.get(t.id) is not None
             ]
             if pred_ends and succ_starts and min(succ_starts) < max(pred_ends) + delay:
                 problems.append(
-                    f"job {job.id} {tag}: successor stage starts "
+                    f"job {job.id} {pred.name}->{succ.name}: successor stage starts "
                     f"{min(succ_starts)} before predecessor ends "
                     f"{max(pred_ends)} (+ delay {delay})"
                 )

@@ -17,11 +17,11 @@ from repro.experiments.configs import (
 #: sha256 over ``repr(figure_series(f, p))`` concatenated for every figure
 #: in ``list_figures()`` order x (scaled, paper).  Any change to a figure's
 #: configs -- a value, a value's type, a default -- moves it.  Last moved
-#: when ``ObsConfig.plan_history`` (a copy of
-#: ``MrcpRmConfig.record_plan_history``) left the configs: the previous text
-#: (sha256 a736b9f9...8ab6aa) equals this one once `` plan_history=False,``
-#: is deleted from each of its 116 ``ObsConfig(...)`` occurrences.
-FIGURE_REPR_SHA256 = "f5cbec9c6ac3e3cb6369174b8f04828372051c91924c7d022731fe23812c70bc"
+#: when ``RunConfig.faults`` (a copy of ``MrcpRmConfig.faults``) left the
+#: configs: the previous text (sha256 f5cbec9c...12c70bc) equals this one
+#: once ``, faults=None`` is deleted before each of its 116
+#: ``, obs=ObsConfig(`` occurrences.
+FIGURE_REPR_SHA256 = "b5d47285b7bd2e845763f58ee91c2496bc3b77d5c620c2854714641ee8a90ff3"
 
 
 def test_all_figures_listed():

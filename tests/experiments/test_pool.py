@@ -221,7 +221,7 @@ def test_failed_cell_marks_only_itself_and_exhausts_retries():
 
     bad = spec.configs[1].config
     bad.scheduler = "minedf-wc"
-    bad.faults = FaultModel(task_failure_prob=0.5, seed=1)
+    bad.mrcp.faults = FaultModel(task_failure_prob=0.5, seed=1)
     spec.configs[1] = LabeledConfig(
         label="bad", factor_value=1.0, scheduler="minedf-wc", config=bad
     )

@@ -2,12 +2,15 @@
 
 import pytest
 
+from repro.core import MrcpRmConfig
 from repro.experiments.runner import (
     RunConfig,
     SystemConfig,
     _generate_jobs,
+    build_live_run,
     run_once,
 )
+from repro.faults import FaultModel
 from repro.workload import SyntheticWorkloadParams
 
 
@@ -50,6 +53,18 @@ def test_validation_rejects_bad_configs():
     cfg2.workload = "facebook"
     with pytest.raises(ValueError):
         cfg2.validate()
+
+
+def test_each_replication_reseeds_the_fault_model():
+    """Faults set on the manager's config draw anew per replication, from
+    the replication's stream seed, and only MRCP-RM accepts them."""
+    faulty = MrcpRmConfig(faults=FaultModel(task_failure_prob=0.3))
+    runs = [build_live_run(_config(mrcp=faulty), r) for r in range(3)]
+    assert [run.manager.config.faults.seed for run in runs] == [0, 1, 2]
+    assert [run.seed for run in runs] == [0, 1, 2]
+    assert faulty.faults.seed == 0  # the caller's config is not mutated
+    with pytest.raises(ValueError, match="fault injection"):
+        _config("minedf-wc", mrcp=faulty).validate()
 
 
 @pytest.mark.parametrize("scheduler", ["mrcp-rm", "minedf-wc", "edf", "fcfs"])

@@ -46,11 +46,13 @@ ALERTS_SHA = "179426777c9003f05e41c2e98f2bd42e02f80d5b22be297b831900df1f87c2dc"
 SWEEP_SERIES_SHA = "097371c488f3d09e92288bf0aab7d406df049e540dc416f7fd99f7cfa5b05f6f"
 #: The run directory ``capture_run_dir(default_diff_config(num_jobs=6))``
 #: writes; captured under a relative path, because the config fingerprint in
-#: ``run.json`` covers the trace output path.
+#: ``run.json`` covers the trace output path.  ``run.json`` last moved when
+#: ``RunConfig.faults`` left the config: ``structural_diff`` of the two
+#: files is ``fingerprint: 1bee782ff14dca7b -> 99cc77bb79e9d11e`` alone.
 CAPTURE_SHAS = {
     "forensics.json": "32550a027fd86cda9775d993c7b8af51b7026fd87a41827571311e16641cc4db",
     "plans.json": "f43ee963385b7febb9c206382b32cb8df1ef6c2544cf4751d5c35ef922d7dea8",
-    "run.json": "d0e010d061b96a4893bf1db97dd2c9e82d9fc2aca832623445f5a53e4f41ed48",
+    "run.json": "422869a8a6b48b55b8efe1dcd4f6ef053db1220b84d9b87496f11ca26ec40f74",
     "series.jsonl": "74a17f19eaad4418ca579c588959d80c435a56d0d6a9ff4958c3e31f7feec1d6",
     "trace.json": "7eb1cdadb4243e1d76cb18a90fff6161f9f093412c4414b1017f97025af0c374",
     "trace.jsonl": "967d2cd797bfb3a60297f2b2d577f4baa4fffa9c7f77e50ab60a54277db5d4e2",

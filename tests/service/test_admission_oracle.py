@@ -56,9 +56,10 @@ class _Job:
 class RebuildController:
     """The rebuild-everything quote, kept only as this test's reference."""
 
-    def __init__(self, resources, config: AdmissionConfig) -> None:
+    def __init__(self, resources, config: AdmissionConfig, mode) -> None:
         self.resources = list(resources)
         self.config = config
+        self.mode = mode
         self._solver = CpSolver(config.solver_params)
         self._ladder = DegradationLadder(config.ladder, self._solver)
         self._jobs = {}
@@ -104,7 +105,7 @@ class RebuildController:
                 self.resources,
                 now,
                 running=frozen,
-                mode=self.config.mode,
+                mode=self.mode,
                 solver=self._solver,
                 ladder=self._ladder,
                 start_rung=start_rung,
@@ -209,12 +210,14 @@ def _replay(mode, batch, seed, reference, check=lambda controller: None):
     every quote."""
     config = ServiceConfig(
         batching=BatchingConfig(max_batch_size=batch, max_hold_seconds=batch - 1),
-        admission=AdmissionConfig(mode=mode),
+        admission=AdmissionConfig(),
     )
     clock = ManualServiceClock()
     service = SchedulerService(make_uniform_cluster(RESOURCES), config, clock=clock)
     if reference:
-        service.controller = RebuildController(service.resources, config.admission)
+        service.controller = RebuildController(
+            service.resources, config.admission, mode
+        )
     controller, counts = service.controller, []
 
     def quote(*args, **kwargs):
@@ -255,7 +258,9 @@ def _replay(mode, batch, seed, reference, check=lambda controller: None):
     return answers, counts
 
 
-@pytest.mark.parametrize("mode", list(FormulationMode))
+# The service quotes on the combined formulation; the rebuild reference
+# solves its quotes in this mode.
+@pytest.mark.parametrize("mode", [FormulationMode.COMBINED])
 @pytest.mark.parametrize("batch", [1, 4])
 @pytest.mark.parametrize("seed", [1, 2])
 def test_standing_base_answers_like_the_rebuild(mode, batch, seed):
@@ -272,7 +277,7 @@ def test_standing_base_answers_like_the_rebuild(mode, batch, seed):
     assert any(a == ("cancel", True) for a in mine)
 
 
-@pytest.mark.parametrize("mode", list(FormulationMode))
+@pytest.mark.parametrize("mode", [FormulationMode.COMBINED])
 @pytest.mark.parametrize("batch", [1, 4])
 @pytest.mark.parametrize("seed", [1, 2])
 def test_standing_gap_index_quotes_like_the_scan(mode, batch, seed, monkeypatch):

@@ -1,8 +1,10 @@
-"""Behaviour pins: nine seeded cases whose metrics must repeat exactly.
+"""Behaviour pins: sixteen seeded cases whose metrics must repeat exactly.
 
 Three solver micro-cases, two figure experiments at smoke scale, a short
 open run with LNS on, a parallel-sweep fan-out, the telemetry-on/off
-equality and an admission-service load run.  Seeds are fixed and the
+equality, an admission-service load run, DAG workflow runs (with transfer
+delays under MRCP-RM, without under each slot baseline) and a MapReduce
+run under each slot baseline.  Seeds are fixed and the
 solver is fail-limited with LNS off, except in two cases:
 ``solver_micro_lns`` runs LNS to a fixed target under a cap that never
 binds, and ``open_lns_small`` runs LNS under a time limit that never
@@ -76,6 +78,57 @@ PINS: Dict[str, Dict[str, Any]] = {
         "digest": "a63264941fe38e8d",
         "held_p50": 0.05,
         "held_p99": 0.05,
+    },
+    # Pinned at the last commit with two job types: a MapReduce job and
+    # its two-stage DAG must run alike under every scheduler.
+    "workflow_delays_mrcp": {
+        "N": 2.0,
+        "T": 67.75,
+        "P": 16.666666666666664,
+        "completed": 12,
+        "turnaround_sha256": "7ad84f56c069b2da",
+    },
+    "workflow_minedf_wc": {
+        "N": 5.0,
+        "T": 58.166666666666664,
+        "P": 41.66666666666667,
+        "completed": 12,
+        "turnaround_sha256": "8e1f94635f9942f4",
+    },
+    "workflow_edf": {
+        "N": 4.0,
+        "T": 58.5,
+        "P": 33.33333333333333,
+        "completed": 12,
+        "turnaround_sha256": "8e3fd026cbe25e8b",
+    },
+    "workflow_fcfs": {
+        "N": 5.0,
+        "T": 59.166666666666664,
+        "P": 41.66666666666667,
+        "completed": 12,
+        "turnaround_sha256": "49c151c0d9fdd8bf",
+    },
+    "mapreduce_minedf_wc": {
+        "N": 5.0,
+        "T": 115.16666666666667,
+        "P": 41.66666666666667,
+        "completed": 12,
+        "turnaround_sha256": "6f5b9c4090ae670a",
+    },
+    "mapreduce_edf": {
+        "N": 5.0,
+        "T": 115.16666666666667,
+        "P": 41.66666666666667,
+        "completed": 12,
+        "turnaround_sha256": "6f5b9c4090ae670a",
+    },
+    "mapreduce_fcfs": {
+        "N": 5.0,
+        "T": 115.75,
+        "P": 41.66666666666667,
+        "completed": 12,
+        "turnaround_sha256": "030eee34cf36f862",
     },
 }
 
@@ -406,6 +459,64 @@ def _case_service_admission_latency() -> Dict[str, Any]:
     }
 
 
+def _turnaround_case(config) -> Dict[str, Any]:
+    """N/T/P, completed jobs and a digest of every job's turnaround."""
+    import hashlib
+
+    from repro.experiments.runner import run_once
+
+    metrics = run_once(config)
+    summary = metrics.as_dict()
+    turnarounds = repr(sorted(metrics.turnarounds.items())).encode("utf-8")
+    return {
+        "N": summary["N"],
+        "T": summary["T"],
+        "P": summary["P"],
+        "completed": metrics.jobs_completed,
+        "turnaround_sha256": hashlib.sha256(turnarounds).hexdigest()[:16],
+    }
+
+
+def _workflow_case(scheduler: str, delays: bool) -> Callable[[], Dict[str, Any]]:
+    """A 12-job random-DAG workflow run; transfer delays need MRCP-RM."""
+
+    def case() -> Dict[str, Any]:
+        from repro.core import MrcpRmConfig
+        from repro.experiments.runner import RunConfig, SystemConfig
+        from repro.workload import WorkflowWorkloadParams
+
+        config = RunConfig(
+            scheduler=scheduler,
+            workload="workflow",
+            workflow=WorkflowWorkloadParams(
+                num_jobs=12,
+                stages_range=(2, 5),
+                tasks_per_stage_range=(1, 5),
+                e_max=20,
+                transfer_delay_range=(1, 6) if delays else (0, 0),
+                deadline_multiplier_max=1.6,
+                arrival_rate=0.05,
+            ),
+            system=SystemConfig(num_resources=3, map_slots=2, reduce_slots=2),
+            mrcp=MrcpRmConfig(solver=_deterministic_solver_params()),
+            seed=13,
+        )
+        return _turnaround_case(config)
+
+    return case
+
+
+def _mapreduce_case(scheduler: str) -> Callable[[], Dict[str, Any]]:
+    """``fig7_small``'s MapReduce stream under a slot baseline."""
+
+    def case() -> Dict[str, Any]:
+        from dataclasses import replace
+
+        return _turnaround_case(replace(_fig7_small_config(), scheduler=scheduler))
+
+    return case
+
+
 CASES: Dict[str, Callable[[], Dict[str, Any]]] = {
     "solver_micro_warm": _case_solver_micro_warm,
     "solver_micro_solve": _case_solver_micro_solve,
@@ -416,6 +527,13 @@ CASES: Dict[str, Callable[[], Dict[str, Any]]] = {
     "sweep_pool": _case_sweep_pool,
     "telemetry_overhead": _case_telemetry_overhead,
     "service_admission_latency": _case_service_admission_latency,
+    "workflow_delays_mrcp": _workflow_case("mrcp-rm", delays=True),
+    "workflow_minedf_wc": _workflow_case("minedf-wc", delays=False),
+    "workflow_edf": _workflow_case("edf", delays=False),
+    "workflow_fcfs": _workflow_case("fcfs", delays=False),
+    "mapreduce_minedf_wc": _mapreduce_case("minedf-wc"),
+    "mapreduce_edf": _mapreduce_case("edf"),
+    "mapreduce_fcfs": _mapreduce_case("fcfs"),
 }
 
 

@@ -38,6 +38,9 @@ ALLOWLIST = {
     "LnsParams.stall_before_grow": "LNS schedule the stop rule derives from",
     "SolverParams.lns": "LNS schedule the stop rule derives from",
     "MrcpRmConfig.max_task_retries": "fault-recovery policy",
+    # Set by the ``ablation-mode`` figure from a loop variable, ``mode=mode``,
+    # which reads like a forwarded parameter.
+    "MrcpRmConfig.mode": "Section V.D ablation: combined vs joint model",
     "MrcpRmConfig.retry_backoff": "fault-recovery policy",
     "SolverParams.jump_branching": "exhaustive-branching reference",
 }

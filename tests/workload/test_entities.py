@@ -17,8 +17,8 @@ def test_job_derived_properties():
     job = make_job(1, map_durations=(5, 7), reduce_durations=(3,), deadline=100)
     assert len(job.map_tasks) == 2
     assert len(job.reduce_tasks) == 1
-    assert job.total_map_work == 12
-    assert job.total_reduce_work == 3
+    assert [s.name for s in job.stages] == ["map", "reduce"]
+    assert job.edges == [("map", "reduce")]
     assert job.total_work == 15
     assert len(job.tasks) == 3
 
@@ -36,9 +36,9 @@ def test_completion_and_reset():
         t.is_completed = True
     assert job.is_completed
     assert job.pending_tasks == []
-    job.reset_runtime_state()
-    assert not job.is_completed
-    assert len(job.pending_tasks) == 2
+    fresh = job.copy()
+    assert not fresh.is_completed
+    assert len(fresh.pending_tasks) == 2
 
 
 def test_copy_resets_runtime_state():

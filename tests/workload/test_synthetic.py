@@ -65,7 +65,7 @@ def test_map_durations_respect_e_max():
 def test_reduce_durations_follow_formula():
     jobs = generate_synthetic_workload(_params(num_jobs=40), seed=5)
     for j in jobs:
-        base = round(3.0 * j.total_map_work / len(j.reduce_tasks))
+        base = round(3.0 * sum(t.duration for t in j.map_tasks) / len(j.reduce_tasks))
         for t in j.reduce_tasks:
             assert base + 1 <= t.duration <= base + 10
 

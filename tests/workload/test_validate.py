@@ -47,7 +47,7 @@ def test_reduces_without_maps():
         deadline=10,
         reduce_tasks=[make_task("r0", 0, TaskKind.REDUCE, 3)],
     )
-    assert any("reduces without maps" in p for p in validate_jobs([j]))
+    assert any("stage map has no tasks" in p for p in validate_jobs([j]))
 
 
 def test_wrong_parent_id():

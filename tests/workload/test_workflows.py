@@ -3,14 +3,13 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.workload.entities import Task, TaskKind
+from repro.workload.entities import Stage, Task, TaskKind, minimum_execution_time
+from repro.workload.validate import validate_jobs
 from repro.workload.workflows import (
-    Stage,
     WorkflowJob,
     WorkflowWorkloadParams,
     from_mapreduce,
     generate_workflow_workload,
-    validate_workflows,
 )
 
 from tests.conftest import make_job
@@ -40,9 +39,9 @@ def _diamond(job_id=0, deadline=1000):
 def test_valid_diamond():
     wf = _diamond()
     assert len(wf.tasks) == 5
-    assert wf.terminal_stage_names() == ["D"]
-    stages, preds, _ = wf.topological_structure()
+    stages, preds, _, terminal, _ = wf.topological_structure()
     names = [s.name for s in stages]
+    assert [names[i] for i in terminal] == ["D"]
     assert names[0] == "A" and names[-1] == "D"
     d_idx = names.index("D")
     assert sorted(names[p] for p in preds[d_idx]) == ["B", "C"]
@@ -95,11 +94,12 @@ def test_topological_order_equals_networkx(dag, rnd):
     g = nx.DiGraph()
     g.add_nodes_from(names)
     g.add_edges_from(edges)
-    order = [s.name for s in wf.topological_structure()[0]]
+    graph = wf.topological_structure()
+    order = [s.name for s in graph.stages]
     assert order == list(nx.topological_sort(g))
-    assert wf.terminal_stage_names() == [
+    assert sorted(order[i] for i in graph.terminal) == sorted(
         name for name in names if g.out_degree(name) == 0
-    ]
+    )
 
 
 def test_unknown_stage_edge_rejected():
@@ -143,12 +143,10 @@ def test_job_compatible_interface():
     assert len(wf.pending_tasks) == 5
     assert wf.total_work == 25
     assert wf.laxity() == 1000 - 0 - 25
-    assert wf.terminal_stage_names() == ["D"]
     for t in wf.tasks:
         t.is_completed = True
     assert wf.is_completed
-    wf.reset_runtime_state()
-    assert not wf.is_completed
+    assert wf.pending_tasks == []
 
 
 def test_with_earliest_start_view():
@@ -170,15 +168,15 @@ def test_critical_path_time_chain():
         ],
         edges=[("A", "B")],
     )
-    assert wf.critical_path_time(4, 4) == 10
+    assert minimum_execution_time(wf, 4, 4) == 10
 
 
 def test_critical_path_takes_longest_branch():
     wf = _diamond()
     # A(5) -> max(B: two 5s on many slots = 5, C: 5) -> D(5): 15
-    assert wf.critical_path_time(10, 10) == 15
+    assert minimum_execution_time(wf, 10, 10) == 15
     # with one map slot, B serialises: A(5) + B(10) + D(5) = 20
-    assert wf.critical_path_time(1, 1) == 20
+    assert minimum_execution_time(wf, 1, 1) == 20
 
 
 def test_from_mapreduce_round_trip():
@@ -193,27 +191,30 @@ def test_from_mapreduce_round_trip():
     assert map_only.edges == []
 
 
-def test_validate_workflows_catches_problems():
+def test_validate_jobs_catches_workflow_problems():
     good = _diamond(0)
-    assert validate_workflows([good]) == []
+    assert validate_jobs([good]) == []
     dup = _diamond(0)
-    assert any("duplicate" in p for p in validate_workflows([good, dup]))
+    assert any("duplicate" in p for p in validate_jobs([good, dup]))
     bad_sla = _diamond(1)
     bad_sla.earliest_start = -5
     bad_sla.arrival_time = 0
-    assert any("EST before arrival" in p for p in validate_workflows([bad_sla]))
+    assert any("before arrival" in p for p in validate_jobs([bad_sla]))
+    cyclic = _diamond(2)
+    cyclic.edges.append(("D", "A"))
+    assert any("precedence cycle" in p for p in validate_jobs([cyclic]))
 
 
 def test_generator_produces_valid_workflows():
     params = WorkflowWorkloadParams(num_jobs=15, stages_range=(2, 5))
     wfs = generate_workflow_workload(params, seed=5)
     assert len(wfs) == 15
-    assert validate_workflows(wfs) == []
+    assert validate_jobs(wfs) == []
     for wf in wfs:
         # spine guarantees weak connectivity of consecutive stages
         assert len(wf.stages) >= 2
-        te = wf.critical_path_time(
-            params.total_map_slots, params.total_reduce_slots
+        te = minimum_execution_time(
+            wf, params.total_map_slots, params.total_reduce_slots
         )
         assert wf.deadline - wf.arrival_time >= te
 
