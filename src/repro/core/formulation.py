@@ -135,8 +135,8 @@ def direct_attempts(jobs, resources, now, running, base, hints):
     }
     groups, tasks = [], {}
     for job in jobs:
-        stages, preds, delays, _terminal = _stage_structure(job)
-        stages = [[t for t in stage if not t.is_completed] for stage in stages]
+        stages, preds, delays, *_ = job.topological_structure()
+        stages = [[t for t in s.tasks if not t.is_completed] for s in stages]
         if any(stages):
             release = max(job.earliest_start, now)
             group = Group("", stages, preds, release, job.deadline, None, delays)
@@ -192,14 +192,6 @@ def direct_attempts(jobs, resources, now, running, base, hints):
     return attempt, bool(hints)
 
 
-def _stage_structure(job) -> Tuple[List[List[Task]], Edges, Edges, Sequence[int]]:
-    """Per-job stage decomposition: (stage task lists in topological order,
-    predecessor indices per stage, per-predecessor transfer delays,
-    terminal stage indices), read off the job's stage DAG."""
-    stages, preds, delays, terminal, _ = job.topological_structure()
-    return [s.tasks for s in stages], preds, delays, terminal
-
-
 def _make_task_intervals(
     model: CpModel,
     result: FormulationResult,
@@ -211,14 +203,14 @@ def _make_task_intervals(
 
     Completed tasks are omitted (Table 2, lines 13-16); running tasks are
     frozen at their dispatched start.  Returns the staged interval lists
-    plus the predecessor/terminal structure from :func:`_stage_structure`.
+    plus the predecessor/terminal structure of the job's stage DAG.
     """
     release = max(job.earliest_start, now)
-    stage_tasks, preds, delays, terminal = _stage_structure(job)
+    stages, preds, delays, terminal, _ = job.topological_structure()
     stage_ivs: List[List[IntervalVar]] = []
-    for tasks in stage_tasks:
+    for stage in stages:
         ivs: List[IntervalVar] = []
-        for task in tasks:
+        for task in stage.tasks:
             if task.is_completed:
                 continue
             frozen = running_by_id.get(task.id)

@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import enum
 import heapq
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import ClassVar, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 
@@ -104,7 +106,7 @@ class StagedJob:
         """The stage DAG: every consumer of a job's precedence reads this.
 
         Built on first use and shared by every :meth:`with_earliest_start`
-        view; a job's stages and edges do not change once it is planned.
+        view; a job's stages and edges do not change once it is built.
         """
         graph = self._graph
         if graph is None:
@@ -179,7 +181,7 @@ class StagedJob:
                 return [f"job {self.id}: self-edge on {a}"]
         problems = []
         try:
-            self._build_graph()  # as the job stands now, not as cached
+            self.topological_structure()  # built and cached here
         except ValueError as exc:
             problems.append(str(exc))
         problems += [
@@ -241,7 +243,7 @@ class Job(StagedJob):
     reduce_tasks: List[Task] = field(default_factory=list)
 
     #: Intermediate data ships with the reduce tasks' read: no link delay.
-    edge_delays: ClassVar[Dict[Tuple[str, str], int]] = {}
+    edge_delays: ClassVar[Mapping[Tuple[str, str], int]] = MappingProxyType({})
 
     @property
     def tasks(self) -> List[Task]:
@@ -259,7 +261,12 @@ class Job(StagedJob):
         return [("map", "reduce")] if self.reduce_tasks else []
 
     def _build_graph(self) -> StageGraph:
-        """The two-stage chain, without a topological sort to find it."""
+        """The graph the generic sort finds for the chain, without the sort.
+
+        Every service quote builds one for its new job, and the sort costs
+        about 4 µs of a 0.2 ms quote (CPython 3.11); the job-shape property
+        test holds this to the generic builder.
+        """
         stages = tuple(self.stages)
         if len(stages) == 1:
             return StageGraph(stages, ((),), ((),), (0,), ())

@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from types import MappingProxyType
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 from repro.sim.rng import RandomStreams
 from repro.workload.entities import (
@@ -38,23 +39,34 @@ from repro.workload.entities import (
 class WorkflowJob(StagedJob):
     """A job whose execution is a DAG of stages with an end-to-end SLA.
 
-    The stage structure is checked on construction: a malformed DAG is a
-    ``ValueError``.
+    The stage structure is checked on construction (a malformed DAG is a
+    ``ValueError``) and fixed from then on: stages and edges are stored as
+    tuples and delays as a read-only mapping, and none takes a new value.
     """
 
     id: int
     arrival_time: int
     earliest_start: int
     deadline: int
-    stages: List[Stage] = field(default_factory=list)
+    stages: Sequence[Stage] = ()
     #: Stage-name precedence edges (pred, succ).
-    edges: List[Tuple[str, str]] = field(default_factory=list)
+    edges: Sequence[Tuple[str, str]] = ()
     #: Optional per-edge data-transfer delays in seconds (communication
     #: cost of shipping intermediate data; paper Section VII mentions
     #: communication links as future work).  Missing edges default to 0.
-    edge_delays: Dict[Tuple[str, str], int] = field(default_factory=dict)
+    edge_delays: Mapping[Tuple[str, str], int] = field(default_factory=dict)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        if name in ("stages", "edges", "edge_delays") and self._graph is not None:
+            raise AttributeError(
+                f"job {self.id}: {name} is fixed once its stage graph is built"
+            )
+        object.__setattr__(self, name, value)
 
     def __post_init__(self) -> None:
+        self.stages = tuple(self.stages)
+        self.edges = tuple(tuple(e) for e in self.edges)
+        self.edge_delays = MappingProxyType(dict(self.edge_delays))
         problems = self.structure_problems()
         if problems:
             raise ValueError(problems[0])

@@ -3,15 +3,16 @@
 :func:`~repro.workload.workflows.from_mapreduce` is the oracle: it views a
 job as a workflow of a ``map`` stage plus, when reduces exist, a ``reduce``
 stage behind one zero-delay edge.  TE, the model's stage structure, the
-validator's barrier edges and slot eligibility must give the same answer
-for the job and for that view, map-only jobs included.
+stage graph the model and the validator read, and slot eligibility must
+give the same answer for the job and for that view, map-only jobs
+included; and a job's own graph builder, which skips the topological sort,
+must build what the generic one does.
 """
 
 from hypothesis import given, settings, strategies as st
 
 from repro.baselines.slot_cluster import SlotPolicy
-from repro.core.formulation import _stage_structure
-from repro.workload.entities import minimum_execution_time
+from repro.workload.entities import StagedJob, minimum_execution_time
 from repro.workload.facebook import FacebookWorkloadParams, generate_facebook_workload
 from repro.workload.synthetic import (
     SyntheticWorkloadParams,
@@ -47,16 +48,16 @@ def _ids(tasks):
     return [t.id for t in tasks]
 
 
-def _structure(job):
-    stages, preds, delays, terminal = _stage_structure(job)
-    return [_ids(s) for s in stages], preds, delays, terminal
-
-
-def _barriers(job):
-    return [
-        (p.name, _ids(p.tasks), s.name, _ids(s.tasks), d)
-        for p, s, d in job.topological_structure().barriers
-    ]
+def _graph(job):
+    """The job's stage graph, with each stage as its name and task ids."""
+    stages, preds, delays, terminal, barriers = job.topological_structure()
+    return (
+        [(s.name, _ids(s.tasks)) for s in stages],
+        preds,
+        delays,
+        terminal,
+        [(p.name, s.name, d) for p, s, d in barriers],
+    )
 
 
 @given(generated_jobs(), st.randoms(use_true_random=False))
@@ -68,8 +69,8 @@ def test_every_consumer_reads_a_job_as_its_two_stage_dag(jobs, rng):
             assert minimum_execution_time(job, *slots) == minimum_execution_time(
                 dag, *slots
             )
-        assert _structure(job) == _structure(dag)
-        assert _barriers(job) == _barriers(dag)
+        assert _graph(job) == _graph(dag)
+        assert job._build_graph() == StagedJob._build_graph(job)
         for _ in range(4):
             for task in job.tasks:
                 task.is_completed, task.is_prev_scheduled = rng.choice(STATES)

@@ -68,7 +68,7 @@ def test_workflow_trace_round_trip(tmp_path):
     written = json.loads(workflows_to_json(wfs))
     assert written["kind"] == "workflow"
     for wf, row in zip(wfs, written["workflows"], strict=True):
-        assert [tuple(e) for e in row["edges"]] == wf.edges
+        assert tuple(tuple(e) for e in row["edges"]) == wf.edges
         assert [s["name"] for s in row["stages"]] == [s.name for s in wf.stages]
         assert [[t["id"] for t in s["tasks"]] for s in row["stages"]] == [
             [t.id for t in s.tasks] for s in wf.stages

@@ -183,12 +183,12 @@ def test_from_mapreduce_round_trip():
     job = make_job(3, (5, 7), (4,), deadline=99)
     wf = from_mapreduce(job)
     assert [s.name for s in wf.stages] == ["map", "reduce"]
-    assert wf.edges == [("map", "reduce")]
+    assert wf.edges == (("map", "reduce"),)
     assert wf.deadline == 99
     assert len(wf.tasks) == 3
     map_only = from_mapreduce(make_job(4, (5,)))
     assert [s.name for s in map_only.stages] == ["map"]
-    assert map_only.edges == []
+    assert map_only.edges == ()
 
 
 def test_validate_jobs_catches_workflow_problems():
@@ -200,9 +200,25 @@ def test_validate_jobs_catches_workflow_problems():
     bad_sla.earliest_start = -5
     bad_sla.arrival_time = 0
     assert any("before arrival" in p for p in validate_jobs([bad_sla]))
-    cyclic = _diamond(2)
-    cyclic.edges.append(("D", "A"))
-    assert any("precedence cycle" in p for p in validate_jobs([cyclic]))
+
+
+def test_workflow_structure_is_fixed_once_built():
+    wf = _diamond()
+    with pytest.raises(AttributeError):
+        wf.edges.append(("D", "A"))
+    with pytest.raises(TypeError):
+        wf.edge_delays[("A", "B")] = 3
+    for name, value in (("edges", ()), ("stages", ()), ("edge_delays", {})):
+        with pytest.raises(AttributeError, match="fixed once"):
+            setattr(wf, name, value)
+    assert minimum_execution_time(wf, 10, 10) == 15
+    view = wf.with_earliest_start(7)
+    with pytest.raises(AttributeError, match="fixed once"):
+        view.edges = ()
+    job = make_job(5, (5,))
+    with pytest.raises(TypeError):
+        job.edge_delays[("map", "reduce")] = 3
+    assert dict(job.edge_delays) == {}
 
 
 def test_generator_produces_valid_workflows():
